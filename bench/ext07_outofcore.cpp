@@ -1,19 +1,21 @@
 // Extension — out-of-core pipeline: wall / residency / spill-IO versus the
 // dataset-to-budget ratio. MR-MPI's defining capability is processing
-// intermediate data larger than memory (the keyvalue.h paging design); the
-// budget-mode pipeline streams spilled pages through shuffle and convert so
-// peak residency stays O(budget), not O(dataset), while the job output
-// remains byte-identical to the in-core pipeline's. This bench sweeps
-// datasets of 1/2/4/8x the per-rank memory budget on the functional
-// simulator, validates output parity at every ratio, bounds the measured
-// residency high-water mark at 1.5x budget, and emits BENCH_outofcore.json
-// for the CI artifact.
-#include <charconv>
+// intermediate data larger than memory (the keyvalue.h paging design); with
+// a memory budget, FtJob's paged stores stream spilled pages through
+// shuffle and convert so peak residency stays O(budget), not O(dataset),
+// while the job output remains byte-identical to the same engine run
+// without a budget. This bench sweeps datasets of 1/2/4/8x the per-rank
+// memory budget on the functional simulator (FtJob without fault
+// tolerance, the MR-MPI baseline), validates output parity at every ratio,
+// bounds the measured residency high-water mark at 1.5x budget, recovers a
+// work-conserving kill at 4x under the budget, and emits
+// BENCH_outofcore.json for the CI artifact.
 #include <string>
 
+#include "apps/wordcount.hpp"
 #include "bench/common.hpp"
 #include "common/rng.hpp"
-#include "mr/mapreduce.hpp"
+#include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
 
@@ -29,33 +31,8 @@ constexpr size_t kPage = 2 << 10;
 // Aggregate bytes at ratio 1x: the whole dataset just fits the ranks' budgets.
 constexpr size_t kUnitBytes = kRanks * kBudget;
 
-int64_t wc_map(uint64_t, std::string_view chunk, mr::KvBuffer& out) {
-  int64_t n = 0;
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    size_t end = chunk.find(' ', pos);
-    if (end == std::string_view::npos) end = chunk.size();
-    if (end > pos) {
-      out.add(chunk.substr(pos, end - pos), "1");
-      ++n;
-    }
-    pos = end + 1;
-  }
-  return n;
-}
-
-void wc_reduce(std::string_view key, std::span<const std::string_view> values,
-               mr::KvBuffer& out) {
-  int64_t sum = 0;
-  for (std::string_view v : values) {
-    int64_t n = 0;
-    std::from_chars(v.data(), v.data() + v.size(), n);
-    sum += n;
-  }
-  out.add(key, std::to_string(sum));
-}
-
-/// Zipf-ish word chunks totalling ~`bytes`; deterministic per (seed, scale).
+/// Zipf-ish word chunks of 16-word lines totalling ~`bytes`; deterministic
+/// per (seed, scale).
 size_t make_input(storage::StorageSystem& fs, const std::string& dir,
                   size_t bytes, uint64_t seed) {
   Rng rng(seed);
@@ -63,9 +40,10 @@ size_t make_input(storage::StorageSystem& fs, const std::string& dir,
   int chunk_id = 0;
   while (written < bytes) {
     std::string text;
+    int words = 0;
     while (text.size() < 4096 && written + text.size() < bytes) {
       text += "word" + std::to_string(rng.next_below(300));
-      text += ' ';
+      text += ++words % 16 == 0 ? '\n' : ' ';
     }
     char name[32];
     std::snprintf(name, sizeof(name), "chunk_%04d", chunk_id++);
@@ -83,38 +61,56 @@ struct RunResult {
   bool ok = false;
   double makespan = 0.0;
   size_t peak_resident = 0;  // max over ranks of the residency high-water
+  int recoveries = 0;
 };
 
+/// One wordcount job. Without `kill_at` it is the MR-MPI baseline (no
+/// fault tolerance, no checkpoints); with it, work-conserving
+/// detect/resume loses rank 1 at virtual time `kill_at`.
 RunResult run_job(storage::StorageSystem& fs, const std::string& in_dir,
-                  const std::string& out_dir, size_t budget) {
+                  const std::string& out_dir, size_t budget,
+                  double kill_at = 0.0) {
   RunResult res;
   res.ok = true;
   std::mutex mu;
+  simmpi::JobOptions sim;
+  if (kill_at > 0.0) sim.kills.push_back({1, kill_at, -1});
   simmpi::JobResult r = simmpi::Runtime::run(kRanks, [&](simmpi::Comm& c) {
-    mr::JobOptions o;
+    core::FtJobOptions o;
+    o.mode = kill_at > 0.0 ? core::FtMode::kDetectResumeWC : core::FtMode::kNone;
+    o.ckpt.enabled = kill_at > 0.0;
+    o.ckpt.records_per_ckpt = 16;
     o.input_dir = in_dir;
     o.output_dir = out_dir;
     o.ppn = kPpn;
-    o.two_pass_convert = true;
     o.memory_budget = budget;
     o.spill_dir = "spill_" + out_dir;
     o.spill_page_bytes = kPage;
-    mr::MapReduce job(c, &fs, o);
-    const bool ok = job.run(wc_map, wc_reduce).ok();
+    core::FtJob job(c, &fs, o);
+    const bool ok = job.run([](core::FtJob& j) -> Status {
+                         if (auto s = j.run_stage(apps::wordcount_stage(), false,
+                                                  nullptr);
+                             !s.ok()) {
+                           return s;
+                         }
+                         return j.write_output();
+                       }).ok();
     std::lock_guard<std::mutex> lock(mu);
-    res.ok = res.ok && ok;
+    if (c.global_rank() != 1 || kill_at <= 0.0) res.ok = res.ok && ok;
     res.peak_resident = std::max(res.peak_resident, job.residency().peak);
-  });
-  res.ok = res.ok && r.finished_count() == kRanks;
+    res.recoveries = std::max(res.recoveries, job.recoveries());
+  }, sim);
+  res.ok = res.ok && r.finished_count() == kRanks - (kill_at > 0.0 ? 1 : 0);
   res.makespan = r.makespan();
   return res;
 }
 
+/// One part file per partition (P0 = kRanks).
 bool parts_identical(storage::StorageSystem& fs, const std::string& dir_a,
                      const std::string& dir_b) {
-  for (int rank = 0; rank < kRanks; ++rank) {
+  for (int p = 0; p < kRanks; ++p) {
     char name[64];
-    std::snprintf(name, sizeof(name), "part-%05d", rank);
+    std::snprintf(name, sizeof(name), "part-%05d", p);
     Bytes a, b;
     if (!fs.read_file(storage::Tier::kShared, 0, dir_a + "/" + name, a).ok() ||
         !fs.read_file(storage::Tier::kShared, 0, dir_b + "/" + name, b).ok()) {
@@ -174,7 +170,7 @@ int main() {
           "wall-ic(s)", "wall-ooc(s)", "peakRSS(KiB)", "spillW(KiB)",
           "spillR(KiB)");
   bool all_parity = true, all_bounded = true, done4 = false, done8 = false;
-  double peak2 = 0.0, peak8 = 0.0;
+  double peak2 = 0.0, peak8 = 0.0, makespan4 = 0.0;
   size_t spill_w2 = 0, spill_w4 = 0, spill_w8 = 0;
   for (int ratio : {1, 2, 4, 8}) {
     const std::string tag = std::to_string(ratio) + "x";
@@ -206,7 +202,11 @@ int main() {
       peak2 = static_cast<double>(ooc.peak_resident);
       spill_w2 = sw;
     }
-    if (ratio == 4) { done4 = ooc.ok; spill_w4 = sw; }
+    if (ratio == 4) {
+      done4 = ooc.ok;
+      spill_w4 = sw;
+      makespan4 = ooc.makespan;
+    }
     if (ratio == 8) {
       done8 = ooc.ok;
       spill_w8 = sw;
@@ -216,6 +216,24 @@ int main() {
 
   rep.check("output byte-identical to in-core at every ratio (incl. 1x)",
             all_parity);
+
+  // A rank lost mid-job under the budget: work-conserving recovery adopts
+  // the dead rank's checkpointed work into the paged stores. Its residency
+  // is reported, not bounded: recovery loads a dead rank's partition
+  // checkpoint whole before paging it.
+  rep.section("work-conserving kill at 4x (rank 1, mid-job, budget 16 KiB)");
+  const RunResult kill =
+      run_job(fs, "input_4x", "out_wc_kill_4x", kBudget, 0.5 * makespan4);
+  const bool kill_parity =
+      kill.ok && parts_identical(fs, "out_ic_4x", "out_wc_kill_4x");
+  rep.row("kill at %.4fs: recoveries=%d makespan=%.4fs peakRSS=%.1fKiB%s",
+          0.5 * makespan4, kill.recoveries, kill.makespan,
+          kill.peak_resident / 1024.0, kill_parity ? "" : "  [OUTPUT MISMATCH]");
+  rep.metric("makespan_wc_kill_s_4x", kill.makespan);
+  rep.metric("peak_resident_bytes_wc_kill_4x",
+             static_cast<double>(kill.peak_resident));
+  rep.check("WC kill at 4x recovers in place with in-core-identical output",
+            kill_parity && kill.recoveries >= 1);
   rep.check("completes the 4x- and 8x-budget datasets", done4 && done8);
   rep.check("peak residency <= 1.5x budget at every ratio", all_bounded);
   rep.check("spill volume grows with the dataset overhang (2x < 4x < 8x)",

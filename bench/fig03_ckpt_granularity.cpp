@@ -27,7 +27,7 @@ MiniJob pagerank_mini(core::CkptOptions::Granularity gran, double kill_at) {
     go.nchunks = 8;  // one big chunk per rank: a partial chunk hurts
     (void)apps::generate_graph(fs, go);
   };
-  j.driver = [] { return apps::pagerank_driver(2); };
+  j.driver = iter_driver([] { return apps::pagerank_spec(2); }, nullptr);
   // Kill rank 2 late in the job, so the restart's cost is dominated by
   // how it treats the partially processed chunks: skipping committed
   // records (record granularity) vs re-mapping them (chunk granularity).

@@ -5,10 +5,12 @@
 //   $ ./pagerank_analytics nodes=800 iterations=3 kills=2 nranks=8
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "apps/graph.hpp"
 #include "common/config.hpp"
 #include "core/ftjob.hpp"
+#include "core/iterjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
 
@@ -48,7 +50,8 @@ int main(int argc, char** argv) {
 
   simmpi::JobResult result = simmpi::Runtime::run(nranks, [&](simmpi::Comm& c) {
     core::FtJob job(c, &fs, opts);
-    Status s = job.run(apps::pagerank_driver(iterations));
+    Status s = job.run(core::IterDriver::as_driver(
+        std::make_shared<core::IterDriver>(apps::pagerank_spec(iterations))));
     if (c.rank() == 0) {
       std::printf("rank0: recoveries=%d final-comm=%d status=%s\n",
                   job.recoveries(), job.work_comm().size(),

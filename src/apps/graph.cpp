@@ -201,20 +201,6 @@ core::StageFns bfs_iter_stage() {
   return fns;
 }
 
-core::FtJob::Driver bfs_driver(int source, int iterations) {
-  return [source, iterations](core::FtJob& job) -> Status {
-    if (auto s = job.run_stage(bfs_init_stage(source), false, nullptr); !s.ok()) {
-      return s;
-    }
-    for (int i = 0; i < iterations; ++i) {
-      if (auto s = job.run_stage(bfs_iter_stage(), true, nullptr); !s.ok()) {
-        return s;
-      }
-    }
-    return job.write_output();
-  };
-}
-
 std::vector<int> bfs_reference(const std::vector<std::vector<int>>& adj,
                                int source) {
   std::vector<int> dist(adj.size(), kInf);
@@ -323,23 +309,6 @@ core::StageFns pagerank_apply_stage() {
     return 1;
   };
   return fns;
-}
-
-core::FtJob::Driver pagerank_driver(int iterations) {
-  return [iterations](core::FtJob& job) -> Status {
-    if (auto s = job.run_stage(pagerank_init_stage(), false, nullptr); !s.ok()) {
-      return s;
-    }
-    for (int i = 0; i < iterations; ++i) {
-      if (auto s = job.run_stage(pagerank_contrib_stage(), true, nullptr); !s.ok()) {
-        return s;
-      }
-      if (auto s = job.run_stage(pagerank_apply_stage(), true, nullptr); !s.ok()) {
-        return s;
-      }
-    }
-    return job.write_output();
-  };
 }
 
 std::vector<double> pagerank_reference(const std::vector<std::vector<int>>& adj,
@@ -764,7 +733,7 @@ std::map<std::string, int64_t> tri_reference(const WAdjacency& adj) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine specs for the classic apps (fig11/fig12 re-host)
+// Engine specs for the classic apps (their only driver form)
 // ---------------------------------------------------------------------------
 
 core::IterSpec bfs_spec(int source, int iterations) {

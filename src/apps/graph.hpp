@@ -44,8 +44,6 @@ Status generate_graph(storage::StorageSystem& fs, const GraphGenOptions& opts,
 core::StageFns bfs_init_stage(int source);
 /// Iteration stage: relax distances one hop.
 core::StageFns bfs_iter_stage();
-/// Full BFS driver: init + `iterations` relaxation stages + write_output.
-core::FtJob::Driver bfs_driver(int source, int iterations);
 /// Reference BFS for verification: node -> distance (-1 unreachable).
 std::vector<int> bfs_reference(const std::vector<std::vector<int>>& adj, int source);
 /// Parse a BFS output value "dist|adj" -> dist.
@@ -56,8 +54,6 @@ int bfs_parse_dist(std::string_view value);
 core::StageFns pagerank_init_stage();
 core::StageFns pagerank_contrib_stage();  // stage A of each iteration
 core::StageFns pagerank_apply_stage();    // stage B of each iteration
-/// Full PageRank driver: init + 2*iterations stages + write_output.
-core::FtJob::Driver pagerank_driver(int iterations);
 /// Reference PageRank (same damping/order-insensitive math), for
 /// approximate verification.
 std::vector<double> pagerank_reference(const std::vector<std::vector<int>>& adj,
@@ -134,7 +130,7 @@ core::IterSpec tri_spec();
 /// Reference per-edge triangle counts (only edges with count > 0).
 std::map<std::string, int64_t> tri_reference(const WAdjacency& adj);
 
-// ---- Engine specs for the classic apps (fig11/fig12 re-host) ----
+// ---- Engine specs for the classic apps (their only driver form) ----
 
 core::IterSpec bfs_spec(int source, int iterations);
 core::IterSpec pagerank_spec(int iterations);

@@ -3,15 +3,10 @@
 #pragma once
 
 #include "core/ftjob.hpp"
-#include "mr/mapreduce.hpp"
 
 namespace ftmr::apps {
 
 /// FT-MRMPI stage: split lines into words, count occurrences.
 core::StageFns wordcount_stage();
-
-/// Baseline MR-MPI callbacks for the same job.
-mr::MapFn wordcount_map_baseline();
-mr::ReduceFn wordcount_reduce_baseline();
 
 }  // namespace ftmr::apps

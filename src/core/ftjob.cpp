@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -276,23 +277,21 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     tp.last_ckpt_pos = tp.pos;
     charge_span("ckpt", t0);
   }
-  if (out_of_core()) {
-    // Completed task: move its partitioned output into the stage's paged
-    // stores so residency drops back to O(budget) before the next task.
-    // absorb_kv keeps a page it could not spill resident (over budget,
-    // never lost), so a spill error degrades instead of losing data.
-    for (int p = 0; p < p0_; ++p) {
-      mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
-      if (part.empty()) continue;
-      if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
-        FTMR_WARN << "rank " << world_.global_rank() << " map output for "
-                  << "partition " << p
-                  << " spill degraded to resident: " << s.to_string();
-      }
+  // Completed task: move its partitioned output into the stage's paged
+  // stores so residency drops back to O(budget) before the next task.
+  // absorb_kv keeps a page it could not spill resident (over budget, never
+  // lost), so a spill error degrades instead of losing data.
+  for (int p = 0; p < p0_; ++p) {
+    mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
+    if (part.empty()) continue;
+    if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
+      FTMR_WARN << "rank " << world_.global_rank() << " map output for "
+                << "partition " << p
+                << " spill degraded to resident: " << s.to_string();
     }
-    tp.parts.clear();
-    tp.parts.shrink_to_fit();
   }
+  tp.parts.clear();
+  tp.parts.shrink_to_fit();
   tp.done = true;
   master_->on_task_done(task, tp.pos, 0);
   master_->observe(map_bytes_done_, wc_.now());
@@ -310,13 +309,11 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
       return s;
     }
   }
-  if (out_of_core()) {
-    double spill_io = 0.0;
-    for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-    if (spill_io > 0.0) {
-      wc_.compute(spill_io);
-      charge_cost("io_wait", spill_io);
-    }
+  double spill_io = 0.0;
+  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
+  if (spill_io > 0.0) {
+    wc_.compute(spill_io);
+    charge_cost("io_wait", spill_io);
   }
   ckpt_->drain(wc_);
   if (auto s = check(master_->exchange_now()); !s.ok()) return s;
@@ -342,31 +339,6 @@ Bytes encode_blocks(const std::vector<std::pair<int, const mr::KvBuffer*>>& bloc
   return std::move(w).take();
 }
 
-Status decode_blocks(std::span<const std::byte> data,
-                     std::map<int, mr::KvBuffer>& into, bool replace,
-                     size_t* pairs_out = nullptr) {
-  if (data.empty()) return Status::Ok();
-  ByteReader r(data);
-  uint32_t n = 0;
-  if (auto s = r.get(n); !s.ok()) return s;
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t p = 0;
-    Bytes blob;
-    if (auto s = r.get(p); !s.ok()) return s;
-    if (auto s = r.get_blob(blob); !s.ok()) return s;
-    mr::KvBuffer kv;
-    if (auto s = kv.adopt(std::move(blob)); !s.ok()) return s;
-    if (pairs_out) *pairs_out += kv.size();
-    if (replace) into[p].clear();
-    into[p].absorb(std::move(kv));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-namespace {
-
 /// Apply a combiner to a KV block: group by key (deterministic order) and
 /// feed each group through the combine function.
 mr::KvBuffer combine_block(const mr::KvBuffer& in,
@@ -384,89 +356,19 @@ mr::KvBuffer combine_block(const mr::KvBuffer& in,
 
 }  // namespace
 
-Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
-  const double t0 = wc_.now();
-  // Assemble per-destination blocks: one (partition, data) block per
-  // partition, addressed to the partition's current owner.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
-  for (auto& [task, tp] : st.tasks) {
-    (void)task;
-    for (int p = 0; p < p0_; ++p) {
-      if (!tp.parts.empty()) merged[p].merge_from(tp.parts[static_cast<size_t>(p)]);
-    }
-  }
-  if (fns.combine) {
-    // Local pre-aggregation before the wire: shrink each outgoing block.
-    for (int p = 0; p < p0_; ++p) {
-      const size_t before = merged[p].bytes();
-      merged[p] = combine_block(merged[p], fns);
-      if (before > merged[p].bytes()) {
-        times_.charge("combine_saved_bytes",
-                      static_cast<double>(before - merged[p].bytes()));
-      }
-    }
-  }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p = 0; p < p0_; ++p) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "partition owner died before shuffle"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
-  }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
-  for (int p = 0; p < p0_; ++p) {
-    mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), merged[p].size());
-  }
-  trace_.span("shuffle.census", "shuffle", t0, wc_.now());
-
-  const double a0 = wc_.now();
-  std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
-  trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  const double d0 = wc_.now();
-  size_t received = 0;
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, st.my_partitions, /*replace=*/false, &received);
-        !s.ok()) {
-      return s;
-    }
-  }
-  mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received);
-  trace_.span("shuffle.adopt", "shuffle", d0, wc_.now());
-
-  // Partition checkpoints make the shuffle result durable: a work-conserving
-  // resume after a reduce-phase failure reads exactly these.
-  if (opts_.ckpt.enabled) {
-    const double c0 = wc_.now();
-    for (const auto& [p, kv] : st.my_partitions) {
-      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p, kv)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
-    charge_span("ckpt", c0);
-  }
-  st.phase = kPhaseShuffleDone;
-  if (auto s = check(wc_.barrier()); !s.ok()) return s;
-  charge_span("shuffle", t0);
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// out-of-core mode (opts_.memory_budget > 0)
-//
-// The same phases, but intermediate KV/KMV data lives in spill-backed
-// buffers: completed map tasks move their partitioned output into paged
-// stores, the shuffle exchanges budget-bounded rounds of pages, partition
-// checkpoints stream page-by-page, and convert/reduce stream the spillable
-// KMV result. Peak residency stays O(memory_budget) however large the
-// dataset (see DESIGN.md "Out-of-core KV").
-// ---------------------------------------------------------------------------
+// Intermediate KV/KMV data lives in spill-backed buffers: completed map
+// tasks move their partitioned output into paged stores, the shuffle
+// exchanges budget-bounded rounds of pages, partition checkpoints stream
+// page-by-page, and convert/reduce stream the spillable KMV result. Peak
+// residency stays O(memory_budget) however large the dataset (see
+// DESIGN.md "Out-of-core KV"). Without a budget the same buffers never
+// spill: each store is one resident page, the shuffle is one round, and
+// partitions checkpoint whole.
 
 mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
   mr::SpillConfig cfg;
-  if (!out_of_core()) return cfg;  // disabled: buffers stay in-core
+  cfg.meter = &meter_;
+  if (opts_.memory_budget == 0 || fs_ == nullptr) return cfg;  // never spills
   cfg.fs = fs_;
   cfg.node = node();
   cfg.dir = opts_.spill_dir + "/r" + std::to_string(world_.global_rank()) +
@@ -476,14 +378,13 @@ mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
   cfg.memory_budget = std::max<size_t>(1, opts_.memory_budget / 2);
   cfg.page_bytes = std::min(opts_.spill_page_bytes,
                             std::max<size_t>(4096, cfg.memory_budget / 8));
-  cfg.meter = &meter_;
   return cfg;
 }
 
 mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
-  auto it = st.map_spill.find(p);
-  if (it == st.map_spill.end()) {
-    it = st.map_spill
+  auto it = st.map_output.find(p);
+  if (it == st.map_output.end()) {
+    it = st.map_output
              .emplace(p, mr::SpillableKvBuffer(
                              spill_config(stage, "map")
                                  .share(static_cast<size_t>(p0_))
@@ -494,14 +395,14 @@ mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
 }
 
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
-  auto it = st.my_partitions_spill.find(p);
-  if (it == st.my_partitions_spill.end()) {
+  auto it = st.partitions.find(p);
+  if (it == st.partitions.end()) {
     size_t owned = 0;
     const int me = world_.global_rank();
     for (int q = 0; q < p0_; ++q) {
       if (part_owner_[static_cast<size_t>(q)] == me) owned++;
     }
-    it = st.my_partitions_spill
+    it = st.partitions
              .emplace(p, mr::SpillableKvBuffer(
                              spill_config(stage, "part")
                                  .share(std::max<size_t>(1, owned))
@@ -537,8 +438,19 @@ Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv
   return Status::Ok();
 }
 
-Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
-                                  StageState& st) {
+Status FtJob::checkpoint_partition(StageState& st, int stage, int p) {
+  mr::SpillableKvBuffer& store = partition_store(st, stage, p);
+  // A resident partition is framed whole through put(), which also pushes
+  // it to the k memory replicas. A budgeted store streams page by page and
+  // skips the memory tier: replicas would hold in peer RAM exactly the
+  // bytes the budget keeps out of it.
+  if (const mr::KvBuffer* whole = store.in_core()) {
+    return ckpt_->partition_ckpt(wc_, stage, p, *whole);
+  }
+  return ckpt_->partition_ckpt_paged(wc_, stage, p, store);
+}
+
+Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
   for (int p = 0; p < p0_; ++p) {
     if (owner_rel(p) < 0) {
@@ -546,25 +458,27 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
     }
   }
   // A failure mid-exchange re-enters here with partial receives absorbed.
-  // The send side reads map_spill non-destructively, so dropping the
-  // receive stores makes re-entry idempotent — the in-core path cannot do
-  // this (its sends alias tp.parts, retained either way) and tolerates a
-  // narrow duplication window instead.
-  st.my_partitions_spill.clear();
+  // The send side reads map_output non-destructively, so dropping the
+  // receive stores makes re-entry idempotent.
+  st.partitions.clear();
 
   // Budget-bounded rounds: each round assembles at most round_budget bytes
   // of outgoing pages from the per-partition cursors, combines, exchanges,
   // absorbs into paged stores, and the ranks agree (max-reduce) on whether
-  // anyone still holds unsent pages.
+  // anyone still holds unsent pages. Without a budget the single round is
+  // unbounded, so every rank knows it sent everything and skips the vote.
+  constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
   const size_t round_budget =
-      std::max(opts_.spill_page_bytes, opts_.memory_budget / 2);
+      opts_.memory_budget > 0
+          ? std::max(opts_.spill_page_bytes, opts_.memory_budget / 2)
+          : kUnbounded;
   std::map<int, size_t> cursor;  // partition -> next unsent page
   size_t received_total = 0;
   for (;;) {
     const double c0 = wc_.now();
     std::map<int, mr::KvBuffer> chunks;
     size_t assembled = 0;
-    for (auto& [p, store] : st.map_spill) {
+    for (auto& [p, store] : st.map_output) {
       size_t& cur = cursor[p];
       const size_t npages = store.page_count();
       mr::KvBuffer page;
@@ -614,9 +528,10 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
       }
     }
     trace_.span("shuffle.adopt", "shuffle", d0, wc_.now());
+    if (round_budget == kUnbounded) break;
 
     int64_t more = 0;
-    for (auto& [p, store] : st.map_spill) {
+    for (auto& [p, store] : st.map_output) {
       if (cursor[p] < store.page_count()) {
         more = 1;
         break;
@@ -631,25 +546,21 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
   }
   mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received_total);
   double spill_io = 0.0;
-  for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.my_partitions_spill) {
-    spill_io += store.take_io_seconds();
-  }
+  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
+  for (auto& [p, store] : st.partitions) spill_io += store.take_io_seconds();
   if (spill_io > 0.0) wc_.compute(spill_io);
 
-  // Streamed partition checkpoints for every owned partition — including
-  // ones that received nothing: restart priming claims shuffle-done only
-  // when each owned partition's checkpoint is present.
+  // Partition checkpoints make the shuffle result durable: a work-conserving
+  // resume after a reduce-phase failure reads exactly these. Every owned
+  // partition gets one, including ones that received nothing: restart
+  // priming claims shuffle-done only when each owned partition's checkpoint
+  // is present.
   if (opts_.ckpt.enabled) {
     const double c0 = wc_.now();
     const int me = world_.global_rank();
     for (int p = 0; p < p0_; ++p) {
       if (part_owner_[static_cast<size_t>(p)] != me) continue;
-      if (auto s = check(ckpt_->partition_ckpt_paged(
-              wc_, stage, p, partition_store(st, stage, p)));
-          !s.ok()) {
-        return s;
-      }
+      if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
     }
     ckpt_->drain(wc_);
     charge_span("ckpt", c0);
@@ -658,25 +569,26 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
   // Sender-side stores are only needed again by the detect/resume orphan
   // rebuild; the other modes never rebuild, so their pages free now.
   if (opts_.mode == FtMode::kNone || opts_.mode == FtMode::kCheckpointRestart) {
-    st.map_spill.clear();
+    st.map_output.clear();
   }
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("shuffle", t0);
   return Status::Ok();
 }
 
-Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
-                                    StageState& st,
-                                    const std::vector<int>& missing) {
+Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
+                                        StageState& st,
+                                        const std::vector<int>& missing) {
   const double t0 = wc_.now();
-  // Stream the retained (and patch-up re-executed) map outputs of the
-  // orphaned partitions back out of the paged stores. Orphans are a small
-  // subset of P0, so materializing just their blocks matches the in-core
-  // rebuild's residency.
+  // Survivors re-exchange only the orphaned partitions, rebuilt from their
+  // retained (and patch-up re-executed) map outputs. `missing` is the
+  // allgathered union, so every rank participates in the same exchange.
+  // Orphans are a small subset of P0, so materializing just their blocks
+  // keeps residency near the budget.
   std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
   for (int p : missing) {
-    auto it = st.map_spill.find(p);
-    if (it == st.map_spill.end()) continue;
+    auto it = st.map_output.find(p);
+    if (it == st.map_output.end()) continue;
     if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
           merged[static_cast<size_t>(p)].merge_from(page);
           return Status::Ok();
@@ -703,86 +615,29 @@ Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
   std::vector<Bytes> recv;
   if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt;
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
+  // Replace (idempotent under retry) and restart each rebuilt partition's
+  // reduce.
+  const int me = world_.global_rank();
+  std::vector<int> mine;
+  for (int p : missing) {
+    if (part_owner_[static_cast<size_t>(p)] != me) continue;
+    mine.push_back(p);
+    st.partitions.erase(p);
+    st.reduce.erase(p);
   }
-  for (auto& [p, kv] : rebuilt) {
-    st.my_partitions_spill.erase(p);  // replace: idempotent under retry
-    st.reduce.erase(p);               // restart this partition's reduce
-    if (auto s = partition_store(st, stage, p).absorb_kv(std::move(kv)); !s.ok()) {
-      FTMR_WARN << "rank " << world_.global_rank() << " rebuilt partition " << p
-                << " spill degraded to resident: " << s.to_string();
-    }
+  for (const Bytes& b : recv) {
+    if (auto s = absorb_shuffle_blocks(st, stage, b, nullptr); !s.ok()) return s;
   }
   if (opts_.ckpt.enabled) {
-    for (const auto& [p, kv] : rebuilt) {
-      (void)kv;
-      if (auto s = check(ckpt_->partition_ckpt_paged(
-              wc_, stage, p, partition_store(st, stage, p)));
-          !s.ok()) {
-        return s;
-      }
+    for (int p : mine) {
+      if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
     }
     ckpt_->drain(wc_);
   }
   double spill_io = 0.0;
-  for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.my_partitions_spill) {
-    spill_io += store.take_io_seconds();
-  }
+  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
+  for (auto& [p, store] : st.partitions) spill_io += store.take_io_seconds();
   if (spill_io > 0.0) wc_.compute(spill_io);
-  st.partitions_missing.clear();
-  if (auto s = check(wc_.barrier()); !s.ok()) return s;
-  charge_span("recovery", t0);
-  return Status::Ok();
-}
-
-Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
-                                        StageState& st,
-                                        const std::vector<int>& missing) {
-  const double t0 = wc_.now();
-  // Survivors re-exchange only the orphaned partitions, rebuilt from their
-  // retained (and patch-up re-executed) map outputs. `missing` is the
-  // allgathered union, so every rank participates in the same exchange.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
-  for (auto& [task, tp] : st.tasks) {
-    (void)task;
-    if (tp.parts.empty()) continue;
-    for (int p : missing) merged[p].merge_from(tp.parts[static_cast<size_t>(p)]);
-  }
-  if (fns.combine) {
-    for (int p : missing) merged[p] = combine_block(merged[p], fns);
-  }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p : missing) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "orphan partition owner died"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
-  }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
-  const double a0 = wc_.now();
-  std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
-  trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt;
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
-  }
-  for (auto& [p, kv] : rebuilt) {
-    st.my_partitions[p] = std::move(kv);  // replace: idempotent under retry
-    st.reduce.erase(p);                   // restart this partition's reduce
-  }
-  if (opts_.ckpt.enabled) {
-    for (const auto& [p, kv] : rebuilt) {
-      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p, kv)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
-  }
   st.partitions_missing.clear();
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("recovery", t0);
@@ -793,24 +648,22 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
 // reduce
 // ---------------------------------------------------------------------------
 
-Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
-                                     StageState& st, int p,
-                                     ReduceProgress& rp) {
+Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
+                               int p, ReduceProgress& rp) {
   const double reduce_cost = current_reduce_cost(fns);
-  if (!rp.kmv_spill) {
-    // Spill-aware KV→KMV conversion: consumes the partition store page by
-    // page into a spillable KMV result. Entry order matches the in-core
-    // convert_2pass + sort_by_key (the buckets' k-way merge restores global
-    // key order), so the reduce-entry cursor stays a valid recovery
-    // position across modes.
+  if (!rp.kmv) {
+    // KV→KMV conversion (the "merge" of Fig. 10), consuming the partition
+    // store page by page into a spillable KMV result; without a budget it
+    // is one in-core convert. Entry order is the global key order either
+    // way, so the reduce-entry cursor is a valid recovery position.
     const double m0 = wc_.now();
     auto kmv = std::make_unique<mr::SpillableKmvBuffer>(
         spill_config(stage, "kmv_p" + std::to_string(p)));
     mr::ConvertStats cst;
     mr::SpillableKvBuffer& in = partition_store(st, stage, p);
-    if (auto s = mr::convert_2pass_spill(
+    if (auto s = mr::convert_spill(
             in, *kmv, spill_config(stage, "cvt_p" + std::to_string(p)), &cst,
-            opts_.convert_segment_bytes);
+            opts_.convert_segment_bytes, opts_.two_pass_convert);
         !s.ok()) {
       return s;
     }
@@ -819,20 +672,20 @@ Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
     convert_io += cst.spill_io_seconds;
     convert_io += in.take_io_seconds() + kmv->take_io_seconds();
     wc_.compute(convert_io);
-    st.my_partitions_spill.erase(p);  // consumed by the convert
-    rp.kmv_spill = std::move(kmv);
+    st.partitions.erase(p);  // consumed by the convert
+    rp.kmv = std::move(kmv);
     charge_span("merge", m0);
   }
 
   if (rp.entries_done > 0) {
     wc_.compute(static_cast<double>(rp.entries_done) * opts_.skip_cost_per_record);
   }
-  // The same Algorithm-1 reduce loop as in-core, driven by the streamed
-  // k-way merge. check() may throw FailureDetected out of the stream;
-  // rp.kmv_spill survives in the stage state, so re-entry resumes at the
-  // committed entry cursor without re-converting.
+  // The Algorithm-1 reduce loop, driven by the streamed k-way merge.
+  // check() may throw FailureDetected out of the stream; rp.kmv survives in
+  // the stage state, so re-entry resumes at the committed entry cursor
+  // without re-converting.
   mr::KvBuffer emitted;
-  if (auto s = rp.kmv_spill->for_each_entry(
+  if (auto s = rp.kmv->for_each_entry(
           rp.entries_done,
           [&](std::string_view key,
               std::span<const std::string_view> values) -> Status {
@@ -884,11 +737,11 @@ Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
     rp.pending_delta.clear();
     rp.last_ckpt_entries = rp.entries_done;
   }
-  const double kmv_io = rp.kmv_spill->take_io_seconds();
+  const double kmv_io = rp.kmv->take_io_seconds();
   if (kmv_io > 0.0) wc_.compute(kmv_io);
   rp.done = true;
   st.outputs[p] = rp.out;
-  rp.kmv_spill.reset();
+  rp.kmv.reset();
   if (opts_.ckpt.enabled) {
     if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
       return s;
@@ -899,90 +752,12 @@ Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
 
 Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
-  const double reduce_cost = current_reduce_cost(fns);
   const int me = world_.global_rank();
   for (int p = 0; p < p0_; ++p) {
     if (part_owner_[static_cast<size_t>(p)] != me) continue;
     ReduceProgress& rp = st.reduce[p];
     if (rp.done) continue;
-    if (out_of_core()) {
-      if (auto s = reduce_partition_spill(fns, stage, st, p, rp); !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-
-    // KV→KMV conversion (the "merge" of Fig. 10); deterministic key order
-    // makes the reduce-entry cursor a valid recovery position.
-    const double m0 = wc_.now();
-    mr::ConvertStats cst;
-    const mr::KmvBuffer kmv =
-        opts_.two_pass_convert
-            ? mr::convert_2pass(st.my_partitions[p], &cst,
-                                opts_.convert_segment_bytes)
-            : mr::convert_4pass(st.my_partitions[p], &cst);
-    const double convert_io =
-        fs_->cost_of(storage::Tier::kLocal, cst.bytes_moved, cst.passes);
-    wc_.compute(convert_io);
-    charge_span("merge", m0);
-
-    if (rp.entries_done > 0) {
-      wc_.compute(static_cast<double>(rp.entries_done) * opts_.skip_cost_per_record);
-    }
-    mr::KvBuffer emitted;
-    std::vector<std::string_view> vscratch;
-    for (size_t i = rp.entries_done; i < kmv.size(); ++i) {
-      kmv.values_of(i, vscratch);
-      emitted.clear();
-      fns.reduce(kmv.entry(i).key(), vscratch, emitted);
-      mr::tap_records(mr::kTapReduceEmitted, world_.global_rank(), emitted.size());
-      rp.out.merge_from(emitted);
-      rp.pending_delta.merge_from(emitted);
-      wc_.compute(reduce_cost * static_cast<double>(vscratch.size()));
-      rp.entries_done = i + 1;
-      if (opts_.ckpt.enabled &&
-          opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
-          static_cast<int64_t>(rp.entries_done - rp.last_ckpt_entries) >=
-              opts_.ckpt.records_per_ckpt) {
-        const double c0 = wc_.now();
-        if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p,
-                                              rp.last_ckpt_entries,
-                                              rp.entries_done,
-                                              rp.pending_delta));
-            !s.ok()) {
-          return s;
-        }
-        rp.pending_delta.clear();
-        rp.last_ckpt_entries = rp.entries_done;
-        charge_span("ckpt", c0);
-      }
-      if ((rp.entries_done & 0x3f) == 0) {
-        if (auto s = check(master_->tick()); !s.ok()) return s;
-        if (!wc_.failed_ranks().empty()) {
-          if (auto s = check({ErrorCode::kProcFailed, "failure observed in reduce"});
-              !s.ok()) {
-            return s;
-          }
-        }
-      }
-    }
-    if (opts_.ckpt.enabled && !rp.pending_delta.empty()) {
-      if (auto s =
-              check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
-                                       rp.entries_done, rp.pending_delta));
-          !s.ok()) {
-        return s;
-      }
-      rp.pending_delta.clear();
-      rp.last_ckpt_entries = rp.entries_done;
-    }
-    rp.done = true;
-    st.outputs[p] = rp.out;
-    if (opts_.ckpt.enabled) {
-      if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
-        return s;
-      }
-    }
+    if (auto s = reduce_partition(fns, stage, st, p, rp); !s.ok()) return s;
   }
   ckpt_->drain(wc_);
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
@@ -1012,11 +787,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
   if (st.phase != kPhaseDone) {
     if (st.phase == kPhaseMap) {
       if (auto s = map_phase(fns, kv_input, stage, st); !s.ok()) return s;
-      if (auto s = out_of_core() ? shuffle_phase_paged(fns, stage, st)
-                                 : shuffle_phase(fns, stage, st);
-          !s.ok()) {
-        return s;
-      }
+      if (auto s = shuffle_phase(fns, stage, st); !s.ok()) return s;
     }
     // Agree on the orphan-rebuild set: a work-conserving fallback may mark
     // a partition missing on the inheriting rank only, but the rebuild is a
@@ -1052,9 +823,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
           }
         }
         std::vector<int> missing(union_missing.begin(), union_missing.end());
-        if (auto s = out_of_core()
-                         ? rebuild_orphans_paged(fns, stage, st, missing)
-                         : rebuild_orphan_partitions(fns, stage, st, missing);
+        if (auto s = rebuild_orphan_partitions(fns, stage, st, missing);
             !s.ok()) {
           return s;
         }
@@ -1414,17 +1183,13 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
             }
             continue;
           }
-          if (out_of_core()) {
-            st.my_partitions_spill.erase(p);
-            if (auto as = partition_store(st, sid, p)
-                              .absorb_kv(std::move(pit->second));
-                !as.ok()) {
-              FTMR_WARN << "rank " << world_.global_rank()
-                        << " adopted partition " << p
-                        << " spill degraded to resident: " << as.to_string();
-            }
-          } else {
-            st.my_partitions[p] = std::move(pit->second);
+          st.partitions.erase(p);
+          if (auto as = partition_store(st, sid, p)
+                            .absorb_kv(std::move(pit->second));
+              !as.ok()) {
+            FTMR_WARN << "rank " << world_.global_rank()
+                      << " adopted partition " << p
+                      << " spill degraded to resident: " << as.to_string();
           }
           auto rrit = rec.reduce.find(p);
           if (rrit != rec.reduce.end()) {
@@ -1535,15 +1300,11 @@ void FtJob::prime_from_own_checkpoints() {
     }
     if (st.phase >= kPhaseShuffleDone) {
       for (auto& [p, kv] : rec.partitions) {
-        if (out_of_core()) {
-          st.my_partitions_spill.erase(p);
-          if (auto as = partition_store(st, sid, p).absorb_kv(std::move(kv));
-              !as.ok()) {
-            FTMR_WARN << "rank " << world_.global_rank() << " primed partition "
-                      << p << " spill degraded to resident: " << as.to_string();
-          }
-        } else {
-          st.my_partitions[p] = std::move(kv);
+        st.partitions.erase(p);
+        if (auto as = partition_store(st, sid, p).absorb_kv(std::move(kv));
+            !as.ok()) {
+          FTMR_WARN << "rank " << world_.global_rank() << " primed partition "
+                    << p << " spill degraded to resident: " << as.to_string();
         }
       }
       for (auto& [p, rrec] : rec.reduce) {

@@ -94,13 +94,13 @@ struct FtJobOptions {
   /// output buffer's arena and are valid only for the duration of the call.
   std::function<void(std::string_view key, std::string_view value,
                      std::string& sink)> output_writer;
-  /// Per-rank byte budget for intermediate KV/KMV residency; 0 = in-core
-  /// (the historical behaviour). When set, map output, shuffle-received
-  /// partitions, and the convert result live in spill-backed buffers under
-  /// `spill_dir`, the shuffle exchanges data in budget-bounded rounds, and
-  /// shuffle-end partition checkpoints stream page-by-page — peak residency
-  /// stays O(budget) however large the dataset. See DESIGN.md "Out-of-core
-  /// KV".
+  /// Per-rank byte budget for intermediate KV/KMV residency. Map output,
+  /// shuffle-received partitions, and the convert result always live in
+  /// spill-backed buffers; with a budget they page under `spill_dir`, the
+  /// shuffle exchanges data in budget-bounded rounds, and shuffle-end
+  /// partition checkpoints stream page-by-page — peak residency stays
+  /// O(budget) however large the dataset. 0 = the buffers never spill. See
+  /// DESIGN.md "Out-of-core KV".
   size_t memory_budget = 0;
   /// Scratch namespace on the node-local tier for spill pages.
   std::string spill_dir = "spill";
@@ -200,8 +200,8 @@ class FtJob {
   }
   [[nodiscard]] int recoveries() const noexcept { return recoveries_; }
   /// Resident-byte accounting across every spill-backed buffer this rank
-  /// opened; `peak` is the high-water mark the budget promises to bound
-  /// (meaningful only when memory_budget > 0).
+  /// opened; `peak` is the high-water mark a memory_budget promises to
+  /// bound (without one it is the in-core intermediate-data peak).
   [[nodiscard]] const mr::ResidencyMeter& residency() const noexcept {
     return meter_;
   }
@@ -244,7 +244,9 @@ class FtJob {
     bool done = false;
     bool rerun_from_scratch = false;  // NWC-recovered task
     mr::KvBuffer pending_delta;  // emitted since the last checkpoint
-    std::vector<mr::KvBuffer> parts;  // emitted KV, partitioned (P0)
+    // Emitted KV, partitioned (P0), until the task completes and moves it
+    // into StageState::map_output.
+    std::vector<mr::KvBuffer> parts;
   };
 
   struct ReduceProgress {
@@ -253,9 +255,9 @@ class FtJob {
     bool done = false;
     mr::KvBuffer out;
     mr::KvBuffer pending_delta;
-    /// Budget mode: the partition's convert result, streamed into reduce
-    /// (survives a FailureDetected unwind so re-entry resumes mid-stream).
-    std::unique_ptr<mr::SpillableKmvBuffer> kmv_spill;
+    /// The partition's convert result, streamed into reduce (survives a
+    /// FailureDetected unwind so re-entry resumes mid-stream).
+    std::unique_ptr<mr::SpillableKmvBuffer> kmv;
   };
 
   struct StageState {
@@ -265,15 +267,13 @@ class FtJob {
     // progress in the right space (set by run_stage on every entry).
     bool kv_input = false;
     std::map<uint64_t, TaskProgress> tasks;
-    std::map<int, mr::KvBuffer> my_partitions;  // shuffle-received, per owned p
+    // Completed map tasks' output, by partition.
+    std::map<int, mr::SpillableKvBuffer> map_output;
+    // Shuffle-received data, per owned partition; consumed by the convert.
+    std::map<int, mr::SpillableKvBuffer> partitions;
     std::set<int> partitions_missing;  // orphans needing NWC rebuild
     std::map<int, ReduceProgress> reduce;
     std::map<int, mr::KvBuffer> outputs;  // reduce output per owned partition
-    // Budget mode twins of tasks[].parts and my_partitions: completed map
-    // tasks move their partitioned output here (paged, spillable), and the
-    // paged shuffle absorbs receives here. Empty when out_of_core() is off.
-    std::map<int, mr::SpillableKvBuffer> map_spill;        // by partition
-    std::map<int, mr::SpillableKvBuffer> my_partitions_spill;  // by owned p
   };
 
   // -- helpers --
@@ -293,13 +293,12 @@ class FtJob {
                                    StageState& st,
                                    const std::vector<int>& missing);
   Status reduce_phase(const StageFns& fns, int stage, StageState& st);
-  // -- out-of-core (memory_budget > 0) --
-  [[nodiscard]] bool out_of_core() const noexcept {
-    return opts_.memory_budget > 0 && fs_ != nullptr;
-  }
+  Status reduce_partition(const StageFns& fns, int stage, StageState& st,
+                          int p, ReduceProgress& rp);
   /// Spill namespace for one component of one stage on this rank; the
   /// per-rank budget is split evenly between the KV side (map output or
-  /// received partitions) and the convert/KMV side.
+  /// received partitions) and the convert/KMV side. Without a budget the
+  /// config never spills (it only carries the residency meter).
   [[nodiscard]] mr::SpillConfig spill_config(int stage,
                                              std::string_view what) const;
   /// The stage's spill store for map-output partition p (created on first
@@ -313,15 +312,11 @@ class FtJob {
   /// count for the shuffle tap.
   Status absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv,
                                size_t* pairs_received);
-  Status shuffle_phase_paged(const StageFns& fns, int stage, StageState& st);
-  Status rebuild_orphans_paged(const StageFns& fns, int stage, StageState& st,
-                               const std::vector<int>& missing);
-  Status reduce_partition_spill(const StageFns& fns, int stage, StageState& st,
-                                int p, ReduceProgress& rp);
+  /// Shuffle-end checkpoint of owned partition p (see DESIGN.md
+  /// "Out-of-core KV" for the writer choice).
+  Status checkpoint_partition(StageState& st, int stage, int p);
   void recover();
   void patch_state_after_shrink(const std::vector<int>& new_dead);
-  Status load_dead_state_wc(int dead_rank, const std::vector<int>& my_new_tasks,
-                            const std::vector<int>& my_new_parts);
   void prime_from_own_checkpoints();
   [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
   [[nodiscard]] std::string chunk_name(uint64_t task) const;

@@ -143,9 +143,13 @@ KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats,
   return out;
 }
 
-Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
-                           const SpillConfig& cfg, ConvertStats* stats,
-                           size_t segment_bytes) {
+Status convert_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
+                     const SpillConfig& cfg, ConvertStats* stats,
+                     size_t segment_bytes, bool two_pass) {
+  auto convert_run = [&](const KvBuffer& flat, ConvertStats& cs) {
+    return two_pass ? convert_2pass(flat, &cs, segment_bytes)
+                    : convert_4pass(flat, &cs);
+  };
   ConvertStats st;
   const size_t total = in.bytes();
   size_t nbuckets = 1;
@@ -161,7 +165,7 @@ Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
     if (auto s = in.drain_to(flat); !s.ok()) return s;
     st.spill_io_seconds += in.take_io_seconds();
     ConvertStats cs;
-    KmvBuffer kmv = convert_2pass(flat, &cs, segment_bytes);
+    KmvBuffer kmv = convert_run(flat, cs);
     st.bytes_moved = cs.bytes_moved;
     st.passes = cs.passes;
     st.segments = cs.segments;
@@ -214,13 +218,13 @@ Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
     st.spill_io_seconds += buckets[b].take_io_seconds();
     if (flat.empty()) continue;
     ConvertStats cs;
-    KmvBuffer kmv = convert_2pass(flat, &cs, segment_bytes);
+    KmvBuffer kmv = convert_run(flat, cs);
     st.bytes_moved += cs.bytes_moved;
     st.segments += cs.segments;
     st.distinct_keys += cs.distinct_keys;
     if (auto s = out.add_run(std::move(kmv)); !s.ok()) return s;
   }
-  st.passes += 2;
+  st.passes += two_pass ? 2 : 4;
   if (stats) *stats = st;
   return Status::Ok();
 }

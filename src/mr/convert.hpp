@@ -53,19 +53,27 @@ KmvBuffer convert_4pass(const KvBuffer& in, ConvertStats* stats = nullptr);
 KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats = nullptr,
                         size_t segment_bytes = 4096);
 
-/// Spill-aware two-pass conversion. `in` is consumed page by page into
-/// hash buckets sized to roughly a quarter of the budget (a decorrelated
-/// second hash, so per-partition inputs — whose keys already share one
-/// fnv1a residue — still split evenly); each bucket then converts in-core
-/// with convert_2pass and its key-sorted run lands in `out`. Bucket key
-/// sets are disjoint, so out.for_each_entry's k-way merge streams entries
-/// in exactly the global key order convert_2pass + sort_by_key produces on
-/// the undivided data — same entries, same value order. Peak residency is
-/// O(memory_budget), never O(dataset); with `cfg` disabled the whole input
-/// converts as a single in-core run.
-Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
-                           const SpillConfig& cfg,
-                           ConvertStats* stats = nullptr,
-                           size_t segment_bytes = 4096);
+/// Spill-aware conversion. `in` is consumed page by page into hash
+/// buckets sized to roughly a quarter of the budget (a decorrelated second
+/// hash, so per-partition inputs — whose keys already share one fnv1a
+/// residue — still split evenly); each bucket then converts in-core
+/// (convert_2pass, or convert_4pass when `two_pass` is false) and its
+/// key-sorted run lands in `out`. Bucket key sets are disjoint, so
+/// out.for_each_entry's k-way merge streams entries in exactly the global
+/// key order the in-core algorithm produces on the undivided data — same
+/// entries, same value order. Peak residency is O(memory_budget), never
+/// O(dataset); with `cfg` disabled (or data under a quarter budget) the
+/// whole input converts as a single in-core run.
+Status convert_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
+                     const SpillConfig& cfg, ConvertStats* stats = nullptr,
+                     size_t segment_bytes = 4096, bool two_pass = true);
+
+/// convert_spill with the two-pass algorithm.
+inline Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
+                                  const SpillConfig& cfg,
+                                  ConvertStats* stats = nullptr,
+                                  size_t segment_bytes = 4096) {
+  return convert_spill(in, out, cfg, stats, segment_bytes, /*two_pass=*/true);
+}
 
 }  // namespace ftmr::mr

@@ -109,7 +109,7 @@ Status SpillableKvBuffer::add(std::string_view key, std::string_view value) {
   open_page_.add(key, value);
   total_pairs_++;
   total_bytes_ += key.size() + value.size() + KvBuffer::kPairOverhead;
-  if (open_page_.bytes() >= page_bytes_) close_open_page();
+  if (can_spill() && open_page_.bytes() >= page_bytes_) close_open_page();
   Status s = enforce_budget();
   sync_meter();
   return s;
@@ -120,13 +120,14 @@ Status SpillableKvBuffer::absorb_kv(KvBuffer&& kv) {
   total_pairs_ += kv.size();
   total_bytes_ += kv.bytes();
   open_page_.absorb(std::move(kv));
-  if (open_page_.bytes() >= page_bytes_) close_open_page();
+  if (can_spill() && open_page_.bytes() >= page_bytes_) close_open_page();
   Status s = enforce_budget();
   sync_meter();
   return s;
 }
 
 Status SpillableKvBuffer::append_page(KvBuffer&& page) {
+  if (!can_spill()) return absorb_kv(std::move(page));
   if (page.empty()) return Status::Ok();
   close_open_page();
   Page p;
@@ -550,7 +551,9 @@ Status SpillableKmvBuffer::add_run(KmvBuffer&& run) {
   auto flush = [&](KmvBuffer&& chunk) {
     if (auto s = append_page(std::move(chunk)); !s.ok() && first.ok()) first = s;
   };
-  if (run.bytes() <= page_bytes_) {
+  if (storage_ == nullptr || run.bytes() <= page_bytes_) {
+    // One page: it fits, or it could never spill (splitting would only
+    // copy it).
     flush(std::move(run));
   } else {
     // Split into whole-entry pages of about page_bytes each.

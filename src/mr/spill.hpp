@@ -18,7 +18,9 @@
 // when (resident closed pages + open page) exceed the budget, the oldest
 // resident page spills. Residency can exceed the budget only while a
 // single page is itself larger than the budget (it spills as soon as it
-// closes).
+// closes). A buffer that cannot spill (no storage) never closes a page:
+// everything it holds is one ever-growing open page, which in_core()
+// exposes as a plain KvBuffer.
 //
 // Failure-path guarantees (see DESIGN.md "Out-of-core KV"):
 //   * spill writes retain the page until the write has succeeded; a write
@@ -145,6 +147,7 @@ class SpillableKvBuffer {
 
   /// Close the open page and append `page` as a closed page of its own
   /// (the paged-shuffle receive path: one adopted wire image per call).
+  /// Without storage it is absorb_kv: the buffer stays one page.
   Status append_page(KvBuffer&& page);
 
   /// Steal every page of `other` (closed and open, resident and on-disk)
@@ -172,6 +175,11 @@ class SpillableKvBuffer {
     return resident_bytes_ + open_page_.bytes();
   }
   [[nodiscard]] size_t memory_budget() const noexcept { return memory_budget_; }
+  /// The whole contents as one resident KvBuffer when the buffer cannot
+  /// spill (no storage, no closed pages), else null.
+  [[nodiscard]] const KvBuffer* in_core() const noexcept {
+    return can_spill() || !pages_.empty() ? nullptr : &open_page_;
+  }
 
   /// Visit every pair in insertion order, streaming spilled pages back.
   /// The views passed to `fn` alias a page arena and are only valid for
@@ -289,7 +297,8 @@ class SpillableKmvBuffer {
 
   /// Append one run. The run must be sorted by key with unique keys (what
   /// convert_2pass produces); it is split into whole-entry pages of about
-  /// page_bytes each, spilled as the budget demands.
+  /// page_bytes each, spilled as the budget demands. A buffer that cannot
+  /// spill keeps the run whole as one page (moved, not copied).
   Status add_run(KmvBuffer&& run);
 
   /// Re-page future runs at `n` bytes. The k-way merge in for_each_entry

@@ -51,6 +51,13 @@ struct Cluster {
   std::unique_ptr<storage::StorageSystem> fs;
 };
 
+/// The graph apps run on the iterative engine; one IterDriver per rank,
+/// shared across the driver replays.
+FtJob::Driver engine(core::IterSpec spec) {
+  return core::IterDriver::as_driver(
+      std::make_shared<core::IterDriver>(std::move(spec)));
+}
+
 FtJobOptions dr_opts() {
   FtJobOptions o;
   o.mode = FtMode::kDetectResumeWC;
@@ -126,7 +133,7 @@ TEST(Bfs, MatchesReferenceFailureFree) {
   const std::vector<int> ref = bfs_reference(adj, 0);
   Runtime::run(4, [&](Comm& c) {
     FtJob job(c, cl.fs.get(), dr_opts());
-    ASSERT_TRUE(job.run(bfs_driver(0, 8)).ok());
+    ASSERT_TRUE(job.run(engine(bfs_spec(0, 8))).ok());
   });
   auto out = cl.read_output();
   ASSERT_EQ(out.size(), 120u);
@@ -147,7 +154,7 @@ TEST(Bfs, MatchesReferenceUnderFailure) {
   jo.kills.push_back({1, 3e-2, -1});  // mid-iterations
   Runtime::run(4, [&](Comm& c) {
     FtJob job(c, cl.fs.get(), dr_opts());
-    Status s = job.run(bfs_driver(0, 8));
+    Status s = job.run(engine(bfs_spec(0, 8)));
     if (c.global_rank() != 1) {
       EXPECT_TRUE(s.ok()) << s.to_string();
     }
@@ -173,7 +180,7 @@ TEST(PageRank, MatchesReferenceFailureFree) {
   const std::vector<double> ref = pagerank_reference(adj, 4);
   Runtime::run(4, [&](Comm& c) {
     FtJob job(c, cl.fs.get(), dr_opts());
-    ASSERT_TRUE(job.run(pagerank_driver(4)).ok());
+    ASSERT_TRUE(job.run(engine(pagerank_spec(4))).ok());
   });
   auto out = cl.read_output();
   ASSERT_EQ(out.size(), 100u);
@@ -196,7 +203,7 @@ TEST(PageRank, MatchesReferenceUnderContinuousFailures) {
   jo.kills.push_back({4, 6e-2, -1});
   Runtime::run(6, [&](Comm& c) {
     FtJob job(c, cl.fs.get(), dr_opts());
-    Status s = job.run(pagerank_driver(4));
+    Status s = job.run(engine(pagerank_spec(4)));
     if (c.global_rank() != 1 && c.global_rank() != 4) {
       EXPECT_TRUE(s.ok()) << s.to_string();
     }

@@ -1,16 +1,20 @@
 // Extended engine coverage: the combiner extension, alternative checkpoint
 // placements end-to-end, clusters without local disks, prefetch-assisted
-// restart, and a randomized kill-time sweep.
+// restart, a randomized kill-time sweep, shuffle re-entry, and every FT mode
+// on both sides of the memory-budget rule.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
 
 #include "apps/textgen.hpp"
 #include "apps/wordcount.hpp"
 #include "core/checkpoint.hpp"
 #include "core/ftjob.hpp"
+#include "mr/accounting.hpp"
 #include "mr/spill.hpp"
 #include "simmpi/runtime.hpp"
+#include "storage/replica.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -235,10 +239,16 @@ TEST(Placement, RestartFromSharedWithPrefetch) {
 // lands in the job's timeline.
 // ---------------------------------------------------------------------------
 
+// gtest names each case by dumping the object's bytes, so the gap after
+// `mode` is an explicit zero field: indeterminate padding bytes would make
+// the test names differ from build to build.
 struct SweepCase {
   FtMode mode;
+  int32_t padding = 0;
   double kill_vtime;
 };
+static_assert(sizeof(SweepCase) ==
+              sizeof(FtMode) + sizeof(int32_t) + sizeof(double));
 
 class KillSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -266,14 +276,69 @@ TEST_P(KillSweep, OutputAlwaysExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Times, KillSweep,
-    ::testing::Values(SweepCase{FtMode::kDetectResumeWC, 2e-3},
-                      SweepCase{FtMode::kDetectResumeWC, 9e-3},
-                      SweepCase{FtMode::kDetectResumeWC, 2.2e-2},
-                      SweepCase{FtMode::kDetectResumeWC, 4e-2},
-                      SweepCase{FtMode::kDetectResumeNWC, 2e-3},
-                      SweepCase{FtMode::kDetectResumeNWC, 9e-3},
-                      SweepCase{FtMode::kDetectResumeNWC, 2.2e-2},
-                      SweepCase{FtMode::kDetectResumeNWC, 4e-2}));
+    ::testing::Values(
+        SweepCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 2e-3},
+        SweepCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 9e-3},
+        SweepCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 2.2e-2},
+        SweepCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 4e-2},
+        SweepCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 2e-3},
+        SweepCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 9e-3},
+        SweepCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 2.2e-2},
+        SweepCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 4e-2}));
+
+// A rank killed right after the shuffle's alltoall, before the stage
+// records shuffle-done: the re-entered shuffle must not absorb any receive
+// twice. The kill is named by event in a golden run and scheduled by op
+// index, so it lands at the same point of the job on every run.
+TEST(ShuffleReentry, KillAfterAlltoallKeepsCountsExact) {
+  constexpr int kRanks = 6;
+  constexpr int kVictim = 2;
+  FtJobOptions o;
+  o.mode = FtMode::kDetectResumeWC;
+  o.ppn = 2;
+  o.ckpt.records_per_ckpt = 16;
+  o.ckpt.memory_replication_k = 2;
+  // Each run gets its own cluster (same deterministic input), so the kill
+  // run cannot recover from the golden run's checkpoints.
+  auto run = [&](Cluster& cl, const simmpi::JobOptions& base, bool keep_trace) {
+    simmpi::JobOptions jo = base;
+    jo.on_rank_death = [&cl](int r) { cl.fs->memory().wipe_rank(r); };
+    std::vector<metrics::TraceEvent> victim_events;
+    std::mutex mu;
+    Runtime::run(kRanks, [&](Comm& c) {
+      FtJob job(c, cl.fs.get(), o);
+      Status s = job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); });
+      if (c.global_rank() != kVictim || jo.kills.empty()) {
+        EXPECT_TRUE(s.ok()) << s.to_string();
+        EXPECT_EQ(job.recoveries(), jo.kills.empty() ? 0 : 1);
+      }
+      if (keep_trace && c.global_rank() == kVictim) {
+        std::lock_guard<std::mutex> lock(mu);
+        victim_events = job.trace().events();
+      }
+    }, jo);
+    return victim_events;
+  };
+  // Golden run: the victim's shuffle.alltoall span is stamped with its op
+  // count when the exchange completes; the kill fires at its next op.
+  Cluster golden_cl;
+  const std::vector<metrics::TraceEvent> golden = run(golden_cl, {}, true);
+  int64_t alltoall_op = -1;
+  for (const metrics::TraceEvent& e : golden) {
+    if (e.name == "shuffle.alltoall" && e.dur >= 0.0) alltoall_op = e.op;
+  }
+  ASSERT_GE(alltoall_op, 1);
+
+  Cluster cl;
+  simmpi::JobOptions kill;
+  kill.kills.push_back({kVictim, -1.0, alltoall_op + 1});
+  const mr::RecordLedger before = mr::ledger_snapshot(kRanks);
+  (void)run(cl, kill, false);
+  const mr::RecordLedger flow = mr::ledger_snapshot(kRanks).delta_since(before);
+  EXPECT_EQ(cl.read_output(), cl.expected);
+  EXPECT_GT(flow.map_emitted, 0.0);
+  EXPECT_EQ(flow.map_emitted, flow.shuffle_received);
+}
 
 // Two simultaneous failures (same virtual instant).
 TEST(MultiFailure, TwoRanksDieTogether) {
@@ -297,16 +362,17 @@ TEST(MultiFailure, TwoRanksDieTogether) {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core FtJob: memory_budget routes map output, shuffle receive, and
-// reduce conversion through the spill tier; results must be exact and the
-// fault-tolerance modes must keep working.
+// Out-of-core FtJob: map output, shuffle receive, and reduce conversion run
+// through the paged stores on both sides of the budget rule — at budget 0
+// they never spill, at 16 KiB every phase pages through the local tier.
+// Results must be exact and every fault-tolerance mode must keep working.
 // ---------------------------------------------------------------------------
 
-FtJobOptions budget_opts(FtMode mode) {
+FtJobOptions budget_opts(FtMode mode, size_t budget) {
   FtJobOptions o;
   o.mode = mode;
   o.ppn = 2;
-  o.memory_budget = 16 << 10;      // far below the ~100KB dataset
+  o.memory_budget = budget;  // 16 KiB is far below the ~100KB dataset
   o.spill_page_bytes = 4 << 10;
   return o;
 }
@@ -325,36 +391,35 @@ std::map<std::string, Bytes> read_raw_outputs(Cluster& cl) {
   return raw;
 }
 
-TEST(OutOfCoreFtJob, OutputByteIdenticalToInCore) {
-  // Deterministic textgen -> both clusters hold the same input; the spill
-  // path must produce byte-for-byte the same output part files.
-  Cluster in_core, budget;
-  ASSERT_EQ(in_core.expected, budget.expected);
+void expect_output_identical_to_in_core(size_t budget) {
+  // Deterministic textgen -> both clusters hold the same input; the run
+  // under test must produce byte-for-byte the in-core output part files.
+  Cluster in_core, tested;
+  ASSERT_EQ(in_core.expected, tested.expected);
   Runtime::run(4, [&](Comm& c) {
-    FtJobOptions o;
-    o.mode = FtMode::kNone;
-    o.ppn = 2;
-    FtJob job(c, in_core.fs.get(), o);
+    FtJob job(c, in_core.fs.get(), budget_opts(FtMode::kNone, 0));
     ASSERT_TRUE(job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); }).ok());
   });
   Runtime::run(4, [&](Comm& c) {
-    FtJob job(c, budget.fs.get(), budget_opts(FtMode::kNone));
+    FtJob job(c, tested.fs.get(), budget_opts(FtMode::kNone, budget));
     ASSERT_TRUE(job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); }).ok());
   });
-  EXPECT_EQ(budget.read_output(), budget.expected);
-  EXPECT_EQ(read_raw_outputs(in_core), read_raw_outputs(budget));
-  // The budget run must actually have paged through the local scratch tier,
+  EXPECT_EQ(tested.read_output(), tested.expected);
+  EXPECT_EQ(read_raw_outputs(in_core), read_raw_outputs(tested));
+  // A budget run must actually have paged through the local scratch tier,
   // or this test would vacuously compare two in-core runs.
-  EXPECT_GT(budget.fs->stats(storage::Tier::kLocal).bytes_written,
-            in_core.fs->stats(storage::Tier::kLocal).bytes_written);
+  if (budget > 0) {
+    EXPECT_GT(tested.fs->stats(storage::Tier::kLocal).bytes_written,
+              in_core.fs->stats(storage::Tier::kLocal).bytes_written);
+  }
 }
 
-TEST(OutOfCoreFtJob, RecoversFromKillMidMap) {
+void expect_recovery_from_kill_mid_map(size_t budget) {
   Cluster cl;
   simmpi::JobOptions jo;
   jo.kills.push_back({1, 4e-3, -1});
   Runtime::run(4, [&](Comm& c) {
-    FtJobOptions o = budget_opts(FtMode::kDetectResumeWC);
+    FtJobOptions o = budget_opts(FtMode::kDetectResumeWC, budget);
     o.ckpt.records_per_ckpt = 16;
     FtJob job(c, cl.fs.get(), o);
     Status s = job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); });
@@ -365,15 +430,15 @@ TEST(OutOfCoreFtJob, RecoversFromKillMidMap) {
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
-TEST(OutOfCoreFtJob, RecoversFromKillMidReduce) {
+void expect_recovery_from_kill_mid_reduce(size_t budget) {
   // A late kill lands in the reduce phase: survivors adopt the dead rank's
-  // partitions (absorbed into spill-backed stores) and the streamed reduce
+  // partitions (absorbed into the paged stores) and the streamed reduce
   // re-enters at the committed cursor.
   Cluster cl;
   simmpi::JobOptions jo;
   jo.kills.push_back({2, 5e-2, -1});
   Runtime::run(4, [&](Comm& c) {
-    FtJobOptions o = budget_opts(FtMode::kDetectResumeWC);
+    FtJobOptions o = budget_opts(FtMode::kDetectResumeWC, budget);
     o.ckpt.records_per_ckpt = 16;
     FtJob job(c, cl.fs.get(), o);
     StageFns fns = wc_fns(false);
@@ -386,11 +451,32 @@ TEST(OutOfCoreFtJob, RecoversFromKillMidReduce) {
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
-TEST(OutOfCoreFtJob, CheckpointRestartResumesPaged) {
-  // CR restart must be able to prime from the paged (streamed) partition
-  // checkpoints written by the out-of-core shuffle.
+void expect_nwc_rebuilds_orphans(size_t budget) {
+  // Reduce-phase kill without checkpoints: the dead rank's partitions are
+  // rebuilt from the survivors' retained map output stores.
   Cluster cl;
-  FtJobOptions o = budget_opts(FtMode::kCheckpointRestart);
+  simmpi::JobOptions jo;
+  jo.kills.push_back({2, 5e-2, -1});
+  Runtime::run(4, [&](Comm& c) {
+    FtJobOptions o = budget_opts(FtMode::kDetectResumeNWC, budget);
+    o.ckpt.enabled = false;
+    FtJob job(c, cl.fs.get(), o);
+    StageFns fns = wc_fns(false);
+    fns.reduce_cost_per_value = 2e-4;
+    Status s = job.run([&](FtJob& j) { return driver_of(j, fns); });
+    if (c.global_rank() != 2) {
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      EXPECT_EQ(job.recoveries(), 1);
+    }
+  }, jo);
+  EXPECT_EQ(cl.read_output(), cl.expected);
+}
+
+void expect_checkpoint_restart_resumes(size_t budget) {
+  // CR restart must be able to prime from the shuffle-end partition
+  // checkpoints (streamed under a budget, framed whole without one).
+  Cluster cl;
+  FtJobOptions o = budget_opts(FtMode::kCheckpointRestart, budget);
   o.ckpt.location = CkptOptions::Location::kSharedDirect;
   o.ckpt.prefetch_recovery = true;
   o.restart_read_shared = true;
@@ -409,6 +495,42 @@ TEST(OutOfCoreFtJob, CheckpointRestartResumesPaged) {
   }
   EXPECT_EQ(submissions, 2);
   EXPECT_EQ(cl.read_output(), cl.expected);
+}
+
+// Under the budget every phase pages through the local tier; at budget 0
+// the same paged stores stay in memory.
+constexpr size_t kPagedBudget = size_t{16} << 10;
+
+TEST(OutOfCoreFtJob, OutputByteIdenticalToInCore) {
+  expect_output_identical_to_in_core(kPagedBudget);
+}
+TEST(OutOfCoreFtJob, RecoversFromKillMidMap) {
+  expect_recovery_from_kill_mid_map(kPagedBudget);
+}
+TEST(OutOfCoreFtJob, RecoversFromKillMidReduce) {
+  expect_recovery_from_kill_mid_reduce(kPagedBudget);
+}
+TEST(OutOfCoreFtJob, NonWorkConservingRebuildsOrphans) {
+  expect_nwc_rebuilds_orphans(kPagedBudget);
+}
+TEST(OutOfCoreFtJob, CheckpointRestartResumesPaged) {
+  expect_checkpoint_restart_resumes(kPagedBudget);
+}
+
+TEST(ZeroBudgetFtJob, OutputByteIdenticalToInCore) {
+  expect_output_identical_to_in_core(0);
+}
+TEST(ZeroBudgetFtJob, RecoversFromKillMidMap) {
+  expect_recovery_from_kill_mid_map(0);
+}
+TEST(ZeroBudgetFtJob, RecoversFromKillMidReduce) {
+  expect_recovery_from_kill_mid_reduce(0);
+}
+TEST(ZeroBudgetFtJob, NonWorkConservingRebuildsOrphans) {
+  expect_nwc_rebuilds_orphans(0);
+}
+TEST(ZeroBudgetFtJob, CheckpointRestartResumesPaged) {
+  expect_checkpoint_restart_resumes(0);
 }
 
 // ---------------------------------------------------------------------------

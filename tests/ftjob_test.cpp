@@ -164,11 +164,17 @@ TEST(NoFt, FailureAbortsJob) {
 // Detect/resume: failures in every phase, WC and NWC
 // ---------------------------------------------------------------------------
 
+// gtest names each case by dumping the object's bytes, so the gap after
+// `mode` is an explicit zero field: indeterminate padding bytes would make
+// the test names differ from build to build.
 struct DrCase {
   FtMode mode;
+  int32_t padding = 0;
   double kill_vtime;
   const char* label;
 };
+static_assert(sizeof(DrCase) == sizeof(FtMode) + sizeof(int32_t) +
+                                    sizeof(double) + sizeof(const char*));
 
 class DetectResume : public ::testing::TestWithParam<DrCase> {};
 
@@ -198,12 +204,19 @@ TEST_P(DetectResume, OutputSurvivesFailure) {
 
 INSTANTIATE_TEST_SUITE_P(
     Phases, DetectResume,
-    ::testing::Values(DrCase{FtMode::kDetectResumeWC, 4e-3, "wc-mid-map"},
-                      DrCase{FtMode::kDetectResumeWC, 1e-1, "wc-mid-reduce"},
-                      DrCase{FtMode::kDetectResumeNWC, 4e-3, "nwc-mid-map"},
-                      DrCase{FtMode::kDetectResumeNWC, 1e-1, "nwc-mid-reduce"},
-                      DrCase{FtMode::kDetectResumeWC, 2e-2, "wc-around-shuffle"},
-                      DrCase{FtMode::kDetectResumeNWC, 2e-2, "nwc-around-shuffle"}));
+    ::testing::Values(
+        DrCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 4e-3,
+               .label = "wc-mid-map"},
+        DrCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 1e-1,
+               .label = "wc-mid-reduce"},
+        DrCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 4e-3,
+               .label = "nwc-mid-map"},
+        DrCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 1e-1,
+               .label = "nwc-mid-reduce"},
+        DrCase{.mode = FtMode::kDetectResumeWC, .kill_vtime = 2e-2,
+               .label = "wc-around-shuffle"},
+        DrCase{.mode = FtMode::kDetectResumeNWC, .kill_vtime = 2e-2,
+               .label = "nwc-around-shuffle"}));
 
 TEST(DetectResume, ContinuousFailuresShrinkRepeatedly) {
   World w;

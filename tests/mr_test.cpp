@@ -1,14 +1,14 @@
-// Tests for the MR-MPI baseline engine: KV/KMV buffers, shuffle, both
-// KV→KMV conversion algorithms (incl. their equivalence property), and the
-// end-to-end baseline driver.
+// Tests for the MR-MPI data path: KV/KMV buffers, shuffle, both KV→KMV
+// conversion algorithms (incl. their equivalence property), and the
+// end-to-end MR-MPI baseline (FtJob without fault tolerance).
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <map>
 
+#include "apps/wordcount.hpp"
 #include "common/rng.hpp"
+#include "core/ftjob.hpp"
 #include "mr/convert.hpp"
-#include "mr/mapreduce.hpp"
 #include "mr/shuffle.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
@@ -193,30 +193,19 @@ struct MiniCluster {
   std::unique_ptr<storage::StorageSystem> fs;
 };
 
-int64_t wordcount_map(uint64_t, std::string_view chunk, KvBuffer& out) {
-  int64_t n = 0;
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    size_t end = chunk.find(' ', pos);
-    if (end == std::string_view::npos) end = chunk.size();
-    if (end > pos) {
-      out.add(chunk.substr(pos, end - pos), "1");
-      ++n;
-    }
-    pos = end + 1;
-  }
-  return n;
+/// The MR-MPI baseline: FtJob without fault tolerance or checkpoints.
+core::FtJobOptions baseline_opts() {
+  core::FtJobOptions o;
+  o.mode = core::FtMode::kNone;
+  o.ckpt.enabled = false;
+  return o;
 }
 
-void sum_reduce(std::string_view key, std::span<const std::string_view> values,
-                KvBuffer& out) {
-  int64_t sum = 0;
-  for (std::string_view v : values) {
-    int64_t n = 0;
-    std::from_chars(v.data(), v.data() + v.size(), n);
-    sum += n;
+Status wordcount_driver(core::FtJob& job) {
+  if (auto s = job.run_stage(apps::wordcount_stage(), false, nullptr); !s.ok()) {
+    return s;
   }
-  out.add(key, std::to_string(sum));
+  return job.write_output();
 }
 
 std::map<std::string, int64_t> read_counts(storage::StorageSystem& fs,
@@ -253,10 +242,10 @@ TEST(BaselineJob, WordcountEndToEnd) {
                                   as_bytes_view(text)).ok());
   }
   JobResult r = Runtime::run(4, [&](Comm& c) {
-    JobOptions o;
+    core::FtJobOptions o = baseline_opts();
     o.ppn = 2;
-    MapReduce job(c, cl.fs.get(), o);
-    ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
+    core::FtJob job(c, cl.fs.get(), o);
+    ASSERT_TRUE(job.run(wordcount_driver).ok());
     EXPECT_GT(job.times().get("map"), 0.0);
     EXPECT_GT(job.times().get("shuffle"), 0.0);
     EXPECT_GT(job.times().get("merge"), 0.0);
@@ -279,11 +268,11 @@ TEST(BaselineJob, TwoPassConvertProducesSameOutput) {
   }
   for (bool two_pass : {false, true}) {
     Runtime::run(3, [&](Comm& c) {
-      JobOptions o;
+      core::FtJobOptions o = baseline_opts();
       o.two_pass_convert = two_pass;
       o.output_dir = two_pass ? "out2" : "out4";
-      MapReduce job(c, cl.fs.get(), o);
-      ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
+      core::FtJob job(c, cl.fs.get(), o);
+      ASSERT_TRUE(job.run(wordcount_driver).ok());
     });
   }
   EXPECT_EQ(read_counts(*cl.fs, "out2"), read_counts(*cl.fs, "out4"));
@@ -299,10 +288,9 @@ TEST(BaselineJob, FailureAbortsWholeJobWithFatalHandler) {
   simmpi::JobOptions jo;
   jo.kills.push_back({1, 1e-7, -1});  // dies very early in the map phase
   JobResult r = Runtime::run(4, [&](Comm& c) {
-    // Stock-MPI behaviour: errors are fatal.
-    c.set_error_handler([](Comm& comm, const Status&) { comm.abort(1); });
-    MapReduce job(c, cl.fs.get(), {});
-    (void)job.run(wordcount_map, sum_reduce);
+    // Stock-MPI behaviour: FtMode::kNone treats errors as fatal.
+    core::FtJob job(c, cl.fs.get(), baseline_opts());
+    (void)job.run(wordcount_driver);
   }, jo);
   EXPECT_TRUE(r.aborted);  // the whole job is lost — no fault tolerance
 }

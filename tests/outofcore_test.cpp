@@ -2,16 +2,17 @@
 // (write-retention + retry ladder, budget accounting including the open
 // page, drain_to partial-failure semantics), the KMV page codec, the
 // streamed shuffle/convert equivalence against the in-core reference under
-// randomized page boundaries, and end-to-end MapReduce budget-mode parity.
+// randomized page boundaries, and end-to-end budget-mode parity of the
+// MR-MPI baseline (FtJob without fault tolerance).
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <map>
 #include <string>
 
+#include "apps/wordcount.hpp"
 #include "common/rng.hpp"
+#include "core/ftjob.hpp"
 #include "mr/convert.hpp"
-#include "mr/mapreduce.hpp"
 #include "mr/shuffle.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
@@ -419,33 +420,7 @@ TEST(StreamedShuffle, ByteIdenticalToInCoreShuffle) {
   }
 }
 
-// --- end-to-end MapReduce budget mode -------------------------------------
-
-int64_t wordcount_map(uint64_t, std::string_view chunk, KvBuffer& out) {
-  int64_t n = 0;
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    size_t end = chunk.find(' ', pos);
-    if (end == std::string_view::npos) end = chunk.size();
-    if (end > pos) {
-      out.add(chunk.substr(pos, end - pos), "1");
-      ++n;
-    }
-    pos = end + 1;
-  }
-  return n;
-}
-
-void sum_reduce(std::string_view key, std::span<const std::string_view> values,
-                KvBuffer& out) {
-  int64_t sum = 0;
-  for (std::string_view v : values) {
-    int64_t n = 0;
-    std::from_chars(v.data(), v.data() + v.size(), n);
-    sum += n;
-  }
-  out.add(key, std::to_string(sum));
-}
+// --- end-to-end budget mode -----------------------------------------------
 
 Bytes read_part(storage::StorageSystem& fs, const std::string& dir, int rank) {
   char name[64];
@@ -477,15 +452,23 @@ TEST(OutOfCoreJob, OutputByteIdenticalToInCore) {
   const int kRanks = 4;
   auto run_mode = [&](size_t budget, const std::string& out_dir) {
     JobResult r = Runtime::run(kRanks, [&](Comm& c) {
-      JobOptions o;
+      core::FtJobOptions o;
+      o.mode = core::FtMode::kNone;
+      o.ckpt.enabled = false;
       o.ppn = 2;
-      o.two_pass_convert = true;
       o.output_dir = out_dir;
       o.memory_budget = budget;
       o.spill_dir = "spill_" + out_dir;
       o.spill_page_bytes = 2048;
-      MapReduce job(c, cl.fs.get(), o);
-      ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
+      core::FtJob job(c, cl.fs.get(), o);
+      ASSERT_TRUE(job.run([](core::FtJob& j) {
+                       if (auto s = j.run_stage(apps::wordcount_stage(), false,
+                                                nullptr);
+                           !s.ok()) {
+                         return s;
+                       }
+                       return j.write_output();
+                     }).ok());
     });
     ASSERT_EQ(r.finished_count(), kRanks);
   };
