@@ -132,17 +132,18 @@ Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
                               const Bytes& payload) {
   if (!opts_.enabled) return Status::Ok();
   const double t0 = comm.now();
-  const Bytes framed = frame_checkpoint(payload);
+  // Framed once: the local write and every memory replica share this blob.
+  const auto framed = std::make_shared<const Bytes>(frame_checkpoint(payload));
   // Framing + CRC are free in virtual time (CPU is not modeled for them);
   // a zero-duration span still marks every frame event on the timeline.
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
   count_++;
-  bytes_written_ += framed.size();
-  const Status s = put_impl(comm, name, framed);
+  bytes_written_ += framed->size();
+  const Status s = put_impl(comm, name, *framed);
   if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
   metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
-                                         static_cast<double>(framed.size()));
+                                         static_cast<double>(framed->size()));
   if (s.ok()) replicate(comm, name, framed);
   return s;
 }
@@ -158,7 +159,7 @@ std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
 }
 
 void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
-                                  const Bytes& framed) {
+                                  const std::shared_ptr<const Bytes>& framed) {
   const int k = opts_.memory_replication_k;
   if (k <= 0) return;
   const double t0 = comm.now();
@@ -177,7 +178,7 @@ void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
     // like a send); the deposit itself can still lose a razor-thin race
     // with the target's death — the store's dead-mark turns that into a
     // counted lost push instead of a ghost replica.
-    if (auto s = comm.rma_put(rel, framed.size()); !s.ok()) {
+    if (auto s = comm.rma_put(rel, framed->size()); !s.ok()) {
       integ_.replica_push_failures++;
       metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
       continue;
@@ -189,7 +190,7 @@ void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
     }
     metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_);
     metrics::MetricsRegistry::global().add(
-        "ckpt.replica_bytes", rank_, static_cast<double>(framed.size()));
+        "ckpt.replica_bytes", rank_, static_cast<double>(framed->size()));
   }
   // The span's op stamp marks the replication window on the timeline, so
   // the fault explorer harvests kill candidates inside it.
@@ -581,7 +582,8 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   const std::vector<int> live = live_ranks(comm);
   int healed = 0;
 
-  auto push_to = [&](int owner, const std::string& mpath, const Bytes& framed,
+  auto push_to = [&](int owner, const std::string& mpath,
+                     const std::shared_ptr<const Bytes>& framed,
                      const std::vector<int>& holders) {
     for (int tgt : storage::replica_placement(owner, k, live, ppn_)) {
       if (std::find(holders.begin(), holders.end(), tgt) != holders.end()) {
@@ -592,7 +594,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
         integ_.replica_push_failures++;
         continue;
       }
-      if (auto s = comm.rma_put(rel, framed.size()); !s.ok()) {
+      if (auto s = comm.rma_put(rel, framed->size()); !s.ok()) {
         integ_.replica_push_failures++;
         continue;
       }
@@ -633,9 +635,9 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     if (owner < 0) continue;
     const std::vector<int> holders = mem.holders_of(mpath);
     if (holders.empty() || holders.front() != rank_) continue;
-    Bytes framed;
+    std::shared_ptr<const Bytes> framed;
     if (!mem.get(rank_, mpath, framed, nullptr).ok()) continue;
-    comm.compute(mem.cost_of(framed.size(), 1));
+    comm.compute(mem.cost_of(framed->size(), 1));
     push_to(owner, mpath, framed, holders);
   }
 
@@ -675,7 +677,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     comm.compute(cost);
     Bytes payload;
     if (!unframe_checkpoint(raw, payload).ok()) continue;
-    push_to(rank_, mpath, raw, {});
+    push_to(rank_, mpath, std::make_shared<const Bytes>(std::move(raw)), {});
   }
 
   if (healed > 0) {
@@ -730,30 +732,30 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
     const std::string mpath = rank_dir + "/" + base;
     storage::ReplicaStore& mem = fs_->memory();
     for (int holder : mem.holders_of(mpath)) {
-      Bytes raw;
+      std::shared_ptr<const Bytes> raw;
       if (!mem.get(holder, mpath, raw, nullptr).ok()) continue;
       if (holder == rank_) {
         // The replica sits in this process's own memory: no wire.
-        comm.compute(mem.cost_of(raw.size(), 1));
+        comm.compute(mem.cost_of(raw->size(), 1));
       } else {
         const int rel = comm.rel_of_global(holder);
         if (rel < 0) continue;
-        if (auto s = comm.rma_get(rel, raw.size()); !s.ok()) continue;
+        if (auto s = comm.rma_get(rel, raw->size()); !s.ok()) continue;
       }
       const double v0 = comm.now();
-      Status v = unframe_checkpoint(raw, payload);
+      Status v = unframe_checkpoint(*raw, payload);
       if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
       if (v.ok()) {
         integ_.replica_hits++;
         out.files_read++;
-        out.bytes_read += raw.size();
+        out.bytes_read += raw->size();
         if (trace_) {
           trace_->span("ckpt.replica_fetch", "ckpt", t0, comm.now());
           trace_->span("ckpt.read", "ckpt", t0, comm.now());
         }
         metrics::MetricsRegistry::global().add("ckpt.replica_hits", rank_);
         metrics::MetricsRegistry::global().add(
-            "ckpt.replica_read_bytes", rank_, static_cast<double>(raw.size()));
+            "ckpt.replica_read_bytes", rank_, static_cast<double>(raw->size()));
         return Status::Ok();
       }
       integ_.corrupt_frames++;

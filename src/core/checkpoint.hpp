@@ -29,6 +29,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -291,7 +292,7 @@ class CheckpointManager {
   /// lost pushes are counted, never fail the checkpoint; a kill landing on
   /// the rma op propagates like any MPI death).
   void replicate(simmpi::Comm& comm, const std::string& name,
-                 const Bytes& framed);
+                 const std::shared_ptr<const Bytes>& framed);
   /// Live global ranks of `comm`, ascending.
   static std::vector<int> live_ranks(const simmpi::Comm& comm);
   /// Read `rank_dir`/`name` from `tier` and return its verified payload.

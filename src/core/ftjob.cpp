@@ -476,9 +476,18 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   size_t received_total = 0;
   for (;;) {
     const double c0 = wc_.now();
+    // The round's outgoing block per partition. The unbounded round sends
+    // each never-spilling store's in-core buffer by view; otherwise pages
+    // are assembled (copied) into `chunks` and sent from there.
+    std::map<int, const mr::KvBuffer*> blocks;
     std::map<int, mr::KvBuffer> chunks;
     size_t assembled = 0;
     for (auto& [p, store] : st.map_output) {
+      const mr::KvBuffer* whole = store.in_core();
+      if (round_budget == kUnbounded && whole != nullptr) {
+        if (!whole->empty()) blocks[p] = whole;
+        continue;
+      }
       size_t& cur = cursor[p];
       const size_t npages = store.page_count();
       mr::KvBuffer page;
@@ -490,28 +499,31 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
       }
       if (assembled >= round_budget) break;
     }
+    for (auto& [p, kv] : chunks) blocks[p] = &kv;
     if (fns.combine) {
-      // Pre-aggregate each chunk before the wire. Combining a partition's
+      // Pre-aggregate each block before the wire. Combining a partition's
       // round is a valid partial aggregation: the owner's convert regroups
       // across rounds, and combine/reduce are associative by contract.
-      for (auto& [p, kv] : chunks) {
-        const size_t before = kv.bytes();
-        kv = combine_block(kv, fns);
-        if (before > kv.bytes()) {
+      for (auto& [p, kv] : blocks) {
+        const size_t before = kv->bytes();
+        mr::KvBuffer& combined = chunks[p];
+        combined = combine_block(*kv, fns);
+        kv = &combined;
+        if (before > kv->bytes()) {
           times_.charge("combine_saved_bytes",
-                        static_cast<double>(before - kv.bytes()));
+                        static_cast<double>(before - kv->bytes()));
         }
       }
     }
     std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
         static_cast<size_t>(wc_.size()));
-    for (auto& [p, kv] : chunks) {
+    for (const auto& [p, kv] : blocks) {
       const int rel = owner_rel(p);
       if (rel < 0) {
         return check({ErrorCode::kProcFailed, "partition owner died mid-shuffle"});
       }
-      by_dest[static_cast<size_t>(rel)].push_back({p, &kv});
-      mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv.size());
+      by_dest[static_cast<size_t>(rel)].push_back({p, kv});
+      mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv->size());
     }
     std::vector<Bytes> send(by_dest.size());
     for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
@@ -519,7 +531,7 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
 
     const double a0 = wc_.now();
     std::vector<Bytes> recv;
-    if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
+    if (auto s = check(wc_.alltoall(std::move(send), recv)); !s.ok()) return s;
     trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
     const double d0 = wc_.now();
     for (const Bytes& b : recv) {
@@ -585,12 +597,13 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // allgathered union, so every rank participates in the same exchange.
   // Orphans are a small subset of P0, so materializing just their blocks
   // keeps residency near the budget.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
+  std::map<int, mr::KvBuffer> merged;
   for (int p : missing) {
+    mr::KvBuffer& block = merged[p];
     auto it = st.map_output.find(p);
     if (it == st.map_output.end()) continue;
     if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
-          merged[static_cast<size_t>(p)].merge_from(page);
+          block.merge_from(page);
           return Status::Ok();
         });
         !s.ok()) {
@@ -607,13 +620,13 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
     if (rel < 0) {
       return check({ErrorCode::kProcFailed, "orphan partition owner died"});
     }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
+    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[p]});
   }
   std::vector<Bytes> send(by_dest.size());
   for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
   const double a0 = wc_.now();
   std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
+  if (auto s = check(wc_.alltoall(std::move(send), recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
   // Replace (idempotent under retry) and restart each rebuilt partition's
   // reduce.

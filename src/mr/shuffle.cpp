@@ -58,7 +58,7 @@ Status shuffle_partitions(simmpi::Comm& comm, std::vector<KvBuffer> parts,
   }
   const double a0 = comm.now();
   std::vector<Bytes> recv;
-  if (auto s = comm.alltoall(send, recv); !s.ok()) return s;
+  if (auto s = comm.alltoall(std::move(send), recv); !s.ok()) return s;
   if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
   const double d0 = comm.now();
   out.clear();
@@ -134,7 +134,7 @@ Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
     }
     const double a0 = comm.now();
     std::vector<Bytes> recv;
-    if (auto s = comm.alltoall(send_wire, recv); !s.ok()) return s;
+    if (auto s = comm.alltoall(std::move(send_wire), recv); !s.ok()) return s;
     if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
     const double d0 = comm.now();
     for (size_t j = 0; j < recv.size(); ++j) {

@@ -391,7 +391,7 @@ Request Comm::irecv(int src, int tag, Bytes* out, MessageInfo* info) {
 Status Comm::run_collective(
     Bytes contribution,
     const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-    bool tolerant, Bytes* result_out) {
+    bool tolerant, Bytes* result_out, std::vector<Bytes>* row) {
   job_->check_callable(global_rank_);
   MutexLock lock(job_->mu);
   RankState& me = job_->ranks[global_rank_];
@@ -414,6 +414,7 @@ Status Comm::run_collective(
   auto slot = slot_ptr;
 
   slot->contribs[rel_rank_] = std::move(contribution);
+  if (row) slot->rows[rel_rank_] = std::move(*row);
   slot->arrive_vtime[rel_rank_] = state_->accounts_time ? me.vtime : 0.0;
   // No wake here: intermediate arrivals don't change a parked waiter's
   // predicate (it waits for `computed`; deaths/revokes broadcast via
@@ -463,6 +464,10 @@ Status Comm::run_collective(
   if (auto it = slot->results.find(rel_rank_); it != slot->results.end()) {
     my_result = std::move(it->second);
   }
+  std::vector<Bytes> my_row;
+  if (auto it = slot->rows.find(rel_rank_); it != slot->rows.end()) {
+    my_row = std::move(it->second);
+  }
   if (state_->accounts_time) {
     if (auto it = slot->done_vtime.find(rel_rank_); it != slot->done_vtime.end()) {
       me.vtime = std::max(me.vtime, it->second);
@@ -480,6 +485,7 @@ Status Comm::run_collective(
   job_->check_vtime_kill(global_rank_);
   if (failed) return handle({ErrorCode::kProcFailed, "collective: participant died"});
   if (result_out) *result_out = std::move(my_result);
+  if (row) *row = std::move(my_row);
   return Status::Ok();
 }
 
@@ -696,61 +702,48 @@ Status Comm::allgather(std::span<const std::byte> in, std::vector<Bytes>& out) {
   return Status::Ok();
 }
 
-Status Comm::alltoall(const std::vector<Bytes>& send, std::vector<Bytes>& recv) {
+Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
   const int p = size();
   if (static_cast<int>(send.size()) != p) {
     return handle({ErrorCode::kInvalidArgument, "alltoall: send.size() != comm size"});
   }
-  ByteWriter w;
-  w.put<uint32_t>(static_cast<uint32_t>(p));
-  for (const Bytes& b : send) w.put_blob(b);
   const NetworkModel net = job_->opts.net;
   auto compute = [net, p](CollectiveSlot& slot, const CommState& cs, Job&) {
-    // Decode every contributor's p outgoing blobs.
-    std::map<int, std::vector<Bytes>> outgoing;
-    for (const auto& [r, c] : slot.contribs) {
-      ByteReader reader(c);
-      uint32_t n = 0;
-      (void)reader.get(n);
-      auto& v = outgoing[r];
-      v.resize(n);
-      for (auto& b : v) (void)reader.get_blob(b);
+    // Byte counts first: the transpose below moves the blobs out.
+    std::map<int, size_t> send_bytes;
+    std::map<int, size_t> recv_bytes;
+    for (const auto& [src, row] : slot.rows) {
+      for (int dst = 0; dst < p; ++dst) {
+        const size_t n = row[static_cast<size_t>(dst)].size();
+        send_bytes[src] += n;
+        recv_bytes[dst] += n;
+      }
     }
     double t0 = 0.0;
     for (const auto& [r, v] : slot.arrive_vtime) t0 = std::max(t0, v);
-    for (const auto& [dst, c] : slot.contribs) {
-      (void)c;
-      ByteWriter rw;
-      rw.put<uint32_t>(static_cast<uint32_t>(p));
-      size_t recv_bytes = 0;
-      for (int src = 0; src < p; ++src) {
-        auto it = outgoing.find(src);
-        if (it != outgoing.end() && dst < static_cast<int>(it->second.size())) {
-          rw.put_blob(it->second[dst]);
-          recv_bytes += it->second[dst].size();
-        } else {
-          rw.put_blob({});
-        }
+    // Transpose by move: column dst gathers blob [src][dst] from every
+    // contributor (a src that never arrived leaves an empty blob).
+    std::map<int, std::vector<Bytes>> cols;
+    for (const auto& [dst, row] : slot.rows) {
+      (void)row;
+      cols[dst].resize(static_cast<size_t>(p));
+    }
+    for (auto& [src, row] : slot.rows) {
+      for (auto& [dst, col] : cols) {
+        col[static_cast<size_t>(src)] = std::move(row[static_cast<size_t>(dst)]);
       }
-      size_t send_bytes = 0;
-      for (const Bytes& b : outgoing[dst]) send_bytes += b.size();
-      slot.results[dst] = std::move(rw).take();
+    }
+    slot.rows = std::move(cols);
+    for (const auto& [dst, col] : slot.rows) {
+      (void)col;
       slot.done_vtime[dst] =
           t0 + static_cast<double>(cs.size()) * net.latency_s +
-          static_cast<double>(send_bytes + recv_bytes) / net.bandwidth_Bps;
+          static_cast<double>(send_bytes[dst] + recv_bytes[dst]) / net.bandwidth_Bps;
     }
   };
-  Bytes result;
-  Status s = run_collective(std::move(w).take(), compute, false, &result);
+  Status s = run_collective({}, compute, false, nullptr, &send);
   if (!s.ok()) return s;
-  recv.clear();
-  if (!result.empty()) {
-    ByteReader reader(result);
-    uint32_t n = 0;
-    (void)reader.get(n);
-    recv.resize(n);
-    for (auto& b : recv) (void)reader.get_blob(b);
-  }
+  recv = std::move(send);
   return Status::Ok();
 }
 

@@ -148,9 +148,11 @@ class Comm {
   /// (only filled at root).
   Status gather(int root, std::span<const std::byte> in, std::vector<Bytes>& out);
   Status allgather(std::span<const std::byte> in, std::vector<Bytes>& out);
-  /// MPI_Alltoallv over length-prefixed blobs: send[j] goes to rank j;
-  /// recv[i] arrives from rank i. Vectors must have size() == comm size.
-  Status alltoall(const std::vector<Bytes>& send, std::vector<Bytes>& recv);
+  /// MPI_Alltoallv over blobs: send[j] goes to rank j; recv[i] arrives
+  /// from rank i. `send` must have size() == comm size. The blobs are
+  /// moved, never copied: a caller that passes std::move(send) receives the
+  /// peers' own buffers. `recv` is only written on success.
+  Status alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv);
 
   Status dup(Comm& out, bool accounts_time = true);
   Status split(int color, int key, Comm& out);
@@ -189,11 +191,13 @@ class Comm {
   /// Generic arrival-synchronized collective (see job.hpp). `compute` runs
   /// once, on the last arriver, and must fill slot.results/done_vtime for
   /// every contributing rel rank. `tolerant` ops (shrink/agree) proceed
-  /// despite dead members and ignore revocation.
+  /// despite dead members and ignore revocation. A non-null `row` is
+  /// deposited by move into slot.rows and, on success only, replaced by
+  /// this rank's slot.rows entry after compute (alltoall's transpose).
   Status run_collective(
       Bytes contribution,
       const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-      bool tolerant, Bytes* result_out);
+      bool tolerant, Bytes* result_out, std::vector<Bytes>* row = nullptr);
 
   /// Failure-tolerant rendezvous (shrink/agree): proceeds once every *alive*
   /// member has arrived, keyed by a shared epoch rather than per-rank

@@ -76,6 +76,9 @@ struct CollectiveSlot {
   std::map<int, double> arrive_vtime;  // rel rank -> clock at arrival
   std::map<int, Bytes> results;        // rel rank -> result payload
   std::map<int, double> done_vtime;    // rel rank -> clock after the op
+  /// alltoall only: rel rank -> its send row on arrival, transposed in
+  /// place (by move) into its receive column by the last arriver.
+  std::map<int, std::vector<Bytes>> rows;
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
   int pickups = 0;      // alive ranks that have taken their result

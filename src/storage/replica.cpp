@@ -46,26 +46,44 @@ ReplicaStore::ReadFault ReplicaStore::draw_read_fault(std::string_view path) {
 
 Status ReplicaStore::put(int holder, std::string_view path,
                          std::span<const std::byte> data, double* sim_cost) {
+  return put(holder, path, std::make_shared<const Bytes>(data.begin(), data.end()),
+             sim_cost);
+}
+
+Status ReplicaStore::put(int holder, std::string_view path,
+                         std::shared_ptr<const Bytes> blob, double* sim_cost) {
   MutexLock lock(mu_);
   if (dead_.contains(holder)) {
     return {ErrorCode::kProcFailed,
             "replica target rank " + std::to_string(holder) + " is dead"};
   }
   size_t torn_prefix = 0;
-  const WriteFault wf = draw_write_fault(path, data.size(), &torn_prefix);
+  const WriteFault wf = draw_write_fault(path, blob->size(), &torn_prefix);
   if (wf == WriteFault::kFail) {
     return {ErrorCode::kIo, "injected replica put failure: " + std::string(path)};
   }
-  if (wf == WriteFault::kTorn) data = data.subspan(0, torn_prefix);
-  held_[holder][std::string(path)] = Bytes(data.begin(), data.end());
-  stats_.bytes_written += data.size();
+  if (wf == WriteFault::kTorn) {
+    const auto end = blob->begin() + static_cast<ptrdiff_t>(torn_prefix);
+    blob = std::make_shared<const Bytes>(blob->begin(), end);
+  }
+  const size_t n = blob->size();
+  held_[holder][std::string(path)] = std::move(blob);
+  stats_.bytes_written += n;
   stats_.write_ops++;
-  if (sim_cost) *sim_cost = model_.cost(data.size(), 1);
+  if (sim_cost) *sim_cost = model_.cost(n, 1);
   return Status::Ok();
 }
 
 Status ReplicaStore::get(int holder, std::string_view path, Bytes& out,
                          double* sim_cost) {
+  std::shared_ptr<const Bytes> blob;
+  if (auto s = get(holder, path, blob, sim_cost); !s.ok()) return s;
+  out = *blob;
+  return Status::Ok();
+}
+
+Status ReplicaStore::get(int holder, std::string_view path,
+                         std::shared_ptr<const Bytes>& out, double* sim_cost) {
   MutexLock lock(mu_);
   const ReadFault rf = draw_read_fault(path);
   if (rf == ReadFault::kFail) {
@@ -82,14 +100,16 @@ Status ReplicaStore::get(int holder, std::string_view path, Bytes& out,
                                       " on rank " + std::to_string(holder)};
   }
   out = bit->second;
-  if (rf == ReadFault::kCorrupt && !out.empty()) {
-    const size_t byte_idx = rng_.next_below(out.size());
+  if (rf == ReadFault::kCorrupt && !out->empty()) {
+    Bytes flipped = *out;
+    const size_t byte_idx = rng_.next_below(flipped.size());
     const int bit_idx = static_cast<int>(rng_.next_below(8));
-    out[byte_idx] ^= static_cast<std::byte>(1u << bit_idx);
+    flipped[byte_idx] ^= static_cast<std::byte>(1u << bit_idx);
+    out = std::make_shared<const Bytes>(std::move(flipped));
   }
-  stats_.bytes_read += out.size();
+  stats_.bytes_read += out->size();
   stats_.read_ops++;
-  if (sim_cost) *sim_cost = model_.cost(out.size(), 1);
+  if (sim_cost) *sim_cost = model_.cost(out->size(), 1);
   return Status::Ok();
 }
 

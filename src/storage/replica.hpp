@@ -20,14 +20,21 @@
 // the wipe. wipe_all() resets holdings and dead-marks for the next
 // checkpoint/restart incarnation.
 //
+// Blobs are immutable and shared: the simulated ranks live in one address
+// space, so a blob pushed to k holders is one allocation with k references
+// (each holder's copy is logically private — nothing can mutate it, and a
+// holder's death or removal drops only its reference).
+//
 // Fault injection mirrors the file tiers (storage.hpp TierFaults): torn
-// puts silently store a strict prefix, corrupt gets flip one bit of the
-// returned copy (the stored blob stays pristine — transient, like bus bit
-// rot), clean failures return kIo. All of it feeds FaultStats so tests can
-// assert the injector actually fired.
+// puts silently store a private strict prefix for that holder only,
+// corrupt gets flip one bit of a private copy handed to the caller (the
+// stored blob stays pristine — transient, like bus bit rot), clean
+// failures return kIo. All of it feeds FaultStats so tests can assert the
+// injector actually fired.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -55,11 +62,19 @@ class ReplicaStore {
   /// tier time; callers that already charged wire time pass nullptr.
   Status put(int holder, std::string_view path, std::span<const std::byte> data,
              double* sim_cost = nullptr);
+  /// Same, depositing a reference to the shared immutable `blob` instead of
+  /// a copy (a torn put still stores a private prefix).
+  Status put(int holder, std::string_view path, std::shared_ptr<const Bytes> blob,
+             double* sim_cost = nullptr);
 
   /// Fetch a blob from `holder`'s memory. kNotFound if the holder has no
   /// copy (or was wiped), kIo on injected read failure; an injected
   /// corrupt-read flips one bit of `out` only.
   Status get(int holder, std::string_view path, Bytes& out,
+             double* sim_cost = nullptr);
+  /// Same, sharing the stored blob instead of copying it; an injected
+  /// corrupt read hands back a private flipped copy.
+  Status get(int holder, std::string_view path, std::shared_ptr<const Bytes>& out,
              double* sim_cost = nullptr);
 
   /// Drop one blob from one holder (no-op if absent).
@@ -110,10 +125,10 @@ class ReplicaStore {
   TierModel model_;
   mutable Mutex mu_{"replica.store"};
   // holder rank -> (path -> blob). Rank threads deposit into each other's
-  // maps concurrently, so everything lives under one mutex; blobs are
-  // checkpoint-delta sized, copies are cheap relative to the modeled wire.
-  std::map<int, std::map<std::string, Bytes, std::less<>>> held_
-      FTMR_GUARDED_BY(mu_);
+  // maps concurrently, so everything lives under one mutex; the blobs
+  // themselves are immutable and shared between holders.
+  std::map<int, std::map<std::string, std::shared_ptr<const Bytes>, std::less<>>>
+      held_ FTMR_GUARDED_BY(mu_);
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
   bool injector_armed_ FTMR_GUARDED_BY(mu_) = false;
   TierFaults faults_ FTMR_GUARDED_BY(mu_);

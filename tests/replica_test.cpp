@@ -5,6 +5,8 @@
 // schedules with memory replicas as the primary recovery source.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -222,6 +224,66 @@ TEST(ReplicaStoreTest, InjectedCleanFailuresAndPathFilter) {
   EXPECT_GE(store.fault_stats().write_failures, 1);
 }
 
+// One framed blob deposited at k holders is a single shared allocation;
+// each holder's copy must still behave as a private one.
+
+TEST(ReplicaStoreTest, SharedBlobCorruptReadAtOneHolderLeavesOthersPristine) {
+  ReplicaStore store(storage::TierModel{});
+  const auto shared = std::make_shared<const Bytes>(blob("one blob, two holders"));
+  ASSERT_TRUE(store.put(1, "p", shared).ok());
+  ASSERT_TRUE(store.put(2, "p", shared).ok());
+  std::shared_ptr<const Bytes> at2;
+  ASSERT_TRUE(store.get(2, "p", at2).ok());
+  EXPECT_EQ(at2.get(), shared.get()) << "holders must share, not copy";
+  storage::TierFaults f;
+  f.p_corrupt_read = 1.0;
+  store.set_fault_injector(21, f, "");
+  Bytes corrupt;
+  ASSERT_TRUE(store.get(1, "p", corrupt).ok());
+  EXPECT_NE(corrupt, *shared);
+  store.clear_fault_injector();
+  Bytes out;
+  ASSERT_TRUE(store.get(2, "p", out).ok());
+  EXPECT_EQ(out, blob("one blob, two holders"));
+  ASSERT_TRUE(store.get(1, "p", out).ok());
+  EXPECT_EQ(out, blob("one blob, two holders"));
+  EXPECT_EQ(*shared, blob("one blob, two holders"));
+}
+
+TEST(ReplicaStoreTest, SharedBlobTornPutStoresThatHoldersPrefixOnly) {
+  ReplicaStore store(storage::TierModel{});
+  const Bytes data = blob("a blob torn at exactly one holder");
+  const auto shared = std::make_shared<const Bytes>(data);
+  ASSERT_TRUE(store.put(1, "p", shared).ok());
+  storage::TierFaults f;
+  f.p_torn_write = 1.0;
+  store.set_fault_injector(22, f, "");
+  ASSERT_TRUE(store.put(2, "p", shared).ok());  // torn puts report success
+  store.clear_fault_injector();
+  EXPECT_GE(store.fault_stats().torn_writes, 1);
+  Bytes torn;
+  ASSERT_TRUE(store.get(2, "p", torn).ok());
+  ASSERT_LT(torn.size(), data.size());
+  EXPECT_TRUE(std::equal(torn.begin(), torn.end(), data.begin()));
+  Bytes intact;
+  ASSERT_TRUE(store.get(1, "p", intact).ok());
+  EXPECT_EQ(intact, data);
+  EXPECT_EQ(*shared, data);
+}
+
+TEST(ReplicaStoreTest, SharedBlobSurvivesOneHoldersWipe) {
+  ReplicaStore store(storage::TierModel{});
+  auto shared = std::make_shared<const Bytes>(blob("outlives holder 1"));
+  ASSERT_TRUE(store.put(1, "p", shared).ok());
+  ASSERT_TRUE(store.put(2, "p", shared).ok());
+  shared.reset();  // the store's references are all that remain
+  store.wipe_rank(1);
+  EXPECT_EQ(store.holders_of("p"), (std::vector<int>{2}));
+  Bytes out;
+  ASSERT_TRUE(store.get(2, "p", out).ok());
+  EXPECT_EQ(out, blob("outlives holder 1"));
+}
+
 // ---------------------------------------------------------------------------
 // StorageSystem plumbing
 // ---------------------------------------------------------------------------
@@ -332,6 +394,52 @@ TEST_F(ReplicaCkptFixture, CorruptedReplicasFallBackToFileTiers) {
     }
     ASSERT_TRUE(c.barrier().ok());
   });
+}
+
+TEST_F(ReplicaCkptFixture, RereplicateHealsToKSharedCopiesAfterAKill) {
+  constexpr int kK = 2;
+  const int victim = replica_placement(0, kK, iota_live(4), 1).front();
+  simmpi::JobOptions o;
+  o.kills.push_back({victim, 100.0, -1});
+  o.on_rank_death = [this](int r) { fs->memory().wipe_rank(r); };
+  std::string mpath;
+  Runtime::run(4, [&](Comm& c) {
+    CkptOptions co;
+    co.memory_replication_k = kK;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), co, 1, /*ppn=*/1);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+      const auto paths = fs->memory().all_paths();
+      ASSERT_EQ(paths.size(), 1u);
+      mpath = paths[0];
+      ASSERT_EQ(fs->memory().holders_of(mpath).size(), size_t{kK});
+    }
+    ASSERT_TRUE(c.barrier().ok());
+    if (c.rank() == victim) {
+      c.compute(200.0);  // crosses the kill time
+      FAIL() << "victim kept running";
+    }
+    EXPECT_EQ(c.barrier().code(), ErrorCode::kProcFailed);
+    Comm nc;
+    ASSERT_TRUE(c.shrink(nc).ok());
+    ASSERT_TRUE(cm.rereplicate(nc).ok());
+    ASSERT_TRUE(nc.barrier().ok());
+    if (c.rank() == 0) {
+      const auto holders = fs->memory().holders_of(mpath);
+      ASSERT_EQ(holders.size(), size_t{kK});
+      std::shared_ptr<const Bytes> first;
+      for (int h : holders) {
+        EXPECT_NE(h, victim);
+        EXPECT_NE(h, 0);
+        std::shared_ptr<const Bytes> b;
+        ASSERT_TRUE(fs->memory().get(h, mpath, b).ok());
+        Bytes payload;
+        EXPECT_TRUE(core::unframe_checkpoint(*b, payload).ok());
+        if (!first) first = b;
+        EXPECT_EQ(b.get(), first.get()) << "re-push must share the survivor's blob";
+      }
+    }
+  }, o);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,6 +236,114 @@ TEST(Collectives, AlltoallEmptyBlocksAllowed) {
   });
 }
 
+TEST(Collectives, AlltoallMovedSendArrivesAsTheSendersBuffer) {
+  constexpr int kP = 4;
+  // sent[src][dst]: the address of the blob src handed to the collective.
+  std::vector<std::vector<const std::byte*>> sent(
+      kP, std::vector<const std::byte*>(kP, nullptr));
+  Runtime::run(kP, [&](Comm& c) {
+    std::vector<Bytes> send(kP);
+    for (int j = 0; j < kP; ++j) {
+      send[j] = to_bytes(std::to_string(c.rank()) + "->" + std::to_string(j));
+      sent[c.rank()][j] = send[j].data();
+    }
+    std::vector<Bytes> recv;
+    ASSERT_TRUE(c.alltoall(std::move(send), recv).ok());
+    ASSERT_EQ(recv.size(), static_cast<size_t>(kP));
+    for (int i = 0; i < kP; ++i) {
+      EXPECT_EQ(recv[i].data(), sent[i][c.rank()]) << "blob from " << i << " was copied";
+      EXPECT_EQ(to_string_copy(recv[i]),
+                std::to_string(i) + "->" + std::to_string(c.rank()));
+    }
+  });
+}
+
+TEST(Collectives, AlltoallLvalueSendIsLeftIntact) {
+  constexpr int kP = 3;
+  Runtime::run(kP, [](Comm& c) {
+    std::vector<Bytes> send(kP);
+    for (int j = 0; j < kP; ++j) send[j] = to_bytes("b" + std::to_string(j));
+    const std::vector<Bytes> before = send;
+    std::vector<Bytes> recv;
+    ASSERT_TRUE(c.alltoall(send, recv).ok());
+    EXPECT_EQ(send, before);
+    for (int i = 0; i < kP; ++i) {
+      EXPECT_EQ(to_string_copy(recv[i]), "b" + std::to_string(c.rank()));
+    }
+  });
+}
+
+TEST(Collectives, AlltoallMixesEmptyAndNonEmptyBlobs) {
+  constexpr int kP = 4;
+  Runtime::run(kP, [](Comm& c) {
+    // Only odd (src + dst) pairs carry data.
+    std::vector<Bytes> send(kP);
+    for (int j = 0; j < kP; ++j) {
+      if ((c.rank() + j) % 2 == 1) send[j] = to_bytes(std::to_string(c.rank()));
+    }
+    std::vector<Bytes> recv;
+    ASSERT_TRUE(c.alltoall(std::move(send), recv).ok());
+    ASSERT_EQ(recv.size(), static_cast<size_t>(kP));
+    for (int i = 0; i < kP; ++i) {
+      if ((c.rank() + i) % 2 == 1) {
+        EXPECT_EQ(to_string_copy(recv[i]), std::to_string(i));
+      } else {
+        EXPECT_TRUE(recv[i].empty()) << "from " << i;
+      }
+    }
+  });
+}
+
+TEST(Collectives, AlltoallWithDeadMemberFailsAndLeavesRecvUntouched) {
+  constexpr int kP = 4;
+  JobOptions o;
+  o.kills.push_back({1, 0.0, -1});
+  std::atomic<int> failures{0};
+  JobResult r = Runtime::run(kP, [&](Comm& c) {
+    if (c.rank() == 1) {
+      c.compute(0.1);  // dies before the alltoall
+      return;
+    }
+    std::vector<Bytes> send(kP, to_bytes("x"));
+    std::vector<Bytes> recv{to_bytes("sentinel")};
+    const Status s = c.alltoall(std::move(send), recv);
+    if (s.code() == ErrorCode::kProcFailed) failures++;
+    ASSERT_EQ(recv.size(), 1u);
+    EXPECT_EQ(to_string_copy(recv[0]), "sentinel");
+  }, o);
+  EXPECT_EQ(r.killed_count(), 1);
+  EXPECT_EQ(failures.load(), kP - 1);
+}
+
+TEST(VirtualTime, AlltoallCompletionTimeIsPinned) {
+  // done = t0 + p*latency + (bytes sent + bytes received) / bandwidth,
+  // with t0 the latest arrival. An asymmetric pattern makes every rank's
+  // send and receive totals differ.
+  constexpr int kP = 3;
+  JobOptions opts;
+  opts.net.latency_s = 1e-3;
+  opts.net.bandwidth_Bps = 1e4;
+  auto size_of = [](int src, int dst) {
+    return static_cast<size_t>(10 * (src + 1) + 100 * dst * dst);
+  };
+  Runtime::run(kP, [&](Comm& c) {
+    c.compute(0.25 * c.rank());  // t0 = 0.5, set by the last rank
+    std::vector<Bytes> send(kP);
+    for (int j = 0; j < kP; ++j) send[j] = Bytes(size_of(c.rank(), j));
+    std::vector<Bytes> recv;
+    ASSERT_TRUE(c.alltoall(std::move(send), recv).ok());
+    size_t sent = 0, received = 0;
+    for (int j = 0; j < kP; ++j) {
+      sent += size_of(c.rank(), j);
+      received += size_of(j, c.rank());
+      EXPECT_EQ(recv[j].size(), size_of(j, c.rank()));
+    }
+    const double expect = 0.5 + kP * opts.net.latency_s +
+                          static_cast<double>(sent + received) / opts.net.bandwidth_Bps;
+    EXPECT_DOUBLE_EQ(c.now(), expect) << "rank " << c.rank();
+  }, opts);
+}
+
 TEST(Comms, DupGivesIndependentMatching) {
   Runtime::run(2, [](Comm& c) {
     Comm d;
