@@ -7,12 +7,18 @@
 // output equivalence, requires the flat path to be >= 2x faster on the
 // small-record workload (the ISSUE acceptance bar), and writes the
 // machine-readable series to BENCH_kvpath.json for the CI artifact.
+// Every timed run happens in a fresh process (the bench re-executes
+// itself per run) and the two paths alternate, so a ratio does not depend
+// on what ran before it.
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/common.hpp"
 #include "common/bytes.hpp"
@@ -126,6 +132,24 @@ Workload make_workload(const std::string& name, size_t nrecords, size_t nkeys,
   return w;
 }
 
+constexpr size_t kWorkloads = 3;
+
+Workload workload_at(size_t i) {
+  switch (i) {
+    case 0:
+      // The acceptance-bar workload: shuffle-dominated, tiny records.
+      return make_workload("small_records", 200000, 20000, 6, 0.0, 1001);
+    case 1:
+      // Few large values: both sides memcpy-bound. Jumbo-aware arena
+      // growth (8x size class above kJumboPayloadBytes) keeps the flat
+      // path at or ahead of legacy's exact-size string allocations.
+      return make_workload("large_records", 2000, 500, 32768, 0.0, 1002);
+    default:
+      // Zipf keys: stresses grouping (long chains, few distinct keys).
+      return make_workload("skewed_keys", 150000, 5000, 12, 1.1, 1003);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The two pipelines. Both run the same logical job on one simulated rank:
 // emit all records, partition by key hash, "exchange" every partition
@@ -134,6 +158,7 @@ Workload make_workload(const std::string& name, size_t nrecords, size_t nkeys,
 // ---------------------------------------------------------------------------
 
 constexpr int kParts = 8;
+constexpr int kReps = 5;  // timed runs per path and workload
 
 struct RunResult {
   double seconds = 0.0;
@@ -213,18 +238,6 @@ RunResult run_flat(const Workload& w) {
   return r;
 }
 
-/// Best-of-N wall time (minimum is the standard noise-robust estimator for
-/// microbenchmarks); the non-timing fields come from the last run.
-template <typename F>
-RunResult best_of(int reps, F&& run) {
-  RunResult best;
-  for (int i = 0; i < reps; ++i) {
-    RunResult r = run();
-    if (i == 0 || r.seconds < best.seconds) best = r;
-  }
-  return best;
-}
-
 struct Series {
   std::string name;
   size_t records;
@@ -240,6 +253,57 @@ struct Series {
                : 0.0;
   }
 };
+
+/// Child mode (`--run <workload> <legacy|flat>`): build one workload, time
+/// one run of one path, and print the result on stdout.
+int run_child(size_t wi, const std::string& path) {
+  const Workload w = workload_at(wi);
+  const RunResult r = path == "flat" ? run_flat(w) : run_legacy(w);
+  std::printf("%s %.9f %zu %zu %llu %zu %zu\n", w.name.c_str(), r.seconds,
+              r.kv_bytes, r.groups,
+              static_cast<unsigned long long>(r.check_hash), w.records.size(),
+              w.payload_bytes);
+  return r.seconds > 0 ? 0 : 1;
+}
+
+/// Time one run of one path in a fresh process, whose heap holds only the
+/// workload it just built, whatever ran before it. In one long-lived process
+/// the legacy path's many small strings run warm or cold depending on what
+/// earlier runs left in the heap (and on the mmap threshold they moved),
+/// while the flat path's large arenas are always fresh mmaps, so the ratio
+/// would measure the allocator's history, not the two designs.
+bool run_fresh(const std::string& self, size_t wi, const char* path,
+               RunResult& r, Series& s) {
+  const std::string cmd =
+      "'" + self + "' --run " + std::to_string(wi) + " " + path;
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (!p) return false;
+  char name[64] = {};
+  unsigned long long hash = 0;
+  const int n = std::fscanf(p, "%63s %lf %zu %zu %llu %zu %zu", name,
+                            &r.seconds, &r.kv_bytes, &r.groups, &hash,
+                            &s.records, &s.payload_bytes);
+  s.name = name;
+  r.check_hash = hash;
+  return pclose(p) == 0 && n == 7;
+}
+
+/// Time both paths on one workload, best of `reps` runs each (minimum is
+/// the standard noise-robust estimator for microbenchmarks; the non-timing
+/// fields are the same in every run). The paths alternate, so both see
+/// the same host load.
+bool race(const std::string& self, int reps, size_t wi, Series& s) {
+  for (int i = 0; i < reps; ++i) {
+    RunResult legacy, flat;
+    if (!run_fresh(self, wi, "legacy", legacy, s) ||
+        !run_fresh(self, wi, "flat", flat, s)) {
+      return false;
+    }
+    if (i == 0 || legacy.seconds < s.legacy.seconds) s.legacy = legacy;
+    if (i == 0 || flat.seconds < s.flat.seconds) s.flat = flat;
+  }
+  return true;
+}
 
 void write_json(const std::vector<Series>& series, bool all_pass) {
   std::FILE* f = std::fopen("BENCH_kvpath.json", "w");
@@ -267,35 +331,29 @@ void write_json(const std::vector<Series>& series, bool all_pass) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc == 4 && std::strcmp(argv[1], "--run") == 0) {
+    return run_child(std::stoul(argv[2]), argv[3]);
+  }
   Report rep("ext04: arena KV path vs string-pair reference (microbench)",
              "flat wire-format arenas make emit/shuffle/convert memcpy-bound; "
              "the string-pair design pays two allocations + a copy per record "
              "per stage");
 
-  const std::vector<Workload> workloads = {
-      // The acceptance-bar workload: shuffle-dominated, tiny records.
-      make_workload("small_records", 200000, 20000, 6, 0.0, 1001),
-      // Few large values: both sides memcpy-bound. Jumbo-aware arena
-      // growth (8x size class above kJumboPayloadBytes) keeps the flat
-      // path at or ahead of legacy's exact-size string allocations.
-      make_workload("large_records", 2000, 500, 32768, 0.0, 1002),
-      // Zipf keys: stresses grouping (long chains, few distinct keys).
-      make_workload("skewed_keys", 150000, 5000, 12, 1.1, 1003),
-  };
-
+  char self[4096] = {};
+  const ssize_t len = readlink("/proc/self/exe", self, sizeof(self) - 1);
   std::vector<Series> series;
-  for (const Workload& w : workloads) {
+  bool spawned = len > 0;
+  for (size_t wi = 0; wi < kWorkloads && spawned; ++wi) {
     Series s;
-    s.name = w.name;
-    s.records = w.records.size();
-    s.payload_bytes = w.payload_bytes;
-    s.legacy = best_of(5, [&] { return run_legacy(w); });
-    s.flat = best_of(5, [&] { return run_flat(w); });
+    spawned = race(self, kReps, wi, s);
     series.push_back(s);
   }
+  rep.check("every timed run completed in its own process", spawned);
+  if (!spawned) return rep.finish();
 
-  rep.section("emit+partition+exchange+convert, best of 5");
+  rep.section("emit+partition+exchange+convert, best of " +
+              std::to_string(kReps));
   rep.row("%-14s %10s %12s %12s %12s %8s", "workload", "records", "legacy ms",
           "flat ms", "flat MiB/s", "speedup");
   for (const Series& s : series) {

@@ -134,6 +134,9 @@ int main() {
       engine_ok_2048 = r.ok;
     }
   }
+  // The 2048-rank point runs last and dominates the process high-water
+  // mark, so this is the engine's own peak at 2048 ranks.
+  rep.metric("engine_peak_rss_mib_2048", peak_rss_mib());
   rep.check("wordcount engine completes at 2048 simulated ranks",
             engine_ok_2048);
   rep.check("2048-rank engine run under 300 s wall", engine_wall_2048 < 300.0,

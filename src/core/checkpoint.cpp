@@ -15,15 +15,53 @@ namespace ftmr::core {
 // framing
 // ---------------------------------------------------------------------------
 
-Bytes frame_checkpoint(std::span<const std::byte> payload) {
-  ByteWriter w;
+namespace {
+
+constexpr size_t kFrameHeaderBytes = kCkptFrameOverhead - sizeof(uint32_t);
+
+/// The one place the frame header is written: a writer holding the header
+/// of a `payload_len`-byte payload, its buffer reserved for `reserve`
+/// bytes — the whole frame when it is built in memory, or the header plus
+/// the payload's leading fields when the rest is streamed.
+ByteWriter open_frame(uint64_t payload_len, size_t reserve) {
+  Bytes buf;
+  buf.reserve(reserve);
+  ByteWriter w(std::move(buf));
   w.put<uint32_t>(kCkptMagic);
   w.put<uint16_t>(kCkptVersion);
   w.put<uint16_t>(0);  // reserved
-  w.put<uint64_t>(payload.size());
-  w.put_bytes(payload);
+  w.put<uint64_t>(payload_len);
+  return w;
+}
+
+/// Append the CRC trailer over header + payload and return the frame.
+Bytes seal_frame(ByteWriter&& w) {
   w.put<uint32_t>(crc32(w.bytes()));
   return std::move(w).take();
+}
+
+/// Frame a checkpoint whose payload is the kind's fixed fields followed by
+/// one length-prefixed KV wire image. Header, fields, wire image and CRC
+/// are written straight into a single allocation of exactly the frame's
+/// final size: no payload buffer, no second copy, no spare capacity held
+/// by the local write or by any memory replica sharing the blob.
+template <typename... Fields>
+Bytes frame_kv_checkpoint(const mr::KvBuffer& kv, const Fields&... fields) {
+  const std::span<const std::byte> wire = kv.wire_view();
+  const uint64_t payload_len =
+      (sizeof(Fields) + ... + 0) + sizeof(uint32_t) + wire.size();
+  ByteWriter w = open_frame(payload_len, kCkptFrameOverhead + payload_len);
+  (w.put(fields), ...);
+  w.put_blob(wire);
+  return seal_frame(std::move(w));
+}
+
+}  // namespace
+
+Bytes frame_checkpoint(std::span<const std::byte> payload) {
+  ByteWriter w = open_frame(payload.size(), kCkptFrameOverhead + payload.size());
+  w.put_bytes(payload);
+  return seal_frame(std::move(w));
 }
 
 Status unframe_checkpoint(std::span<const std::byte> framed, Bytes& payload) {
@@ -54,8 +92,7 @@ Status unframe_checkpoint(std::span<const std::byte> framed, Bytes& payload) {
   if (stored != crc32(framed.first(framed.size() - sizeof(uint32_t)))) {
     return {ErrorCode::kCorrupt, "ckpt frame: CRC mismatch"};
   }
-  constexpr size_t kHeader = kCkptFrameOverhead - sizeof(uint32_t);
-  payload.assign(framed.begin() + static_cast<ptrdiff_t>(kHeader),
+  payload.assign(framed.begin() + static_cast<ptrdiff_t>(kFrameHeaderBytes),
                  framed.end() - static_cast<ptrdiff_t>(sizeof(uint32_t)));
   return Status::Ok();
 }
@@ -129,11 +166,11 @@ CheckpointManager::CheckpointManager(storage::StorageSystem* fs, int node, int r
 }
 
 Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
-                              const Bytes& payload) {
+                              Bytes&& framed_bytes) {
   if (!opts_.enabled) return Status::Ok();
   const double t0 = comm.now();
   // Framed once: the local write and every memory replica share this blob.
-  const auto framed = std::make_shared<const Bytes>(frame_checkpoint(payload));
+  const auto framed = std::make_shared<const Bytes>(std::move(framed_bytes));
   // Framing + CRC are free in virtual time (CPU is not modeled for them);
   // a zero-duration span still marks every frame event on the timeline.
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
@@ -309,29 +346,29 @@ Status CheckpointManager::map_ckpt(simmpi::Comm& comm, int stage, uint64_t task,
                                    const mr::KvBuffer& delta) {
   if (!opts_.enabled) return Status::Ok();
   const int seq = next_seq_++;
-  ByteWriter w;
-  w.put<uint64_t>(task);
-  w.put<uint64_t>(start);
-  w.put<uint64_t>(pos);
-  w.put_blob(delta.wire_view());
-  return put(comm, base_name(kMap, stage, task, seq), std::move(w).take());
+  return put(comm, base_name(kMap, stage, task, seq),
+             frame_kv_checkpoint(delta, task, start, pos));
 }
 
 Status CheckpointManager::partition_ckpt(simmpi::Comm& comm, int stage,
                                          int partition, const mr::KvBuffer& kv) {
   if (!opts_.enabled) return Status::Ok();
   const int seq = next_seq_++;
-  ByteWriter w;
-  w.put<int32_t>(partition);
-  w.put_blob(kv.wire_view());
   return put(comm, base_name(kPart, stage, static_cast<uint64_t>(partition), seq),
-             std::move(w).take());
+             frame_kv_checkpoint(kv, static_cast<int32_t>(partition)));
 }
 
 Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
                                                int partition,
                                                mr::SpillableKvBuffer& kv) {
   if (!opts_.enabled) return Status::Ok();
+  // The blob length is a u32 on the wire, so a partition past the KV arena
+  // bound is refused outright, never wrapped.
+  const uint64_t body_bytes = kv.bytes();
+  if (mr::kCountHeaderBytes + body_bytes > mr::kMaxArenaBytes) {
+    return {ErrorCode::kOutOfRange,
+            "ckpt partition: exceeds the 4 GiB KV blob bound"};
+  }
   const int seq = next_seq_++;
   const std::string name =
       base_name(kPart, stage, static_cast<uint64_t>(partition), seq);
@@ -339,21 +376,20 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
   const double t0 = comm.now();
 
   // Frame prefix: header + payload fields up to the KV wire body, built
-  // once. The resulting file is byte-identical to frame_checkpoint() over
-  // partition_ckpt's payload — [i32 partition][u32 blob_len][u64 count]
-  // followed by the record bytes — but the record bytes are appended one
-  // page at a time below, so the partition is never whole in memory.
-  const uint64_t body_bytes = kv.bytes();
-  const uint64_t blob_len = mr::kCountHeaderBytes + body_bytes;
+  // once by the same header writer as every in-memory frame. The file is
+  // byte-identical to partition_ckpt's — [i32 partition][u32 blob_len]
+  // [u64 count] followed by the record bytes — but the record bytes are
+  // appended one page at a time below, so the partition is never whole in
+  // memory.
+  const auto blob_len =
+      static_cast<uint32_t>(mr::kCountHeaderBytes + body_bytes);
   const uint64_t payload_len = sizeof(int32_t) + sizeof(uint32_t) + blob_len;
   const uint64_t framed_size = kCkptFrameOverhead + payload_len;
-  ByteWriter w;
-  w.put<uint32_t>(kCkptMagic);
-  w.put<uint16_t>(kCkptVersion);
-  w.put<uint16_t>(0);  // reserved
-  w.put<uint64_t>(payload_len);
+  ByteWriter w = open_frame(payload_len, kFrameHeaderBytes + sizeof(int32_t) +
+                                             sizeof(uint32_t) +
+                                             mr::kCountHeaderBytes);
   w.put<int32_t>(partition);
-  w.put<uint32_t>(static_cast<uint32_t>(blob_len));
+  w.put<uint32_t>(blob_len);
   w.put<uint64_t>(kv.size());  // the KV wire's record-count header
   const Bytes prefix = std::move(w).take();
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
@@ -490,24 +526,17 @@ Status CheckpointManager::reduce_ckpt(simmpi::Comm& comm, int stage, int partiti
                                       const mr::KvBuffer& out_delta) {
   if (!opts_.enabled) return Status::Ok();
   const int seq = next_seq_++;
-  ByteWriter w;
-  w.put<int32_t>(partition);
-  w.put<uint64_t>(start);
-  w.put<uint64_t>(entries_done);
-  w.put_blob(out_delta.wire_view());
   return put(comm, base_name(kRed, stage, static_cast<uint64_t>(partition), seq),
-             std::move(w).take());
+             frame_kv_checkpoint(out_delta, static_cast<int32_t>(partition),
+                                 start, entries_done));
 }
 
 Status CheckpointManager::stage_output_ckpt(simmpi::Comm& comm, int stage,
                                             int partition, const mr::KvBuffer& out) {
   if (!opts_.enabled) return Status::Ok();
   const int seq = next_seq_++;
-  ByteWriter w;
-  w.put<int32_t>(partition);
-  w.put_blob(out.wire_view());
   return put(comm, base_name(kOut, stage, static_cast<uint64_t>(partition), seq),
-             std::move(w).take());
+             frame_kv_checkpoint(out, static_cast<int32_t>(partition)));
 }
 
 void CheckpointManager::drain(simmpi::Comm& comm) {

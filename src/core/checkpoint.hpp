@@ -281,7 +281,8 @@ class CheckpointManager {
   }
 
  private:
-  Status put(simmpi::Comm& comm, const std::string& name, const Bytes& payload);
+  /// Write one already-framed checkpoint and replicate it.
+  Status put(simmpi::Comm& comm, const std::string& name, Bytes&& framed);
   Status put_impl(simmpi::Comm& comm, const std::string& name,
                   const Bytes& framed);
   /// Copier-drain a just-written local checkpoint to the shared tier and

@@ -131,6 +131,15 @@ Status FtJob::run(const Driver& driver) {
   }
 }
 
+size_t FtJob::pending_delta_bytes() const noexcept {
+  size_t n = 0;
+  for (const auto& [sid, st] : stages_) {
+    for (const auto& [task, tp] : st.tasks) n += tp.pending_delta.bytes();
+    for (const auto& [p, rp] : st.reduce) n += rp.pending_delta.bytes();
+  }
+  return n;
+}
+
 std::string FtJob::chunk_name(uint64_t task) const { return chunks_[task]; }
 
 int FtJob::owner_rel(int partition) const {
@@ -257,10 +266,11 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     for (size_t i = 0; i < emitted.size(); ++i) {
       // Route each emitted record by key hash; the record bytes are already
       // wire-encoded in `emitted`'s arena, so both the partition copy and
-      // the checkpoint delta are single memcpys.
+      // the checkpoint delta are single memcpys. Without checkpoints no
+      // delta is ever written (or cleared), so none is kept.
       const int part = partition_of_key(emitted.view(i).key, p0_);
       tp.parts[static_cast<size_t>(part)].append_record_from(emitted, i);
-      tp.pending_delta.append_record_from(emitted, i);
+      if (opts_.ckpt.enabled) tp.pending_delta.append_record_from(emitted, i);
     }
     wc_.compute(map_cost);
     map_bytes_done_ += static_cast<double>(key.size() + value.size());
@@ -309,6 +319,10 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
       return s;
     }
   }
+  // The map stores are sealed: they grew by doubling as tasks absorbed into
+  // them, and hold their records until the shuffle (or the orphan rebuild)
+  // is done with them.
+  for (auto& [p, store] : st.map_output) store.shrink_to_fit();
   double spill_io = 0.0;
   for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
   if (spill_io > 0.0) {
@@ -328,9 +342,17 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
 
 namespace {
 
-/// Encode a set of (partition, KvBuffer) blocks destined to one rank.
+/// Encode a set of (partition, KvBuffer) blocks destined to one rank, in
+/// one allocation of exactly the message size (the receiver holds it until
+/// its blocks are absorbed).
 Bytes encode_blocks(const std::vector<std::pair<int, const mr::KvBuffer*>>& blocks) {
-  ByteWriter w;
+  size_t size = sizeof(uint32_t);
+  for (const auto& [p, kv] : blocks) {
+    size += sizeof(int32_t) + sizeof(uint32_t) + kv->wire_view().size();
+  }
+  Bytes buf;
+  buf.reserve(size);
+  ByteWriter w(std::move(buf));
   w.put<uint32_t>(static_cast<uint32_t>(blocks.size()));
   for (const auto& [p, kv] : blocks) {
     w.put<int32_t>(p);
@@ -412,10 +434,12 @@ mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) 
   return it->second;
 }
 
-Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv,
+Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, Bytes&& recv,
                                     size_t* pairs_received) {
-  if (recv.empty()) return Status::Ok();
-  ByteReader r(recv);
+  // Owned here, so the message is freed as soon as its blocks are absorbed.
+  const Bytes msg = std::move(recv);
+  if (msg.empty()) return Status::Ok();
+  ByteReader r(msg);
   uint32_t n = 0;
   if (auto s = r.get(n); !s.ok()) return s;
   for (uint32_t i = 0; i < n; ++i) {
@@ -534,8 +558,9 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
     if (auto s = check(wc_.alltoall(std::move(send), recv)); !s.ok()) return s;
     trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
     const double d0 = wc_.now();
-    for (const Bytes& b : recv) {
-      if (auto s = absorb_shuffle_blocks(st, stage, b, &received_total); !s.ok()) {
+    for (Bytes& b : recv) {
+      if (auto s = absorb_shuffle_blocks(st, stage, std::move(b), &received_total);
+          !s.ok()) {
         return s;
       }
     }
@@ -557,6 +582,9 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
     if (any_more == 0) break;
   }
   mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received_total);
+  // The partition stores are sealed: nothing more arrives, and they hold
+  // their records until the convert consumes them.
+  for (auto& [p, store] : st.partitions) store.shrink_to_fit();
   double spill_io = 0.0;
   for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
   for (auto& [p, store] : st.partitions) spill_io += store.take_io_seconds();
@@ -638,9 +666,12 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
     st.partitions.erase(p);
     st.reduce.erase(p);
   }
-  for (const Bytes& b : recv) {
-    if (auto s = absorb_shuffle_blocks(st, stage, b, nullptr); !s.ok()) return s;
+  for (Bytes& b : recv) {
+    if (auto s = absorb_shuffle_blocks(st, stage, std::move(b), nullptr); !s.ok()) {
+      return s;
+    }
   }
+  for (int p : mine) partition_store(st, stage, p).shrink_to_fit();
   if (opts_.ckpt.enabled) {
     for (int p : mine) {
       if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
@@ -707,7 +738,7 @@ Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
             mr::tap_records(mr::kTapReduceEmitted, world_.global_rank(),
                             emitted.size());
             rp.out.merge_from(emitted);
-            rp.pending_delta.merge_from(emitted);
+            if (opts_.ckpt.enabled) rp.pending_delta.merge_from(emitted);
             wc_.compute(reduce_cost * static_cast<double>(values.size()));
             rp.entries_done++;
             if (opts_.ckpt.enabled &&

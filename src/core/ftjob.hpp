@@ -230,6 +230,10 @@ class FtJob {
     const auto it = stages_.find(stage);
     return it == stages_.end() ? -1 : it->second.phase;
   }
+  /// Bytes held in map and reduce checkpoint deltas not yet written. Zero
+  /// whenever checkpoints are off (no delta is kept) and once every task
+  /// and partition has flushed its tail.
+  [[nodiscard]] size_t pending_delta_bytes() const noexcept;
   /// TEST-ONLY: drop a stage's retained state so the next run_stage() call
   /// re-executes it from scratch. This is the iteration-reuse mutation hook
   /// (FtJobOptions::testing_break_iteration_reuse); never call it outside
@@ -308,9 +312,9 @@ class FtJob {
   /// budget shared across this rank's owned partitions).
   mr::SpillableKvBuffer& partition_store(StageState& st, int stage, int p);
   /// Decode an alltoall receive buffer and absorb its blocks into the
-  /// owned-partition spill stores; `pairs_received` accumulates the record
-  /// count for the shuffle tap.
-  Status absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv,
+  /// owned-partition spill stores, freeing the buffer on return;
+  /// `pairs_received` accumulates the record count for the shuffle tap.
+  Status absorb_shuffle_blocks(StageState& st, int stage, Bytes&& recv,
                                size_t* pairs_received);
   /// Shuffle-end checkpoint of owned partition p (see DESIGN.md
   /// "Out-of-core KV" for the writer choice).

@@ -28,7 +28,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +48,24 @@ namespace ftmr::mr {
 // cannot drift apart.
 inline constexpr size_t kLenPrefixBytes = 4;    // one u32 length prefix
 inline constexpr size_t kCountHeaderBytes = 8;  // u64 record-count header
+
+/// Largest arena a KV or KMV buffer may hold. The wire and checkpoint
+/// formats carry every KV blob behind a u32 length, and the record indexes
+/// store 32-bit offsets on the strength of this bound. It applies to every
+/// buffer, also to those never shipped or checkpointed (an in-core convert
+/// input, a reduce output, map stores with checkpoints off), so no single
+/// in-core buffer holds more than 4 GiB.
+inline constexpr size_t kMaxArenaBytes = std::numeric_limits<uint32_t>::max();
+
+/// Narrow an arena size, offset or index to the 32-bit index type.
+/// Crossing kMaxArenaBytes is a hard failure (std::length_error), never a
+/// silent wrap.
+inline uint32_t checked_u32(size_t n) {
+  if (n > kMaxArenaBytes) {
+    throw std::length_error("kv buffer index exceeds the 4 GiB arena bound");
+  }
+  return static_cast<uint32_t>(n);
+}
 
 /// Zero-copy view of one record. Both views alias the buffer's arena; see
 /// the lifetime rule in the header comment.
@@ -75,14 +95,15 @@ class KvBuffer {
   void add(std::string_view key, std::string_view value) {
     reserve_header();
     const size_t payload = kPairOverhead + key.size() + value.size();
-    const size_t need = arena_.size() + payload;
+    const size_t need = checked_u32(arena_.size() + payload);
     // Grow once up front so the four appends below never reallocate (and,
     // unlike resize(), never zero-fill bytes that are about to be written).
     if (need > arena_.capacity()) {
       const size_t factor = payload >= kJumboPayloadBytes ? 8 : 2;
-      arena_.reserve(std::max(need, factor * arena_.capacity()));
+      arena_.reserve(std::min(kMaxArenaBytes,
+                              std::max(need, factor * arena_.capacity())));
     }
-    offsets_.push_back(arena_.size());
+    offsets_.push_back(static_cast<uint32_t>(arena_.size()));
     append_len(key.size());
     append_body(key);
     append_len(value.size());
@@ -105,7 +126,8 @@ class KvBuffer {
     const size_t end =
         i + 1 < src.offsets_.size() ? src.offsets_[i + 1] : src.arena_.size();
     reserve_header();
-    offsets_.push_back(arena_.size());
+    (void)checked_u32(arena_.size() + (end - beg));
+    offsets_.push_back(static_cast<uint32_t>(arena_.size()));
     arena_.insert(arena_.end(), src.arena_.begin() + static_cast<ptrdiff_t>(beg),
                   src.arena_.begin() + static_cast<ptrdiff_t>(end));
     bump_count();
@@ -155,6 +177,13 @@ class KvBuffer {
   void clear() noexcept {
     arena_.clear();
     offsets_.clear();
+  }
+
+  /// Release spare capacity, so a buffer nothing more will be appended to
+  /// (a sealed store) holds exactly its records.
+  void shrink_to_fit() {
+    arena_.shrink_to_fit();
+    offsets_.shrink_to_fit();
   }
 
   /// Zero-copy view of the full wire encoding ([u64 count][records...]).
@@ -211,13 +240,14 @@ class KvBuffer {
   void merge_from(const KvBuffer& other) {
     if (other.empty()) return;
     reserve_header();
-    const size_t base = arena_.size();
+    const uint32_t base = static_cast<uint32_t>(arena_.size());
+    (void)checked_u32(arena_.size() + other.bytes());
     arena_.insert(arena_.end(),
                   other.arena_.begin() + static_cast<ptrdiff_t>(kCountHeaderBytes),
                   other.arena_.end());
     offsets_.reserve(offsets_.size() + other.offsets_.size());
-    for (size_t off : other.offsets_) {
-      offsets_.push_back(base + (off - kCountHeaderBytes));
+    for (uint32_t off : other.offsets_) {
+      offsets_.push_back(base + (off - static_cast<uint32_t>(kCountHeaderBytes)));
     }
     bump_count();
   }
@@ -267,12 +297,16 @@ class KvBuffer {
 
   /// Walk a wire image, bounds-checking every record, and fill `offsets`
   /// with the record start positions. Never reads out of bounds: corrupt
-  /// input yields kOutOfRange/kCorrupt, not UB.
+  /// input yields kOutOfRange/kCorrupt, not UB; an image over
+  /// kMaxArenaBytes is refused with kOutOfRange before any scan.
   static Status index_wire(std::span<const std::byte> wire,
-                           std::vector<size_t>& offsets) {
+                           std::vector<uint32_t>& offsets) {
     offsets.clear();
     if (wire.size() < kCountHeaderBytes) {
       return {ErrorCode::kOutOfRange, "kv wire: truncated count header"};
+    }
+    if (wire.size() > kMaxArenaBytes) {
+      return {ErrorCode::kOutOfRange, "kv wire: image exceeds the 4 GiB bound"};
     }
     uint64_t n = 0;
     std::memcpy(&n, wire.data(), kCountHeaderBytes);
@@ -286,7 +320,7 @@ class KvBuffer {
     uint64_t off = kCountHeaderBytes;
     const uint64_t total = wire.size();
     for (uint64_t i = 0; i < n; ++i) {
-      offsets.push_back(static_cast<size_t>(off));
+      offsets.push_back(static_cast<uint32_t>(off));
       for (int part = 0; part < 2; ++part) {  // key then value
         if (off + kLenPrefixBytes > total) {
           offsets.clear();
@@ -308,8 +342,10 @@ class KvBuffer {
     return Status::Ok();
   }
 
-  Bytes arena_;                  // [u64 count][wire records...]; empty if no pairs
-  std::vector<size_t> offsets_;  // record start offsets into arena_
+  Bytes arena_;  // [u64 count][wire records...]; empty if no pairs
+  // Record start offsets into arena_; 32 bits suffice because the arena
+  // never exceeds kMaxArenaBytes.
+  std::vector<uint32_t> offsets_;
 };
 
 class KmvBuffer;
@@ -344,13 +380,18 @@ class KmvBuffer {
   /// entry is complete at the next begin_entry() (or when the buffer is
   /// read). Values of one entry are contiguous in the value table.
   void begin_entry(std::string_view key) {
-    entries_.push_back({arena_.size(), static_cast<uint32_t>(key.size()),
-                        values_.size(), 0});
+    (void)checked_u32(arena_.size() + key.size());
+    entries_.push_back({static_cast<uint32_t>(arena_.size()),
+                        static_cast<uint32_t>(key.size()),
+                        static_cast<uint32_t>(values_.size()), 0});
     append_bytes(key);
     bytes_ += key.size() + kKeyOverhead;
   }
   void append_value(std::string_view v) {
-    values_.push_back({arena_.size(), static_cast<uint32_t>(v.size())});
+    (void)checked_u32(values_.size() + 1);
+    (void)checked_u32(arena_.size() + v.size());
+    values_.push_back({static_cast<uint32_t>(arena_.size()),
+                       static_cast<uint32_t>(v.size())});
     append_bytes(v);
     entries_.back().nvalues++;
     bytes_ += v.size() + kValueOverhead;
@@ -401,16 +442,20 @@ class KmvBuffer {
 
  private:
   friend class KmvView;
+  // 32-bit fields: the arena and the value table never exceed
+  // kMaxArenaBytes, which begin_entry/append_value enforce.
   struct EntryMeta {
-    size_t key_off;
+    uint32_t key_off;
     uint32_t key_len;
-    size_t first_value;
-    size_t nvalues;
+    uint32_t first_value;
+    uint32_t nvalues;
   };
   struct ValueRef {
-    size_t off;
+    uint32_t off;
     uint32_t len;
   };
+  static_assert(sizeof(EntryMeta) == 16, "KMV entry index must stay 16 B");
+  static_assert(sizeof(ValueRef) == 8, "KMV value index must stay 8 B");
 
   void append_bytes(std::string_view s) {
     if (s.empty()) return;

@@ -176,6 +176,13 @@ Status SpillableKvBuffer::absorb_pages(SpillableKvBuffer&& other) {
   return s;
 }
 
+void SpillableKvBuffer::shrink_to_fit() {
+  for (Page& p : pages_) {
+    if (!p.on_disk) p.mem.shrink_to_fit();
+  }
+  open_page_.shrink_to_fit();
+}
+
 size_t SpillableKvBuffer::spilled_page_count() const noexcept {
   size_t n = 0;
   for (const Page& p : pages_) n += p.on_disk ? 1 : 0;

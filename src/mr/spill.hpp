@@ -214,6 +214,11 @@ class SpillableKvBuffer {
   /// Drop all contents, including spilled pages.
   Status clear();
 
+  /// Seal the store: release the spare capacity of every resident page,
+  /// open page included, so it holds exactly its records. Appending later
+  /// is still allowed (it regrows).
+  void shrink_to_fit();
+
   /// Simulated spill I/O seconds accumulated since the last take (workers
   /// charge this to their virtual clock at phase boundaries).
   [[nodiscard]] double take_io_seconds() noexcept {

@@ -570,5 +570,52 @@ TEST(PagedCheckpoint, ByteIdenticalToInCoreWriter) {
   EXPECT_EQ(flat, paged);
 }
 
+TEST(PagedCheckpoint, EmptyAndJumboPartitionsMatchWholeFrame) {
+  // Both writers open the frame with the same header helper; the streamed
+  // file must equal the whole frame for an empty partition and for one
+  // whose jumbo (>= 2 KiB) values overflow a page on their own.
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::string, std::string>> records;
+  };
+  std::vector<Case> cases = {{"empty", {}}, {"jumbo", {}}};
+  for (int i = 0; i < 12; ++i) {
+    cases[1].records.emplace_back(
+        "k" + std::to_string(i),
+        std::string(i % 3 == 0 ? 2048 + 700 * static_cast<size_t>(i) : 5,
+                    static_cast<char>('a' + i)));
+  }
+  for (const Case& tc : cases) {
+    storage::TempDir tmp_a("ftmr-paged-a"), tmp_b("ftmr-paged-b");
+    storage::StorageOptions so_a, so_b;
+    so_a.root = tmp_a.path();
+    so_b.root = tmp_b.path();
+    storage::StorageSystem fs_a(so_a), fs_b(so_b);
+    Bytes flat, paged;
+    Runtime::run(1, [&](Comm& c) {
+      mr::KvBuffer kv;
+      mr::SpillableKvBuffer skv(&fs_b, 0, "spill/ckpt", /*page_bytes=*/1024,
+                                /*memory_budget=*/2048);
+      for (const auto& [k, v] : tc.records) {
+        kv.add(k, v);
+        ASSERT_TRUE(skv.add(k, v).ok());
+      }
+      CkptOptions o;
+      o.location = CkptOptions::Location::kLocalOnly;
+      CheckpointManager mgr_a(&fs_a, 0, 0, o, 1);
+      CheckpointManager mgr_b(&fs_b, 0, 0, o, 1);
+      ASSERT_TRUE(mgr_a.partition_ckpt(c, 0, 9, kv).ok());
+      ASSERT_TRUE(mgr_b.partition_ckpt_paged(c, 0, 9, skv).ok());
+      const std::string path = "ck/r0/part_s000_p000000000009_q000000";
+      ASSERT_TRUE(fs_a.read_file(storage::Tier::kLocal, 0, path, flat).ok());
+      ASSERT_TRUE(fs_b.read_file(storage::Tier::kLocal, 0, path, paged).ok());
+    });
+    ASSERT_FALSE(flat.empty()) << tc.name;
+    EXPECT_EQ(flat, paged) << tc.name;
+    Bytes payload;
+    EXPECT_TRUE(unframe_checkpoint(paged, payload).ok()) << tc.name;
+  }
+}
+
 }  // namespace
 }  // namespace ftmr::core

@@ -145,6 +145,26 @@ INSTANTIATE_TEST_SUITE_P(Modes, ModeSweep,
                                            FtMode::kDetectResumeWC,
                                            FtMode::kDetectResumeNWC));
 
+// Without checkpoints no map or reduce delta is ever written, so none may
+// be kept: a retained delta is a second copy of the rank's whole output.
+TEST(NoCheckpoints, MapAndReduceKeepNoDelta) {
+  for (FtMode mode : {FtMode::kNone, FtMode::kDetectResumeWC}) {
+    World w;
+    FtJobOptions opts = base_opts(mode);
+    opts.ckpt.enabled = false;
+    std::atomic<size_t> held{0};
+    JobResult r = Runtime::run(4, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), opts);
+      Status s = job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      held += job.pending_delta_bytes();
+    });
+    EXPECT_EQ(r.finished_count(), 4);
+    EXPECT_EQ(held.load(), 0u) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(w.read_output(), w.expected);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Baseline (kNone): a failure kills the whole job
 // ---------------------------------------------------------------------------

@@ -84,6 +84,66 @@ TEST(CkptFrame, RejectsUnknownVersionAndTrailingGarbage) {
   EXPECT_EQ(unframe_checkpoint(longer, out).code(), ErrorCode::kCorrupt);
 }
 
+TEST(CkptFrame, IsOneExactSizeAllocation) {
+  // Frames are held for the whole job (local write, memory replicas), so
+  // they must carry no spare capacity.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{31}, size_t{4096}, size_t{70001}}) {
+    const Bytes payload(n, std::byte{0x5A});
+    const Bytes framed = frame_checkpoint(payload);
+    EXPECT_EQ(framed.size(), n + kCkptFrameOverhead);
+    EXPECT_EQ(framed.capacity(), framed.size()) << "payload " << n;
+  }
+}
+
+TEST(CkptFrame, KindFramesMatchPayloadThenFrameLayout) {
+  // Every checkpoint kind frames its fixed fields and KV wire image in one
+  // pass; the file must be byte-identical to framing a separately built
+  // payload, which is the layout every reader (and every older file) has.
+  storage::TempDir tmp("ftmr-integrity-layout");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  mr::KvBuffer kv;
+  kv.add("alpha", "1");
+  kv.add("jumbo", std::string(3000, 'j'));
+  kv.add("", "");
+  const mr::KvBuffer empty;
+  Runtime::run(1, [&](Comm& c) {
+    CkptOptions o;
+    o.location = CkptOptions::Location::kLocalOnly;
+    CheckpointManager cm(&fs, 0, 0, o, 1);
+    ASSERT_TRUE(cm.map_ckpt(c, 2, 7, 10, 42, kv).ok());
+    ASSERT_TRUE(cm.partition_ckpt(c, 2, 5, kv).ok());
+    ASSERT_TRUE(cm.reduce_ckpt(c, 2, 5, 3, 9, kv).ok());
+    ASSERT_TRUE(cm.stage_output_ckpt(c, 2, 5, empty).ok());
+  });
+  auto expect_file = [&](const std::string& name, const ByteWriter& payload) {
+    Bytes file;
+    ASSERT_TRUE(fs.read_file(storage::Tier::kLocal, 0, "ck/r0/" + name, file).ok());
+    EXPECT_EQ(file, frame_checkpoint(payload.bytes())) << name;
+  };
+  ByteWriter map;
+  map.put<uint64_t>(7);
+  map.put<uint64_t>(10);
+  map.put<uint64_t>(42);
+  map.put_blob(kv.wire_view());
+  expect_file("map_s002_p000000000007_q000000", map);
+  ByteWriter part;
+  part.put<int32_t>(5);
+  part.put_blob(kv.wire_view());
+  expect_file("part_s002_p000000000005_q000001", part);
+  ByteWriter red;
+  red.put<int32_t>(5);
+  red.put<uint64_t>(3);
+  red.put<uint64_t>(9);
+  red.put_blob(kv.wire_view());
+  expect_file("red_s002_p000000000005_q000002", red);
+  ByteWriter out;
+  out.put<int32_t>(5);
+  out.put_blob(empty.wire_view());
+  expect_file("out_s002_p000000000005_q000003", out);
+}
+
 // ---------------------------------------------------------------------------
 // Storage fault injector
 // ---------------------------------------------------------------------------

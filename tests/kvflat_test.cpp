@@ -4,7 +4,9 @@
 // (every corruption must come back as kCorrupt/kOutOfRange, never UB).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,6 +204,106 @@ TEST(KmvFlat, StreamingBuilderAndSort) {
                           + 3 * KmvBuffer::kKeyOverhead + 5  // "alpha" key
                           + 4 * KmvBuffer::kValueOverhead;
   EXPECT_EQ(kmv.bytes(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Compact 32-bit index: offsets, entry and value references stay exact for
+// large values, across merges, and through a many-entry KMV sort. (The 16 B
+// EntryMeta / 8 B ValueRef sizes are static_asserts in mr/kv.hpp.)
+// ---------------------------------------------------------------------------
+
+TEST(KvFlat, JumboValuesRoundTripThroughWire) {
+  // Values at, just under and far over the 2 KiB jumbo threshold, between
+  // small records, so the index spans both arena growth classes.
+  RefPairs ref;
+  for (size_t vlen : {KvBuffer::kJumboPayloadBytes - 1, KvBuffer::kJumboPayloadBytes,
+                      size_t{5000}, size_t{3}, size_t{200000}, size_t{0}}) {
+    ref.emplace_back("k" + std::to_string(vlen), std::string(vlen, 'j'));
+    ref.emplace_back("s", "v");
+  }
+  const KvBuffer kv = build(ref);
+  expect_matches(kv, ref);
+
+  KvBuffer copied;
+  ASSERT_TRUE(KvBuffer::deserialize(kv.wire_view(), copied).ok());
+  expect_matches(copied, ref);
+  KvBuffer adopted;
+  ASSERT_TRUE(adopted.adopt(kv.serialize()).ok());
+  expect_matches(adopted, ref);
+  EXPECT_EQ(adopted, kv);
+}
+
+TEST(KvFlat, MergeRebasesOffsetsAcrossBuffers) {
+  // Several sources of different sizes (one empty, one with a jumbo value)
+  // merged onto a non-empty base: every merged offset must be rebased from
+  // its source arena into the destination's.
+  RefPairs all = random_workload(test_seed(0x20), 40);
+  KvBuffer merged = build(all);
+  for (uint64_t part = 0; part < 6; ++part) {
+    RefPairs piece = part == 2 ? RefPairs{}
+                               : random_workload(test_seed(0x21 + part), 5 + 9 * part);
+    if (part == 4) piece.emplace_back("jumbo", std::string(9000, 'z'));
+    merged.merge_from(build(piece));
+    all.insert(all.end(), piece.begin(), piece.end());
+    expect_matches(merged, all);
+  }
+  // The merged index forwards record by record into a byte-identical copy,
+  // and survives a sealing shrink untouched.
+  KvBuffer fwd;
+  for (size_t i = 0; i < merged.size(); ++i) fwd.append_record_from(merged, i);
+  EXPECT_EQ(fwd, merged);
+  merged.shrink_to_fit();
+  expect_matches(merged, all);
+}
+
+TEST(KmvFlat, SortAndValuesOfOverManyEntries) {
+  // Thousands of entries built in scrambled key order with varying value
+  // counts (zero, jumbo and empty values included); after the sort every
+  // entry's values_of must still address its own value range.
+  Rng rng(test_seed(0x30));
+  std::map<std::string, std::vector<std::string>> ref;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4000; ++i) keys.push_back("key" + std::to_string(i * 7919 % 4001));
+  KmvBuffer kmv;
+  for (const std::string& k : keys) {
+    kmv.begin_entry(k);
+    std::vector<std::string>& vals = ref[k];
+    const uint64_t n = rng.next_below(5);
+    for (uint64_t v = 0; v < n; ++v) {
+      const size_t len = rng.next_below(50) == 0 ? 2048 + rng.next_below(4096)
+                                                 : rng.next_below(6);
+      vals.push_back(random_blob(rng, len));
+      kmv.append_value(vals.back());
+    }
+  }
+  kmv.sort_by_key();
+  ASSERT_EQ(kmv.size(), ref.size());
+  std::vector<std::string_view> scratch;
+  size_t i = 0;
+  for (const auto& [k, vals] : ref) {  // std::map iterates in key order
+    ASSERT_EQ(kmv.entry(i).key(), k) << "entry " << i;
+    kmv.values_of(i, scratch);
+    ASSERT_EQ(scratch.size(), vals.size()) << k;
+    ASSERT_EQ(kmv.entry(i).size(), vals.size()) << k;
+    for (size_t v = 0; v < vals.size(); ++v) {
+      EXPECT_EQ(scratch[v], vals[v]) << k << " value " << v;
+      EXPECT_EQ(kmv.entry(i).value(v), vals[v]) << k << " value " << v;
+    }
+    ++i;
+  }
+}
+
+TEST(KvFlat, ArenaBoundIsAHardFailure) {
+  // The 32-bit index is sound because no arena may pass the u32 length the
+  // wire carries. Every append path narrows through checked_u32, so the
+  // guard is exercised directly here instead of by allocating 4 GiB.
+  using ftmr::mr::checked_u32;
+  using ftmr::mr::kMaxArenaBytes;
+  static_assert(kMaxArenaBytes == (size_t{1} << 32) - 1);
+  EXPECT_EQ(checked_u32(0), 0u);
+  EXPECT_EQ(checked_u32(kMaxArenaBytes), 0xFFFFFFFFu);
+  EXPECT_THROW((void)checked_u32(kMaxArenaBytes + 1), std::length_error);
+  EXPECT_THROW((void)checked_u32(size_t{1} << 40), std::length_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -367,6 +367,40 @@ TEST_F(ReplicaCkptFixture, CheckpointWriteReplicatesAndRecoveryHitsMemory) {
   });
 }
 
+TEST_F(ReplicaCkptFixture, EveryHolderSharesOneExactSizeBlob) {
+  // A replica lives in peer RAM for the whole job: each kind's frame is one
+  // allocation of exactly its size, shared (not copied) by all k holders.
+  Runtime::run(4, [&](Comm& c) {
+    CkptOptions o;
+    o.memory_replication_k = 2;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
+    if (c.rank() == 0) {
+      const mr::KvBuffer data = kv({{"k", "v"}, {"word", "12345"}});
+      ASSERT_TRUE(cm.map_ckpt(c, 0, 1, 0, 2, data).ok());
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, data).ok());
+      ASSERT_TRUE(cm.reduce_ckpt(c, 0, 3, 0, 2, data).ok());
+      ASSERT_TRUE(cm.stage_output_ckpt(c, 0, 3, data).ok());
+      const auto paths = fs->memory().all_paths();
+      ASSERT_EQ(paths.size(), 4u);
+      for (const std::string& mpath : paths) {
+        const auto holders = fs->memory().holders_of(mpath);
+        ASSERT_EQ(holders.size(), 2u) << mpath;
+        std::shared_ptr<const Bytes> first;
+        for (int h : holders) {
+          std::shared_ptr<const Bytes> b;
+          ASSERT_TRUE(fs->memory().get(h, mpath, b).ok());
+          EXPECT_EQ(b->capacity(), b->size()) << mpath << " at holder " << h;
+          Bytes payload;
+          EXPECT_TRUE(core::unframe_checkpoint(*b, payload).ok()) << mpath;
+          if (!first) first = b;
+          EXPECT_EQ(b.get(), first.get()) << mpath << " copied, not shared";
+        }
+      }
+    }
+    ASSERT_TRUE(c.barrier().ok());
+  });
+}
+
 TEST_F(ReplicaCkptFixture, CorruptedReplicasFallBackToFileTiers) {
   Runtime::run(4, [&](Comm& c) {
     CkptOptions o;
