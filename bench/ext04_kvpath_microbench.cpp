@@ -203,8 +203,9 @@ RunResult run_flat(const Workload& w) {
   const size_t kv_bytes = kv.bytes();
 
   std::vector<mr::KvBuffer> parts = mr::partition_by_key(kv, kParts);
-  // The exchange, as shuffle_partitions performs it: every wire image is
-  // adopted zero-copy, the totals reserve the merge target once.
+  // An in-process stand-in for the exchange (no framing, no alltoall):
+  // every wire image is adopted zero-copy, the totals reserve the merge
+  // target once.
   mr::KvBuffer received;
   std::vector<mr::KvBuffer> got(parts.size());
   size_t total_pairs = 0;

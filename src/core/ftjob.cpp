@@ -342,25 +342,6 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
 
 namespace {
 
-/// Encode a set of (partition, KvBuffer) blocks destined to one rank, in
-/// one allocation of exactly the message size (the receiver holds it until
-/// its blocks are absorbed).
-Bytes encode_blocks(const std::vector<std::pair<int, const mr::KvBuffer*>>& blocks) {
-  size_t size = sizeof(uint32_t);
-  for (const auto& [p, kv] : blocks) {
-    size += sizeof(int32_t) + sizeof(uint32_t) + kv->wire_view().size();
-  }
-  Bytes buf;
-  buf.reserve(size);
-  ByteWriter w(std::move(buf));
-  w.put<uint32_t>(static_cast<uint32_t>(blocks.size()));
-  for (const auto& [p, kv] : blocks) {
-    w.put<int32_t>(p);
-    w.put_blob(kv->wire_view());  // the arena IS the wire image
-  }
-  return std::move(w).take();
-}
-
 /// Apply a combiner to a KV block: group by key (deterministic order) and
 /// feed each group through the combine function.
 mr::KvBuffer combine_block(const mr::KvBuffer& in,
@@ -434,23 +415,8 @@ mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) 
   return it->second;
 }
 
-Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, Bytes&& recv,
-                                    size_t* pairs_received) {
-  // Owned here, so the message is freed as soon as its blocks are absorbed.
-  const Bytes msg = std::move(recv);
-  if (msg.empty()) return Status::Ok();
-  ByteReader r(msg);
-  uint32_t n = 0;
-  if (auto s = r.get(n); !s.ok()) return s;
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t p = 0;
-    Bytes blob;
-    if (auto s = r.get(p); !s.ok()) return s;
-    if (auto s = r.get_blob(blob); !s.ok()) return s;
-    mr::KvBuffer kv;
-    if (auto s = kv.adopt(std::move(blob)); !s.ok()) return s;
-    if (kv.empty()) continue;
-    if (pairs_received) *pairs_received += kv.size();
+mr::ExchangeDeliver FtJob::into_partitions(StageState& st, int stage) {
+  return [this, &st, stage](int, int p, mr::KvBuffer&& kv) {
     if (auto s = partition_store(st, stage, p).append_page(std::move(kv));
         !s.ok()) {
       // The spill layer keeps a page it could not write resident (over
@@ -458,8 +424,8 @@ Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, Bytes&& recv,
       FTMR_WARN << "rank " << world_.global_rank() << " partition " << p
                 << " spill degraded to resident: " << s.to_string();
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  };
 }
 
 Status FtJob::checkpoint_partition(StageState& st, int stage, int p) {
@@ -487,101 +453,84 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   st.partitions.clear();
 
   // Budget-bounded rounds: each round assembles at most round_budget bytes
-  // of outgoing pages from the per-partition cursors, combines, exchanges,
-  // absorbs into paged stores, and the ranks agree (max-reduce) on whether
-  // anyone still holds unsent pages. Without a budget the single round is
-  // unbounded, so every rank knows it sent everything and skips the vote.
-  constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+  // of outgoing pages from the per-partition cursors and combines them;
+  // mr::exchange absorbs the receives into paged stores and lets the ranks
+  // agree on whether anyone still holds unsent pages. Without a budget the
+  // single round is unbounded and skips the vote.
+  const bool bounded = opts_.memory_budget > 0;
   const size_t round_budget =
-      opts_.memory_budget > 0
-          ? std::max(opts_.spill_page_bytes, opts_.memory_budget / 2)
-          : kUnbounded;
-  std::map<int, size_t> cursor;  // partition -> next unsent page
-  size_t received_total = 0;
-  for (;;) {
-    const double c0 = wc_.now();
-    // The round's outgoing block per partition. The unbounded round sends
-    // each never-spilling store's in-core buffer by view; otherwise pages
-    // are assembled (copied) into `chunks` and sent from there.
-    std::map<int, const mr::KvBuffer*> blocks;
+      bounded ? std::max(opts_.spill_page_bytes, opts_.memory_budget / 2)
+              : std::numeric_limits<size_t>::max();
+  mr::ShuffleStats stats;
+  {
+    std::map<int, size_t> cursor;  // partition -> next unsent page
+    // The round's assembled (copied) or combined blocks. The unbounded
+    // round sends each never-spilling store's in-core buffer by view.
     std::map<int, mr::KvBuffer> chunks;
-    size_t assembled = 0;
-    for (auto& [p, store] : st.map_output) {
-      const mr::KvBuffer* whole = store.in_core();
-      if (round_budget == kUnbounded && whole != nullptr) {
-        if (!whole->empty()) blocks[p] = whole;
-        continue;
+    const auto fill = [&](std::vector<mr::ExchangeRow>& rows,
+                          bool& more) -> Status {
+      chunks.clear();
+      std::map<int, const mr::KvBuffer*> blocks;
+      size_t assembled = 0;
+      for (auto& [p, store] : st.map_output) {
+        const mr::KvBuffer* whole = store.in_core();
+        if (!bounded && whole != nullptr) {
+          if (!whole->empty()) blocks[p] = whole;
+          continue;
+        }
+        size_t& cur = cursor[p];
+        const size_t npages = store.page_count();
+        mr::KvBuffer page;
+        while (cur < npages && assembled < round_budget) {
+          if (auto s = store.read_page(cur, page); !s.ok()) return s;
+          assembled += page.bytes();
+          chunks[p].absorb(std::move(page));
+          ++cur;
+        }
+        if (assembled >= round_budget) break;
       }
-      size_t& cur = cursor[p];
-      const size_t npages = store.page_count();
-      mr::KvBuffer page;
-      while (cur < npages && assembled < round_budget) {
-        if (auto s = store.read_page(cur, page); !s.ok()) return s;
-        assembled += page.bytes();
-        chunks[p].absorb(std::move(page));
-        ++cur;
-      }
-      if (assembled >= round_budget) break;
-    }
-    for (auto& [p, kv] : chunks) blocks[p] = &kv;
-    if (fns.combine) {
-      // Pre-aggregate each block before the wire. Combining a partition's
-      // round is a valid partial aggregation: the owner's convert regroups
-      // across rounds, and combine/reduce are associative by contract.
-      for (auto& [p, kv] : blocks) {
-        const size_t before = kv->bytes();
-        mr::KvBuffer& combined = chunks[p];
-        combined = combine_block(*kv, fns);
-        kv = &combined;
-        if (before > kv->bytes()) {
-          times_.charge("combine_saved_bytes",
-                        static_cast<double>(before - kv->bytes()));
+      for (auto& [p, kv] : chunks) blocks[p] = &kv;
+      if (fns.combine) {
+        // Pre-aggregate each block before the wire. Combining a partition's
+        // round is a valid partial aggregation: the owner's convert
+        // regroups across rounds, and combine/reduce are associative by
+        // contract.
+        for (auto& [p, kv] : blocks) {
+          const size_t before = kv->bytes();
+          mr::KvBuffer& combined = chunks[p];
+          combined = combine_block(*kv, fns);
+          kv = &combined;
+          if (before > kv->bytes()) {
+            times_.charge("combine_saved_bytes",
+                          static_cast<double>(before - kv->bytes()));
+          }
         }
       }
-    }
-    std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-        static_cast<size_t>(wc_.size()));
-    for (const auto& [p, kv] : blocks) {
-      const int rel = owner_rel(p);
-      if (rel < 0) {
-        return check({ErrorCode::kProcFailed, "partition owner died mid-shuffle"});
+      for (const auto& [p, kv] : blocks) {
+        const int rel = owner_rel(p);
+        if (rel < 0) {
+          return {ErrorCode::kProcFailed, "partition owner died mid-shuffle"};
+        }
+        rows[static_cast<size_t>(rel)].push_back({p, kv});
+        mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv->size());
       }
-      by_dest[static_cast<size_t>(rel)].push_back({p, kv});
-      mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv->size());
-    }
-    std::vector<Bytes> send(by_dest.size());
-    for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
-    trace_.span("shuffle.census", "shuffle", c0, wc_.now());
-
-    const double a0 = wc_.now();
-    std::vector<Bytes> recv;
-    if (auto s = check(wc_.alltoall(std::move(send), recv)); !s.ok()) return s;
-    trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-    const double d0 = wc_.now();
-    for (Bytes& b : recv) {
-      if (auto s = absorb_shuffle_blocks(st, stage, std::move(b), &received_total);
-          !s.ok()) {
-        return s;
+      if (!bounded) return Status::Ok();  // the one round: `more` is unread
+      for (auto& [p, store] : st.map_output) {
+        if (cursor[p] < store.page_count()) {
+          more = true;
+          break;
+        }
       }
-    }
-    trace_.span("shuffle.adopt", "shuffle", d0, wc_.now());
-    if (round_budget == kUnbounded) break;
-
-    int64_t more = 0;
-    for (auto& [p, store] : st.map_output) {
-      if (cursor[p] < store.page_count()) {
-        more = 1;
-        break;
-      }
-    }
-    int64_t any_more = 0;
-    if (auto s = check(wc_.allreduce_one(simmpi::ReduceOp::kMax, more, any_more));
+      return Status::Ok();
+    };
+    if (auto s = check(mr::exchange(wc_, bounded, fill,
+                                    into_partitions(st, stage), &stats, &trace_));
         !s.ok()) {
       return s;
     }
-    if (any_more == 0) break;
   }
-  mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received_total);
+  mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(),
+                  stats.pairs_received);
   // The partition stores are sealed: nothing more arrives, and they hold
   // their records until the convert consumes them.
   for (auto& [p, store] : st.partitions) store.shrink_to_fit();
@@ -621,43 +570,13 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
                                         const std::vector<int>& missing) {
   const double t0 = wc_.now();
   // Survivors re-exchange only the orphaned partitions, rebuilt from their
-  // retained (and patch-up re-executed) map outputs. `missing` is the
-  // allgathered union, so every rank participates in the same exchange.
-  // Orphans are a small subset of P0, so materializing just their blocks
-  // keeps residency near the budget.
-  std::map<int, mr::KvBuffer> merged;
-  for (int p : missing) {
-    mr::KvBuffer& block = merged[p];
-    auto it = st.map_output.find(p);
-    if (it == st.map_output.end()) continue;
-    if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
-          block.merge_from(page);
-          return Status::Ok();
-        });
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (fns.combine) {
-    for (int p : missing) merged[p] = combine_block(merged[p], fns);
-  }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p : missing) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "orphan partition owner died"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[p]});
-  }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
-  const double a0 = wc_.now();
-  std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(std::move(send), recv)); !s.ok()) return s;
-  trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  // Replace (idempotent under retry) and restart each rebuilt partition's
-  // reduce.
+  // retained (and patch-up re-executed) map outputs, in one unbounded
+  // round. `missing` is the allgathered union, so every rank participates
+  // in the same exchange. Orphans are a small subset of P0, so
+  // materializing just their blocks keeps residency near the budget.
+  // Each rebuilt partition replaces what this rank held (idempotent under
+  // retry: it stays in partitions_missing until the rebuild completes) and
+  // restarts its reduce.
   const int me = world_.global_rank();
   std::vector<int> mine;
   for (int p : missing) {
@@ -666,8 +585,34 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
     st.partitions.erase(p);
     st.reduce.erase(p);
   }
-  for (Bytes& b : recv) {
-    if (auto s = absorb_shuffle_blocks(st, stage, std::move(b), nullptr); !s.ok()) {
+  {
+    std::map<int, mr::KvBuffer> merged;
+    const auto fill = [&](std::vector<mr::ExchangeRow>& rows, bool&) -> Status {
+      for (int p : missing) {
+        mr::KvBuffer& block = merged[p];
+        auto it = st.map_output.find(p);
+        if (it == st.map_output.end()) continue;
+        if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
+              block.merge_from(page);
+              return Status::Ok();
+            });
+            !s.ok()) {
+          return s;
+        }
+      }
+      if (fns.combine) {
+        for (int p : missing) merged[p] = combine_block(merged[p], fns);
+      }
+      for (int p : missing) {
+        const int rel = owner_rel(p);
+        if (rel < 0) return {ErrorCode::kProcFailed, "orphan partition owner died"};
+        rows[static_cast<size_t>(rel)].push_back({p, &merged[p]});
+      }
+      return Status::Ok();
+    };
+    if (auto s = check(mr::exchange(wc_, /*bounded=*/false, fill,
+                                    into_partitions(st, stage), nullptr, &trace_));
+        !s.ok()) {
       return s;
     }
   }
@@ -1194,14 +1139,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
           if (rit->second.pos <= tp.pos) continue;   // already have newer
           tp.pos = rit->second.pos;
           tp.last_ckpt_pos = tp.pos;
-          tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
-          if (!opts_.testing_break_recovery) {
-            const mr::KvBuffer& rkv = rit->second.kv;
-            for (size_t i = 0; i < rkv.size(); ++i) {
-              tp.parts[static_cast<size_t>(partition_of_key(rkv.view(i).key, p0_))]
-                  .append_record_from(rkv, i);
-            }
-          }
+          adopt_map_kv(tp, rit->second.kv);
           tp.pending_delta.clear();
         }
       } else {  // kPhaseShuffleDone: adopt partition + reduce progress
@@ -1227,25 +1165,40 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
             }
             continue;
           }
-          st.partitions.erase(p);
-          if (auto as = partition_store(st, sid, p)
-                            .absorb_kv(std::move(pit->second));
-              !as.ok()) {
-            FTMR_WARN << "rank " << world_.global_rank()
-                      << " adopted partition " << p
-                      << " spill degraded to resident: " << as.to_string();
-          }
+          adopt_partition(st, sid, p, std::move(pit->second));
           auto rrit = rec.reduce.find(p);
           if (rrit != rec.reduce.end()) {
-            ReduceProgress& rp = st.reduce[p];
-            rp.entries_done = rrit->second.entries_done;
-            rp.last_ckpt_entries = rp.entries_done;
-            rp.out = std::move(rrit->second.out);
+            adopt_reduce(st, p, std::move(rrit->second));
           }
         }
       }
     }
   }
+}
+
+void FtJob::adopt_map_kv(TaskProgress& tp, const mr::KvBuffer& kv) const {
+  tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
+  if (opts_.testing_break_recovery) return;  // drop the KV, keep the cursor
+  for (size_t i = 0; i < kv.size(); ++i) {
+    tp.parts[static_cast<size_t>(partition_of_key(kv.view(i).key, p0_))]
+        .append_record_from(kv, i);
+  }
+}
+
+void FtJob::adopt_partition(StageState& st, int stage, int p,
+                            mr::KvBuffer&& kv) {
+  st.partitions.erase(p);
+  if (auto s = partition_store(st, stage, p).absorb_kv(std::move(kv)); !s.ok()) {
+    FTMR_WARN << "rank " << world_.global_rank() << " recovered partition "
+              << p << " spill degraded to resident: " << s.to_string();
+  }
+}
+
+void FtJob::adopt_reduce(StageState& st, int p, RankRecovery::Reduce&& rec) {
+  ReduceProgress& rp = st.reduce[p];
+  rp.entries_done = rec.entries_done;
+  rp.last_ckpt_entries = rec.entries_done;
+  rp.out = std::move(rec.out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1335,28 +1288,13 @@ void FtJob::prime_from_own_checkpoints() {
       TaskProgress& tp = st.tasks[t];
       tp.pos = mrec.pos;
       tp.last_ckpt_pos = mrec.pos;
-      tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
-      if (opts_.testing_break_recovery) continue;  // drop the KV, keep the cursor
-      for (size_t i = 0; i < mrec.kv.size(); ++i) {
-        tp.parts[static_cast<size_t>(partition_of_key(mrec.kv.view(i).key, p0_))]
-            .append_record_from(mrec.kv, i);
-      }
+      adopt_map_kv(tp, mrec.kv);
     }
     if (st.phase >= kPhaseShuffleDone) {
       for (auto& [p, kv] : rec.partitions) {
-        st.partitions.erase(p);
-        if (auto as = partition_store(st, sid, p).absorb_kv(std::move(kv));
-            !as.ok()) {
-          FTMR_WARN << "rank " << world_.global_rank() << " primed partition "
-                    << p << " spill degraded to resident: " << as.to_string();
-        }
+        adopt_partition(st, sid, p, std::move(kv));
       }
-      for (auto& [p, rrec] : rec.reduce) {
-        ReduceProgress& rp = st.reduce[p];
-        rp.entries_done = rrec.entries_done;
-        rp.last_ckpt_entries = rrec.entries_done;
-        rp.out = std::move(rrec.out);
-      }
+      for (auto& [p, rrec] : rec.reduce) adopt_reduce(st, p, std::move(rrec));
     }
   }
   primed_from_ckpt_ = !stages_.empty();

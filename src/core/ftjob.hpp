@@ -40,6 +40,7 @@
 #include "core/master.hpp"
 #include "mr/convert.hpp"
 #include "mr/kv.hpp"
+#include "mr/shuffle.hpp"
 #include "simmpi/comm.hpp"
 #include "storage/storage.hpp"
 
@@ -311,17 +312,23 @@ class FtJob {
   /// The stage's spill store for owned partition p (created on first use,
   /// budget shared across this rank's owned partitions).
   mr::SpillableKvBuffer& partition_store(StageState& st, int stage, int p);
-  /// Decode an alltoall receive buffer and absorb its blocks into the
-  /// owned-partition spill stores, freeing the buffer on return;
-  /// `pairs_received` accumulates the record count for the shuffle tap.
-  Status absorb_shuffle_blocks(StageState& st, int stage, Bytes&& recv,
-                               size_t* pairs_received);
+  /// The exchange delivery both shuffle paths use: each received block is
+  /// appended as a page to its owned-partition spill store.
+  mr::ExchangeDeliver into_partitions(StageState& st, int stage);
   /// Shuffle-end checkpoint of owned partition p (see DESIGN.md
   /// "Out-of-core KV" for the writer choice).
   Status checkpoint_partition(StageState& st, int stage, int p);
   void recover();
   void patch_state_after_shrink(const std::vector<int>& new_dead);
   void prime_from_own_checkpoints();
+  // Adoption of recovered checkpoint state, shared by work-conserving
+  // recovery and checkpoint/restart priming (the callers decide what to
+  // adopt). adopt_map_kv splits a recovered map task's KV into its P0
+  // partitions; under testing_break_recovery it drops the KV and leaves
+  // the parts empty.
+  void adopt_map_kv(TaskProgress& tp, const mr::KvBuffer& kv) const;
+  void adopt_partition(StageState& st, int stage, int p, mr::KvBuffer&& kv);
+  static void adopt_reduce(StageState& st, int p, RankRecovery::Reduce&& rec);
   [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
   [[nodiscard]] std::string chunk_name(uint64_t task) const;
   [[nodiscard]] int owner_rel(int partition) const;  // rel rank on wc_

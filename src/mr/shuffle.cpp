@@ -1,6 +1,7 @@
 #include "mr/shuffle.hpp"
 
 #include <limits>
+#include <span>
 #include <string>
 
 #include "common/hash.hpp"
@@ -37,56 +38,93 @@ std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts) {
   return parts;
 }
 
-Status shuffle(simmpi::Comm& comm, const KvBuffer& in, KvBuffer& out,
-               ShuffleStats* stats, metrics::TraceRecorder* trace) {
-  const double c0 = comm.now();
-  std::vector<KvBuffer> parts = partition_by_key(in, comm.size());
-  if (trace) trace->span("shuffle.census", "shuffle", c0, comm.now());
-  return shuffle_partitions(comm, std::move(parts), out, stats, trace);
+Bytes frame_row(const ExchangeRow& row) {
+  size_t size = sizeof(uint32_t);
+  for (const auto& [p, kv] : row) {
+    size += sizeof(int32_t) + sizeof(uint32_t) + kv->wire_view().size();
+  }
+  Bytes buf;
+  buf.reserve(size);
+  ByteWriter w(std::move(buf));
+  w.put<uint32_t>(static_cast<uint32_t>(row.size()));
+  for (const auto& [p, kv] : row) {
+    w.put<int32_t>(p);
+    w.put_blob(kv->wire_view());  // the arena IS the wire image
+  }
+  return std::move(w).take();
 }
 
-Status shuffle_partitions(simmpi::Comm& comm, std::vector<KvBuffer> parts,
-                          KvBuffer& out, ShuffleStats* stats,
-                          metrics::TraceRecorder* trace) {
-  std::vector<Bytes> send(parts.size());
-  ShuffleStats st;
-  for (size_t j = 0; j < parts.size(); ++j) {
-    st.pairs_sent += parts[j].size();
-    // The partition arena IS the wire image: move it out, no re-encoding.
-    send[j] = std::move(parts[j]).take_wire();
-    st.bytes_sent += send[j].size();
+Status deliver_row(int sender, const Bytes& row, const ExchangeDeliver& deliver,
+                   ShuffleStats* stats) {
+  // Every block is validated and copied out before the first delivery, so
+  // a damaged row leaves the receiver untouched.
+  ByteReader r(row);
+  uint32_t n = 0;
+  if (auto s = r.get(n); !s.ok()) return s;
+  std::vector<std::pair<int, KvBuffer>> blocks;
+  for (uint32_t i = 0; i < n; ++i) {
+    int32_t p = 0;
+    uint32_t len = 0;
+    std::span<const std::byte> wire;
+    if (auto s = r.get(p); !s.ok()) return s;
+    if (auto s = r.get(len); !s.ok()) return s;
+    if (auto s = r.get_view(len, wire); !s.ok()) return s;
+    KvBuffer kv;
+    if (auto s = KvBuffer::deserialize(wire, kv); !s.ok()) return s;
+    if (!kv.empty()) blocks.emplace_back(p, std::move(kv));
   }
-  const double a0 = comm.now();
-  std::vector<Bytes> recv;
-  if (auto s = comm.alltoall(std::move(send), recv); !s.ok()) return s;
-  if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
-  const double d0 = comm.now();
-  out.clear();
-  // Validating adoption of every received block first: zero-copy, and it
-  // yields exact totals so the merge below reserves once.
-  std::vector<KvBuffer> got(recv.size());
-  size_t total_pairs = 0;
-  size_t total_bytes = 0;
-  for (size_t j = 0; j < recv.size(); ++j) {
-    st.bytes_received += recv[j].size();
-    if (auto s = got[j].adopt(std::move(recv[j])); !s.ok()) return s;
-    st.pairs_received += got[j].size();
-    total_pairs += got[j].size();
-    total_bytes += got[j].bytes();
+  if (!r.exhausted()) {
+    return {ErrorCode::kCorrupt, "exchange: trailing bytes after the row's blocks"};
   }
-  for (size_t j = 0; j < got.size(); ++j) {
-    out.absorb(std::move(got[j]));
-    if (j == 0) {
-      // First block moved in wholesale; grow the arena once for the
-      // remaining merges (rank order is preserved for determinism).
-      out.reserve_records(total_pairs - out.size(), total_bytes - out.bytes());
-    }
+  for (auto& [p, kv] : blocks) {
+    if (stats) stats->pairs_received += kv.size();
+    if (auto s = deliver(sender, p, std::move(kv)); !s.ok()) return s;
   }
-  if (trace) trace->span("shuffle.adopt", "shuffle", d0, comm.now());
-  tap_records(kTapShuffleSent, comm.global_rank(), st.pairs_sent);
-  tap_records(kTapShuffleReceived, comm.global_rank(), st.pairs_received);
-  if (stats) *stats = st;
   return Status::Ok();
+}
+
+Status exchange(simmpi::Comm& comm, bool bounded, const ExchangeFill& fill,
+                const ExchangeDeliver& deliver, ShuffleStats* stats,
+                metrics::TraceRecorder* trace) {
+  const size_t nranks = static_cast<size_t>(comm.size());
+  for (;;) {
+    const double c0 = comm.now();
+    std::vector<ExchangeRow> rows(nranks);
+    bool more = false;
+    if (auto s = fill(rows, more); !s.ok()) return s;
+    std::vector<Bytes> send(nranks);
+    for (size_t d = 0; d < nranks; ++d) {
+      send[d] = frame_row(rows[d]);
+      for (const auto& [p, kv] : rows[d]) {
+        if (stats) stats->pairs_sent += kv->size();
+      }
+    }
+    if (trace) trace->span("shuffle.census", "shuffle", c0, comm.now());
+
+    const double a0 = comm.now();
+    std::vector<Bytes> recv;
+    if (auto s = comm.alltoall(std::move(send), recv); !s.ok()) return s;
+    if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
+    const double d0 = comm.now();
+    for (size_t j = 0; j < recv.size(); ++j) {
+      const Bytes row = std::move(recv[j]);  // freed once delivered
+      if (auto s = deliver_row(static_cast<int>(j), row, deliver, stats);
+          !s.ok()) {
+        return s;
+      }
+    }
+    if (trace) trace->span("shuffle.adopt", "shuffle", d0, comm.now());
+    if (!bounded) return Status::Ok();
+
+    // Collective termination: rounds continue while any rank holds data.
+    int64_t any_more = 0;
+    if (auto s = comm.allreduce_one(simmpi::ReduceOp::kMax,
+                                    static_cast<int64_t>(more ? 1 : 0), any_more);
+        !s.ok()) {
+      return s;
+    }
+    if (any_more == 0) return Status::Ok();
+  }
 }
 
 Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
@@ -95,8 +133,8 @@ Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
   const int nranks = comm.size();
   ShuffleStats st;
   // Per-sender accumulators keep every received page grouped by source
-  // rank; the final merge is then sender-rank-major — the same pair order
-  // the single-shot shuffle produces, regardless of round interleaving.
+  // rank; the final merge is then sender-rank-major regardless of round
+  // interleaving.
   std::vector<SpillableKvBuffer> per_sender;
   per_sender.reserve(static_cast<size_t>(nranks));
   const SpillConfig recv_cfg =
@@ -107,10 +145,11 @@ Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
   const size_t round_budget =
       cfg.enabled() ? std::max(cfg.page_bytes, cfg.memory_budget / 2)
                     : std::numeric_limits<size_t>::max();
-  while (true) {
-    // Fill this round's send arenas one consumed page at a time.
-    const double c0 = comm.now();
-    std::vector<KvBuffer> sends(static_cast<size_t>(nranks));
+  // This round's per-destination blocks; destination d's block is
+  // partition d.
+  std::vector<KvBuffer> sends;
+  const auto fill = [&](std::vector<ExchangeRow>& rows, bool& more) -> Status {
+    sends.assign(static_cast<size_t>(nranks), KvBuffer{});
     size_t buffered = 0;
     KvBuffer page;
     bool have = false;
@@ -123,44 +162,29 @@ Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
             .append_record_from(page, i);
       }
       buffered += page.bytes();
-      st.pairs_sent += page.size();
     }
     st.spill_io_seconds += in.take_io_seconds();
-    if (trace) trace->span("shuffle.census", "shuffle", c0, comm.now());
-    std::vector<Bytes> send_wire(sends.size());
-    for (size_t j = 0; j < sends.size(); ++j) {
-      send_wire[j] = std::move(sends[j]).take_wire();
-      st.bytes_sent += send_wire[j].size();
+    for (int d = 0; d < nranks; ++d) {
+      const KvBuffer& block = sends[static_cast<size_t>(d)];
+      if (!block.empty()) rows[static_cast<size_t>(d)].push_back({d, &block});
     }
-    const double a0 = comm.now();
-    std::vector<Bytes> recv;
-    if (auto s = comm.alltoall(std::move(send_wire), recv); !s.ok()) return s;
-    if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
-    const double d0 = comm.now();
-    for (size_t j = 0; j < recv.size(); ++j) {
-      st.bytes_received += recv[j].size();
-      KvBuffer block;
-      if (auto s = block.adopt(std::move(recv[j])); !s.ok()) return s;
-      if (block.empty()) continue;
-      st.pairs_received += block.size();
-      if (auto s = per_sender[j].append_page(std::move(block)); !s.ok()) {
-        return s;
-      }
-      st.spill_io_seconds += per_sender[j].take_io_seconds();
-    }
-    if (trace) trace->span("shuffle.adopt", "shuffle", d0, comm.now());
-    // Collective termination: rounds continue while any rank holds data.
-    int64_t more = 0;
-    if (auto s = comm.allreduce_one(simmpi::ReduceOp::kMax,
-                                    static_cast<int64_t>(in.empty() ? 0 : 1),
-                                    more);
+    more = !in.empty();
+    return Status::Ok();
+  };
+  const auto deliver = [&](int sender, int, KvBuffer&& block) -> Status {
+    SpillableKvBuffer& acc = per_sender[static_cast<size_t>(sender)];
+    if (auto s = acc.append_page(std::move(block)); !s.ok()) return s;
+    st.spill_io_seconds += acc.take_io_seconds();
+    return Status::Ok();
+  };
+  if (auto s = exchange(comm, cfg.enabled(), fill, deliver, &st, trace); !s.ok()) {
+    return s;
+  }
+  for (int j = 0; j < nranks; ++j) {
+    if (auto s = out.absorb_pages(std::move(per_sender[static_cast<size_t>(j)]));
         !s.ok()) {
       return s;
     }
-    if (more == 0) break;
-  }
-  for (int j = 0; j < nranks; ++j) {
-    if (auto s = out.absorb_pages(std::move(per_sender[j])); !s.ok()) return s;
   }
   tap_records(kTapShuffleSent, comm.global_rank(), st.pairs_sent);
   tap_records(kTapShuffleReceived, comm.global_rank(), st.pairs_received);

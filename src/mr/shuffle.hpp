@@ -2,8 +2,15 @@
 //
 // MapReduce jobs on MPI exchange intermediate data with MPI_Alltoallv
 // (paper Sec. 3.3): each rank partitions its KV pairs by key hash, sends
-// partition j to rank j, and receives its own partition from everyone.
+// partition j to its owner, and receives its own partitions from everyone.
+// exchange() is the one implementation of that protocol: the engine's
+// shuffle, its orphan-partition rebuild and the key-routed shuffle_spill
+// all run it.
 #pragma once
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/status.hpp"
@@ -14,46 +21,53 @@
 namespace ftmr::mr {
 
 struct ShuffleStats {
-  size_t bytes_sent = 0;
-  size_t bytes_received = 0;
   size_t pairs_sent = 0;
   size_t pairs_received = 0;
-  /// Modeled local-disk seconds the streamed shuffle spent consuming `in`
-  /// and staging receive pages (shuffle_spill only; the caller charges it
-  /// to its virtual clock alongside the out-buffer's take_io_seconds()).
+  /// Modeled local-disk seconds shuffle_spill spent consuming `in` and
+  /// staging receive pages (the caller charges it to its virtual clock).
   double spill_io_seconds = 0.0;
 };
 
 /// Partition `in` by fnv1a(key) % comm.size().
 std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts);
 
-/// Exchange: everyone contributes its partitions, receives and merges the
-/// partitions addressed to it. Collective over `comm`. When `trace` is
-/// non-null, census/alltoall/adopt spans (cat "shuffle") are recorded on
-/// the caller's virtual timeline.
-Status shuffle(simmpi::Comm& comm, const KvBuffer& in, KvBuffer& out,
-               ShuffleStats* stats = nullptr,
-               metrics::TraceRecorder* trace = nullptr);
+/// One round's (partition, block) pairs for one destination rank, in
+/// delivery order. Blocks are borrowed until the round's alltoall returns.
+using ExchangeRow = std::vector<std::pair<int, const KvBuffer*>>;
+/// Place one round's blocks into `rows` (comm.size() empty rows) and set
+/// `more` while this rank still holds unsent data.
+using ExchangeFill =
+    std::function<Status(std::vector<ExchangeRow>& rows, bool& more)>;
+/// Take one received non-empty block from comm-relative rank `sender`.
+using ExchangeDeliver =
+    std::function<Status(int sender, int partition, KvBuffer&& block)>;
 
-/// Exchange pre-partitioned buffers (used when the caller already split the
-/// data, e.g. to checkpoint partitions individually). Takes the partitions
-/// by value: each partition arena is moved out as the send buffer, so pass
-/// std::move(parts) when they are no longer needed, or a copy otherwise.
-Status shuffle_partitions(simmpi::Comm& comm, std::vector<KvBuffer> parts,
-                          KvBuffer& out, ShuffleStats* stats = nullptr,
-                          metrics::TraceRecorder* trace = nullptr);
+/// The wire image of a row, in one exact-size allocation:
+/// [u32 n] then n x ([i32 partition][u32 len][KvBuffer wire image]).
+Bytes frame_row(const ExchangeRow& row);
 
-/// Out-of-core exchange: `in` is consumed page by page (handed-off pages
-/// stop counting against its budget), partitioned into per-destination send
-/// arenas of about `cfg.memory_budget / 2` bytes per round, and exchanged
-/// in as many alltoall rounds as the slowest rank needs (collective: every
-/// rank runs the same round count). Receives accumulate per *sender* and
-/// merge sender-rank-major into `out` (a caller-opened buffer on its own
-/// SpillConfig) by moving page ownership, so the pair order — and therefore
-/// every downstream value list — is byte-identical to shuffle() over the
-/// same data. Peak residency is O(page_bytes x ranks + round budget),
-/// never O(dataset). With `cfg` disabled this degrades to one round and
-/// purely resident buffers.
+/// Validate a received row whole, then deliver its non-empty blocks in
+/// order. A damaged row returns kOutOfRange/kCorrupt and delivers nothing.
+Status deliver_row(int sender, const Bytes& row, const ExchangeDeliver& deliver,
+                   ShuffleStats* stats = nullptr);
+
+/// The shuffle exchange, collective over `comm`. Each round fills, frames
+/// and alltoalls the rows, then delivers in sender order. Unbounded: one
+/// round, no other op (`more` is ignored). Bounded: rounds run until a
+/// max-allreduce vote on `more` is 0, so unequal round counts end
+/// together. `stats` accumulates pairs placed and delivered; `trace`
+/// gets shuffle.census (fill + framing) / .alltoall / .adopt spans.
+Status exchange(simmpi::Comm& comm, bool bounded, const ExchangeFill& fill,
+                const ExchangeDeliver& deliver, ShuffleStats* stats = nullptr,
+                metrics::TraceRecorder* trace = nullptr);
+
+/// Key-routed out-of-core exchange: `in` is consumed page by page and
+/// routed by partition_of_key, about `cfg.memory_budget / 2` bytes per
+/// round. Receives accumulate per sender and move into `out` (opened on
+/// its own SpillConfig) sender-rank-major: receiver r holds, for each
+/// sender s in rank order, s's records that route to r in s's input
+/// order. Peak residency is O(page_bytes x ranks + round budget). With
+/// `cfg` disabled this is one unbounded round into resident buffers.
 Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
                      SpillableKvBuffer& out, const SpillConfig& cfg,
                      ShuffleStats* stats = nullptr,

@@ -7,7 +7,7 @@
 // costs the paper measures come from exactly these disk-resident pages, so
 // the paging machinery is implemented and tested for real: pages genuinely
 // round-trip through the storage layer, and the shuffle/convert hot paths
-// (shuffle_spill, convert_2pass_spill) stream them page by page instead of
+// (the exchange's fills, convert_spill) stream them page by page instead of
 // re-materializing the dataset.
 //
 // Page model. A buffer is an ordered list of closed pages — each either

@@ -165,13 +165,14 @@ TEST(ShuffleTrace, EmitsCensusAlltoallAdoptSpans) {
   TraceRecorder trace;
   std::mutex mu;
   Runtime::run(4, [&](Comm& c) {
-    mr::KvBuffer in, out;
+    mr::SpillableKvBuffer in, out;
     for (int i = 0; i < 32; ++i) {
-      in.add("key" + std::to_string(i), std::to_string(c.rank()));
+      ASSERT_TRUE(in.add("key" + std::to_string(i), std::to_string(c.rank())).ok());
     }
     TraceRecorder mine(c.rank());
     mr::ShuffleStats st;
-    ASSERT_TRUE(mr::shuffle(c, in, out, &st, &mine).ok());
+    ASSERT_TRUE(
+        mr::shuffle_spill(c, in, out, mr::SpillConfig{}, &st, &mine).ok());
     std::lock_guard<std::mutex> lock(mu);
     trace.merge(mine);
   });

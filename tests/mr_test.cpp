@@ -1,6 +1,6 @@
-// Tests for the MR-MPI data path: KV/KMV buffers, shuffle, both KV→KMV
-// conversion algorithms (incl. their equivalence property), and the
-// end-to-end MR-MPI baseline (FtJob without fault tolerance).
+// Tests for the MR-MPI data path: KV/KMV buffers, the shuffle exchange,
+// both KV→KMV conversion algorithms (incl. their equivalence property), and
+// the end-to-end MR-MPI baseline (FtJob without fault tolerance).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -162,14 +162,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConvertEquivalence,
 TEST(Shuffle, EveryPairReachesItsKeyOwner) {
   constexpr int kP = 4;
   Runtime::run(kP, [](Comm& c) {
-    KvBuffer mine;
+    SpillableKvBuffer mine;
     for (int i = 0; i < 50; ++i) {
-      mine.add("key" + std::to_string(i), "from" + std::to_string(c.rank()));
+      ASSERT_TRUE(mine.add("key" + std::to_string(i),
+                           "from" + std::to_string(c.rank()))
+                      .ok());
     }
-    KvBuffer got;
+    SpillableKvBuffer out;
     ShuffleStats st;
-    ASSERT_TRUE(shuffle(c, mine, got, &st).ok());
+    ASSERT_TRUE(shuffle_spill(c, mine, out, SpillConfig{}, &st).ok());
     EXPECT_EQ(st.pairs_sent, 50u);
+    KvBuffer got;
+    ASSERT_TRUE(out.drain_to(got).ok());
     // Each key appears kP times (once per sender) and only on its owner.
     for (KvView p : got) {
       EXPECT_EQ(partition_of_key(p.key, kP), c.rank());
@@ -179,6 +183,163 @@ TEST(Shuffle, EveryPairReachesItsKeyOwner) {
                                 static_cast<int64_t>(got.size()), total).ok());
     EXPECT_EQ(total, 50 * kP);
   });
+}
+
+// --- mr::exchange: the one shuffle round protocol ---
+
+struct Delivery {
+  int sender;
+  int partition;
+  std::vector<std::string> keys;
+  bool operator==(const Delivery&) const = default;
+};
+
+std::vector<std::string> keys_of(const KvBuffer& kv) {
+  std::vector<std::string> keys;
+  for (KvView p : kv) keys.emplace_back(p.key);
+  return keys;
+}
+
+// Round k of sender s to destination d: partition 10*d + k, holding s+1
+// records named after all three.
+KvBuffer round_block(int s, int k, int d) {
+  KvBuffer kv;
+  for (int i = 0; i <= s; ++i) {
+    kv.add("s" + std::to_string(s) + "k" + std::to_string(k) + "d" +
+               std::to_string(d) + "i" + std::to_string(i),
+           "v");
+  }
+  return kv;
+}
+
+TEST(Exchange, UnequalRoundCountsEndTogetherInSenderOrder) {
+  constexpr int kP = 3;
+  constexpr int kEmptyPartition = 99;
+  // Rank 0 holds nothing, rank 1 needs three rounds, rank 2 one.
+  const std::vector<int> rounds_of = {0, 3, 1};
+  std::vector<std::vector<Delivery>> got(kP);
+  std::vector<int> fills(kP, 0);
+  std::vector<int64_t> ops(kP, 0);
+  Runtime::run(kP, [&](Comm& c) {
+    const int me = c.rank();
+    std::vector<KvBuffer> blocks;
+    const KvBuffer empty;
+    const auto fill = [&](std::vector<ExchangeRow>& rows, bool& more) {
+      const int k = fills[static_cast<size_t>(me)]++;
+      blocks.clear();
+      blocks.reserve(kP);
+      if (k < rounds_of[static_cast<size_t>(me)]) {
+        for (int d = 0; d < kP; ++d) {
+          blocks.push_back(round_block(me, k, d));
+          rows[static_cast<size_t>(d)].push_back({10 * d + k, &blocks.back()});
+          rows[static_cast<size_t>(d)].push_back({kEmptyPartition, &empty});
+        }
+      }
+      more = k + 1 < rounds_of[static_cast<size_t>(me)];
+      return Status::Ok();
+    };
+    const auto deliver = [&](int sender, int partition, KvBuffer&& kv) {
+      got[static_cast<size_t>(me)].push_back({sender, partition, keys_of(kv)});
+      return Status::Ok();
+    };
+    ShuffleStats st;
+    const int64_t ops0 = c.ops_issued();
+    ASSERT_TRUE(exchange(c, /*bounded=*/true, fill, deliver, &st).ok());
+    ops[static_cast<size_t>(me)] = c.ops_issued() - ops0;
+    EXPECT_EQ(st.pairs_sent, static_cast<size_t>(
+                                 kP * (me + 1) * rounds_of[static_cast<size_t>(me)]));
+    size_t received = 0;
+    for (const Delivery& d : got[static_cast<size_t>(me)]) {
+      received += d.keys.size();
+    }
+    EXPECT_EQ(st.pairs_received, received);
+  });
+  for (int r = 0; r < kP; ++r) {
+    // Every rank ran the slowest rank's three rounds: an alltoall and a
+    // vote each.
+    EXPECT_EQ(fills[static_cast<size_t>(r)], 3) << "rank " << r;
+    EXPECT_EQ(ops[static_cast<size_t>(r)], 6) << "rank " << r;
+    // Round-major, then sender order; the empty blocks never arrive.
+    std::vector<Delivery> want;
+    for (int k = 0; k < 3; ++k) {
+      for (int s = 0; s < kP; ++s) {
+        if (k >= rounds_of[static_cast<size_t>(s)]) continue;
+        want.push_back({s, 10 * r + k, keys_of(round_block(s, k, r))});
+      }
+    }
+    EXPECT_EQ(got[static_cast<size_t>(r)], want) << "rank " << r;
+  }
+}
+
+TEST(Exchange, UnboundedIsOneRoundWithoutVote) {
+  constexpr int kP = 4;
+  std::vector<int> fills(kP, 0);
+  std::vector<int64_t> ops(kP, 0);
+  std::vector<std::vector<Delivery>> got(kP);
+  Runtime::run(kP, [&](Comm& c) {
+    const int me = c.rank();
+    std::vector<KvBuffer> blocks;
+    const auto fill = [&](std::vector<ExchangeRow>& rows, bool& more) {
+      fills[static_cast<size_t>(me)]++;
+      blocks.reserve(kP);
+      for (int d = 0; d < kP; ++d) {
+        blocks.push_back(round_block(me, 0, d));
+        rows[static_cast<size_t>(d)].push_back({d, &blocks.back()});
+      }
+      more = true;  // ignored: an unbounded exchange is one round
+      return Status::Ok();
+    };
+    const auto deliver = [&](int sender, int partition, KvBuffer&& kv) {
+      got[static_cast<size_t>(me)].push_back({sender, partition, keys_of(kv)});
+      return Status::Ok();
+    };
+    const int64_t ops0 = c.ops_issued();
+    ASSERT_TRUE(exchange(c, /*bounded=*/false, fill, deliver).ok());
+    ops[static_cast<size_t>(me)] = c.ops_issued() - ops0;
+  });
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_EQ(fills[static_cast<size_t>(r)], 1);
+    EXPECT_EQ(ops[static_cast<size_t>(r)], 1) << "only the alltoall";
+    std::vector<Delivery> want;
+    for (int s = 0; s < kP; ++s) {
+      want.push_back({s, r, keys_of(round_block(s, 0, r))});
+    }
+    EXPECT_EQ(got[static_cast<size_t>(r)], want) << "rank " << r;
+  }
+}
+
+TEST(Exchange, DamagedRowDeliversNothing) {
+  const KvBuffer a = round_block(1, 0, 0);
+  const KvBuffer b = round_block(2, 1, 0);
+  const Bytes row = frame_row({{4, &a}, {7, &b}});
+  std::vector<Delivery> got;
+  const ExchangeDeliver deliver = [&](int sender, int partition, KvBuffer&& kv) {
+    got.push_back({sender, partition, keys_of(kv)});
+    return Status::Ok();
+  };
+  ShuffleStats st;
+  ASSERT_TRUE(deliver_row(2, row, deliver, &st).ok());
+  const std::vector<Delivery> want = {{2, 4, keys_of(a)}, {2, 7, keys_of(b)}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(st.pairs_received, a.size() + b.size());
+
+  // Every truncation, including one that drops only the second block's
+  // last byte, fails without delivering the intact first block.
+  for (size_t len = 0; len < row.size(); ++len) {
+    got.clear();
+    const Bytes cut(row.begin(), row.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_FALSE(deliver_row(0, cut, deliver).ok()) << "len=" << len;
+    EXPECT_TRUE(got.empty()) << "len=" << len;
+  }
+  // A block count that overstates the blocks present, and trailing bytes.
+  Bytes overstated = row;
+  overstated[0] = std::byte{3};
+  EXPECT_FALSE(deliver_row(0, overstated, deliver).ok());
+  Bytes trailing = row;
+  trailing.push_back(std::byte{0});
+  const Status s = deliver_row(0, trailing, deliver);
+  EXPECT_EQ(s.code(), ErrorCode::kCorrupt);
+  EXPECT_TRUE(got.empty());
 }
 
 // --- end-to-end baseline wordcount ---

@@ -364,7 +364,7 @@ TEST(StreamedConvert, MatchesInCoreReferenceAcrossRandomBoundaries) {
   }
 }
 
-// --- streamed shuffle vs in-core reference --------------------------------
+// --- streamed shuffle vs in-core routing oracle ---------------------------
 
 TEST(StreamedShuffle, ByteIdenticalToInCoreShuffle) {
   Rng seed_rng(tests::test_seed(0x0c4));
@@ -383,13 +383,22 @@ TEST(StreamedShuffle, ByteIdenticalToInCoreShuffle) {
       }
       return kv;
     };
-    // Reference: single-shot in-core shuffle.
+    // Oracle: receiver r holds, for each sender s in rank order, s's input
+    // records whose key routes to r, in s's input order.
+    std::vector<KvBuffer> inputs;
+    for (int s = 0; s < nranks; ++s) inputs.push_back(make_input(s));
     std::vector<Bytes> ref(static_cast<size_t>(nranks));
-    Runtime::run(nranks, [&](Comm& c) {
-      KvBuffer out;
-      ASSERT_TRUE(shuffle(c, make_input(c.rank()), out).ok());
-      ref[static_cast<size_t>(c.rank())] = std::move(out).take_wire();
-    });
+    for (int r = 0; r < nranks; ++r) {
+      KvBuffer want;
+      for (const KvBuffer& in : inputs) {
+        for (size_t i = 0; i < in.size(); ++i) {
+          if (partition_of_key(in.view(i).key, nranks) == r) {
+            want.append_record_from(in, i);
+          }
+        }
+      }
+      ref[static_cast<size_t>(r)] = std::move(want).take_wire();
+    }
     // Streamed: paged multi-round exchange over spillable buffers.
     MiniCluster cl;
     std::vector<Bytes> got(static_cast<size_t>(nranks));

@@ -1,8 +1,7 @@
-"""model — the frontend-neutral IR ftmr-lint checks run on.
+"""model — the IR ftmr-lint checks run on.
 
-Both frontends (the libclang cindex one used in CI and the built-in
-lexer/scope parser used where libclang is unavailable) lower C++ into the
-same small vocabulary of per-function events:
+The lexer/scope frontend (frontend_builtin.py) lowers C++ into a small
+vocabulary of per-function events:
 
   acquire  — a scoped lock becomes live (MutexLock / lock_guard /
              unique_lock / raw Mutex::lock), or a lock the function
@@ -15,8 +14,7 @@ same small vocabulary of per-function events:
   type     — use of a banned type name (std::unordered_*, random_device)
 
 Scopes are paths (tuples of block ids); lock liveness is resolved by the
-shared ScopeTracker below, so both frontends get identical liveness
-semantics: a lock is live from its acquire to the end of its enclosing
+ScopeTracker below, which gives these liveness semantics: a lock is live from its acquire to the end of its enclosing
 scope, an explicit unlock kills it until the end of *the unlock's* scope
 (the unlock-then-return idiom) or until an explicit relock.
 """
