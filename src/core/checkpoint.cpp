@@ -112,10 +112,39 @@ std::string base_name(const char* kind, int stage, uint64_t id, int seq) {
   return buf;
 }
 
-using ParsedName = CkptFileName;
+/// A shared-tier copy is named "<name>_d<usec>": its drain-completion time.
+std::string with_drain_stamp(const std::string& name, double done_at) {
+  return name + "_d" + std::to_string(static_cast<int64_t>(done_at * 1e6));
+}
 
-bool parse_name(const std::string& name, ParsedName& out) {
-  return parse_checkpoint_name(name, out);
+/// The name a file was written under before any drain stamp: the key its
+/// memory replica and its node-local original share.
+std::string strip_drain_stamp(std::string name) {
+  if (const auto pos = name.rfind("_d"); pos != std::string::npos) name.resize(pos);
+  return name;
+}
+
+/// The one replay rule of both delta chains (map: records, red: KMV
+/// entries). `delta` covers [start, end) and may only extend the chain
+/// (`cursor`, `acc`) contiguously. Re-execution is deterministic, so a
+/// chain restarted from 0 by a later incarnation carries the *same*
+/// records as the prefix it shadows: a restart that ends within the chain
+/// is a duplicate and is skipped (merging both would replay the overlap
+/// twice — the duplication bug the schedule explorer caught under CR kills
+/// in two consecutive submissions), and one reaching further supersedes
+/// the prefix. Returns false on a gap or partial overlap: a flat KV blob
+/// cannot be split, so the verified prefix stays and the chain is poisoned
+/// from here on — its tail is reprocessed from input.
+bool extend_chain(uint64_t& cursor, mr::KvBuffer& acc, uint64_t start,
+                  uint64_t end, const mr::KvBuffer& delta) {
+  if (start != cursor) {
+    if (start != 0) return false;
+    if (end <= cursor) return true;
+    acc = mr::KvBuffer();
+  }
+  cursor = end;
+  acc.merge_from(delta);
+  return true;
 }
 
 }  // namespace
@@ -154,13 +183,13 @@ CheckpointManager::CheckpointManager(storage::StorageSystem* fs, int node, int r
   // append-only, and reusing a sequence number would overwrite an older
   // delta segment in place — recovery would then see the chain's maximum
   // position but miss the records the clobbered segment carried.
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
+  const std::string rank_dir = checkpoint_rank_dir(rank_);
   for (storage::Tier tier : {storage::Tier::kLocal, storage::Tier::kShared}) {
     std::vector<std::string> names;
     if (!fs_->list_dir(tier, node_, rank_dir, names).ok()) continue;
     for (const std::string& n : names) {
-      ParsedName p;
-      if (parse_name(n, p) && p.seq >= next_seq_) next_seq_ = p.seq + 1;
+      CkptFileName p;
+      if (parse_checkpoint_name(n, p) && p.seq >= next_seq_) next_seq_ = p.seq + 1;
     }
   }
 }
@@ -168,21 +197,99 @@ CheckpointManager::CheckpointManager(storage::StorageSystem* fs, int node, int r
 Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
                               Bytes&& framed_bytes) {
   if (!opts_.enabled) return Status::Ok();
-  const double t0 = comm.now();
   // Framed once: the local write and every memory replica share this blob.
   const auto framed = std::make_shared<const Bytes>(std::move(framed_bytes));
+  const Status s = write_ladder(
+      comm, name, framed->size(),
+      [&](storage::Tier tier, const std::string& path, int concurrency) {
+        double cost = 0.0;
+        Status w = fs_->write_file(tier, node_, path, *framed, &cost, concurrency);
+        if (w.ok()) charge_write(comm, cost);
+        return w;
+      },
+      nullptr);
+  if (s.ok()) replicate(comm, name, framed);
+  return s;
+}
+
+void CheckpointManager::charge_write(simmpi::Comm& comm, double seconds) {
+  comm.compute(seconds);
+  write_seconds_ += seconds;
+}
+
+Status CheckpointManager::write_ladder(simmpi::Comm& comm, const std::string& name,
+                                       size_t framed_size,
+                                       const WriteAttempt& attempt,
+                                       mr::SpillableKvBuffer* paged_source) {
+  const double t0 = comm.now();
   // Framing + CRC are free in virtual time (CPU is not modeled for them);
   // a zero-duration span still marks every frame event on the timeline.
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
   count_++;
-  bytes_written_ += framed->size();
-  const Status s = put_impl(comm, name, *framed);
+  bytes_written_ += framed_size;
+
+  // Placement (paper Sec. 4.1.3, Fig. 4): node-local with a copier drain,
+  // node-local only, or — the inferior baseline, where every (small)
+  // checkpoint pays a shared-storage op with full contention — written to
+  // shared storage directly, stamped as drained when the write is issued.
+  const std::string local_path = checkpoint_rank_dir(rank_) + "/" + name;
+  storage::Tier tier = storage::Tier::kLocal;
+  std::string path = local_path;
+  int concurrency = 1;
+  switch (opts_.location) {
+    case CkptOptions::Location::kSharedDirect:
+      tier = storage::Tier::kShared;
+      path = with_drain_stamp(local_path, comm.now());
+      concurrency = conc_;
+      break;
+    case CkptOptions::Location::kLocalOnly:
+    case CkptOptions::Location::kLocalWithCopier:
+      break;
+  }
+
+  // Bounded retry; the backoff elapses on the writer's clock. A
+  // misconfiguration (kFailedPrecondition, e.g. local placement on a
+  // cluster with no local disks, or kInvalidArgument) is not transient, so
+  // it is never retried.
+  Status s;
+  for (int a = 1; a <= retry_.max_attempts; ++a) {
+    s = attempt(tier, path, concurrency);
+    if (s.ok() || s.code() == ErrorCode::kFailedPrecondition ||
+        s.code() == ErrorCode::kInvalidArgument) {
+      break;
+    }
+    if (a < retry_.max_attempts) {
+      charge_write(comm, retry_.backoff_before(a));
+      integ_.io_retries++;
+      if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
+      metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
+    }
+  }
+
+  // Checkpoint writes are best-effort: a write that still fails after the
+  // retry budget costs future recovery work (that delta is simply not
+  // durable), never correctness, so it is counted and dropped rather than
+  // failing the job — the whole point of this layer is surviving faulty
+  // checkpoint I/O. Only a misconfiguration is surfaced, since dropping
+  // would hide it.
+  Status result = Status::Ok();
+  if (s.code() == ErrorCode::kFailedPrecondition) {
+    result = s;
+  } else if (!s.ok()) {
+    integ_.ckpt_write_failures++;
+    FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
+              << s.to_string();
+  } else if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
+    result = drain_to_shared(comm, local_path);
+  }
+  // Spill I/O incurred re-loading pages for a paged stream elapses on the
+  // writer's clock here, at the checkpoint boundary.
+  if (paged_source) comm.compute(paged_source->take_io_seconds());
   if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
   metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
-                                         static_cast<double>(framed->size()));
-  if (s.ok()) replicate(comm, name, framed);
-  return s;
+                                         static_cast<double>(framed_size));
+  return result;
 }
 
 std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
@@ -195,117 +302,50 @@ std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
   return live;
 }
 
-void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
-                                  const std::shared_ptr<const Bytes>& framed) {
-  const int k = opts_.memory_replication_k;
-  if (k <= 0) return;
-  const double t0 = comm.now();
-  const std::vector<int> targets =
-      storage::replica_placement(rank_, k, live_ranks(comm), ppn_);
-  const std::string mpath = "ck/r" + std::to_string(rank_) + "/" + name;
+int CheckpointManager::push_replicas(simmpi::Comm& comm, int owner,
+                                     const std::string& mpath,
+                                     const std::shared_ptr<const Bytes>& framed,
+                                     const std::vector<int>& live,
+                                     const std::vector<int>& skip) {
   storage::ReplicaStore& mem = fs_->memory();
-  for (int tgt : targets) {
-    const int rel = comm.rel_of_global(tgt);
-    if (rel < 0) {
-      integ_.replica_push_failures++;
-      continue;
+  int pushed = 0;
+  for (int tgt : storage::replica_placement(owner, opts_.memory_replication_k,
+                                            live, ppn_)) {
+    if (std::find(skip.begin(), skip.end(), tgt) != skip.end()) {
+      continue;  // already holds a copy
     }
     // The rma handshake charges the wire and verifies the target lives
     // (a dead target surfaces kProcFailed through the errhandler, exactly
     // like a send); the deposit itself can still lose a razor-thin race
     // with the target's death — the store's dead-mark turns that into a
     // counted lost push instead of a ghost replica.
-    if (auto s = comm.rma_put(rel, framed->size()); !s.ok()) {
-      integ_.replica_push_failures++;
-      metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
+    const int rel = comm.rel_of_global(tgt);
+    if (rel >= 0 && comm.rma_put(rel, framed->size()).ok() &&
+        mem.put(tgt, mpath, framed, nullptr).ok()) {
+      pushed++;
       continue;
     }
-    if (auto s = mem.put(tgt, mpath, framed, nullptr); !s.ok()) {
-      integ_.replica_push_failures++;
-      metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
-      continue;
-    }
-    metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_);
+    integ_.replica_push_failures++;
+    metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
+  }
+  return pushed;
+}
+
+void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
+                                  const std::shared_ptr<const Bytes>& framed) {
+  if (opts_.memory_replication_k <= 0) return;
+  const double t0 = comm.now();
+  const int pushed =
+      push_replicas(comm, rank_, checkpoint_rank_dir(rank_) + "/" + name, framed,
+                    live_ranks(comm), {});
+  if (pushed > 0) {
+    metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_, pushed);
     metrics::MetricsRegistry::global().add(
-        "ckpt.replica_bytes", rank_, static_cast<double>(framed->size()));
+        "ckpt.replica_bytes", rank_, static_cast<double>(pushed * framed->size()));
   }
   // The span's op stamp marks the replication window on the timeline, so
   // the fault explorer harvests kill candidates inside it.
   if (trace_) trace_->span("ckpt.replica_push", "ckpt", t0, comm.now());
-}
-
-Status CheckpointManager::put_impl(simmpi::Comm& comm, const std::string& name,
-                                   const Bytes& framed) {
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
-
-  // Checkpoint writes are best-effort: a write that still fails after the
-  // retry budget costs future recovery work (that delta is simply not
-  // durable), never correctness, so it is counted and dropped rather than
-  // failing the job — the whole point of this layer is surviving faulty
-  // checkpoint I/O.
-  auto write_retrying = [&](storage::Tier tier, const std::string& path,
-                            int concurrency) -> Status {
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      double cost = 0.0;
-      last = fs_->write_file(tier, node_, path, framed, &cost, concurrency);
-      if (last.ok()) {
-        comm.compute(cost);
-        write_seconds_ += cost;
-        return last;
-      }
-      // Not transient — retrying cannot help and dropping would hide a
-      // misconfiguration (e.g. local placement on a cluster with no local
-      // disks).
-      if (last.code() == ErrorCode::kFailedPrecondition ||
-          last.code() == ErrorCode::kInvalidArgument) {
-        return last;
-      }
-      if (attempt < retry_.max_attempts) {
-        const double backoff = retry_.backoff_before(attempt);
-        comm.compute(backoff);
-        write_seconds_ += backoff;
-        integ_.io_retries++;
-        if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-      }
-    }
-    return last;
-  };
-
-  switch (opts_.location) {
-    case CkptOptions::Location::kSharedDirect: {
-      // The inferior baseline: every (small) checkpoint pays a shared-
-      // storage op, with full contention.
-      const std::string shared_name =
-          name + "_d" + std::to_string(static_cast<int64_t>(comm.now() * 1e6));
-      if (auto s = write_retrying(storage::Tier::kShared,
-                                  rank_dir + "/" + shared_name, conc_);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) return s;
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-      }
-      return Status::Ok();
-    }
-    case CkptOptions::Location::kLocalOnly:
-    case CkptOptions::Location::kLocalWithCopier: {
-      if (auto s = write_retrying(storage::Tier::kLocal, rank_dir + "/" + name, 1);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) return s;
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-        return Status::Ok();
-      }
-      if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
-        return drain_to_shared(comm, rank_dir + "/" + name);
-      }
-      return Status::Ok();
-    }
-  }
-  return {ErrorCode::kInternal, "unknown checkpoint location"};
 }
 
 Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
@@ -321,8 +361,7 @@ Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
               << s.to_string();
     return Status::Ok();
   }
-  const std::string stamped =
-      probe + "_d" + std::to_string(static_cast<int64_t>(done_at * 1e6));
+  const std::string stamped = with_drain_stamp(probe, done_at);
   // Rename the drained copy to carry its stamp. If the rename chain fails
   // the unstamped probe remains readable, so this too degrades instead of
   // failing the job.
@@ -370,10 +409,6 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
             "ckpt partition: exceeds the 4 GiB KV blob bound"};
   }
   const int seq = next_seq_++;
-  const std::string name =
-      base_name(kPart, stage, static_cast<uint64_t>(partition), seq);
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
-  const double t0 = comm.now();
 
   // Frame prefix: header + payload fields up to the KV wire body, built
   // once by the same header writer as every in-memory frame. The file is
@@ -392,25 +427,24 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
   w.put<uint32_t>(blob_len);
   w.put<uint64_t>(kv.size());  // the KV wire's record-count header
   const Bytes prefix = std::move(w).take();
-  if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
 
-  // One streaming pass: prefix, then each page's wire body (spilled pages
-  // load one at a time and stay intact on their spill files), then the CRC
-  // trailer accumulated across everything written. A final size probe
-  // catches torn appends — a stream that raced a storage fault mid-page
-  // would otherwise leave a plausible-length file that only recovery-time
-  // CRC checking could reject.
-  auto stream_once = [&](storage::Tier tier, const std::string& path,
-                         int concurrency) -> Status {
-    uint32_t crc = crc32_init();
-    crc = crc32_update(crc, prefix);
+  // One attempt is one streaming pass: prefix, then each page's wire body
+  // (spilled pages load one at a time and stay intact on their spill
+  // files), then the CRC trailer accumulated across everything written.
+  // Appends cannot be rewound, so each attempt first removes whatever a
+  // failed predecessor left. A final size probe catches torn appends — a
+  // stream that raced a storage fault mid-page would otherwise leave a
+  // plausible-length file that only recovery-time CRC checking could reject.
+  auto stream = [&](storage::Tier tier, const std::string& path,
+                    int concurrency) -> Status {
+    (void)fs_->remove(tier, node_, path);
+    uint32_t crc = crc32_update(crc32_init(), prefix);
     double cost = 0.0;
     if (auto s = fs_->write_file(tier, node_, path, prefix, &cost, concurrency);
         !s.ok()) {
       return s;
     }
-    comm.compute(cost);
-    write_seconds_ += cost;
+    charge_write(comm, cost);
     const size_t npages = kv.page_count();
     mr::KvBuffer page;
     for (size_t i = 0; i < npages; ++i) {
@@ -422,8 +456,7 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
           !s.ok()) {
         return s;
       }
-      comm.compute(cost);
-      write_seconds_ += cost;
+      charge_write(comm, cost);
     }
     ByteWriter tw;
     tw.put<uint32_t>(crc32_final(crc));
@@ -433,92 +466,19 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
         !s.ok()) {
       return s;
     }
-    comm.compute(cost);
-    write_seconds_ += cost;
+    charge_write(comm, cost);
     const int64_t sz = fs_->file_size(tier, node_, path);
     if (sz < 0 || static_cast<uint64_t>(sz) != framed_size) {
       return {ErrorCode::kCorrupt, "paged ckpt: torn stream on " + path};
     }
     return Status::Ok();
   };
-
-  // Same retry ladder and best-effort-drop policy as put_impl, but a failed
-  // or torn stream restarts the whole file: appends cannot be rewound, so
-  // the partial file is removed and the stream re-runs from the prefix.
-  auto stream_retrying = [&](storage::Tier tier, const std::string& path,
-                             int concurrency) -> Status {
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      (void)fs_->remove(tier, node_, path);
-      last = stream_once(tier, path, concurrency);
-      if (last.ok()) return last;
-      if (last.code() == ErrorCode::kFailedPrecondition ||
-          last.code() == ErrorCode::kInvalidArgument) {
-        return last;
-      }
-      if (attempt < retry_.max_attempts) {
-        const double backoff = retry_.backoff_before(attempt);
-        comm.compute(backoff);
-        write_seconds_ += backoff;
-        integ_.io_retries++;
-        if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-      }
-    }
-    return last;
-  };
-
-  count_++;
-  bytes_written_ += framed_size;
-  Status result = Status::Ok();
-  switch (opts_.location) {
-    case CkptOptions::Location::kSharedDirect: {
-      const std::string shared_name =
-          name + "_d" + std::to_string(static_cast<int64_t>(comm.now() * 1e6));
-      if (auto s = stream_retrying(storage::Tier::kShared,
-                                   rank_dir + "/" + shared_name, conc_);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) {
-          result = s;
-          break;
-        }
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-      }
-      break;
-    }
-    case CkptOptions::Location::kLocalOnly:
-    case CkptOptions::Location::kLocalWithCopier: {
-      if (auto s =
-              stream_retrying(storage::Tier::kLocal, rank_dir + "/" + name, 1);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) {
-          result = s;
-          break;
-        }
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-        break;
-      }
-      if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
-        result = drain_to_shared(comm, rank_dir + "/" + name);
-      }
-      break;
-    }
-  }
-  // Spill I/O incurred re-loading pages for the stream elapses on the
-  // writer's clock here, at the checkpoint boundary.
-  comm.compute(kv.take_io_seconds());
-  if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
-  metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
-  metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
-                                         static_cast<double>(framed_size));
   // No memory-tier replicate(): a full in-RAM replica of an out-of-core
   // partition would re-buy exactly the residency the spill budget gave up,
   // so paged checkpoints recover through the file tiers only.
-  return result;
+  return write_ladder(comm,
+                      base_name(kPart, stage, static_cast<uint64_t>(partition), seq),
+                      framed_size, stream, &kv);
 }
 
 Status CheckpointManager::reduce_ckpt(simmpi::Comm& comm, int stage, int partition,
@@ -588,12 +548,12 @@ int CheckpointManager::release_stage_memory(int keep_from_stage) {
   // invalidation is a local metadata drop at each holder (piggybacked on
   // the next collective in a real system), so no wire time is charged.
   storage::ReplicaStore& mem = fs_->memory();
-  const std::string prefix = "ck/r" + std::to_string(rank_) + "/";
+  const std::string prefix = checkpoint_rank_dir(rank_) + "/";
   int removed = 0;
   for (const std::string& mpath : mem.all_paths()) {
     if (mpath.compare(0, prefix.size(), prefix) != 0) continue;
-    ParsedName p;
-    if (!parse_name(mpath.substr(prefix.size()), p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(mpath.substr(prefix.size()), p)) continue;
     if (p.stage >= keep_from_stage) continue;
     for (int holder : mem.holders_of(mpath)) {
       mem.remove(holder, mpath);
@@ -604,43 +564,18 @@ int CheckpointManager::release_stage_memory(int keep_from_stage) {
 }
 
 Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
-  const int k = opts_.memory_replication_k;
-  if (!opts_.enabled || k <= 0) return Status::Ok();
+  if (!opts_.enabled || opts_.memory_replication_k <= 0) return Status::Ok();
   const double t0 = comm.now();
   storage::ReplicaStore& mem = fs_->memory();
   const std::vector<int> live = live_ranks(comm);
   int healed = 0;
 
-  auto push_to = [&](int owner, const std::string& mpath,
-                     const std::shared_ptr<const Bytes>& framed,
-                     const std::vector<int>& holders) {
-    for (int tgt : storage::replica_placement(owner, k, live, ppn_)) {
-      if (std::find(holders.begin(), holders.end(), tgt) != holders.end()) {
-        continue;  // already replicated there
-      }
-      const int rel = comm.rel_of_global(tgt);
-      if (rel < 0) {
-        integ_.replica_push_failures++;
-        continue;
-      }
-      if (auto s = comm.rma_put(rel, framed->size()); !s.ok()) {
-        integ_.replica_push_failures++;
-        continue;
-      }
-      if (mem.put(tgt, mpath, framed, nullptr).ok()) {
-        healed++;
-      } else {
-        integ_.replica_push_failures++;
-      }
-    }
-  };
-
   // Pinned (converged-frontier) stages heal first in both passes: if repair
   // is interrupted by another failure, the resume frontier has already
   // regained coverage. Non-frontier blobs keep their harvest order.
   auto stage_pinned = [this](const std::string& name) {
-    ParsedName p;
-    return parse_name(name, p) && pinned_stages_.count(p.stage) > 0;
+    CkptFileName p;
+    return parse_checkpoint_name(name, p) && pinned_stages_.count(p.stage) > 0;
   };
   auto pinned_first = [&](std::vector<std::string>& items, bool full_path) {
     std::stable_sort(items.begin(), items.end(),
@@ -667,7 +602,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     std::shared_ptr<const Bytes> framed;
     if (!mem.get(rank_, mpath, framed, nullptr).ok()) continue;
     comm.compute(mem.cost_of(framed->size(), 1));
-    push_to(owner, mpath, framed, holders);
+    healed += push_replicas(comm, owner, mpath, framed, live, holders);
   }
 
   // Pass 2: blobs whose replicas all died. A surviving owner re-pushes
@@ -675,7 +610,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   // file never becomes a plausible-looking replica. (A *dead* owner's
   // blobs are not re-pushed: its state was already absorbed by the WC
   // recovery load, and future checkpoints belong to the new owners.)
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
+  const std::string rank_dir = checkpoint_rank_dir(rank_);
   const bool use_local =
       opts_.location != CkptOptions::Location::kSharedDirect &&
       fs_->options().has_local_disk;
@@ -685,16 +620,12 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   (void)fs_->list_dir(tier, node_, rank_dir, names);
   pinned_first(names, false);
   for (const std::string& n : names) {
-    ParsedName p;
-    if (!parse_name(n, p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(n, p)) continue;
     // Released (superseded-round) stages keep their files but have no
     // memory-tier claim — resurrecting them would undo the release.
     if (p.stage < released_below_) continue;
-    std::string base = n;
-    if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-      base.resize(dpos);
-    }
-    const std::string mpath = rank_dir + "/" + base;
+    const std::string mpath = rank_dir + "/" + strip_drain_stamp(n);
     if (!mem.holders_of(mpath).empty()) continue;  // pass 1 territory
     Bytes raw;
     double cost = 0.0;
@@ -706,7 +637,8 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     comm.compute(cost);
     Bytes payload;
     if (!unframe_checkpoint(raw, payload).ok()) continue;
-    push_to(rank_, mpath, std::make_shared<const Bytes>(std::move(raw)), {});
+    healed += push_replicas(comm, rank_, mpath,
+                            std::make_shared<const Bytes>(std::move(raw)), live, {});
   }
 
   if (healed > 0) {
@@ -720,17 +652,35 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
 
 std::set<int> CheckpointManager::stages_present(int src_rank, int src_node,
                                                 bool from_shared) const {
-  const std::string rank_dir = "ck/r" + std::to_string(src_rank);
+  const std::string rank_dir = checkpoint_rank_dir(src_rank);
   const storage::Tier tier =
       from_shared ? storage::Tier::kShared : storage::Tier::kLocal;
   std::vector<std::string> names;
   std::set<int> stages;
   if (!fs_->list_dir(tier, src_node, rank_dir, names).ok()) return stages;
   for (const std::string& n : names) {
-    ParsedName p;
-    if (parse_name(n, p)) stages.insert(p.stage);
+    CkptFileName p;
+    if (parse_checkpoint_name(n, p)) stages.insert(p.stage);
   }
   return stages;
+}
+
+Status CheckpointManager::verify_copy(simmpi::Comm& comm,
+                                      std::span<const std::byte> raw,
+                                      Bytes& payload, RankRecovery& out) {
+  const double v0 = comm.now();
+  Status v = unframe_checkpoint(raw, payload);
+  if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
+  if (v.ok()) {
+    out.files_read++;
+    out.bytes_read += raw.size();
+    return v;
+  }
+  integ_.corrupt_frames++;
+  out.corrupt_frames++;
+  if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
+  metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
+  return v;
 }
 
 Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
@@ -754,11 +704,7 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
   //    ladder (counted as a miss) — the memory tier can only shortcut
   //    recovery, never lose to it.
   if (opts_.memory_replication_k > 0) {
-    std::string base = name;
-    if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-      base.resize(dpos);
-    }
-    const std::string mpath = rank_dir + "/" + base;
+    const std::string mpath = rank_dir + "/" + strip_drain_stamp(name);
     storage::ReplicaStore& mem = fs_->memory();
     for (int holder : mem.holders_of(mpath)) {
       std::shared_ptr<const Bytes> raw;
@@ -771,13 +717,8 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
         if (rel < 0) continue;
         if (auto s = comm.rma_get(rel, raw->size()); !s.ok()) continue;
       }
-      const double v0 = comm.now();
-      Status v = unframe_checkpoint(*raw, payload);
-      if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
-      if (v.ok()) {
+      if (verify_copy(comm, *raw, payload, out).ok()) {
         integ_.replica_hits++;
-        out.files_read++;
-        out.bytes_read += raw->size();
         if (trace_) {
           trace_->span("ckpt.replica_fetch", "ckpt", t0, comm.now());
           trace_->span("ckpt.read", "ckpt", t0, comm.now());
@@ -787,10 +728,6 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
             "ckpt.replica_read_bytes", rank_, static_cast<double>(raw->size()));
         return Status::Ok();
       }
-      integ_.corrupt_frames++;
-      out.corrupt_frames++;
-      if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
     }
     integ_.replica_misses++;
     metrics::MetricsRegistry::global().add("ckpt.replica_misses", rank_);
@@ -798,36 +735,25 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
 
   // 1) Primary tier, with bounded retry. A retry redraws both transient
   //    read failures and transient corrupt-on-read; the backoff elapses on
-  //    the reader's virtual clock. Attempt 1 may come from the prefetch
-  //    pipeline; later attempts bypass it (its staged copy may be the
-  //    corrupt one).
+  //    the reader's virtual clock (and, unlike a write backoff, is not
+  //    write time). Attempt 1 may come from the prefetch pipeline; later
+  //    attempts bypass it (its staged copy may be the corrupt one).
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     Bytes raw;
     double cost = 0.0;
-    Status s = (prefetch && attempt == 1)
-                   ? prefetch->read(prefetch_index, comm.now(), raw, &cost)
-                   : fs_->read_file(tier, src_node, path, raw, &cost,
-                                    from_shared ? conc_ : 1);
-    if (s.ok()) {
+    last = (prefetch && attempt == 1)
+               ? prefetch->read(prefetch_index, comm.now(), raw, &cost)
+               : fs_->read_file(tier, src_node, path, raw, &cost,
+                                from_shared ? conc_ : 1);
+    if (last.ok()) {
       comm.compute(cost);
-      const double v0 = comm.now();
-      Status v = unframe_checkpoint(raw, payload);
-      if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
-      if (v.ok()) {
-        out.files_read++;
-        out.bytes_read += raw.size();
+      last = verify_copy(comm, raw, payload, out);
+      if (last.ok()) {
         if (trace_) trace_->span("ckpt.read", "ckpt", t0, comm.now());
-        return Status::Ok();
-      } else {
-        integ_.corrupt_frames++;
-        out.corrupt_frames++;
-        if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
-        last = v;
+        return last;
       }
-    } else {
-      last = s;
-      if (s.code() == ErrorCode::kNotFound) break;  // waiting will not help
+    } else if (last.code() == ErrorCode::kNotFound) {
+      break;  // waiting will not help
     }
     if (attempt < retry_.max_attempts) {
       comm.compute(retry_.backoff_before(attempt));
@@ -845,56 +771,36 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
   double cost = 0.0;
   Status fb;
   if (from_shared) {
-    std::string local_name = name;
-    if (const auto pos = local_name.rfind("_d"); pos != std::string::npos) {
-      local_name.resize(pos);
-    }
     fb = fs_->read_file(storage::Tier::kLocal, src_node,
-                        rank_dir + "/" + local_name, raw, &cost, 1);
+                        rank_dir + "/" + strip_drain_stamp(name), raw, &cost, 1);
   } else {
     if (other_tier_listing->empty()) {
       (void)fs_->list_dir(storage::Tier::kShared, src_node, rank_dir,
                           *other_tier_listing);
     }
-    std::string found;
-    for (const std::string& cand : *other_tier_listing) {
-      if (cand == name ||
-          (cand.size() > name.size() + 2 &&
-           cand.compare(0, name.size(), name) == 0 &&
-           cand.compare(name.size(), 2, "_d") == 0)) {
-        found = cand;
-        break;
-      }
-    }
-    fb = found.empty()
+    const auto found =
+        std::find_if(other_tier_listing->begin(), other_tier_listing->end(),
+                     [&](const std::string& c) { return strip_drain_stamp(c) == name; });
+    fb = found == other_tier_listing->end()
              ? Status{ErrorCode::kNotFound, "no shared replica of " + path}
              : fs_->read_file(storage::Tier::kShared, src_node,
-                              rank_dir + "/" + found, raw, &cost, conc_);
+                              rank_dir + "/" + *found, raw, &cost, conc_);
   }
   if (fb.ok()) {
     comm.compute(cost);
-    const double v0 = comm.now();
-    Status v = unframe_checkpoint(raw, payload);
-    if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
-    if (v.ok()) {
+    fb = verify_copy(comm, raw, payload, out);
+    if (fb.ok()) {
       integ_.tier_fallbacks++;
       out.tier_fallbacks++;
-      out.files_read++;
-      out.bytes_read += raw.size();
       if (trace_) {
         trace_->instant("ckpt.tier_fallback", "ckpt", comm.now());
         trace_->span("ckpt.read", "ckpt", t0, comm.now());
       }
       metrics::MetricsRegistry::global().add("ckpt.tier_fallbacks", rank_);
-      return Status::Ok();
-    } else {
-      integ_.corrupt_frames++;
-      out.corrupt_frames++;
-      if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
-      last = v;
+      return fb;
     }
-  } else if (!last.ok() && last.code() == ErrorCode::kNotFound) {
+    last = fb;
+  } else if (last.code() == ErrorCode::kNotFound) {
     last = fb;
   }
 
@@ -917,7 +823,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
                                           bool from_shared, double horizon,
                                           RankRecovery& out,
                                           const LoadFilter& filter) {
-  const std::string rank_dir = "ck/r" + std::to_string(src_rank);
+  const std::string rank_dir = checkpoint_rank_dir(src_rank);
   const storage::Tier tier =
       from_shared ? storage::Tier::kShared : storage::Tier::kLocal;
   std::vector<std::string> names;
@@ -931,13 +837,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
   // rma push completed, which is exactly the tail the file tiers lose.
   if (opts_.memory_replication_k > 0) {
     std::set<std::string> have;
-    for (const std::string& n : names) {
-      std::string base = n;
-      if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-        base.resize(dpos);
-      }
-      have.insert(std::move(base));
-    }
+    for (const std::string& n : names) have.insert(strip_drain_stamp(n));
     const std::string prefix = rank_dir + "/";
     for (const std::string& p : fs_->memory().all_paths()) {
       if (p.size() <= prefix.size() || p.compare(0, prefix.size(), prefix) != 0) {
@@ -951,10 +851,10 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
   // Sorted names give sequence order per (kind, id). Filter to this stage,
   // to the caller's assigned tasks/partitions, and (for shared reads) to
   // checkpoints drained before the horizon.
-  std::vector<std::pair<ParsedName, std::string>> files;
+  std::vector<std::pair<CkptFileName, std::string>> files;
   for (const std::string& n : names) {
-    ParsedName p;
-    if (!parse_name(n, p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(n, p)) continue;
     if (p.stage != stage) continue;
     if (from_shared && horizon >= 0.0 &&
         p.drained_usec > static_cast<int64_t>(horizon * 1e6)) {
@@ -1028,28 +928,9 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         mr::KvBuffer delta;
         if (auto s = delta.adopt(std::move(blob)); !s.ok()) return s;
         auto& mt = out.map_tasks[task];
-        // The delta covers records [start, pos). It may only be merged if
-        // it extends the accumulated chain contiguously; map re-execution
-        // is deterministic, so a chain restarted from 0 by a later
-        // incarnation carries the *same* records as the prefix it shadows —
-        // merging both would replay them twice (the duplication bug the
-        // schedule explorer caught under CR kills in two consecutive
-        // submissions).
-        if (start != mt.pos) {
-          if (start == 0 && pos <= mt.pos) {
-            return Status::Ok();  // duplicate prefix of what is already applied
-          }
-          if (start == 0) {
-            mt.kv = mr::KvBuffer();  // restart supersedes the shorter prefix
-          } else {
-            // Gap or partial overlap: a flat KV blob cannot be split, so the
-            // verified prefix stays and the tail is reprocessed from input.
-            poisoned.insert({p.kind, p.id});
-            return Status::Ok();
-          }
+        if (!extend_chain(mt.pos, mt.kv, start, pos, delta)) {
+          poisoned.insert({p.kind, p.id});
         }
-        mt.pos = pos;
-        mt.kv.merge_from(delta);
       } else if (p.kind == kPart) {
         int32_t part = 0;
         Bytes blob;
@@ -1073,22 +954,12 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         }
         mr::KvBuffer delta;
         if (auto s = delta.adopt(std::move(blob)); !s.ok()) return s;
+        // Reduce over a given partition snapshot is deterministic (entry
+        // order is sorted), so its deltas chain like map deltas.
         auto& rr = out.reduce[part];
-        // Same chain-contiguity rule as map deltas (reduce over a given
-        // partition snapshot is deterministic, entry order is sorted).
-        if (start != rr.entries_done) {
-          if (start == 0 && done <= rr.entries_done) {
-            return Status::Ok();
-          }
-          if (start == 0) {
-            rr.out = mr::KvBuffer();
-          } else {
-            poisoned.insert({p.kind, p.id});
-            return Status::Ok();
-          }
+        if (!extend_chain(rr.entries_done, rr.out, start, done, delta)) {
+          poisoned.insert({p.kind, p.id});
         }
-        rr.entries_done = done;
-        rr.out.merge_from(delta);
       } else if (p.kind == kOut) {
         int32_t part = 0;
         Bytes blob;

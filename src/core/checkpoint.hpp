@@ -28,6 +28,7 @@
 // dies before the copier catches up.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -184,10 +185,12 @@ class CheckpointManager {
   /// is byte-identical to partition_ckpt's, but it is written as a stream —
   /// frame header first, then one append per KV page (spilled pages are
   /// loaded one at a time and stay intact), CRC accumulated incrementally,
-  /// trailer last — so the whole partition is never materialized in memory.
-  /// A failed or torn stream restarts the file on the retry ladder and is
-  /// dropped (best-effort, like every checkpoint write) if the ladder is
-  /// exhausted. Paged checkpoints skip memory-tier replication: a full
+  /// trailer last, then a size probe — so the whole partition is never
+  /// materialized in memory. Only that per-attempt body differs from
+  /// partition_ckpt: both run the one write ladder (placement, retry with
+  /// backoff, best-effort drop, copier drain). A failed or torn stream
+  /// removes its partial file and restarts from the header on the next
+  /// attempt. Paged checkpoints skip memory-tier replication: a full
   /// in-RAM replica would re-buy exactly the residency the spill budget
   /// gave up (ReStore-style budget honesty), so recovery for these files
   /// goes straight to the file tiers.
@@ -283,8 +286,23 @@ class CheckpointManager {
  private:
   /// Write one already-framed checkpoint and replicate it.
   Status put(simmpi::Comm& comm, const std::string& name, Bytes&& framed);
-  Status put_impl(simmpi::Comm& comm, const std::string& name,
-                  const Bytes& framed);
+  /// One try at writing a whole checkpoint file at (tier, path) with the
+  /// given shared-storage concurrency; it charges its own I/O time through
+  /// charge_write().
+  using WriteAttempt =
+      std::function<Status(storage::Tier, const std::string&, int)>;
+  /// The one checkpoint write ladder, shared by the whole-frame and the
+  /// paged writer: placement (Location), bounded retry with backoff, the
+  /// best-effort drop of an exhausted write, the copier drain, and the
+  /// write's spans and counters. `framed_size` is the file's final size.
+  /// `paged_source` (null for a whole frame) is the spill-backed partition
+  /// a paged attempt streams; its page re-load time elapses inside the
+  /// write span.
+  Status write_ladder(simmpi::Comm& comm, const std::string& name,
+                      size_t framed_size, const WriteAttempt& attempt,
+                      mr::SpillableKvBuffer* paged_source);
+  /// Elapse `seconds` of checkpoint write time on the writer's clock.
+  void charge_write(simmpi::Comm& comm, double seconds);
   /// Copier-drain a just-written local checkpoint to the shared tier and
   /// stamp the shared copy with its drain-completion time. Degrades (counts
   /// a drain failure) instead of failing: the local copy stays readable.
@@ -294,11 +312,24 @@ class CheckpointManager {
   /// the rma op propagates like any MPI death).
   void replicate(simmpi::Comm& comm, const std::string& name,
                  const std::shared_ptr<const Bytes>& framed);
+  /// The one replica push loop: deposit `framed` (owner `owner`'s blob at
+  /// memory path `mpath`) at every placement target over `live` that is not
+  /// in `skip`. Every lost push is counted in integrity() and in the
+  /// registry; returns the number of pushes that landed.
+  int push_replicas(simmpi::Comm& comm, int owner, const std::string& mpath,
+                    const std::shared_ptr<const Bytes>& framed,
+                    const std::vector<int>& live, const std::vector<int>& skip);
   /// Live global ranks of `comm`, ascending.
   static std::vector<int> live_ranks(const simmpi::Comm& comm);
+  /// The CRC step of every read rung: verify one fetched copy into
+  /// `payload`, booking a valid copy as a file read and an invalid one as a
+  /// corrupt frame.
+  Status verify_copy(simmpi::Comm& comm, std::span<const std::byte> raw,
+                     Bytes& payload, RankRecovery& out);
   /// Read `rank_dir`/`name` from `tier` and return its verified payload.
-  /// Implements retry -> other-tier fallback -> quarantine; returns
-  /// kCorrupt only when no valid replica exists anywhere.
+  /// Implements the read ladder memory replica -> primary tier with retry
+  /// -> other tier -> quarantine; returns kCorrupt only when no valid
+  /// replica exists anywhere.
   Status read_verified(simmpi::Comm& comm, storage::Tier tier, int src_node,
                        const std::string& rank_dir, const std::string& name,
                        storage::Prefetcher* prefetch, size_t prefetch_index,

@@ -25,15 +25,6 @@
 
 namespace ftmr::core {
 
-/// Gossiped status message: the sender's local task table plus its current
-/// load-balancer observation.
-struct StatusMessage {
-  int sender = -1;
-  TaskTable table;
-  double units_done = 0.0;   // bytes of input processed so far
-  double elapsed = 0.0;      // virtual seconds spent processing
-};
-
 /// Thread model: one DistributedMaster per rank, confined to that rank's
 /// thread. Cross-rank coordination happens exclusively through the
 /// dedicated communicator (whose Job-level state is lock-protected inside

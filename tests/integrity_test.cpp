@@ -4,7 +4,10 @@
 // manager, and end-to-end FtJob recovery under torn writes and bit rot.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "apps/textgen.hpp"
 #include "apps/wordcount.hpp"
@@ -365,24 +368,211 @@ TEST_F(IntegrityCkptFixture, BothReplicasTornQuarantinesAndKeepsRest) {
 }
 
 TEST_F(IntegrityCkptFixture, PoisonedDeltaChainKeepsVerifiedPrefixOnly) {
+  // Map deltas (task, records [start, end)) and red deltas (partition, KMV
+  // entries [start, end)) replay by the same contiguity rule. Each delta
+  // holds one record whose key names it, so the replayed keys show exactly
+  // which deltas were merged.
+  struct Delta {
+    uint64_t start, end;
+    const char* key;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Delta> deltas;
+    int torn;  // index of a delta whose file is torn before loading; -1: none
+    uint64_t cursor;                // replayed chain position
+    std::vector<std::string> keys;  // replayed records, in merge order
+    size_t quarantined;
+  };
+  const std::vector<Case> cases = {
+      {"contiguous continuation", {{0, 100, "a"}, {100, 200, "b"}}, -1, 200,
+       {"a", "b"}, 0},
+      // A restarted incarnation re-executed from 0 but got no further than
+      // the chain already reaches: its delta repeats records already applied.
+      {"duplicate prefix", {{0, 100, "a"}, {100, 200, "b"}, {0, 150, "a2"}}, -1,
+       200, {"a", "b"}, 0},
+      {"restart reaching further supersedes the prefix",
+       {{0, 100, "a"}, {0, 300, "c"}}, -1, 300, {"c"}, 0},
+      // Once a gap appears, even a later delta contiguous with it is not
+      // merged: the tail is reprocessed from input.
+      {"gap poisons the tail", {{0, 100, "a"}, {200, 300, "c"}, {300, 400, "d"}},
+       -1, 100, {"a"}, 0},
+      // Merging the third delta onto the first would claim position 300
+      // while missing the torn delta's records.
+      {"torn middle delta poisons the tail",
+       {{0, 100, "a"}, {100, 200, "b"}, {200, 300, "c"}}, 1, 100, {"a"}, 1},
+  };
+  for (const bool map_kind : {true, false}) {
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      const Case& tc = cases[ci];
+      SCOPED_TRACE(std::string(map_kind ? "map: " : "red: ") + tc.name);
+      storage::StorageOptions so;
+      so.root = tmp.path() / ((map_kind ? "map" : "red") + std::to_string(ci));
+      fs = std::make_unique<storage::StorageSystem>(so);
+      Runtime::run(1, [&](Comm& c) {
+        CkptOptions o;
+        o.location = CkptOptions::Location::kLocalOnly;  // single replica
+        CheckpointManager cm(fs.get(), 0, 0, o, 1);
+        for (const Delta& d : tc.deltas) {
+          const mr::KvBuffer delta = kv({{d.key, "1"}});
+          ASSERT_TRUE((map_kind ? cm.map_ckpt(c, 0, 5, d.start, d.end, delta)
+                                : cm.reduce_ckpt(c, 0, 5, d.start, d.end, delta))
+                          .ok());
+        }
+        if (tc.torn >= 0) {
+          char seq[16];
+          std::snprintf(seq, sizeof(seq), "_q%06d", tc.torn);
+          tear_file(storage::Tier::kLocal, seq);
+        }
+        RankRecovery rec;
+        ASSERT_TRUE(
+            cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/false, -1.0, rec).ok());
+        ASSERT_EQ(map_kind ? rec.map_tasks.count(5) : rec.reduce.count(5), 1u);
+        const uint64_t cursor =
+            map_kind ? rec.map_tasks[5].pos : rec.reduce[5].entries_done;
+        const mr::KvBuffer& got = map_kind ? rec.map_tasks[5].kv : rec.reduce[5].out;
+        EXPECT_EQ(cursor, tc.cursor);
+        std::vector<std::string> keys;
+        for (size_t i = 0; i < got.size(); ++i) keys.emplace_back(got.view(i).key);
+        EXPECT_EQ(keys, tc.keys);
+        EXPECT_EQ(rec.quarantined, tc.quarantined);
+      });
+    }
+  }
+
+  // A red delta older than the partition snapshot it follows reduced a
+  // superseded shuffle's content: it is dropped, and the chain replays
+  // from the first delta written after the snapshot.
+  storage::StorageOptions so;
+  so.root = tmp.path() / "stale-red";
+  fs = std::make_unique<storage::StorageSystem>(so);
   Runtime::run(1, [&](Comm& c) {
     CkptOptions o;
-    o.location = CkptOptions::Location::kLocalOnly;  // single replica
+    o.location = CkptOptions::Location::kLocalOnly;
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
-    ASSERT_TRUE(cm.map_ckpt(c, 0, 5, 0, 100, kv({{"a", "1"}})).ok());
-    ASSERT_TRUE(cm.map_ckpt(c, 0, 5, 100, 200, kv({{"b", "2"}})).ok());
-    ASSERT_TRUE(cm.map_ckpt(c, 0, 5, 200, 300, kv({{"c", "3"}})).ok());
-    tear_file(storage::Tier::kLocal, "_q000001");  // middle delta of the chain
+    ASSERT_TRUE(cm.reduce_ckpt(c, 0, 5, 0, 10, kv({{"stale", "1"}})).ok());
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 5, kv({{"p", "1"}})).ok());
+    ASSERT_TRUE(cm.reduce_ckpt(c, 0, 5, 0, 4, kv({{"fresh", "1"}})).ok());
     RankRecovery rec;
     ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/false, -1.0, rec).ok());
-    // Merging delta q2 on top of {q0} would claim pos=300 while missing
-    // q1's records — the chain must stop at the verified prefix instead.
-    ASSERT_TRUE(rec.map_tasks.count(5));
-    EXPECT_EQ(rec.map_tasks[5].pos, 100u);
-    ASSERT_EQ(rec.map_tasks[5].kv.size(), 1u);
-    EXPECT_EQ(rec.map_tasks[5].kv.view(0).key, "a");
-    EXPECT_EQ(rec.quarantined, 1u);
+    ASSERT_TRUE(rec.partitions.count(5));
+    ASSERT_TRUE(rec.reduce.count(5));
+    EXPECT_EQ(rec.reduce[5].entries_done, 4u);
+    ASSERT_EQ(rec.reduce[5].out.size(), 1u);
+    EXPECT_EQ(rec.reduce[5].out.view(0).key, "fresh");
+    EXPECT_EQ(rec.quarantined, 0u);
   });
+}
+
+// ---------------------------------------------------------------------------
+// CheckpointManager write ladder: retry, best-effort drop, misconfiguration
+// ---------------------------------------------------------------------------
+
+struct LadderCase {
+  bool paged;  // partition_ckpt_paged (streamed) vs partition_ckpt (whole frame)
+  CkptOptions::Location location;
+  std::string name() const {
+    const char* loc = location == CkptOptions::Location::kSharedDirect ? "shared"
+                      : location == CkptOptions::Location::kLocalOnly  ? "local-only"
+                                                                       : "local+copier";
+    return std::string(paged ? "paged " : "whole-frame ") + loc;
+  }
+};
+
+std::vector<LadderCase> ladder_cases(bool local_only) {
+  std::vector<LadderCase> out;
+  for (const bool paged : {false, true}) {
+    for (const auto loc : {CkptOptions::Location::kSharedDirect,
+                           CkptOptions::Location::kLocalOnly,
+                           CkptOptions::Location::kLocalWithCopier}) {
+      if (local_only && loc == CkptOptions::Location::kSharedDirect) continue;
+      out.push_back({paged, loc});
+    }
+  }
+  return out;
+}
+
+/// Writes partition 3 of stage 0 through the case's writer. The paged
+/// source spills to its own storage system, so its page I/O never draws
+/// on `fs`'s injected failures.
+Status write_ladder_partition(Comm& c, CheckpointManager& cm, const LadderCase& lc,
+                              storage::StorageSystem& spill_fs, mr::KvBuffer& kv) {
+  mr::SpillableKvBuffer skv(&spill_fs, 0, "spill/ladder", /*page_bytes=*/512,
+                            /*memory_budget=*/1024);
+  for (int i = 0; i < 120; ++i) {
+    const std::string k = "key-" + std::to_string(i);
+    const std::string v(static_cast<size_t>(8 + i % 17), 'v');
+    kv.add(k, v);
+    if (!skv.add(k, v).ok()) return {ErrorCode::kInternal, "spill add failed"};
+  }
+  if (skv.page_count() < 2) return {ErrorCode::kInternal, "stream is one page"};
+  return lc.paged ? cm.partition_ckpt_paged(c, 0, 3, skv)
+                  : cm.partition_ckpt(c, 0, 3, kv);
+}
+
+TEST(CkptWriteLadder, RetriesThenDropsForEveryWriterAndPlacement) {
+  const storage::RetryPolicy policy;  // the manager's ladder
+  for (const LadderCase& lc : ladder_cases(/*local_only=*/false)) {
+    for (const int failures : {policy.max_attempts - 1, policy.max_attempts}) {
+      const bool dropped = failures == policy.max_attempts;
+      SCOPED_TRACE(lc.name() + (dropped ? ", exhausted" : ", last attempt lands"));
+      storage::TempDir tmp("ftmr-integrity-ladder");
+      storage::StorageOptions so, spill_so;
+      so.root = tmp.path() / "ckpt";
+      spill_so.root = tmp.path() / "spill";
+      storage::StorageSystem fs(so), spill_fs(spill_so);
+      Runtime::run(1, [&](Comm& c) {
+        CkptOptions o;
+        o.location = lc.location;
+        CheckpointManager cm(&fs, 0, 0, o, 1);
+        fs.inject_io_failures(failures, {ErrorCode::kIo, "transient"});
+        mr::KvBuffer kv;
+        // Best-effort: an exhausted ladder drops the checkpoint, not the job.
+        ASSERT_TRUE(write_ladder_partition(c, cm, lc, spill_fs, kv).ok());
+        EXPECT_EQ(fs.fault_stats().count_failures, failures);
+        EXPECT_EQ(cm.integrity().io_retries, policy.max_attempts - 1);
+        EXPECT_EQ(cm.integrity().ckpt_write_failures, dropped ? 1 : 0);
+        EXPECT_EQ(cm.integrity().drain_failures, 0);
+        const bool shared = lc.location == CkptOptions::Location::kSharedDirect;
+        RankRecovery rec;
+        ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, shared, -1.0, rec).ok());
+        if (dropped) {
+          EXPECT_TRUE(rec.partitions.empty());
+          EXPECT_EQ(rec.files_read, 0u);
+        } else {
+          ASSERT_TRUE(rec.partitions.count(3));
+          EXPECT_EQ(rec.partitions[3].size(), kv.size());
+          EXPECT_EQ(rec.quarantined, 0u);
+        }
+      });
+    }
+  }
+}
+
+TEST(CkptWriteLadder, LocalPlacementWithoutLocalDiskFailsPrecondition) {
+  for (const LadderCase& lc : ladder_cases(/*local_only=*/true)) {
+    SCOPED_TRACE(lc.name());
+    storage::TempDir tmp("ftmr-integrity-nodisk");
+    storage::StorageOptions so, spill_so;
+    so.root = tmp.path() / "ckpt";
+    so.has_local_disk = false;
+    spill_so.root = tmp.path() / "spill";
+    storage::StorageSystem fs(so), spill_fs(spill_so);
+    Runtime::run(1, [&](Comm& c) {
+      CkptOptions o;
+      o.location = lc.location;
+      CheckpointManager cm(&fs, 0, 0, o, 1);
+      mr::KvBuffer kv;
+      // A misconfiguration is surfaced, never retried or dropped.
+      EXPECT_EQ(write_ladder_partition(c, cm, lc, spill_fs, kv).code(),
+                ErrorCode::kFailedPrecondition);
+      const IntegrityStats st = cm.integrity();
+      EXPECT_EQ(st.io_retries, 0);
+      EXPECT_EQ(st.ckpt_write_failures, 0);
+      EXPECT_EQ(st.drain_failures, 0);
+      EXPECT_EQ(cm.write_seconds(), 0.0);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "core/checkpoint.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/replica.hpp"
@@ -474,6 +475,36 @@ TEST_F(ReplicaCkptFixture, RereplicateHealsToKSharedCopiesAfterAKill) {
       }
     }
   }, o);
+}
+
+TEST_F(ReplicaCkptFixture, RereplicateCountsEveryLostPushInBothCounters) {
+  // Memory-tier write faults lose every push: the checkpoint's replicate()
+  // and rereplicate()'s file-sourced re-push from the owner alike. Each lost
+  // push must land in the registry counter as well as in integrity().
+  storage::FaultInjectorConfig fc;
+  fc.memory.p_write_fail = 1.0;
+  fs->set_fault_injector(fc);
+  const metrics::MetricsRegistry& reg = metrics::MetricsRegistry::global();
+  Runtime::run(4, [&](Comm& c) {
+    CkptOptions o;
+    o.memory_replication_k = 2;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
+    const double before = reg.counter("ckpt.replica_push_failures", c.rank());
+    if (c.rank() == 0) {
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+      EXPECT_TRUE(fs->memory().all_paths().empty());
+    }
+    ASSERT_TRUE(c.barrier().ok());
+    const int64_t lost_at_write = cm.integrity().replica_push_failures;
+    ASSERT_TRUE(cm.rereplicate(c).ok());
+    if (c.rank() == 0) {
+      EXPECT_EQ(lost_at_write, 2);
+      EXPECT_EQ(cm.integrity().replica_push_failures, 4);  // the re-push lost 2
+    }
+    EXPECT_EQ(reg.counter("ckpt.replica_push_failures", c.rank()) - before,
+              static_cast<double>(cm.integrity().replica_push_failures));
+    ASSERT_TRUE(c.barrier().ok());
+  });
 }
 
 // ---------------------------------------------------------------------------
