@@ -44,71 +44,130 @@ Status unseal_page(Bytes& wire) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// SpillPager
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+SpillPager::SpillPager(SpillPager&& other) noexcept
+    : totals(std::exchange(other.totals, {})), fs_(other.fs_),
+      node_(other.node_), dir_(std::move(other.dir_)), retry_(other.retry_),
+      stats_(std::exchange(other.stats_, {})),
+      pending_io_seconds_(std::exchange(other.pending_io_seconds_, 0.0)),
+      next_page_id_(other.next_page_id_),
+      booking_(std::move(other.booking_)) {}
+
+Status SpillPager::write_page(const char* prefix, Bytes& wire,
+                              std::string& path) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%06d", prefix, next_page_id_++);
+  std::string file = dir_ + "/" + name;
+  seal_page(wire);
+  const size_t sealed = wire.size();
+  Status last;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    if (attempt > 1) {
+      charge_io(retry_.backoff_before(attempt - 1));
+      stats_.write_retries++;
+    }
+    double cost = 0.0;
+    last = fs_->write_file(storage::Tier::kLocal, node_, file, wire, &cost);
+    if (!last.ok()) continue;
+    // A torn write reports success but persists a strict prefix; the size
+    // probe is metadata-only and catches it before the page leaves memory.
+    if (fs_->file_size(storage::Tier::kLocal, node_, file) !=
+        static_cast<int64_t>(sealed)) {
+      last = {ErrorCode::kIo, "torn spill write detected"};
+      continue;
+    }
+    charge_io(cost);
+    break;
+  }
+  if (!last.ok()) {
+    stats_.write_failures++;
+    (void)remove_file(file);
+    wire.resize(sealed - kPageCrcBytes);
+    return last;
+  }
+  stats_.pages_spilled++;
+  stats_.bytes_spilled += sealed;
+  path = std::move(file);
+  return Status::Ok();
+}
+
+Status SpillPager::load_page(const std::string& path,
+                             const std::function<Status(Bytes&&)>& decode) {
+  Status last;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    if (attempt > 1) {
+      charge_io(retry_.backoff_before(attempt - 1));
+      stats_.read_retries++;
+    }
+    Bytes wire;
+    double cost = 0.0;
+    last = fs_->read_file(storage::Tier::kLocal, node_, path, wire, &cost);
+    if (!last.ok()) continue;  // clean read failures are transient
+    // The CRC trailer plus the decoder's structural validation catch any
+    // bit flip on the way back in (file intact on disk), so corruption
+    // retries rather than surfacing garbage — or, worse, silently altered
+    // payloads.
+    last = unseal_page(wire);
+    if (!last.ok()) continue;
+    last = decode(std::move(wire));
+    if (last.ok()) {
+      charge_io(cost);
+      stats_.pages_loaded++;
+      return Status::Ok();
+    }
+  }
+  return last;
+}
+
+void SpillPager::absorb(SpillPager& donor) noexcept {
+  if (fs_ == nullptr && donor.fs_ != nullptr) {
+    fs_ = donor.fs_;
+    node_ = donor.node_;
+  }
+  const Totals t = std::exchange(donor.totals, {});
+  totals.items += t.items;
+  totals.bytes += t.bytes;
+  totals.resident += t.resident;
+  const SpillStats d = std::exchange(donor.stats_, {});
+  stats_.pages_spilled += d.pages_spilled;
+  stats_.pages_loaded += d.pages_loaded;
+  stats_.bytes_spilled += d.bytes_spilled;
+  stats_.sim_io_seconds += d.sim_io_seconds;
+  stats_.write_retries += d.write_retries;
+  stats_.read_retries += d.read_retries;
+  stats_.write_failures += d.write_failures;
+  pending_io_seconds_ += donor.take_io_seconds();
+  donor.book(0);
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // SpillableKvBuffer
 // ---------------------------------------------------------------------------
 
 SpillableKvBuffer::SpillableKvBuffer(storage::StorageSystem* storage, int node,
                                      std::string spill_dir, size_t page_bytes,
                                      size_t memory_budget)
-    : storage_(storage), node_(node), spill_dir_(std::move(spill_dir)),
+    : pager_(storage, node, std::move(spill_dir), nullptr),
       page_bytes_(page_bytes ? page_bytes : 1),
       memory_budget_(memory_budget) {}
 
+SpillableKvBuffer::SpillableKvBuffer(const SpillConfig& cfg)
+    : pager_(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir, cfg.meter),
+      page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
+      memory_budget_(cfg.memory_budget ? cfg.memory_budget : size_t{4} << 20) {}
+
 SpillableKvBuffer::~SpillableKvBuffer() { (void)clear(); }
-
-SpillableKvBuffer::SpillableKvBuffer(SpillableKvBuffer&& other) noexcept
-    : storage_(other.storage_), node_(other.node_),
-      spill_dir_(std::move(other.spill_dir_)), page_bytes_(other.page_bytes_),
-      memory_budget_(other.memory_budget_), retry_(other.retry_),
-      meter_(other.meter_), metered_(other.metered_),
-      pages_(std::move(other.pages_)), open_page_(std::move(other.open_page_)),
-      resident_bytes_(other.resident_bytes_), total_pairs_(other.total_pairs_),
-      total_bytes_(other.total_bytes_), stats_(other.stats_),
-      pending_io_seconds_(other.pending_io_seconds_),
-      next_page_id_(other.next_page_id_) {
-  other.pages_.clear();
-  other.open_page_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
-}
-
-SpillableKvBuffer& SpillableKvBuffer::operator=(
-    SpillableKvBuffer&& other) noexcept {
-  if (this == &other) return *this;
-  (void)clear();
-  storage_ = other.storage_;
-  node_ = other.node_;
-  spill_dir_ = std::move(other.spill_dir_);
-  page_bytes_ = other.page_bytes_;
-  memory_budget_ = other.memory_budget_;
-  retry_ = other.retry_;
-  meter_ = other.meter_;
-  metered_ = other.metered_;
-  pages_ = std::move(other.pages_);
-  open_page_ = std::move(other.open_page_);
-  resident_bytes_ = other.resident_bytes_;
-  total_pairs_ = other.total_pairs_;
-  total_bytes_ = other.total_bytes_;
-  stats_ = other.stats_;
-  pending_io_seconds_ = other.pending_io_seconds_;
-  next_page_id_ = other.next_page_id_;
-  other.pages_.clear();
-  other.open_page_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
-  return *this;
-}
 
 Status SpillableKvBuffer::add(std::string_view key, std::string_view value) {
   open_page_.add(key, value);
-  total_pairs_++;
-  total_bytes_ += key.size() + value.size() + KvBuffer::kPairOverhead;
+  pager_.totals.items++;
+  pager_.totals.bytes += key.size() + value.size() + KvBuffer::kPairOverhead;
   if (can_spill() && open_page_.bytes() >= page_bytes_) close_open_page();
   Status s = enforce_budget();
   sync_meter();
@@ -117,8 +176,8 @@ Status SpillableKvBuffer::add(std::string_view key, std::string_view value) {
 
 Status SpillableKvBuffer::absorb_kv(KvBuffer&& kv) {
   if (kv.empty()) return Status::Ok();
-  total_pairs_ += kv.size();
-  total_bytes_ += kv.bytes();
+  pager_.totals.items += kv.size();
+  pager_.totals.bytes += kv.bytes();
   open_page_.absorb(std::move(kv));
   if (can_spill() && open_page_.bytes() >= page_bytes_) close_open_page();
   Status s = enforce_budget();
@@ -134,9 +193,9 @@ Status SpillableKvBuffer::append_page(KvBuffer&& page) {
   p.pairs = page.size();
   p.bytes = page.bytes();
   p.mem = std::move(page);
-  resident_bytes_ += p.bytes;
-  total_pairs_ += p.pairs;
-  total_bytes_ += p.bytes;
+  pager_.totals.resident += p.bytes;
+  pager_.totals.items += p.pairs;
+  pager_.totals.bytes += p.bytes;
   pages_.push_back(std::move(p));
   Status s = enforce_budget();
   sync_meter();
@@ -146,31 +205,9 @@ Status SpillableKvBuffer::append_page(KvBuffer&& page) {
 Status SpillableKvBuffer::absorb_pages(SpillableKvBuffer&& other) {
   close_open_page();
   other.close_open_page();
-  // Adopt the donor's storage if this buffer has none, so the moved spill
-  // files can still be removed by our clear()/destructor.
-  if (storage_ == nullptr && other.storage_ != nullptr) {
-    storage_ = other.storage_;
-    node_ = other.node_;
-  }
-  for (Page& p : other.pages_) {
-    if (!p.on_disk) resident_bytes_ += p.bytes;
-    total_pairs_ += p.pairs;
-    total_bytes_ += p.bytes;
-    pages_.push_back(std::move(p));
-  }
+  for (Page& p : other.pages_) pages_.push_back(std::move(p));
   other.pages_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  stats_.pages_spilled += other.stats_.pages_spilled;
-  stats_.pages_loaded += other.stats_.pages_loaded;
-  stats_.bytes_spilled += other.stats_.bytes_spilled;
-  stats_.sim_io_seconds += other.stats_.sim_io_seconds;
-  stats_.write_retries += other.stats_.write_retries;
-  stats_.read_retries += other.stats_.read_retries;
-  stats_.write_failures += other.stats_.write_failures;
-  pending_io_seconds_ += other.pending_io_seconds_;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.sync_meter();  // donor's booking drops to zero
+  pager_.absorb(other.pager_);
   Status s = enforce_budget();
   sync_meter();
   return s;
@@ -202,7 +239,7 @@ void SpillableKvBuffer::close_open_page() {
   p.bytes = open_page_.bytes();
   p.mem = std::move(open_page_);
   open_page_ = KvBuffer{};
-  resident_bytes_ += p.bytes;
+  pager_.totals.resident += p.bytes;
   pages_.push_back(std::move(p));
 }
 
@@ -211,49 +248,17 @@ Status SpillableKvBuffer::spill_oldest_resident() {
                          [](const Page& p) { return !p.on_disk; });
   if (it == pages_.end()) return Status::Ok();
   Page& p = *it;
-  char name[64];
-  std::snprintf(name, sizeof(name), "page_%06d", next_page_id_++);
-  std::string path = spill_dir_ + "/" + name;
   // The wire image stays owned here until a write is verified complete: a
   // failed (or torn) spill re-adopts it, so no page is ever lost to the
   // storage layer.
   Bytes wire = std::move(p.mem).take_wire();
-  seal_page(wire);
-  const size_t wire_size = wire.size();
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.write_retries++;
-    }
-    double cost = 0.0;
-    last = storage_->write_file(storage::Tier::kLocal, node_, path, wire, &cost);
-    if (!last.ok()) continue;
-    // A torn write reports success but persists a strict prefix; the size
-    // probe is metadata-only and catches it before the page leaves memory.
-    if (storage_->file_size(storage::Tier::kLocal, node_, path) !=
-        static_cast<int64_t>(wire_size)) {
-      last = {ErrorCode::kIo, "torn spill write detected"};
-      continue;
-    }
-    charge_io(cost);
-    break;
-  }
-  if (!last.ok()) {
-    stats_.write_failures++;
-    (void)storage_->remove(storage::Tier::kLocal, node_, path);
-    wire.resize(wire_size - kPageCrcBytes);
-    KvBuffer back;
-    (void)back.adopt(std::move(wire));  // our own bytes; validation cannot fail
-    p.mem = std::move(back);
-    return last;
+  if (auto s = pager_.write_page("page_", wire, p.path); !s.ok()) {
+    (void)p.mem.adopt(std::move(wire));  // our own bytes; cannot fail
+    return s;
   }
   p.on_disk = true;
-  p.path = std::move(path);
   p.mem = KvBuffer{};
-  resident_bytes_ -= p.bytes;
-  stats_.pages_spilled++;
-  stats_.bytes_spilled += wire_size;
+  pager_.totals.resident -= p.bytes;
   return Status::Ok();
 }
 
@@ -262,7 +267,7 @@ Status SpillableKvBuffer::enforce_budget() {
   // over-budget moment the budget is about to spill away.
   sync_meter();
   if (!can_spill() || memory_budget_ == 0) return Status::Ok();
-  while (resident_bytes_ + open_page_.bytes() > memory_budget_) {
+  while (resident_bytes() > memory_budget_) {
     const bool have_resident =
         std::any_of(pages_.begin(), pages_.end(),
                     [](const Page& p) { return !p.on_disk; });
@@ -275,30 +280,8 @@ Status SpillableKvBuffer::enforce_budget() {
 }
 
 Status SpillableKvBuffer::load_page(const Page& p, KvBuffer& out) {
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
-    }
-    Bytes wire;
-    double cost = 0.0;
-    last = storage_->read_file(storage::Tier::kLocal, node_, p.path, wire,
-                               &cost);
-    if (!last.ok()) continue;  // clean read failures are transient
-    // The CRC trailer plus adoption's structural validation catch any bit
-    // flip on the way back in (file intact on disk), so corruption retries
-    // rather than surfacing garbage — or, worse, silently altered payloads.
-    last = unseal_page(wire);
-    if (!last.ok()) continue;
-    last = out.adopt(std::move(wire));
-    if (last.ok()) {
-      charge_io(cost);
-      stats_.pages_loaded++;
-      return Status::Ok();
-    }
-  }
-  return last;
+  return pager_.load_page(
+      p.path, [&out](Bytes&& wire) { return out.adopt(std::move(wire)); });
 }
 
 Status SpillableKvBuffer::for_each(const std::function<void(KvView)>& fn) {
@@ -347,21 +330,21 @@ Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
     Page& p = pages_.front();
     if (p.on_disk) {
       if (auto s = load_page(p, out); !s.ok()) return s;  // page stays intact
-      (void)storage_->remove(storage::Tier::kLocal, node_, p.path);
+      (void)pager_.remove_file(p.path);
     } else {
       out = std::move(p.mem);
-      resident_bytes_ -= p.bytes;
+      pager_.totals.resident -= p.bytes;
     }
-    total_pairs_ -= p.pairs;
-    total_bytes_ -= p.bytes;
+    pager_.totals.items -= p.pairs;
+    pager_.totals.bytes -= p.bytes;
     pages_.pop_front();
     have = true;
     sync_meter();
     return Status::Ok();
   }
   if (!open_page_.empty()) {
-    total_pairs_ -= open_page_.size();
-    total_bytes_ -= open_page_.bytes();
+    pager_.totals.items -= open_page_.size();
+    pager_.totals.bytes -= open_page_.bytes();
     out = std::move(open_page_);
     open_page_ = KvBuffer{};
     have = true;
@@ -379,7 +362,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
     for (Page& p : pages_) out.absorb(std::move(p.mem));
     out.absorb(std::move(open_page_));
     pages_.clear();
-    resident_bytes_ = total_pairs_ = total_bytes_ = 0;
+    pager_.totals = {};
     sync_meter();
     return Status::Ok();
   }
@@ -387,7 +370,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
   // until every page has been copied: on failure `out` is cleared and every
   // page — including the already-copied prefix — stays intact and
   // re-readable (spill files are only deleted by the success path below).
-  out.reserve_records(total_pairs_, total_bytes_);
+  out.reserve_records(size(), bytes());
   for (const Page& p : pages_) {
     if (p.on_disk) {
       KvBuffer page;
@@ -405,23 +388,8 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
 }
 
 Status SpillableKvBuffer::clear() {
-  Status first;
-  if (storage_ != nullptr) {
-    for (const Page& p : pages_) {
-      if (!p.on_disk) continue;
-      if (auto s = storage_->remove(storage::Tier::kLocal, node_, p.path);
-          !s.ok() && first.ok()) {
-        first = s;
-      }
-    }
-  }
-  pages_.clear();
   open_page_.clear();
-  resident_bytes_ = 0;
-  total_pairs_ = 0;
-  total_bytes_ = 0;
-  sync_meter();
-  return first;
+  return pager_.drop_pages(pages_);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,75 +458,28 @@ Status decode_kmv(std::span<const std::byte> wire, KmvBuffer& out) {
 // SpillableKmvBuffer
 // ---------------------------------------------------------------------------
 
+// No meter is passed: KMV pages and the merge cursors are not booked yet
+// (ROADMAP, "KMV residency is unmetered").
 SpillableKmvBuffer::SpillableKmvBuffer(const SpillConfig& cfg)
-    : storage_(cfg.enabled() ? cfg.fs : nullptr), node_(cfg.node),
-      spill_dir_(cfg.dir), page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
+    : pager_(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir, nullptr),
+      page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
       memory_budget_(cfg.memory_budget) {}
 
 SpillableKmvBuffer::~SpillableKmvBuffer() { (void)clear(); }
-
-SpillableKmvBuffer::SpillableKmvBuffer(SpillableKmvBuffer&& other) noexcept
-    : storage_(other.storage_), node_(other.node_),
-      spill_dir_(std::move(other.spill_dir_)), page_bytes_(other.page_bytes_),
-      memory_budget_(other.memory_budget_), retry_(other.retry_),
-      meter_(other.meter_), metered_(other.metered_),
-      pages_(std::move(other.pages_)), runs_(std::move(other.runs_)),
-      resident_bytes_(other.resident_bytes_),
-      total_entries_(other.total_entries_), total_bytes_(other.total_bytes_),
-      stats_(other.stats_), pending_io_seconds_(other.pending_io_seconds_),
-      next_page_id_(other.next_page_id_) {
-  other.pages_.clear();
-  other.runs_.clear();
-  other.resident_bytes_ = other.total_entries_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
-}
-
-SpillableKmvBuffer& SpillableKmvBuffer::operator=(
-    SpillableKmvBuffer&& other) noexcept {
-  if (this == &other) return *this;
-  (void)clear();
-  storage_ = other.storage_;
-  node_ = other.node_;
-  spill_dir_ = std::move(other.spill_dir_);
-  page_bytes_ = other.page_bytes_;
-  memory_budget_ = other.memory_budget_;
-  retry_ = other.retry_;
-  meter_ = other.meter_;
-  metered_ = other.metered_;
-  pages_ = std::move(other.pages_);
-  runs_ = std::move(other.runs_);
-  resident_bytes_ = other.resident_bytes_;
-  total_entries_ = other.total_entries_;
-  total_bytes_ = other.total_bytes_;
-  stats_ = other.stats_;
-  pending_io_seconds_ = other.pending_io_seconds_;
-  next_page_id_ = other.next_page_id_;
-  other.pages_.clear();
-  other.runs_.clear();
-  other.resident_bytes_ = other.total_entries_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
-  return *this;
-}
 
 Status SpillableKmvBuffer::add_run(KmvBuffer&& run) {
   if (run.empty()) return Status::Ok();
   Run r;
   r.first_page = pages_.size();
-  total_entries_ += run.size();
-  total_bytes_ += run.bytes();
+  pager_.totals.items += run.size();
+  pager_.totals.bytes += run.bytes();
   // A spill failure retains the page resident (over budget, never lost), so
   // the run is always registered whole; the first error is surfaced after.
   Status first;
   auto flush = [&](KmvBuffer&& chunk) {
     if (auto s = append_page(std::move(chunk)); !s.ok() && first.ok()) first = s;
   };
-  if (storage_ == nullptr || run.bytes() <= page_bytes_) {
+  if (!pager_.can_spill() || run.bytes() <= page_bytes_) {
     // One page: it fits, or it could never spill (splitting would only
     // copy it).
     flush(std::move(run));
@@ -586,7 +507,7 @@ Status SpillableKmvBuffer::append_page(KmvBuffer&& chunk) {
   p.entries = chunk.size();
   p.bytes = chunk.bytes();
   p.mem = std::move(chunk);
-  resident_bytes_ += p.bytes;
+  pager_.totals.resident += p.bytes;
   pages_.push_back(std::move(p));
   Status s = enforce_budget();
   sync_meter();
@@ -595,72 +516,25 @@ Status SpillableKmvBuffer::append_page(KmvBuffer&& chunk) {
 
 Status SpillableKmvBuffer::enforce_budget() {
   sync_meter();  // book the pre-spill residency (see SpillableKvBuffer)
-  if (storage_ == nullptr || memory_budget_ == 0) return Status::Ok();
-  while (resident_bytes_ > memory_budget_) {
+  if (!pager_.can_spill() || memory_budget_ == 0) return Status::Ok();
+  while (resident_bytes() > memory_budget_) {
     auto it = std::find_if(pages_.begin(), pages_.end(),
                            [](const Page& p) { return !p.on_disk; });
     if (it == pages_.end()) break;
     Page& p = *it;
-    char name[64];
-    std::snprintf(name, sizeof(name), "kmv_%06d", next_page_id_++);
-    std::string path = spill_dir_ + "/" + name;
     Bytes wire = encode_kmv(p.mem);
-    seal_page(wire);
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      if (attempt > 1) {
-        charge_io(retry_.backoff_before(attempt - 1));
-        stats_.write_retries++;
-      }
-      double cost = 0.0;
-      last = storage_->write_file(storage::Tier::kLocal, node_, path, wire,
-                                  &cost);
-      if (!last.ok()) continue;
-      if (storage_->file_size(storage::Tier::kLocal, node_, path) !=
-          static_cast<int64_t>(wire.size())) {
-        last = {ErrorCode::kIo, "torn kmv spill write detected"};
-        continue;
-      }
-      charge_io(cost);
-      break;
-    }
-    if (!last.ok()) {
-      stats_.write_failures++;
-      (void)storage_->remove(storage::Tier::kLocal, node_, path);
-      return last;  // page stays resident; nothing lost
-    }
+    // A failed write leaves the page resident; nothing is lost.
+    if (auto s = pager_.write_page("kmv_", wire, p.path); !s.ok()) return s;
     p.on_disk = true;
-    p.path = std::move(path);
     p.mem = KmvBuffer{};
-    resident_bytes_ -= p.bytes;
-    stats_.pages_spilled++;
-    stats_.bytes_spilled += wire.size();
+    pager_.totals.resident -= p.bytes;
   }
   return Status::Ok();
 }
 
 Status SpillableKmvBuffer::load_page(const Page& p, KmvBuffer& out) {
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
-    }
-    Bytes wire;
-    double cost = 0.0;
-    last = storage_->read_file(storage::Tier::kLocal, node_, p.path, wire,
-                               &cost);
-    if (!last.ok()) continue;
-    last = unseal_page(wire);  // CRC: payload bit flips retry too
-    if (!last.ok()) continue;
-    last = decode_kmv(wire, out);  // structural validation
-    if (last.ok()) {
-      charge_io(cost);
-      stats_.pages_loaded++;
-      return Status::Ok();
-    }
-  }
-  return last;
+  return pager_.load_page(
+      p.path, [&out](Bytes&& wire) { return decode_kmv(wire, out); });
 }
 
 Status SpillableKmvBuffer::for_each_entry(
@@ -689,21 +563,10 @@ Status SpillableKmvBuffer::for_each_entry(
   auto buf = [&](const Cursor& c) -> const KmvBuffer& {
     return c.resident ? pages_[c.page].mem : c.loaded;
   };
-  // Cursor-loaded pages are real residency beyond resident_bytes_ — book
+  // Cursor-loaded pages are real residency beyond resident_bytes() — book
   // them with the shared meter for the duration of the merge (released on
   // every exit path).
-  struct MergeBooking {
-    ResidencyMeter* m;
-    size_t booked = 0;
-    ~MergeBooking() {
-      if (m != nullptr) m->rebook(booked, 0);
-    }
-    void set(size_t n) {
-      if (m == nullptr) return;
-      m->rebook(booked, n);
-      booked = n;
-    }
-  } booking{meter_};
+  MeterBooking booking = pager_.transient_booking();
   auto rebook_cursors = [&] {
     size_t n = 0;
     for (const Cursor& c : curs) {
@@ -798,23 +661,8 @@ Status SpillableKmvBuffer::for_each_entry(
 }
 
 Status SpillableKmvBuffer::clear() {
-  Status first;
-  if (storage_ != nullptr) {
-    for (const Page& p : pages_) {
-      if (!p.on_disk) continue;
-      if (auto s = storage_->remove(storage::Tier::kLocal, node_, p.path);
-          !s.ok() && first.ok()) {
-        first = s;
-      }
-    }
-  }
-  pages_.clear();
   runs_.clear();
-  resident_bytes_ = 0;
-  total_entries_ = 0;
-  total_bytes_ = 0;
-  sync_meter();
-  return first;
+  return pager_.drop_pages(pages_);
 }
 
 }  // namespace ftmr::mr

@@ -37,7 +37,9 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "mr/kv.hpp"
 #include "storage/copier.hpp"
@@ -62,6 +64,7 @@ struct SpillStats {
 /// the peak includes the transient over-budget moment a single oversized
 /// page can cause (ext07 and CI validate peak <= 1.5x budget against it).
 /// Single-rank state: buffers on different ranks use different meters.
+/// Buffers book through a MeterBooking, never by calling rebook directly.
 struct ResidencyMeter {
   size_t current = 0;
   size_t peak = 0;
@@ -70,6 +73,35 @@ struct ResidencyMeter {
     current = current - (from < current ? from : current) + to;
     if (current > peak) peak = current;
   }
+};
+
+/// One holder's bytes on a ResidencyMeter (null meter = no accounting). A
+/// move hands the booking over with the pages it counts; destruction
+/// releases it.
+class MeterBooking {
+ public:
+  MeterBooking() = default;
+  explicit MeterBooking(ResidencyMeter* meter) noexcept : meter_(meter) {}
+  ~MeterBooking() { set(0); }
+  MeterBooking(MeterBooking&& other) noexcept
+      : meter_(std::exchange(other.meter_, nullptr)),
+        booked_(std::exchange(other.booked_, 0)) {}
+  MeterBooking& operator=(MeterBooking&&) = delete;
+
+  /// Re-book this holder at `bytes` resident bytes.
+  void set(size_t bytes) noexcept {
+    if (meter_ == nullptr) return;
+    meter_->rebook(booked_, bytes);
+    booked_ = bytes;
+  }
+  /// A separate booking on the same meter (transient holders).
+  [[nodiscard]] MeterBooking another() const noexcept {
+    return MeterBooking(meter_);
+  }
+
+ private:
+  ResidencyMeter* meter_ = nullptr;
+  size_t booked_ = 0;
 };
 
 /// Everything a component needs to open spill-backed buffers: the storage
@@ -106,6 +138,111 @@ struct SpillConfig {
   }
 };
 
+namespace detail {
+
+/// The spill pager both stores page through. It owns everything the two
+/// stores share: the storage handle, node, scratch directory and retry
+/// policy, the SpillStats and pending I/O seconds, the page-file ids, the
+/// running totals of the store's pages and the residency booking. Every
+/// spill page is written by write_page, loaded by load_page and removed by
+/// remove_file or drop_pages, so each storage call has one site. The page
+/// lists (and what is paged: KV arenas, KMV entries) stay with the stores.
+class SpillPager {
+ public:
+  /// Running totals of the store's pages.
+  struct Totals {
+    size_t items = 0;     // pairs (KV) or grouped entries (KMV)
+    size_t bytes = 0;     // the store's bytes() unit
+    size_t resident = 0;  // bytes of the closed pages held in memory
+  };
+
+  SpillPager() = default;
+  /// `fs` null = no spilling; `meter` null = no residency accounting.
+  SpillPager(storage::StorageSystem* fs, int node, std::string dir,
+             ResidencyMeter* meter)
+      : fs_(fs), node_(node), dir_(std::move(dir)), booking_(meter) {}
+  /// The pages' files, totals, stats and booking move with the pager; the
+  /// source keeps only its storage handle.
+  SpillPager(SpillPager&& other) noexcept;
+  SpillPager& operator=(SpillPager&&) = delete;
+
+  [[nodiscard]] bool can_spill() const noexcept { return fs_ != nullptr; }
+  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] double take_io_seconds() noexcept {
+    return std::exchange(pending_io_seconds_, 0.0);
+  }
+  /// Book `bytes` resident bytes with the residency meter.
+  void book(size_t bytes) noexcept { booking_.set(bytes); }
+  /// A separate booking on the same meter (pages loaded for a while).
+  [[nodiscard]] MeterBooking transient_booking() const noexcept {
+    return booking_.another();
+  }
+
+  /// Write `wire` as the next page file `<dir>/<prefix>NNNNNN`: seal it
+  /// with a CRC trailer, retry failed and torn writes on the backoff
+  /// ladder, and on success set `path`. After an exhausted ladder the file
+  /// is removed and `wire` is handed back unsealed, so the caller can keep
+  /// the page resident.
+  Status write_page(const char* prefix, Bytes& wire, std::string& path);
+  /// Read page file `path` back: retry failed reads, check the CRC and
+  /// hand the body to `decode`; a CRC or decode failure retries too.
+  Status load_page(const std::string& path,
+                   const std::function<Status(Bytes&&)>& decode);
+  Status remove_file(const std::string& path) {
+    return fs_->remove(storage::Tier::kLocal, node_, path);
+  }
+  /// Remove the file of every on-disk page in `pages`, then empty the
+  /// list, zero the totals and release the booking. Reports the first
+  /// removal error after clearing everything.
+  template <typename Pages>
+  Status drop_pages(Pages& pages) {
+    Status first;
+    for (const auto& p : pages) {
+      if (!p.on_disk || fs_ == nullptr) continue;
+      if (auto s = remove_file(p.path); !s.ok() && first.ok()) first = s;
+    }
+    pages.clear();
+    totals = {};
+    booking_.set(0);
+    return first;
+  }
+  /// Take over `donor`'s totals, stats and pending I/O seconds (its pages
+  /// were moved here), and its storage if this pager has none, so the
+  /// moved files can still be removed. The donor's booking drops to zero.
+  void absorb(SpillPager& donor) noexcept;
+
+  Totals totals;
+
+ private:
+  void charge_io(double cost) noexcept {
+    stats_.sim_io_seconds += cost;
+    pending_io_seconds_ += cost;
+  }
+
+  storage::StorageSystem* fs_ = nullptr;
+  int node_ = 0;
+  std::string dir_;
+  storage::RetryPolicy retry_{};
+  SpillStats stats_;
+  double pending_io_seconds_ = 0.0;
+  int next_page_id_ = 0;
+  MeterBooking booking_;
+};
+
+/// Move-assign a spill store: destroying the old contents removes its
+/// spill files and releases its booking, then the defaulted move
+/// constructor takes `other` over and leaves it empty.
+template <typename Store>
+Store& replace_store(Store& self, Store&& other) noexcept {
+  if (&self != &other) {
+    std::destroy_at(&self);
+    std::construct_at(&self, std::move(other));
+  }
+  return self;
+}
+
+}  // namespace detail
+
 /// Append-only KV store that keeps at most `memory_budget` bytes of pairs
 /// in memory; older full pages spill to local disk under `spill_dir`.
 /// Iteration (for_each / for_each_page / drain_to) streams spilled pages
@@ -126,18 +263,15 @@ class SpillableKvBuffer {
   SpillableKvBuffer(storage::StorageSystem* storage, int node,
                     std::string spill_dir, size_t page_bytes = 1 << 20,
                     size_t memory_budget = 4 << 20);
-  explicit SpillableKvBuffer(const SpillConfig& cfg)
-      : SpillableKvBuffer(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir,
-                          cfg.page_bytes,
-                          cfg.memory_budget ? cfg.memory_budget : size_t{4} << 20) {
-    meter_ = cfg.meter;
-  }
+  explicit SpillableKvBuffer(const SpillConfig& cfg);
   ~SpillableKvBuffer();
 
   SpillableKvBuffer(const SpillableKvBuffer&) = delete;
   SpillableKvBuffer& operator=(const SpillableKvBuffer&) = delete;
-  SpillableKvBuffer(SpillableKvBuffer&& other) noexcept;
-  SpillableKvBuffer& operator=(SpillableKvBuffer&& other) noexcept;
+  SpillableKvBuffer(SpillableKvBuffer&& other) noexcept = default;
+  SpillableKvBuffer& operator=(SpillableKvBuffer&& other) noexcept {
+    return detail::replace_store(*this, std::move(other));
+  }
 
   Status add(std::string_view key, std::string_view value);
 
@@ -157,10 +291,12 @@ class SpillableKvBuffer {
   Status absorb_pages(SpillableKvBuffer&& other);
 
   /// Pairs added so far (in memory + spilled).
-  [[nodiscard]] size_t size() const noexcept { return total_pairs_; }
-  [[nodiscard]] size_t bytes() const noexcept { return total_bytes_; }
-  [[nodiscard]] bool empty() const noexcept { return total_pairs_ == 0; }
-  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] size_t size() const noexcept { return pager_.totals.items; }
+  [[nodiscard]] size_t bytes() const noexcept { return pager_.totals.bytes; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const SpillStats& stats() const noexcept {
+    return pager_.stats();
+  }
 
   /// Closed pages plus the open page (if non-empty).
   [[nodiscard]] size_t page_count() const noexcept {
@@ -172,7 +308,7 @@ class SpillableKvBuffer {
   /// Bytes currently resident in memory, open page included — the quantity
   /// the budget bounds.
   [[nodiscard]] size_t resident_bytes() const noexcept {
-    return resident_bytes_ + open_page_.bytes();
+    return pager_.totals.resident + open_page_.bytes();
   }
   [[nodiscard]] size_t memory_budget() const noexcept { return memory_budget_; }
   /// The whole contents as one resident KvBuffer when the buffer cannot
@@ -222,9 +358,7 @@ class SpillableKvBuffer {
   /// Simulated spill I/O seconds accumulated since the last take (workers
   /// charge this to their virtual clock at phase boundaries).
   [[nodiscard]] double take_io_seconds() noexcept {
-    const double t = pending_io_seconds_;
-    pending_io_seconds_ = 0.0;
-    return t;
+    return pager_.take_io_seconds();
   }
 
  private:
@@ -236,42 +370,21 @@ class SpillableKvBuffer {
     bool on_disk = false;
   };
 
-  [[nodiscard]] bool can_spill() const noexcept { return storage_ != nullptr; }
+  [[nodiscard]] bool can_spill() const noexcept { return pager_.can_spill(); }
   void close_open_page();
   /// Spill the oldest resident closed page; no-op if none.
   Status spill_oldest_resident();
   /// Spill until (closed resident + open page) fits the budget.
   Status enforce_budget();
   Status load_page(const Page& p, KvBuffer& out);
-  void charge_io(double cost) noexcept {
-    stats_.sim_io_seconds += cost;
-    pending_io_seconds_ += cost;
-  }
   /// Re-book this buffer's resident bytes with the shared meter.
-  void sync_meter() noexcept {
-    if (meter_ == nullptr) return;
-    const size_t now = resident_bytes();
-    meter_->rebook(metered_, now);
-    metered_ = now;
-  }
+  void sync_meter() noexcept { pager_.book(resident_bytes()); }
 
-  storage::StorageSystem* storage_ = nullptr;
-  int node_ = 0;
-  std::string spill_dir_;
+  detail::SpillPager pager_;
   size_t page_bytes_ = 1 << 20;
   size_t memory_budget_ = 0;
-  storage::RetryPolicy retry_{};
-  ResidencyMeter* meter_ = nullptr;
-  size_t metered_ = 0;            // bytes currently booked with meter_
-
   std::deque<Page> pages_;        // closed pages, oldest first
   KvBuffer open_page_;            // the page being filled
-  size_t resident_bytes_ = 0;     // closed resident pages only
-  size_t total_pairs_ = 0;
-  size_t total_bytes_ = 0;
-  SpillStats stats_;
-  double pending_io_seconds_ = 0.0;
-  int next_page_id_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -297,8 +410,10 @@ class SpillableKmvBuffer {
 
   SpillableKmvBuffer(const SpillableKmvBuffer&) = delete;
   SpillableKmvBuffer& operator=(const SpillableKmvBuffer&) = delete;
-  SpillableKmvBuffer(SpillableKmvBuffer&& other) noexcept;
-  SpillableKmvBuffer& operator=(SpillableKmvBuffer&&) noexcept;
+  SpillableKmvBuffer(SpillableKmvBuffer&& other) noexcept = default;
+  SpillableKmvBuffer& operator=(SpillableKmvBuffer&& other) noexcept {
+    return detail::replace_store(*this, std::move(other));
+  }
 
   /// Append one run. The run must be sorted by key with unique keys (what
   /// convert_2pass produces); it is split into whole-entry pages of about
@@ -314,12 +429,16 @@ class SpillableKmvBuffer {
 
   /// Total grouped entries across all runs. Keys may repeat *across* runs
   /// (for_each_entry merges their value lists in run order).
-  [[nodiscard]] size_t size() const noexcept { return total_entries_; }
-  [[nodiscard]] bool empty() const noexcept { return total_entries_ == 0; }
-  [[nodiscard]] size_t bytes() const noexcept { return total_bytes_; }
+  [[nodiscard]] size_t size() const noexcept { return pager_.totals.items; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] size_t bytes() const noexcept { return pager_.totals.bytes; }
   [[nodiscard]] size_t runs() const noexcept { return runs_.size(); }
-  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] size_t resident_bytes() const noexcept { return resident_bytes_; }
+  [[nodiscard]] const SpillStats& stats() const noexcept {
+    return pager_.stats();
+  }
+  [[nodiscard]] size_t resident_bytes() const noexcept {
+    return pager_.totals.resident;
+  }
 
   /// Stream every entry in ascending key order (ties across runs merge
   /// their values in run order), skipping the first `skip` merged entries
@@ -334,9 +453,7 @@ class SpillableKmvBuffer {
   Status clear();
 
   [[nodiscard]] double take_io_seconds() noexcept {
-    const double t = pending_io_seconds_;
-    pending_io_seconds_ = 0.0;
-    return t;
+    return pager_.take_io_seconds();
   }
 
  private:
@@ -355,33 +472,13 @@ class SpillableKmvBuffer {
   Status append_page(KmvBuffer&& chunk);
   Status enforce_budget();
   Status load_page(const Page& p, KmvBuffer& out);
-  void charge_io(double cost) noexcept {
-    stats_.sim_io_seconds += cost;
-    pending_io_seconds_ += cost;
-  }
-  void sync_meter() noexcept {
-    if (meter_ == nullptr) return;
-    meter_->rebook(metered_, resident_bytes_);
-    metered_ = resident_bytes_;
-  }
+  void sync_meter() noexcept { pager_.book(resident_bytes()); }
 
-  storage::StorageSystem* storage_ = nullptr;
-  int node_ = 0;
-  std::string spill_dir_;
+  detail::SpillPager pager_;
   size_t page_bytes_ = 1 << 20;
   size_t memory_budget_ = 0;
-  storage::RetryPolicy retry_{};
-  ResidencyMeter* meter_ = nullptr;
-  size_t metered_ = 0;        // bytes currently booked with meter_
-
   std::vector<Page> pages_;   // run pages, grouped: runs_[r] indexes into this
   std::vector<Run> runs_;
-  size_t resident_bytes_ = 0;
-  size_t total_entries_ = 0;
-  size_t total_bytes_ = 0;
-  SpillStats stats_;
-  double pending_io_seconds_ = 0.0;
-  int next_page_id_ = 0;
 };
 
 }  // namespace ftmr::mr

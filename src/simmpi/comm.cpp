@@ -391,22 +391,16 @@ Request Comm::irecv(int src, int tag, Bytes* out, MessageInfo* info) {
 Status Comm::run_collective(
     Bytes contribution,
     const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-    bool tolerant, Bytes* result_out, std::vector<Bytes>* row) {
+    Bytes* result_out, std::vector<Bytes>* row) {
   job_->check_callable(global_rank_);
   MutexLock lock(job_->mu);
   RankState& me = job_->ranks[global_rank_];
-  if (!tolerant && state_->revoked) {
+  if (state_->revoked) {
     lock.unlock();
     return handle({ErrorCode::kRevoked, "collective on revoked comm"});
   }
 
-  uint64_t seq = 0;
-  if (tolerant) {
-    // Handled by caller passing a namespaced seq via coll_seq on the ctx
-    // keyed with the tolerant namespace; see shrink()/agree() which bump
-    // shared epochs. Normal path below.
-  }
-  seq = slot_seq(kNsNormal, me.coll_seq[state_->ctx]++);
+  const uint64_t seq = slot_seq(kNsNormal, me.coll_seq[state_->ctx]++);
 
   const auto key = std::make_pair(state_->ctx, seq);
   auto& slot_ptr = job_->slots[key];
@@ -438,13 +432,13 @@ Status Comm::run_collective(
 
   for (;;) {
     job_->check_callable_locked(global_rank_);
-    if (!tolerant && state_->revoked && !slot->computed) {
+    if (state_->revoked && !slot->computed) {
       lock.unlock();
       return handle({ErrorCode::kRevoked, "collective interrupted by revoke"});
     }
     if (slot->computed) break;
     if (all_arrived_or_dead()) {
-      if (!tolerant && job_->any_dead_in_locked(*state_)) {
+      if (job_->any_dead_in_locked(*state_)) {
         slot->failed = true;
       } else {
         compute(*slot, *state_, *job_);
@@ -504,7 +498,7 @@ Status Comm::barrier() {
       slot.done_vtime[r] = t;
     }
   };
-  return run_collective({}, compute, /*tolerant=*/false, nullptr);
+  return run_collective({}, compute, nullptr);
 }
 
 Status Comm::bcast(int root, Bytes& data) {
@@ -526,7 +520,7 @@ Status Comm::bcast(int root, Bytes& data) {
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(contribution), compute, false, &result);
+  Status s = run_collective(std::move(contribution), compute, &result);
   if (s.ok()) data = std::move(result);
   return s;
 }
@@ -576,7 +570,7 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(w).take(), compute, false, &result);
+  Status s = run_collective(std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -648,7 +642,7 @@ Status Comm::gather(int root, std::span<const std::byte> in, std::vector<Bytes>&
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(contribution), compute, false, &result);
+  Status s = run_collective(std::move(contribution), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (rel_rank_ == root && !result.empty()) {
@@ -689,7 +683,7 @@ Status Comm::allgather(std::span<const std::byte> in, std::vector<Bytes>& out) {
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(contribution), compute, false, &result);
+  Status s = run_collective(std::move(contribution), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -741,7 +735,7 @@ Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
           static_cast<double>(send_bytes[dst] + recv_bytes[dst]) / net.bandwidth_Bps;
     }
   };
-  Status s = run_collective({}, compute, false, nullptr, &send);
+  Status s = run_collective({}, compute, nullptr, &send);
   if (!s.ok()) return s;
   recv = std::move(send);
   return Status::Ok();
@@ -769,7 +763,7 @@ Status Comm::dup(Comm& out, bool accounts_time) {
     }
   };
   Bytes result;
-  Status s = run_collective({}, compute, false, &result);
+  Status s = run_collective({}, compute, &result);
   if (!s.ok()) return s;
   ByteReader reader(result);
   uint64_t ctx = 0;
@@ -828,7 +822,7 @@ Status Comm::split(int color, int key, Comm& out) {
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(w).take(), compute, false, &result);
+  Status s = run_collective(std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   ByteReader reader(result);
   uint64_t ctx = 0;

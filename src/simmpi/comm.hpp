@@ -190,14 +190,15 @@ class Comm {
 
   /// Generic arrival-synchronized collective (see job.hpp). `compute` runs
   /// once, on the last arriver, and must fill slot.results/done_vtime for
-  /// every contributing rel rank. `tolerant` ops (shrink/agree) proceed
-  /// despite dead members and ignore revocation. A non-null `row` is
-  /// deposited by move into slot.rows and, on success only, replaced by
-  /// this rank's slot.rows entry after compute (alltoall's transpose).
+  /// every contributing rel rank. It fails on a revoked comm and when a
+  /// member is dead (shrink/agree use run_tolerant instead). A non-null
+  /// `row` is deposited by move into slot.rows and, on success only,
+  /// replaced by this rank's slot.rows entry after compute (alltoall's
+  /// transpose).
   Status run_collective(
       Bytes contribution,
       const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-      bool tolerant, Bytes* result_out, std::vector<Bytes>* row = nullptr);
+      Bytes* result_out, std::vector<Bytes>* row = nullptr);
 
   /// Failure-tolerant rendezvous (shrink/agree): proceeds once every *alive*
   /// member has arrived, keyed by a shared epoch rather than per-rank

@@ -149,51 +149,44 @@ double StorageSystem::cost_of(Tier tier, size_t bytes, int ops,
 Status StorageSystem::write_file(Tier tier, int node, std::string_view path,
                                  std::span<const std::byte> data, double* sim_cost,
                                  int concurrency) {
-  if (auto s = check_tier(tier); !s.ok()) return s;
-  if (auto s = take_injected_failure(); !s.ok()) return s;
-  size_t torn_prefix = 0;
-  const WriteFault wf = draw_write_fault(tier, path, data.size(), &torn_prefix);
-  if (wf == WriteFault::kFail) {
-    return {ErrorCode::kIo, "injected write failure: " + std::string(path)};
-  }
-  if (wf == WriteFault::kTorn) data = data.subspan(0, torn_prefix);
-  const fs::path p = real_path(tier, node, path);
-  std::error_code ec;
-  fs::create_directories(p.parent_path(), ec);
-  std::ofstream f(p, std::ios::binary | std::ios::trunc);
-  if (!f) return {ErrorCode::kIo, "write_file: cannot open " + p.string()};
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  if (!f) return {ErrorCode::kIo, "write_file: short write to " + p.string()};
-  if (sim_cost) *sim_cost = cost_of(tier, data.size(), 1, concurrency);
-  {
-    MutexLock lock(stats_mu_);
-    TierStats& st = (tier == Tier::kLocal) ? local_stats_ : shared_stats_;
-    st.bytes_written += data.size();
-    st.write_ops++;
-  }
-  return Status::Ok();
+  return write_body(tier, node, path, data, sim_cost, concurrency,
+                    /*append=*/false);
 }
 
 Status StorageSystem::append_file(Tier tier, int node, std::string_view path,
                                   std::span<const std::byte> data, double* sim_cost,
                                   int concurrency) {
+  return write_body(tier, node, path, data, sim_cost, concurrency,
+                    /*append=*/true);
+}
+
+Status StorageSystem::write_body(Tier tier, int node, std::string_view path,
+                                 std::span<const std::byte> data,
+                                 double* sim_cost, int concurrency,
+                                 bool append) {
+  const char* op = append ? "append" : "write";
   if (auto s = check_tier(tier); !s.ok()) return s;
   if (auto s = take_injected_failure(); !s.ok()) return s;
   size_t torn_prefix = 0;
   const WriteFault wf = draw_write_fault(tier, path, data.size(), &torn_prefix);
   if (wf == WriteFault::kFail) {
-    return {ErrorCode::kIo, "injected append failure: " + std::string(path)};
+    return {ErrorCode::kIo, std::string("injected ") + op + " failure: " +
+                                std::string(path)};
   }
   if (wf == WriteFault::kTorn) data = data.subspan(0, torn_prefix);
   const fs::path p = real_path(tier, node, path);
   std::error_code ec;
   fs::create_directories(p.parent_path(), ec);
-  std::ofstream f(p, std::ios::binary | std::ios::app);
-  if (!f) return {ErrorCode::kIo, "append_file: cannot open " + p.string()};
+  std::ofstream f(p, std::ios::binary |
+                         (append ? std::ios::app : std::ios::trunc));
+  if (!f) {
+    return {ErrorCode::kIo, std::string(op) + "_file: cannot open " + p.string()};
+  }
   f.write(reinterpret_cast<const char*>(data.data()),
           static_cast<std::streamsize>(data.size()));
-  if (!f) return {ErrorCode::kIo, "append_file: short write to " + p.string()};
+  if (!f) {
+    return {ErrorCode::kIo, std::string(op) + "_file: short write to " + p.string()};
+  }
   if (sim_cost) *sim_cost = cost_of(tier, data.size(), 1, concurrency);
   {
     MutexLock lock(stats_mu_);

@@ -194,6 +194,12 @@ class StorageSystem {
  private:
   Status check_tier(Tier tier) const;
 
+  /// The one body of write_file (truncate) and append_file (`append`):
+  /// fault draw, file write, modeled cost and TierStats booking.
+  Status write_body(Tier tier, int node, std::string_view path,
+                    std::span<const std::byte> data, double* sim_cost,
+                    int concurrency, bool append) FTMR_EXCLUDES(stats_mu_);
+
   /// Consume one injected failure if armed (returns it), else OK.
   Status take_injected_failure() FTMR_EXCLUDES(stats_mu_);
 

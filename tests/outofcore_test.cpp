@@ -6,6 +6,8 @@
 // MR-MPI baseline (FtJob without fault tolerance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -257,6 +259,191 @@ TEST(SpillFaultMatrix, NoPairLostOrDuplicatedUnderInjectedFaults) {
   for (KvView p : flat) got[std::string(p.key)]++;
   EXPECT_EQ(got, want);
 }
+
+// --- the spill ladder, once per store -------------------------------------
+// Both stores page through the same write and load ladder. Each store is
+// checked for the four guarantees: a transient write failure is retried, an
+// exhausted write ladder keeps the page resident, a corrupt read is retried
+// through the page CRC, and clear() (or a move) leaves no spill file and no
+// contents behind.
+
+enum class StoreKind { kKv, kKmv };
+
+// One store under test, filled with keys key_0000.. (one value "v" each).
+// The KMV store receives each fill as one sorted run.
+class LadderStore {
+ public:
+  LadderStore(StoreKind kind, storage::StorageSystem* fs,
+              std::string dir = "spill")
+      : kind_(kind) {
+    const SpillConfig cfg = cfg_of(fs, std::move(dir), 256, 256);
+    if (kind == StoreKind::kKv) {
+      kv_ = SpillableKvBuffer(cfg);
+    } else {
+      kmv_ = SpillableKmvBuffer(cfg);
+    }
+  }
+
+  [[nodiscard]] std::string page_prefix() const {
+    return kind_ == StoreKind::kKv ? "page_" : "kmv_";
+  }
+
+  Status fill(int lo, int hi) {
+    Status first;
+    KmvBuffer run;
+    for (int i = lo; i < hi; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "key_%04d", i);
+      want_[key]++;
+      if (kind_ == StoreKind::kKmv) {
+        run.begin_entry(key);
+        run.append_value("v");
+      } else if (auto s = kv_.add(key, "v"); !s.ok() && first.ok()) {
+        first = s;
+      }
+    }
+    return kind_ == StoreKind::kKv ? first : kmv_.add_run(std::move(run));
+  }
+
+  /// Key -> number of values, streamed back from disk and memory.
+  std::map<std::string, int64_t> stream() {
+    std::map<std::string, int64_t> got;
+    Status s;
+    if (kind_ == StoreKind::kKv) {
+      s = kv_.for_each([&](KvView p) { got[std::string(p.key)]++; });
+    } else {
+      s = kmv_.for_each_entry(
+          0, [&](std::string_view key, std::span<const std::string_view> vs) {
+            got[std::string(key)] += static_cast<int64_t>(vs.size());
+            return Status::Ok();
+          });
+    }
+    EXPECT_TRUE(s.ok()) << s.message();
+    return got;
+  }
+
+  [[nodiscard]] const std::map<std::string, int64_t>& want() const {
+    return want_;
+  }
+  [[nodiscard]] const SpillStats& stats() const {
+    return kind_ == StoreKind::kKv ? kv_.stats() : kmv_.stats();
+  }
+  [[nodiscard]] bool empty() const {
+    return kind_ == StoreKind::kKv ? kv_.empty() : kmv_.empty();
+  }
+  [[nodiscard]] size_t resident_bytes() const {
+    return kind_ == StoreKind::kKv ? kv_.resident_bytes()
+                                   : kmv_.resident_bytes();
+  }
+  Status clear() { return kind_ == StoreKind::kKv ? kv_.clear() : kmv_.clear(); }
+
+  /// Move-assign this store over `to` (same kind).
+  void move_into(LadderStore& to) {
+    to.kv_ = std::move(kv_);
+    to.kmv_ = std::move(kmv_);
+    to.want_ = want_;
+  }
+
+ private:
+  StoreKind kind_;
+  SpillableKvBuffer kv_;
+  SpillableKmvBuffer kmv_;
+  std::map<std::string, int64_t> want_;
+};
+
+class SpillLadder : public ::testing::TestWithParam<StoreKind> {
+ protected:
+  // Spill files of `store`'s kind left under `dir`.
+  size_t spill_files(const LadderStore& store,
+                     const std::string& dir = "spill") {
+    std::vector<std::string> names;
+    EXPECT_TRUE(cl_.fs->list_dir(storage::Tier::kLocal, 0, dir, names).ok());
+    return static_cast<size_t>(
+        std::count_if(names.begin(), names.end(), [&](const std::string& n) {
+          return n.find(store.page_prefix()) != std::string::npos;
+        }));
+  }
+  MiniCluster cl_;
+};
+
+TEST_P(SpillLadder, TransientWriteFailureIsRetried) {
+  LadderStore store(GetParam(), cl_.fs.get());
+  // The first spill write fails; the ladder retries and succeeds.
+  cl_.fs->inject_io_failures(1);
+  ASSERT_TRUE(store.fill(0, 200).ok());
+  EXPECT_GE(store.stats().write_retries, 1);
+  EXPECT_EQ(store.stats().write_failures, 0);
+  EXPECT_GT(store.stats().pages_spilled, 0);
+  EXPECT_EQ(store.stream(), store.want());
+}
+
+TEST_P(SpillLadder, ExhaustedWriteLadderKeepsPageResident) {
+  LadderStore store(GetParam(), cl_.fs.get());
+  ASSERT_TRUE(store.fill(0, 50).ok());
+  storage::FaultInjectorConfig fi;
+  fi.local.p_write_fail = 1.0;  // every attempt of every spill write fails
+  fi.path_filter = store.page_prefix();
+  cl_.fs->set_fault_injector(fi);
+  const size_t resident_before = store.resident_bytes();
+  EXPECT_FALSE(store.fill(50, 200).ok());  // the error surfaced...
+  cl_.fs->clear_fault_injector();
+  EXPECT_GT(store.stats().write_failures, 0);
+  // ...but the failed pages stayed resident (over budget, never lost) and
+  // every entry streams back.
+  EXPECT_GT(store.resident_bytes(), resident_before);
+  EXPECT_EQ(store.stream(), store.want());
+  // The store spills again once the storage recovers.
+  ASSERT_TRUE(store.fill(200, 300).ok());
+  EXPECT_EQ(store.stream(), store.want());
+}
+
+TEST_P(SpillLadder, CorruptReadIsRetriedThroughCrc) {
+  LadderStore store(GetParam(), cl_.fs.get());
+  ASSERT_TRUE(store.fill(0, 300).ok());
+  ASSERT_GE(store.stats().pages_spilled, 3);
+  // A quarter of the page loads come back with one flipped bit. The
+  // injector's seed is fixed, so the draw sequence (and with it the retry
+  // count) is the same on every run.
+  storage::FaultInjectorConfig fi;
+  fi.local.p_corrupt_read = 0.25;
+  fi.path_filter = store.page_prefix();
+  cl_.fs->set_fault_injector(fi);
+  const auto got = store.stream();
+  cl_.fs->clear_fault_injector();
+  EXPECT_GT(cl_.fs->fault_stats().corrupt_reads, 0);
+  EXPECT_GE(store.stats().read_retries, 1);
+  EXPECT_EQ(got, store.want());
+}
+
+TEST_P(SpillLadder, ClearRemovesEverySpillFileAndMovedFromIsEmpty) {
+  LadderStore store(GetParam(), cl_.fs.get());
+  ASSERT_TRUE(store.fill(0, 300).ok());
+  ASSERT_GE(spill_files(store), 3u);
+  // A move hands the pages and their files over and leaves the source
+  // empty; the target's old pages and files are dropped.
+  LadderStore moved(GetParam(), cl_.fs.get(), "spill_target");
+  ASSERT_TRUE(moved.fill(1000, 1300).ok());
+  ASSERT_GE(spill_files(moved, "spill_target"), 3u);
+  store.move_into(moved);
+  EXPECT_EQ(spill_files(moved, "spill_target"), 0u)
+      << "move assignment must remove the target's old spill files";
+  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(store.resident_bytes(), 0u);
+  ASSERT_TRUE(store.clear().ok());
+  EXPECT_GE(spill_files(moved), 3u) << "clearing the moved-from store "
+                                       "must not touch the moved files";
+  EXPECT_EQ(moved.stream(), moved.want());
+  ASSERT_TRUE(moved.clear().ok());
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.resident_bytes(), 0u);
+  EXPECT_EQ(spill_files(moved), 0u) << "clear() must remove every spill file";
+}
+
+INSTANTIATE_TEST_SUITE_P(Store, SpillLadder,
+                         ::testing::Values(StoreKind::kKv, StoreKind::kKmv),
+                         [](const ::testing::TestParamInfo<StoreKind>& p) {
+                           return p.param == StoreKind::kKv ? "Kv" : "Kmv";
+                         });
 
 // --- KMV page codec -------------------------------------------------------
 

@@ -44,6 +44,9 @@ TEST_F(StorageTest, LocalTierIsPerNode) {
 TEST_F(StorageTest, AppendAccumulates) {
   ASSERT_TRUE(fs_->append_file(Tier::kShared, 0, "log", as_bytes_view("ab")).ok());
   ASSERT_TRUE(fs_->append_file(Tier::kShared, 0, "log", as_bytes_view("cd")).ok());
+  // Each append books one write op and its bytes, like write_file.
+  EXPECT_EQ(fs_->stats(Tier::kShared).write_ops, 2);
+  EXPECT_EQ(fs_->stats(Tier::kShared).bytes_written, 4u);
   Bytes out;
   ASSERT_TRUE(fs_->read_file(Tier::kShared, 0, "log", out).ok());
   EXPECT_EQ(to_string_copy(out), "abcd");
