@@ -169,14 +169,17 @@ std::vector<uint64_t> FtJob::my_task_ids(int stage, bool kv_input) const {
 // task runner (Algorithm 1): read - map - commit loop
 // ---------------------------------------------------------------------------
 
-void FtJob::commit(uint64_t task, TaskProgress& tp, int stage) {
+Status FtJob::commit(uint64_t task, TaskProgress& tp, int stage) {
   // Record-granularity checkpoint every records_per_ckpt commits.
   if (opts_.ckpt.enabled &&
       opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
       static_cast<int64_t>(tp.pos - tp.last_ckpt_pos) >= opts_.ckpt.records_per_ckpt) {
     const double t0 = wc_.now();
-    (void)check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
-                                tp.pending_delta));
+    if (auto s = check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
+                                       tp.pending_delta));
+        !s.ok()) {
+      return s;
+    }
     tp.pending_delta.clear();
     tp.last_ckpt_pos = tp.pos;
     charge_span("ckpt", t0);
@@ -186,11 +189,31 @@ void FtJob::commit(uint64_t task, TaskProgress& tp, int stage) {
   if ((tp.pos & 0x3f) == 0) {
     master_->on_task_progress(task, tp.pos, 0);
     master_->observe(map_bytes_done_, wc_.now());
-    (void)check(master_->tick());
+    if (auto s = check(master_->tick()); !s.ok()) return s;
     if (!wc_.failed_ranks().empty()) {
-      (void)check(Status{ErrorCode::kProcFailed, "failure observed at commit"});
+      return check({ErrorCode::kProcFailed, "failure observed at commit"});
     }
   }
+  return Status::Ok();
+}
+
+Status FtJob::allgather_union(std::span<const int> mine, std::set<int>& out) {
+  ByteWriter w;
+  w.put<uint32_t>(static_cast<uint32_t>(mine.size()));
+  for (int id : mine) w.put<int32_t>(id);
+  std::vector<Bytes> gathered;
+  if (auto s = wc_.allgather(w.bytes(), gathered); !s.ok()) return s;
+  for (const Bytes& b : gathered) {
+    ByteReader r(b);
+    uint32_t n = 0;
+    (void)r.get(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      int32_t id = 0;
+      (void)r.get(id);
+      out.insert(id);
+    }
+  }
+  return Status::Ok();
 }
 
 Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
@@ -275,14 +298,17 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     wc_.compute(map_cost);
     map_bytes_done_ += static_cast<double>(key.size() + value.size());
     tp.pos++;
-    commit(task, tp, stage);
+    if (auto s = commit(task, tp, stage); !s.ok()) return s;
   }
 
   // -- task completion: flush the tail checkpoint --
   if (opts_.ckpt.enabled && !tp.pending_delta.empty()) {
     const double t0 = wc_.now();
-    (void)check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
-                                tp.pending_delta));
+    if (auto s = check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
+                                       tp.pending_delta));
+        !s.ok()) {
+      return s;
+    }
     tp.pending_delta.clear();
     tp.last_ckpt_pos = tp.pos;
     charge_span("ckpt", t0);
@@ -783,22 +809,10 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
     // collective exchange — everyone must join or nobody may. (On the
     // failure-free path the union is empty and this is one cheap allgather.)
     {
-      ByteWriter w;
-      w.put<uint32_t>(static_cast<uint32_t>(st.partitions_missing.size()));
-      for (int p : st.partitions_missing) w.put<int32_t>(p);
-      std::vector<Bytes> gathered;
-      if (auto s = check(wc_.allgather(w.bytes(), gathered)); !s.ok()) return s;
+      const std::vector<int> mine(st.partitions_missing.begin(),
+                                  st.partitions_missing.end());
       std::set<int> union_missing;
-      for (const Bytes& b : gathered) {
-        ByteReader r(b);
-        uint32_t n = 0;
-        (void)r.get(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          int32_t p = 0;
-          (void)r.get(p);
-          union_missing.insert(p);
-        }
-      }
+      if (auto s = check(allgather_union(mine, union_missing)); !s.ok()) return s;
       if (!union_missing.empty()) {
         // Patch-up: re-execute every unfinished or newly inherited map task
         // — the dead ranks' contributions to the orphaned partitions can
@@ -908,23 +922,8 @@ void FtJob::recover() {
   //    the identical census. If yet another rank dies during these
   //    collectives they fail *uniformly* (nobody mutates state), the
   //    FailureDetected unwinds, and recovery restarts cleanly.
-  std::vector<int> local_dead = world_.failed_global_ranks();
-  ByteWriter w;
-  w.put<uint32_t>(static_cast<uint32_t>(local_dead.size()));
-  for (int d : local_dead) w.put<int32_t>(d);
-  std::vector<Bytes> gathered;
-  (void)check(wc_.allgather(w.bytes(), gathered));
   std::set<int> union_dead;
-  for (const Bytes& b : gathered) {
-    ByteReader r(b);
-    uint32_t n = 0;
-    (void)r.get(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      int32_t d = 0;
-      (void)r.get(d);
-      union_dead.insert(d);
-    }
-  }
+  (void)check(allgather_union(world_.failed_global_ranks(), union_dead));
   std::vector<int> new_dead;
   for (int d : union_dead) {
     if (!known_dead_.count(d)) new_dead.push_back(d);

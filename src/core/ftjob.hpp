@@ -29,6 +29,7 @@
 #include <memory>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -289,7 +290,12 @@ class FtJob {
   /// flush+abort in CR mode); anything else is returned.
   Status check(Status s);
   [[nodiscard]] bool is_failure(const Status& s) const noexcept;
-  void commit(uint64_t task, TaskProgress& tp, int stage);
+  /// Algorithm 1's commit point: the record checkpoint and periodic
+  /// master duties. A non-OK status (routed through check) ends the task.
+  Status commit(uint64_t task, TaskProgress& tp, int stage);
+  /// Census allgather: each rank contributes its ids (u32 count + i32 ids)
+  /// and `out` becomes the union over all ranks. One op.
+  Status allgather_union(std::span<const int> mine, std::set<int>& out);
   Status map_phase(const StageFns& fns, bool kv_input, int stage, StageState& st);
   Status run_one_map_task(const StageFns& fns, bool kv_input, int stage,
                           StageState& st, uint64_t task);

@@ -1,7 +1,6 @@
 #include "simmpi/comm.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -29,10 +28,13 @@ uint64_t slot_seq(uint64_t ns, uint64_t n) noexcept { return (ns << 56) | n; }
 // scheduling such a loop would otherwise pin its worker and starve the very
 // fibers whose progress would terminate it (with preemptive thread-per-rank
 // the OS forced fairness; the scheduler needs the op itself to yield).
-void cooperative_yield(Job* job) {
-  if (job != nullptr && job->sched != nullptr && Scheduler::current() != nullptr) {
-    job->sched->yield();
-  }
+void cooperative_yield(Job* job) { job->sched->yield(); }
+
+// A new communicator's ctx, as the result payload of dup/split/shrink.
+Bytes ctx_bytes(uint64_t ctx) {
+  ByteWriter w;
+  w.put<uint64_t>(ctx);
+  return std::move(w).take();
 }
 
 template <typename T>
@@ -85,14 +87,10 @@ void Comm::end_uncounted_ops() {
 }
 
 void Comm::compute(double seconds) {
-  {
-    MutexLock lock(job_->mu);
-    if (job_->aborted) throw AbortError(job_->abort_code);
-    RankState& st = job_->ranks[global_rank_];
-    if (!st.alive) throw KilledError();
-    st.vtime += seconds;
-  }
-  job_->check_vtime_kill(global_rank_);
+  MutexLock lock(job_->mu);
+  job_->check_callable_locked(global_rank_);
+  job_->ranks[global_rank_].vtime += seconds;
+  job_->check_vtime_kill_locked(global_rank_);
 }
 
 void Comm::abort(int code) {
@@ -107,19 +105,12 @@ void Comm::abort(int code) {
 
 Status Comm::send(int dst, int tag, std::span<const std::byte> data) {
   job_->check_callable(global_rank_);
-  if (dst < 0 || dst >= size()) {
-    return handle({ErrorCode::kInvalidArgument, "send: bad destination rank"});
-  }
   MutexLock lock(job_->mu);
-  if (state_->revoked) {
+  if (Status s = job_->peer_status_locked(*state_, dst, "send"); !s.ok()) {
     lock.unlock();
-    return handle({ErrorCode::kRevoked, "send on revoked comm"});
+    return handle(std::move(s));
   }
   const int dst_global = state_->group[dst];
-  if (!job_->ranks[dst_global].alive) {
-    lock.unlock();
-    return handle({ErrorCode::kProcFailed, "send: peer is dead"});
-  }
   RankState& me = job_->ranks[global_rank_];
   double arrival = 0.0;
   if (state_->accounts_time) {
@@ -162,42 +153,19 @@ Status Comm::send_string(int dst, int tag, std::string_view s) {
 // KillEvent::after_ops) leaves no partial deposit behind.
 
 Status Comm::rma_put(int dst, size_t bytes) {
-  job_->check_callable(global_rank_);
-  if (dst < 0 || dst >= size()) {
-    return handle({ErrorCode::kInvalidArgument, "rma_put: bad target rank"});
-  }
-  MutexLock lock(job_->mu);
-  if (state_->revoked) {
-    lock.unlock();
-    return handle({ErrorCode::kRevoked, "rma_put on revoked comm"});
-  }
-  const int dst_global = state_->group[dst];
-  if (!job_->ranks[dst_global].alive) {
-    lock.unlock();
-    return handle({ErrorCode::kProcFailed, "rma_put: target is dead"});
-  }
-  if (state_->accounts_time) {
-    job_->ranks[global_rank_].vtime += job_->opts.net.point_to_point_cost(bytes);
-  }
-  lock.unlock();
-  job_->check_vtime_kill(global_rank_);
-  return Status::Ok();
+  return rma_handshake(dst, bytes, "rma_put");
 }
 
 Status Comm::rma_get(int src, size_t bytes) {
+  return rma_handshake(src, bytes, "rma_get");
+}
+
+Status Comm::rma_handshake(int peer, size_t bytes, std::string_view op) {
   job_->check_callable(global_rank_);
-  if (src < 0 || src >= size()) {
-    return handle({ErrorCode::kInvalidArgument, "rma_get: bad source rank"});
-  }
   MutexLock lock(job_->mu);
-  if (state_->revoked) {
+  if (Status s = job_->peer_status_locked(*state_, peer, op); !s.ok()) {
     lock.unlock();
-    return handle({ErrorCode::kRevoked, "rma_get on revoked comm"});
-  }
-  const int src_global = state_->group[src];
-  if (!job_->ranks[src_global].alive) {
-    lock.unlock();
-    return handle({ErrorCode::kProcFailed, "rma_get: source is dead"});
+    return handle(std::move(s));
   }
   if (state_->accounts_time) {
     job_->ranks[global_rank_].vtime += job_->opts.net.point_to_point_cost(bytes);
@@ -214,29 +182,13 @@ Status Comm::recv(int src, int tag, Bytes& out, MessageInfo* info) {
   Inbox& inbox = *job_->inboxes[global_rank_];
   for (;;) {
     job_->check_callable_locked(global_rank_);
-    // 0) drain the whole staged batch into the private mailbox: one lock
-    //    acquisition per batch, however many sends are pending.
-    {
-      MutexLock il(inbox.mu);
-      inbox.waiting = false;
-      for (Message& m : inbox.staged) me.mailbox.push_back(std::move(m));
-      inbox.staged.clear();
-    }
     // 1) a buffered matching message is deliverable even if the sender has
     //    since died (eager buffering survives the sender).
-    auto& box = me.mailbox;
-    for (auto it = box.begin(); it != box.end(); ++it) {
-      if (it->ctx != state_->ctx) continue;
-      if (src != kAnySource && it->src_rel != src) continue;
-      if (tag != kAnyTag && it->tag != tag) continue;
-      if (info) {
-        info->source = it->src_rel;
-        info->tag = it->tag;
-        info->size = it->payload.size();
-      }
+    if (auto it = job_->match_message_locked(global_rank_, state_->ctx, src, tag, info);
+        it != me.mailbox.end()) {
       out = std::move(it->payload);
       if (state_->accounts_time) me.vtime = std::max(me.vtime, it->arrival);
-      box.erase(it);
+      me.mailbox.erase(it);
       lock.unlock();
       job_->check_vtime_kill(global_rank_);
       return Status::Ok();
@@ -281,24 +233,9 @@ bool Comm::iprobe(int src, int tag, MessageInfo* info) {
   job_->check_callable(global_rank_);
   {
     MutexLock lock(job_->mu);
-    {
-      Inbox& inbox = *job_->inboxes[global_rank_];
-      MutexLock il(inbox.mu);
-      inbox.waiting = false;
-      for (Message& m : inbox.staged) {
-        job_->ranks[global_rank_].mailbox.push_back(std::move(m));
-      }
-      inbox.staged.clear();
-    }
-    for (const Message& m : job_->ranks[global_rank_].mailbox) {
-      if (m.ctx != state_->ctx) continue;
-      if (src != kAnySource && m.src_rel != src) continue;
-      if (tag != kAnyTag && m.tag != tag) continue;
-      if (info) {
-        info->source = m.src_rel;
-        info->tag = m.tag;
-        info->size = m.payload.size();
-      }
+    const auto& box = job_->ranks[global_rank_].mailbox;
+    if (auto it = job_->match_message_locked(global_rank_, state_->ctx, src, tag, info);
+        it != box.end()) {
       return true;
     }
   }
@@ -385,50 +322,21 @@ Request Comm::irecv(int src, int tag, Bytes* out, MessageInfo* info) {
 }
 
 // ---------------------------------------------------------------------------
-// generic arrival-synchronized collective
+// the collective rendezvous: join, settle, compute once, pick up
 // ---------------------------------------------------------------------------
 
-Status Comm::run_collective(
-    Bytes contribution,
-    const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-    Bytes* result_out, std::vector<Bytes>* row) {
+Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute,
+                            Bytes* result_out, std::vector<Bytes>* row) {
   job_->check_callable(global_rank_);
   MutexLock lock(job_->mu);
-  RankState& me = job_->ranks[global_rank_];
   if (state_->revoked) {
     lock.unlock();
     return handle({ErrorCode::kRevoked, "collective on revoked comm"});
   }
-
-  const uint64_t seq = slot_seq(kNsNormal, me.coll_seq[state_->ctx]++);
-
-  const auto key = std::make_pair(state_->ctx, seq);
-  auto& slot_ptr = job_->slots[key];
-  if (!slot_ptr) slot_ptr = std::make_shared<CollectiveSlot>();
-  auto slot = slot_ptr;
-
-  slot->contribs[rel_rank_] = std::move(contribution);
+  const uint64_t seq = job_->ranks[global_rank_].coll_seq[state_->ctx]++;
+  const SlotKey key{state_->ctx, slot_seq(kNsNormal, seq)};
+  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, std::move(contribution));
   if (row) slot->rows[rel_rank_] = std::move(*row);
-  slot->arrive_vtime[rel_rank_] = state_->accounts_time ? me.vtime : 0.0;
-  // No wake here: intermediate arrivals don't change a parked waiter's
-  // predicate (it waits for `computed`; deaths/revokes broadcast via
-  // wake_all). The last arriver runs the completion check inline below —
-  // waking k parked peers per arrival is an O(n^2) thundering herd at
-  // thousands of ranks.
-
-  auto all_arrived_or_dead = [&]() {
-    job_->mu.assert_held();  // only called from the wait loop below
-    // A group index is settled once it contributed or died — both
-    // monotone, so the cursor never moves backwards. Iterating by index
-    // also avoids the O(p) rel_rank_of lookup per member.
-    int& cur = slot->scan_cursor;
-    const int p = state_->size();
-    while (cur < p && (slot->contribs.count(cur) != 0 ||
-                       !job_->ranks[state_->group[cur]].alive)) {
-      ++cur;
-    }
-    return cur >= p;
-  };
 
   for (;;) {
     job_->check_callable_locked(global_rank_);
@@ -437,7 +345,8 @@ Status Comm::run_collective(
       return handle({ErrorCode::kRevoked, "collective interrupted by revoke"});
     }
     if (slot->computed) break;
-    if (all_arrived_or_dead()) {
+    if (job_->settled_locked(*slot, *state_)) {
+      // A dead member fails the collective for every participant.
       if (job_->any_dead_in_locked(*state_)) {
         slot->failed = true;
       } else {
@@ -453,33 +362,66 @@ Status Comm::run_collective(
     }
   }
 
-  // Pick up my result and advance my clock to the op's completion time.
-  Bytes my_result;
-  if (auto it = slot->results.find(rel_rank_); it != slot->results.end()) {
-    my_result = std::move(it->second);
-  }
-  std::vector<Bytes> my_row;
-  if (auto it = slot->rows.find(rel_rank_); it != slot->rows.end()) {
-    my_row = std::move(it->second);
-  }
-  if (state_->accounts_time) {
-    if (auto it = slot->done_vtime.find(rel_rank_); it != slot->done_vtime.end()) {
-      me.vtime = std::max(me.vtime, it->second);
-    }
-  }
-  slot->pickups++;
-  int alive_contributors = 0;
-  for (const auto& [rel, c] : slot->contribs) {
-    (void)c;
-    if (job_->ranks[state_->group[rel]].alive) alive_contributors++;
-  }
-  const bool failed = slot->failed;
-  if (slot->pickups >= alive_contributors) job_->slots.erase(key);
+  Job::Pickup mine = job_->pickup_locked(key, *slot, *state_, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
-  if (failed) return handle({ErrorCode::kProcFailed, "collective: participant died"});
-  if (result_out) *result_out = std::move(my_result);
-  if (row) *row = std::move(my_row);
+  if (mine.failed) {
+    return handle({ErrorCode::kProcFailed, "collective: participant died"});
+  }
+  if (result_out) *result_out = std::move(mine.result);
+  if (row) *row = std::move(mine.row);
+  return Status::Ok();
+}
+
+// Tolerant rendezvous used by shrink/agree: ranks meet by a shared epoch
+// (one counter per op namespace per comm, see Job::tol_epochs), not by
+// per-rank sequence numbers — survivors whose op streams diverged after a
+// failure still pair up. The epoch is bumped by whichever rank computes the
+// slot, inside the same critical section, so a rank entering afterwards
+// joins the *next* logical operation.
+Status Comm::run_tolerant(uint64_t ns, Bytes contribution,
+                          const CollectiveCompute& compute, Bytes* result_out) {
+  job_->check_callable(global_rank_);
+  MutexLock lock(job_->mu);
+  const SlotKey epoch_key{state_->ctx, ns};
+  const uint64_t epoch = job_->tol_epochs[epoch_key];
+  const SlotKey key{state_->ctx, slot_seq(ns, epoch)};
+  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, std::move(contribution));
+
+  for (;;) {
+    job_->check_callable_locked(global_rank_);
+    if (slot->computed) break;
+    if (job_->settled_locked(*slot, *state_)) {
+      // A dead member never fails the slot: compute runs over what arrived.
+      compute(*slot, *state_, *job_);
+      slot->computed = true;
+      job_->tol_epochs[epoch_key] = epoch + 1;
+      job_->wake_channel(slot->ch);
+      break;
+    }
+    if (job_->wait_blocked(slot->ch)) {
+      lock.unlock();
+      return handle({ErrorCode::kInternal, "tolerant collective: deadlock timeout"});
+    }
+  }
+
+  Job::Pickup mine = job_->pickup_locked(key, *slot, *state_, rel_rank_);
+  lock.unlock();
+  job_->check_vtime_kill(global_rank_);
+  if (result_out) *result_out = std::move(mine.result);
+  return Status::Ok();
+}
+
+Status Comm::bind_new_comm(const Bytes& result, Comm& out) {
+  ByteReader reader(result);
+  uint64_t ctx = 0;
+  (void)reader.get(ctx);
+  if (ctx == 0) {  // split's MPI_UNDEFINED color: no communicator
+    out = Comm();
+    return Status::Ok();
+  }
+  MutexLock lock(job_->mu);
+  out = Comm(job_, job_->comms.at(ctx), global_rank_);
   return Status::Ok();
 }
 
@@ -490,13 +432,7 @@ Status Comm::run_collective(
 Status Comm::barrier() {
   const double alpha = job_->opts.net.latency_s;
   auto compute = [alpha](CollectiveSlot& slot, const CommState& cs, Job&) {
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += alpha * log2ceil(cs.size());
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.done_vtime[r] = t;
-    }
+    slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()));
   };
   return run_collective({}, compute, nullptr);
 }
@@ -509,15 +445,11 @@ Status Comm::bcast(int root, Bytes& data) {
   const NetworkModel net = job_->opts.net;
   auto compute = [root, net](CollectiveSlot& slot, const CommState& cs, Job&) {
     const Bytes& payload = slot.contribs[root];
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += log2ceil(cs.size()) *
-         (net.latency_s + static_cast<double>(payload.size()) / net.bandwidth_Bps);
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.results[r] = payload;
-      slot.done_vtime[r] = t;
-    }
+    const double t =
+        slot.latest_arrival() +
+        log2ceil(cs.size()) *
+            (net.latency_s + static_cast<double>(payload.size()) / net.bandwidth_Bps);
+    slot.finish_all(t, &payload);
   };
   Bytes result;
   Status s = run_collective(std::move(contribution), compute, &result);
@@ -528,6 +460,9 @@ Status Comm::bcast(int root, Bytes& data) {
 template <typename T>
 Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
                          std::vector<T>& out, bool to_all) {
+  if (root < 0 || root >= size()) {
+    return handle({ErrorCode::kInvalidArgument, "reduce: bad root"});
+  }
   ByteWriter w;
   w.put<uint64_t>(in.size());
   for (const T& v : in) w.put(v);
@@ -559,15 +494,12 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
     rw.put<uint64_t>(acc.size());
     for (const T& v : acc) rw.put(v);
     Bytes result = std::move(rw).take();
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += (to_all ? 2.0 : 1.0) * log2ceil(cs.size()) *
-         (net.latency_s + static_cast<double>(payload_bytes) / net.bandwidth_Bps);
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      if (to_all || r == root) slot.results[r] = result;
-      slot.done_vtime[r] = t;
-    }
+    const double t =
+        slot.latest_arrival() +
+        (to_all ? 2.0 : 1.0) * log2ceil(cs.size()) *
+            (net.latency_s + static_cast<double>(payload_bytes) / net.bandwidth_Bps);
+    slot.finish_all(t, to_all ? &result : nullptr);
+    if (!to_all) slot.results[root] = std::move(result);
   };
   Bytes result;
   Status s = run_collective(std::move(w).take(), compute, &result);
@@ -613,53 +545,21 @@ Status Comm::allreduce_one(ReduceOp op, int64_t in, int64_t& out) {
 }
 
 Status Comm::gather(int root, std::span<const std::byte> in, std::vector<Bytes>& out) {
-  Bytes contribution(in.begin(), in.end());
-  const NetworkModel net = job_->opts.net;
-  const int p = size();
-  auto compute = [root, net, p](CollectiveSlot& slot, const CommState& cs, Job&) {
-    ByteWriter w;
-    w.put<uint32_t>(static_cast<uint32_t>(p));
-    size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      auto it = slot.contribs.find(r);
-      if (it != slot.contribs.end()) {
-        w.put_blob(it->second);
-        total += it->second.size();
-      } else {
-        w.put_blob({});
-      }
-    }
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    const double base = t + log2ceil(cs.size()) * net.latency_s;
-    for (const auto& [r, c] : slot.contribs) {
-      if (r == root) {
-        slot.results[r] = w.bytes();
-        slot.done_vtime[r] = base + static_cast<double>(total) / net.bandwidth_Bps;
-      } else {
-        slot.done_vtime[r] = base + static_cast<double>(c.size()) / net.bandwidth_Bps;
-      }
-    }
-  };
-  Bytes result;
-  Status s = run_collective(std::move(contribution), compute, &result);
-  if (!s.ok()) return s;
-  out.clear();
-  if (rel_rank_ == root && !result.empty()) {
-    ByteReader reader(result);
-    uint32_t n = 0;
-    (void)reader.get(n);
-    out.resize(n);
-    for (auto& b : out) (void)reader.get_blob(b);
-  }
-  return Status::Ok();
+  return gather_impl(root, in, out, false);
 }
 
 Status Comm::allgather(std::span<const std::byte> in, std::vector<Bytes>& out) {
-  Bytes contribution(in.begin(), in.end());
+  return gather_impl(0, in, out, true);
+}
+
+Status Comm::gather_impl(int root, std::span<const std::byte> in,
+                         std::vector<Bytes>& out, bool to_all) {
+  if (root < 0 || root >= size()) {
+    return handle({ErrorCode::kInvalidArgument, "gather: bad root"});
+  }
   const NetworkModel net = job_->opts.net;
   const int p = size();
-  auto compute = [net, p](CollectiveSlot& slot, const CommState& cs, Job&) {
+  auto compute = [root, net, p, to_all](CollectiveSlot& slot, const CommState& cs, Job&) {
     ByteWriter w;
     w.put<uint32_t>(static_cast<uint32_t>(p));
     size_t total = 0;
@@ -672,18 +572,25 @@ Status Comm::allgather(std::span<const std::byte> in, std::vector<Bytes>& out) {
         w.put_blob({});
       }
     }
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += log2ceil(cs.size()) * net.latency_s +
-         static_cast<double>(total) / net.bandwidth_Bps;
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.results[r] = w.bytes();
-      slot.done_vtime[r] = t;
+    Bytes result = std::move(w).take();
+    const double t = slot.latest_arrival();
+    const double hops = log2ceil(cs.size()) * net.latency_s;
+    if (to_all) {
+      // Everyone receives all `total` bytes: t + (hops + total/bw).
+      slot.finish_all(t + (hops + static_cast<double>(total) / net.bandwidth_Bps),
+                      &result);
+      return;
     }
+    // The root receives `total` bytes, every other rank sends its own:
+    // (t + hops) + bytes/bw.
+    for (const auto& [r, c] : slot.contribs) {
+      const size_t bytes = r == root ? total : c.size();
+      slot.done_vtime[r] = (t + hops) + static_cast<double>(bytes) / net.bandwidth_Bps;
+    }
+    slot.results[root] = std::move(result);
   };
   Bytes result;
-  Status s = run_collective(std::move(contribution), compute, &result);
+  Status s = run_collective(Bytes(in.begin(), in.end()), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -713,8 +620,7 @@ Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
         recv_bytes[dst] += n;
       }
     }
-    double t0 = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t0 = std::max(t0, v);
+    const double t0 = slot.latest_arrival();
     // Transpose by move: column dst gathers blob [src][dst] from every
     // contributor (a src that never arrived leaves an empty blob).
     std::map<int, std::vector<Bytes>> cols;
@@ -746,31 +652,13 @@ Status Comm::dup(Comm& out, bool accounts_time) {
   auto compute = [alpha, accounts_time](CollectiveSlot& slot, const CommState& cs,
                                         Job& job) {
     job.mu.assert_held();  // compute callbacks run inside run_collective's CS
-    auto ns = std::make_shared<CommState>();
-    ns->ctx = job.alloc_ctx_locked();
-    ns->group = cs.group;
-    ns->accounts_time = accounts_time;
-    job.comms[ns->ctx] = ns;
-    ByteWriter w;
-    w.put<uint64_t>(ns->ctx);
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += alpha * log2ceil(cs.size());
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.results[r] = w.bytes();
-      slot.done_vtime[r] = t;
-    }
+    const Bytes result = ctx_bytes(job.register_comm_locked(cs.group, accounts_time));
+    slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
   Status s = run_collective({}, compute, &result);
   if (!s.ok()) return s;
-  ByteReader reader(result);
-  uint64_t ctx = 0;
-  (void)reader.get(ctx);
-  MutexLock lock(job_->mu);
-  out = Comm(job_, job_->comms.at(ctx), global_rank_);
-  return Status::Ok();
+  return bind_new_comm(result, out);
 }
 
 Status Comm::split(int color, int key, Comm& out) {
@@ -801,39 +689,23 @@ Status Comm::split(int color, int key, Comm& out) {
     for (const Entry& e : entries) {
       if (e.color < 0) continue;  // MPI_UNDEFINED
       if (!ctx_of_color.count(e.color)) {
-        auto ns = std::make_shared<CommState>();
-        ns->ctx = job.alloc_ctx_locked();
-        ns->accounts_time = cs.accounts_time;
+        std::vector<int> group;
         for (const Entry& e2 : entries) {
-          if (e2.color == e.color) ns->group.push_back(cs.group[e2.rel]);
+          if (e2.color == e.color) group.push_back(cs.group[e2.rel]);
         }
-        job.comms[ns->ctx] = ns;
-        ctx_of_color[e.color] = ns->ctx;
+        ctx_of_color[e.color] =
+            job.register_comm_locked(std::move(group), cs.accounts_time);
       }
     }
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += alpha * log2ceil(cs.size());
+    slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()));
     for (const Entry& e : entries) {
-      ByteWriter rw;
-      rw.put<uint64_t>(e.color >= 0 ? ctx_of_color[e.color] : 0);
-      slot.results[e.rel] = std::move(rw).take();
-      slot.done_vtime[e.rel] = t;
+      slot.results[e.rel] = ctx_bytes(e.color >= 0 ? ctx_of_color[e.color] : 0);
     }
   };
   Bytes result;
   Status s = run_collective(std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
-  ByteReader reader(result);
-  uint64_t ctx = 0;
-  (void)reader.get(ctx);
-  if (ctx == 0) {
-    out = Comm();
-    return Status::Ok();
-  }
-  MutexLock lock(job_->mu);
-  out = Comm(job_, job_->comms.at(ctx), global_rank_);
-  return Status::Ok();
+  return bind_new_comm(result, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,117 +730,26 @@ bool Comm::is_revoked() const {
   return state_->revoked;
 }
 
-// Tolerant rendezvous used by shrink/agree: ranks meet by a shared epoch
-// (one counter per op namespace per comm, see Job::tol_epochs), not by
-// per-rank sequence numbers — survivors whose op streams diverged after a
-// failure still pair up. The epoch is bumped by whichever rank computes the
-// slot, inside the same critical section, so a rank entering afterwards
-// joins the *next* logical operation.
-Status Comm::run_tolerant(
-    uint64_t ns, Bytes contribution,
-    const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-    Bytes* result_out) {
-  job_->check_callable(global_rank_);
-  MutexLock lock(job_->mu);
-  RankState& me = job_->ranks[global_rank_];
-
-  const auto epoch_key = std::make_pair(state_->ctx, ns);
-  const uint64_t epoch = job_->tol_epochs[epoch_key];
-  const auto key = std::make_pair(state_->ctx, slot_seq(ns, epoch));
-  auto& slot_ref = job_->slots[key];
-  if (!slot_ref) slot_ref = std::make_shared<CollectiveSlot>();
-  auto slot = slot_ref;
-
-  slot->contribs[rel_rank_] = std::move(contribution);
-  slot->arrive_vtime[rel_rank_] = state_->accounts_time ? me.vtime : 0.0;
-  // No arrival wake — same thundering-herd reasoning as run_collective.
-
-  auto all_alive_arrived = [&]() {
-    job_->mu.assert_held();  // only called from the wait loop below
-    // Same monotone-cursor scan as run_collective's all_arrived_or_dead.
-    int& cur = slot->scan_cursor;
-    const int p = state_->size();
-    while (cur < p && (slot->contribs.count(cur) != 0 ||
-                       !job_->ranks[state_->group[cur]].alive)) {
-      ++cur;
-    }
-    return cur >= p;
-  };
-
-  for (;;) {
-    job_->check_callable_locked(global_rank_);
-    if (slot->computed) break;
-    if (all_alive_arrived()) {
-      compute(*slot, *state_, *job_);
-      slot->computed = true;
-      job_->tol_epochs[epoch_key] = epoch + 1;
-      job_->wake_channel(slot->ch);
-      break;
-    }
-    if (job_->wait_blocked(slot->ch)) {
-      lock.unlock();
-      return handle({ErrorCode::kInternal, "tolerant collective: deadlock timeout"});
-    }
-  }
-
-  Bytes result;
-  if (auto it = slot->results.find(rel_rank_); it != slot->results.end()) {
-    result = std::move(it->second);
-  }
-  if (state_->accounts_time) {
-    if (auto it = slot->done_vtime.find(rel_rank_); it != slot->done_vtime.end()) {
-      me.vtime = std::max(me.vtime, it->second);
-    }
-  }
-  slot->pickups++;
-  int alive_contributors = 0;
-  for (const auto& [rel, c] : slot->contribs) {
-    (void)c;
-    if (job_->ranks[state_->group[rel]].alive) alive_contributors++;
-  }
-  if (slot->pickups >= alive_contributors) job_->slots.erase(key);
-  lock.unlock();
-  job_->check_vtime_kill(global_rank_);
-  if (result_out) *result_out = std::move(result);
-  return Status::Ok();
-}
-
 Status Comm::shrink(Comm& out) {
   const double alpha = job_->opts.net.latency_s;
   auto compute = [alpha](CollectiveSlot& slot, const CommState& cs, Job& job) {
     job.mu.assert_held();  // compute callbacks run inside run_tolerant's CS
     // Build the shrunken communicator from alive contributors, ordered by
     // old rel rank (dense new ranks) — ULFM MPI_Comm_shrink semantics.
-    auto ns = std::make_shared<CommState>();
-    ns->ctx = job.alloc_ctx_locked();
-    ns->accounts_time = cs.accounts_time;
+    std::vector<int> group;
     for (int rel = 0; rel < cs.size(); ++rel) {
       const int g = cs.group[rel];
-      if (job.ranks[g].alive && slot.contribs.count(rel)) {
-        ns->group.push_back(g);
-      }
+      if (job.ranks[g].alive && slot.contribs.count(rel)) group.push_back(g);
     }
-    job.comms[ns->ctx] = ns;
-    ByteWriter w;
-    w.put<uint64_t>(ns->ctx);
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += 3.0 * alpha * log2ceil(cs.size());  // ~agreement-protocol rounds
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.results[r] = w.bytes();
-      slot.done_vtime[r] = t;
-    }
+    const Bytes result = ctx_bytes(job.register_comm_locked(std::move(group),
+                                                            cs.accounts_time));
+    // ~agreement-protocol rounds
+    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
   Status s = run_tolerant(kNsShrink, {}, compute, &result);
   if (!s.ok()) return s;
-  ByteReader reader(result);
-  uint64_t ctx = 0;
-  (void)reader.get(ctx);
-  MutexLock lock(job_->mu);
-  out = Comm(job_, job_->comms.at(ctx), global_rank_);
-  return Status::Ok();
+  return bind_new_comm(result, out);
 }
 
 Status Comm::agree(int& flag) {
@@ -986,14 +767,8 @@ Status Comm::agree(int& flag) {
     }
     ByteWriter rw;
     rw.put<int32_t>(acc);
-    double t = 0.0;
-    for (const auto& [r, v] : slot.arrive_vtime) t = std::max(t, v);
-    t += 3.0 * alpha * log2ceil(cs.size());
-    for (const auto& [r, c] : slot.contribs) {
-      (void)c;
-      slot.results[r] = rw.bytes();
-      slot.done_vtime[r] = t;
-    }
+    const Bytes result = std::move(rw).take();
+    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
   Status s = run_tolerant(kNsAgree, std::move(w).take(), compute, &result);

@@ -188,29 +188,36 @@ class Comm {
   /// collectives), so it must never run under a live lock.
   Status handle(Status s) FTMR_MAY_PARK;
 
-  /// Generic arrival-synchronized collective (see job.hpp). `compute` runs
-  /// once, on the last arriver, and must fill slot.results/done_vtime for
-  /// every contributing rel rank. It fails on a revoked comm and when a
-  /// member is dead (shrink/agree use run_tolerant instead). A non-null
-  /// `row` is deposited by move into slot.rows and, on success only,
-  /// replaced by this rank's slot.rows entry after compute (alltoall's
-  /// transpose).
-  Status run_collective(
-      Bytes contribution,
-      const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-      Bytes* result_out, std::vector<Bytes>* row = nullptr);
+  /// A collective's completion step: runs once, on the last arriver, under
+  /// Job::mu, and fills slot.results/done_vtime for the contributors.
+  using CollectiveCompute = std::function<void(CollectiveSlot&, const CommState&, Job&)>;
+
+  /// Generic arrival-synchronized collective (see job.hpp). It fails on a
+  /// revoked comm and when a member is dead (shrink/agree use run_tolerant
+  /// instead). A non-null `row` is deposited by move into slot.rows and, on
+  /// success only, replaced by this rank's slot.rows entry after compute
+  /// (alltoall's transpose).
+  Status run_collective(Bytes contribution, const CollectiveCompute& compute,
+                        Bytes* result_out, std::vector<Bytes>* row = nullptr);
 
   /// Failure-tolerant rendezvous (shrink/agree): proceeds once every *alive*
   /// member has arrived, keyed by a shared epoch rather than per-rank
   /// sequence numbers. Ignores revocation.
-  Status run_tolerant(
-      uint64_t ns, Bytes contribution,
-      const std::function<void(CollectiveSlot&, const CommState&, Job&)>& compute,
-      Bytes* result_out);
+  Status run_tolerant(uint64_t ns, Bytes contribution, const CollectiveCompute& compute,
+                      Bytes* result_out);
+
+  /// Bind `out` to the communicator whose ctx is encoded in `result`
+  /// (dup/split/shrink); ctx 0 yields an invalid Comm.
+  Status bind_new_comm(const Bytes& result, Comm& out);
+
+  /// rma_put/rma_get: charge the wire time of `bytes` toward live `peer`.
+  Status rma_handshake(int peer, size_t bytes, std::string_view op);
 
   template <typename T>
   Status reduce_impl(int root, ReduceOp op, std::span<const T> in,
                      std::vector<T>& out, bool to_all);
+  Status gather_impl(int root, std::span<const std::byte> in, std::vector<Bytes>& out,
+                     bool to_all);
 
   Job* job_ = nullptr;
   std::shared_ptr<CommState> state_;

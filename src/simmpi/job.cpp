@@ -1,9 +1,23 @@
 #include "simmpi/job.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <string>
 
 namespace ftmr::simmpi {
+
+double CollectiveSlot::latest_arrival() const {
+  double t = 0.0;
+  for (const auto& [r, v] : arrive_vtime) t = std::max(t, v);
+  return t;
+}
+
+void CollectiveSlot::finish_all(double t, const Bytes* result) {
+  for (const auto& [r, c] : contribs) {
+    (void)c;
+    if (result != nullptr) results[r] = *result;
+    done_vtime[r] = t;
+  }
+}
 
 Job::Job(int nranks_, JobOptions opts_)
     : nranks(nranks_), opts(std::move(opts_)), recv_ch(nranks_), ranks(nranks_) {
@@ -34,34 +48,128 @@ void Job::die_locked(int rank) {
 
 void Job::check_callable(int rank) {
   MutexLock lock(mu);
+  check_callable_locked(rank);
   RankState& st = ranks[rank];
-  if (aborted) throw AbortError(abort_code);
-  if (!st.alive) throw KilledError();
   if (st.uncounted_depth == 0) st.op_count++;
   if (st.kill_after_ops >= 0 && st.op_count >= st.kill_after_ops) {
     die_locked(rank);
     throw KilledError();
   }
-  if (st.kill_vtime >= 0.0 && st.vtime >= st.kill_vtime) {
-    die_locked(rank);
-    throw KilledError();
-  }
+  check_vtime_kill_locked(rank);
 }
 
 void Job::check_callable_locked(int rank) {
-  RankState& st = ranks[rank];
   if (aborted) throw AbortError(abort_code);
-  if (!st.alive) throw KilledError();
+  if (!ranks[rank].alive) throw KilledError();
 }
 
 void Job::check_vtime_kill(int rank) {
   MutexLock lock(mu);
+  if (!ranks[rank].alive) throw KilledError();
+  check_vtime_kill_locked(rank);
+}
+
+void Job::check_vtime_kill_locked(int rank) {
   RankState& st = ranks[rank];
-  if (!st.alive) throw KilledError();
   if (st.kill_vtime >= 0.0 && st.vtime >= st.kill_vtime) {
     die_locked(rank);
     throw KilledError();
   }
+}
+
+Status Job::peer_status_locked(const CommState& cs, int peer, std::string_view op) const {
+  if (peer < 0 || peer >= cs.size()) {
+    return {ErrorCode::kInvalidArgument, std::string(op) + ": bad peer rank"};
+  }
+  if (cs.revoked) return {ErrorCode::kRevoked, std::string(op) + " on revoked comm"};
+  if (!ranks[cs.group[peer]].alive) {
+    return {ErrorCode::kProcFailed, std::string(op) + ": peer is dead"};
+  }
+  return Status::Ok();
+}
+
+std::deque<Message>::iterator Job::match_message_locked(int rank, uint64_t ctx, int src,
+                                                        int tag, MessageInfo* info) {
+  std::deque<Message>& box = ranks[rank].mailbox;
+  {
+    Inbox& inbox = *inboxes[rank];
+    MutexLock il(inbox.mu);
+    inbox.waiting = false;
+    for (Message& m : inbox.staged) box.push_back(std::move(m));
+    inbox.staged.clear();
+  }
+  auto it = std::find_if(box.begin(), box.end(), [&](const Message& m) {
+    return m.ctx == ctx && (src == kAnySource || m.src_rel == src) &&
+           (tag == kAnyTag || m.tag == tag);
+  });
+  if (it != box.end() && info != nullptr) {
+    info->source = it->src_rel;
+    info->tag = it->tag;
+    info->size = it->payload.size();
+  }
+  return it;
+}
+
+uint64_t Job::register_comm_locked(std::vector<int> group, bool accounts_time) {
+  auto cs = std::make_shared<CommState>();
+  cs->ctx = alloc_ctx_locked();
+  cs->group = std::move(group);
+  cs->accounts_time = accounts_time;
+  comms[cs->ctx] = cs;
+  return cs->ctx;
+}
+
+std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
+                                                      const CommState& cs, int rel,
+                                                      Bytes contribution) {
+  auto& slot = slots[key];
+  if (!slot) slot = std::make_shared<CollectiveSlot>();
+  slot->contribs[rel] = std::move(contribution);
+  slot->arrive_vtime[rel] = cs.accounts_time ? ranks[cs.group[rel]].vtime : 0.0;
+  // No wake here: intermediate arrivals don't change a parked waiter's
+  // predicate (it waits for `computed`; deaths/revokes broadcast via
+  // wake_all). The last arriver runs the completion check inline —
+  // waking k parked peers per arrival is an O(n^2) thundering herd at
+  // thousands of ranks.
+  return slot;
+}
+
+bool Job::settled_locked(CollectiveSlot& slot, const CommState& cs) {
+  // A group index is settled once it contributed or died — both monotone,
+  // so the cursor never moves backwards. Iterating by index also avoids
+  // the O(p) rel_rank_of lookup per member.
+  int& cur = slot.scan_cursor;
+  const int p = cs.size();
+  while (cur < p && (slot.contribs.count(cur) != 0 || !ranks[cs.group[cur]].alive)) {
+    ++cur;
+  }
+  return cur >= p;
+}
+
+Job::Pickup Job::pickup_locked(const SlotKey& key, CollectiveSlot& slot,
+                               const CommState& cs, int rel) {
+  Pickup mine;
+  if (auto it = slot.results.find(rel); it != slot.results.end()) {
+    mine.result = std::move(it->second);
+  }
+  if (auto it = slot.rows.find(rel); it != slot.rows.end()) {
+    mine.row = std::move(it->second);
+  }
+  if (cs.accounts_time) {
+    if (auto it = slot.done_vtime.find(rel); it != slot.done_vtime.end()) {
+      double& vtime = ranks[cs.group[rel]].vtime;
+      vtime = std::max(vtime, it->second);
+    }
+  }
+  mine.failed = slot.failed;
+  slot.pickups++;
+  int alive_contributors = 0;
+  for (const auto& [r, c] : slot.contribs) {
+    (void)c;
+    if (ranks[cs.group[r]].alive) alive_contributors++;
+  }
+  if (slot.pickups >= alive_contributors) slots.erase(key);
+  return mine;
 }
 
 std::vector<int> Job::dead_in_locked(const CommState& cs) const {
@@ -99,24 +207,10 @@ void Job::abort_job(int code) {
   wake_all();
 }
 
-bool Job::wait_blocked(WaitChannel& ch) {
-  if (sched != nullptr && Scheduler::current() != nullptr) {
-    return sched->park(ch, mu);
-  }
-  // Plain-thread fallback: classic timed CV wait under mu.
-  return cv.wait_for(mu, std::chrono::duration<double>(opts.deadlock_timeout_s)) ==
-         std::cv_status::timeout;
-}
+bool Job::wait_blocked(WaitChannel& ch) { return sched->park(ch, mu); }
 
-void Job::wake_channel(WaitChannel& ch) {
-  if (sched != nullptr) sched->wake(ch);
-  // Cheap when nobody waits on the CV (the fiber runtime never does).
-  cv.notify_all();
-}
+void Job::wake_channel(WaitChannel& ch) { sched->wake(ch); }
 
-void Job::wake_all() {
-  if (sched != nullptr) sched->wake_all_parked();
-  cv.notify_all();
-}
+void Job::wake_all() { sched->wake_all_parked(); }
 
 }  // namespace ftmr::simmpi

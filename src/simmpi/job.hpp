@@ -20,9 +20,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/status.hpp"
 #include "common/sync.hpp"
 #include "simmpi/scheduler.hpp"
 #include "simmpi/types.hpp"
@@ -70,7 +72,8 @@ struct CommState {
 /// Rendezvous state for one arrival-synchronized collective call.
 /// Keyed by (ctx, per-rank call sequence number); MPI requires all ranks to
 /// issue collectives on a comm in the same order, which makes the sequence
-/// number a consistent key.
+/// number a consistent key. Shrink and agree key by a shared epoch instead
+/// (see Job::tol_epochs).
 struct CollectiveSlot {
   std::map<int, Bytes> contribs;       // rel rank -> contribution payload
   std::map<int, double> arrive_vtime;  // rel rank -> clock at arrival
@@ -93,7 +96,16 @@ struct CollectiveSlot {
   /// slot, and a slot is only erased by its last alive participant — at
   /// which point every participant has picked up (none can be parked here).
   WaitChannel ch;
+
+  /// Latest arrival clock (0 if none): no collective completes earlier.
+  [[nodiscard]] double latest_arrival() const;
+  /// Every contributor finishes at `t`; a non-null `result` is each one's
+  /// result.
+  void finish_all(double t, const Bytes* result = nullptr);
 };
+
+/// Collective slot key: (ctx, namespaced sequence or epoch).
+using SlotKey = std::pair<uint64_t, uint64_t>;
 
 /// Staging area for point-to-point sends to one rank. Senders append under
 /// `mu` (already holding Job::mu for liveness/vtime checks) and issue a
@@ -140,16 +152,13 @@ class Job {
 
   // ---- guarded by mu ----
   Mutex mu{"job.mu"};
-  /// Legacy wait path for threads that are not scheduler fibers (none in
-  /// the current runtime, but wait_blocked falls back here so Comm stays
-  /// usable from a plain thread). Fiber wakeup goes through the channels.
-  CondVar cv;
 
   const int nranks;
   const JobOptions opts;
   /// Set by the Runtime for the duration of the run (before the worker
   /// pool starts, cleared after it joins — publication is ordered by
-  /// thread creation/join, so no lock is needed). Null => CV fallback.
+  /// thread creation/join, so no lock is needed). Every MPI call runs on
+  /// one of its fibers, so it is never null while a rank can use it.
   Scheduler* sched = nullptr;
   /// Per-global-rank recv wait channel; sized at construction, immutable
   /// after. Channel contents are guarded by the scheduler's mutex.
@@ -157,8 +166,7 @@ class Job {
   /// Per-global-rank send staging; sized at construction, immutable after.
   std::vector<std::unique_ptr<Inbox>> inboxes;
   std::vector<RankState> ranks FTMR_GUARDED_BY(mu);
-  std::map<std::pair<uint64_t, uint64_t>, std::shared_ptr<CollectiveSlot>> slots
-      FTMR_GUARDED_BY(mu);
+  std::map<SlotKey, std::shared_ptr<CollectiveSlot>> slots FTMR_GUARDED_BY(mu);
   /// Current epoch of the tolerant collectives (shrink/agree) per
   /// (ctx, namespace). Bumped by the rank that computes a slot, in the same
   /// critical section that sets `computed` — so a rank entering afterwards
@@ -179,12 +187,28 @@ class Job {
   /// when the rank is (or must now become) dead. Counts the op.
   void check_callable(int rank) FTMR_EXCLUDES(mu);
 
-  /// Same check for use inside CV wait loops (mu already held, op not
-  /// re-counted).
+  /// The abort/liveness part of check_callable, for wait loops (mu already
+  /// held, op not re-counted).
   void check_callable_locked(int rank) FTMR_REQUIRES(mu);
 
   /// Called after advancing `rank`'s virtual clock: enforces vtime kills.
   void check_vtime_kill(int rank) FTMR_EXCLUDES(mu);
+  void check_vtime_kill_locked(int rank) FTMR_REQUIRES(mu);
+
+  /// Guard of the ops aimed at one peer (send, rma): `op` fails on a peer
+  /// outside `cs`, a revoked `cs` or a dead peer. Non-parking: the caller
+  /// unlocks before routing a failure through its error handler.
+  [[nodiscard]] Status peer_status_locked(const CommState& cs, int peer,
+                                          std::string_view op) const FTMR_REQUIRES(mu);
+
+  /// Splice `rank`'s staged sends into its mailbox (one inbox acquisition
+  /// per batch, withdrawing any intent to park), then return its first
+  /// message matching (ctx, src, tag) — wildcards allowed — or
+  /// mailbox.end(). A hit fills `info`. The drain moves end(): compare
+  /// against an end() read after the call, never one read before it.
+  std::deque<Message>::iterator match_message_locked(int rank, uint64_t ctx, int src,
+                                                     int tag, MessageInfo* info)
+      FTMR_REQUIRES(mu);
 
   /// Global ranks of dead members of `cs` (mu held).
   [[nodiscard]] std::vector<int> dead_in_locked(const CommState& cs) const
@@ -198,27 +222,56 @@ class Job {
   /// Allocate a fresh communicator context id (mu held).
   uint64_t alloc_ctx_locked() FTMR_REQUIRES(mu) { return next_ctx++; }
 
+  /// Create and publish a communicator over `group` (global ranks, in
+  /// new-rank order); returns its fresh ctx.
+  uint64_t register_comm_locked(std::vector<int> group, bool accounts_time)
+      FTMR_REQUIRES(mu);
+
+  // ---- the collective rendezvous (see DESIGN.md "Collective rendezvous") ----
+
+  /// Join: find or create the slot at `key` and deposit comm-relative
+  /// `rel`'s contribution and arrival clock.
+  std::shared_ptr<CollectiveSlot> join_slot_locked(const SlotKey& key,
+                                                   const CommState& cs, int rel,
+                                                   Bytes contribution) FTMR_REQUIRES(mu);
+
+  /// Complete-check: true once every member of `cs` has arrived at `slot`
+  /// or died. Advances the slot's monotone scan cursor.
+  bool settled_locked(CollectiveSlot& slot, const CommState& cs) FTMR_REQUIRES(mu);
+
+  /// What one rank takes out of a computed slot.
+  struct Pickup {
+    Bytes result;
+    std::vector<Bytes> row;  // alltoall's receive column
+    bool failed = false;
+  };
+  /// Pick up: move `rel`'s result and row out, advance its clock to its
+  /// done time, and erase the slot once every alive contributor has
+  /// picked up.
+  Pickup pickup_locked(const SlotKey& key, CollectiveSlot& slot, const CommState& cs,
+                       int rel) FTMR_REQUIRES(mu);
+
   /// Trigger job-wide abort (MPI_Abort semantics).
   void abort_job(int code) FTMR_EXCLUDES(mu);
 
   // ---- blocking / wakeup ----
 
-  /// Block the caller on `ch` until a wake arrives, releasing `mu` for the
-  /// duration (condition-variable style; the caller re-checks its predicate
-  /// in a loop). On a scheduler fiber this parks the fiber; on a plain
-  /// thread it falls back to the legacy CV with the wall-clock timeout.
-  /// Returns true if the wait was ended by deadlock detection / timeout.
+  /// Park the calling rank fiber on `ch` until a wake arrives, releasing
+  /// `mu` for the duration (condition-variable style; the caller re-checks
+  /// its predicate in a loop). Waiting is fiber-only: every MPI call runs
+  /// on a scheduler fiber. Returns true if the wait was ended by deadlock
+  /// detection / the wall-clock livelock backstop.
   bool wait_blocked(WaitChannel& ch) FTMR_REQUIRES(mu) FTMR_MAY_PARK;
 
-  /// Wake fibers parked on `ch` (and legacy CV waiters). Callable with or
-  /// without `mu`; the caller must have already applied its state change.
+  /// Wake fibers parked on `ch`. Callable with or without `mu`; the caller
+  /// must have already applied its state change.
   void wake_channel(WaitChannel& ch);
 
   /// Wake `global_rank`'s recv channel (a message was staged for it).
   void wake_recv(int global_rank) { wake_channel(recv_ch[global_rank]); }
 
-  /// Broadcast: wake every parked fiber and all CV waiters. For events
-  /// whose predicate spans all channels (death, revoke, abort, finish).
+  /// Broadcast: wake every parked fiber. For events whose predicate spans
+  /// all channels (death, revoke, abort, finish).
   void wake_all();
 };
 

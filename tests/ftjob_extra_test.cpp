@@ -202,8 +202,10 @@ TEST(Placement, NoLocalDiskWithLocalPlacementFailsCleanly) {
     FtJob job(c, cl.fs.get(), o);
     Status s = job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); });
     // Surfaced as a configuration error, not crashed and not silently
-    // degraded to checkpoint-less execution.
+    // degraded to checkpoint-less execution: the first record checkpoint
+    // ends the map phase before it charges any time.
     EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(job.times().get("map"), 0.0);
   });
 }
 

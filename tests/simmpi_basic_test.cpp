@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 
 #include "simmpi/runtime.hpp"
@@ -342,6 +343,122 @@ TEST(VirtualTime, AlltoallCompletionTimeIsPinned) {
                           static_cast<double>(sent + received) / opts.net.bandwidth_Bps;
     EXPECT_DOUBLE_EQ(c.now(), expect) << "rank " << c.rank();
   }, opts);
+}
+
+TEST(VirtualTime, CollectiveCompletionTimesArePinned) {
+  // Each collective runs alone on staggered clocks: rank r arrives at
+  // 0.25 r, so the latest arrival is t = 0.25 (p - 1). Every expected time
+  // is written in the runtime's own operation order and compared with
+  // EXPECT_EQ. The sizes are chosen so that re-associating gather's,
+  // allgather's, bcast's or allreduce's sum changes the last bit and fails
+  // the test. Each call counts exactly one op.
+  constexpr int kP = 6;
+  JobOptions opts;
+  opts.net.latency_s = 1e-3;
+  opts.net.bandwidth_Bps = 1e4;
+  const double a = opts.net.latency_s;
+  const double bw = opts.net.bandwidth_Bps;
+  const double t = 0.25 * (kP - 1);
+  const double lg = 3.0;  // ceil(log2(kP))
+  // gather/allgather contributions: rank r sends r + 1 bytes.
+  auto gather_bytes = [](int r) { return static_cast<size_t>(r + 1); };
+  const size_t total = 1 + 2 + 3 + 4 + 5 + 6;
+  const size_t reduce_bytes = 8 + 3 * 8;  // u64 count + three int64
+  struct Case {
+    const char* name;
+    std::function<Status(Comm&)> call;
+    std::function<double(int)> expect;  // rank -> completion time
+  };
+  const std::vector<Case> cases = {
+      {"barrier", [](Comm& c) { return c.barrier(); },
+       [&](int) { return t + a * lg; }},
+      {"bcast",
+       [](Comm& c) {
+         Bytes data(c.rank() == 0 ? 27 : 0);
+         return c.bcast(0, data);
+       },
+       [&](int) { return t + lg * (a + 27.0 / bw); }},
+      {"reduce",
+       [](Comm& c) {
+         const std::vector<int64_t> in(3, c.rank());
+         std::vector<int64_t> out;
+         return c.reduce(0, ReduceOp::kSum, std::span<const int64_t>(in), out);
+       },
+       [&](int) {
+         return t + 1.0 * lg * (a + static_cast<double>(reduce_bytes) / bw);
+       }},
+      {"allreduce",
+       [](Comm& c) {
+         const std::vector<int64_t> in(3, c.rank());
+         std::vector<int64_t> out;
+         return c.allreduce(ReduceOp::kSum, std::span<const int64_t>(in), out);
+       },
+       [&](int) {
+         return t + 2.0 * lg * (a + static_cast<double>(reduce_bytes) / bw);
+       }},
+      {"gather",
+       [&](Comm& c) {
+         std::vector<Bytes> out;
+         return c.gather(0, Bytes(gather_bytes(c.rank())), out);
+       },
+       [&](int r) {
+         const size_t n = r == 0 ? total : gather_bytes(r);
+         return (t + lg * a) + static_cast<double>(n) / bw;
+       }},
+      {"allgather",
+       [&](Comm& c) {
+         std::vector<Bytes> out;
+         return c.allgather(Bytes(gather_bytes(c.rank())), out);
+       },
+       [&](int) { return t + (lg * a + static_cast<double>(total) / bw); }},
+      {"dup",
+       [](Comm& c) {
+         Comm d;
+         return c.dup(d);
+       },
+       [&](int) { return t + a * lg; }},
+      {"split",
+       [](Comm& c) {
+         Comm s;
+         return c.split(c.rank() % 2, c.rank(), s);
+       },
+       [&](int) { return t + a * lg; }},
+      {"shrink",
+       [](Comm& c) {
+         Comm s;
+         return c.shrink(s);
+       },
+       [&](int) { return t + 3.0 * a * lg; }},
+      {"agree",
+       [](Comm& c) {
+         int flag = 1;
+         return c.agree(flag);
+       },
+       [&](int) { return t + 3.0 * a * lg; }},
+  };
+  for (const Case& k : cases) {
+    Runtime::run(kP, [&](Comm& c) {
+      c.compute(0.25 * c.rank());
+      const int64_t ops = c.ops_issued();
+      ASSERT_TRUE(k.call(c).ok()) << k.name;
+      EXPECT_EQ(c.ops_issued(), ops + 1) << k.name;
+      EXPECT_EQ(c.now(), k.expect(c.rank())) << k.name << " rank " << c.rank();
+    }, opts);
+  }
+}
+
+TEST(Collectives, RootedCollectivesRejectABadRootUncounted) {
+  Runtime::run(4, [](Comm& c) {
+    const int64_t ops = c.ops_issued();
+    const int64_t in = c.rank();
+    std::vector<int64_t> reduced;
+    EXPECT_EQ(c.reduce(c.size(), ReduceOp::kSum, std::span<const int64_t>(&in, 1),
+                       reduced).code(),
+              ErrorCode::kInvalidArgument);
+    std::vector<Bytes> gathered;
+    EXPECT_EQ(c.gather(-1, Bytes(4), gathered).code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(c.ops_issued(), ops);
+  });
 }
 
 TEST(Comms, DupGivesIndependentMatching) {
