@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -13,7 +14,15 @@ namespace ftmr::core {
 
 namespace {
 constexpr int kMaxStagesScan = 64;  // prime scan bound for CR restarts
+
+/// Spill I/O time the stores accrued since the last call, added in store
+/// order onto `io` (chaining two calls keeps one left-to-right sum).
+double take_spill_io(std::map<int, mr::SpillableKvBuffer>& stores,
+                     double io = 0.0) {
+  for (auto& [p, store] : stores) io += store.take_io_seconds();
+  return io;
 }
+}  // namespace
 
 FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
     : world_(world), wc_(world), fs_(fs), opts_(std::move(opts)),
@@ -31,9 +40,9 @@ FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
     // driver starts.
     ctor_failure_ = true;
   }
-  master_ = std::make_unique<DistributedMaster>(mc, opts_.status_interval_commits);
+  master_ = std::make_unique<DistributedMaster>(mc);
   ckpt_ = std::make_unique<CheckpointManager>(fs_, node(), world_.global_rank(),
-                                              opts_.ckpt, io_conc(), opts_.ppn);
+                                              opts_.ckpt, p0_, opts_.ppn);
   trace_.set_tid(world_.global_rank());
   trace_.set_op_probe([this] { return world_.ops_issued(); });
   master_->set_trace(&trace_);
@@ -50,6 +59,7 @@ void FtJob::charge_span(const char* bucket, double t0) {
 }
 
 void FtJob::charge_cost(const char* bucket, double cost) {
+  wc_.compute(cost);
   times_.charge(bucket, cost);
   const double t1 = wc_.now();
   trace_.span(bucket, "phase", t1 - cost, t1);
@@ -68,6 +78,55 @@ bool FtJob::is_failure(const Status& s) const noexcept {
   }
 }
 
+// The delta flush and the commit point of both loops (defined ahead of
+// check(), whose C/R error handler instantiates flush_delta).
+
+template <class P>
+Status FtJob::flush_delta(int stage, uint64_t id, P& pr) {
+  Status s;
+  if constexpr (std::is_same_v<P, TaskProgress>) {
+    s = ckpt_->map_ckpt(wc_, stage, id, pr.last_ckpt_pos, pr.pos, pr.pending_delta);
+  } else {
+    s = ckpt_->reduce_ckpt(wc_, stage, static_cast<int>(id), pr.last_ckpt_pos,
+                           pr.pos, pr.pending_delta);
+  }
+  if (!s.ok()) return s;
+  pr.pending_delta.clear();
+  pr.last_ckpt_pos = pr.pos;
+  return s;
+}
+
+template <class P>
+Status FtJob::checkpoint_delta(int stage, uint64_t id, P& pr) {
+  const double t0 = wc_.now();
+  if (auto s = check(flush_delta(stage, id, pr)); !s.ok()) return s;
+  charge_span("ckpt", t0);
+  return Status::Ok();
+}
+
+template <class P>
+Status FtJob::commit(int stage, uint64_t id, P& pr) {
+  // Record-granularity checkpoint every records_per_ckpt commits.
+  if (opts_.ckpt.enabled &&
+      opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
+      static_cast<int64_t>(pr.pos - pr.last_ckpt_pos) >= opts_.ckpt.records_per_ckpt) {
+    if (auto s = checkpoint_delta(stage, id, pr); !s.ok()) return s;
+  }
+  // Periodic master duties + eager failure observation (every few commits,
+  // not every record, to keep the real-time overhead of the simulator low).
+  if ((pr.pos & 0x3f) == 0) {
+    if constexpr (std::is_same_v<P, TaskProgress>) {
+      master_->on_task_progress(id, pr.pos, 0);
+      master_->observe(map_bytes_done_, wc_.now());
+    }
+    if (auto s = check(master_->tick()); !s.ok()) return s;
+    if (!wc_.failed_ranks().empty()) {
+      return check({ErrorCode::kProcFailed, "failure observed at commit"});
+    }
+  }
+  return Status::Ok();
+}
+
 Status FtJob::check(Status s) {
   if (s.ok() || !is_failure(s)) return s;
   switch (opts_.mode) {
@@ -84,19 +143,11 @@ Status FtJob::check(Status s) {
       if (opts_.ckpt.granularity == CkptOptions::Granularity::kRecord) {
         for (auto& [sid, st] : stages_) {
           for (auto& [task, tp] : st.tasks) {
-            if (!tp.pending_delta.empty()) {
-              (void)ckpt_->map_ckpt(wc_, sid, task, tp.last_ckpt_pos, tp.pos,
-                                    tp.pending_delta);
-              tp.pending_delta.clear();
-              tp.last_ckpt_pos = tp.pos;
-            }
+            if (!tp.pending_delta.empty()) (void)flush_delta(sid, task, tp);
           }
           for (auto& [p, rp] : st.reduce) {
             if (!rp.pending_delta.empty()) {
-              (void)ckpt_->reduce_ckpt(wc_, sid, p, rp.last_ckpt_entries,
-                                       rp.entries_done, rp.pending_delta);
-              rp.pending_delta.clear();
-              rp.last_ckpt_entries = rp.entries_done;
+              (void)flush_delta(sid, static_cast<uint64_t>(p), rp);
             }
           }
         }
@@ -140,61 +191,50 @@ size_t FtJob::pending_delta_bytes() const noexcept {
   return n;
 }
 
-std::string FtJob::chunk_name(uint64_t task) const { return chunks_[task]; }
-
 int FtJob::owner_rel(int partition) const {
   return wc_.rel_of_global(part_owner_[static_cast<size_t>(partition)]);
 }
 
-std::vector<uint64_t> FtJob::my_task_ids(int stage, bool kv_input) const {
-  std::vector<uint64_t> mine;
+std::set<int> FtJob::owned_partitions() const {
+  std::set<int> mine;
   const int me = world_.global_rank();
-  if (kv_input) {
-    (void)stage;
-    for (int p = 0; p < p0_; ++p) {
-      if (part_owner_[p] == me) mine.push_back(static_cast<uint64_t>(p));
-    }
-    return mine;
-  }
-  for (uint64_t t = 0; t < chunks_.size(); ++t) {
-    auto it = task_reassign_.find(t);
-    const int owner = (it != task_reassign_.end()) ? it->second
-                                                   : assign_task_to_rank(t, p0_);
-    if (owner == me) mine.push_back(t);
+  for (int p = 0; p < p0_; ++p) {
+    if (part_owner_[static_cast<size_t>(p)] == me) mine.insert(mine.end(), p);
   }
   return mine;
+}
+
+int FtJob::task_owner(uint64_t t) const {
+  const auto it = task_reassign_.find(t);
+  return it != task_reassign_.end() ? it->second : assign_task_to_rank(t, p0_);
+}
+
+std::vector<uint64_t> FtJob::my_task_ids(bool kv_input) const {
+  std::vector<uint64_t> mine;
+  if (kv_input) {
+    for (int p : owned_partitions()) mine.push_back(static_cast<uint64_t>(p));
+    return mine;
+  }
+  const int me = world_.global_rank();
+  for (uint64_t t = 0; t < chunks_.size(); ++t) {
+    if (task_owner(t) == me) mine.push_back(t);
+  }
+  return mine;
+}
+
+Status FtJob::list_chunks() {
+  if (!chunks_.empty()) return Status::Ok();
+  return fs_->list_dir(storage::Tier::kShared, node(), opts_.input_dir, chunks_);
 }
 
 // ---------------------------------------------------------------------------
 // task runner (Algorithm 1): read - map - commit loop
 // ---------------------------------------------------------------------------
 
-Status FtJob::commit(uint64_t task, TaskProgress& tp, int stage) {
-  // Record-granularity checkpoint every records_per_ckpt commits.
-  if (opts_.ckpt.enabled &&
-      opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
-      static_cast<int64_t>(tp.pos - tp.last_ckpt_pos) >= opts_.ckpt.records_per_ckpt) {
-    const double t0 = wc_.now();
-    if (auto s = check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
-                                       tp.pending_delta));
-        !s.ok()) {
-      return s;
-    }
-    tp.pending_delta.clear();
-    tp.last_ckpt_pos = tp.pos;
-    charge_span("ckpt", t0);
+void FtJob::charge_skip(const Progress& pr) {
+  if (pr.pos > 0) {
+    charge_cost("skip", static_cast<double>(pr.pos) * kSkipCostPerRecord);
   }
-  // Periodic master duties + eager failure observation (every few commits,
-  // not every record, to keep the real-time overhead of the simulator low).
-  if ((tp.pos & 0x3f) == 0) {
-    master_->on_task_progress(task, tp.pos, 0);
-    master_->observe(map_bytes_done_, wc_.now());
-    if (auto s = check(master_->tick()); !s.ok()) return s;
-    if (!wc_.failed_ranks().empty()) {
-      return check({ErrorCode::kProcFailed, "failure observed at commit"});
-    }
-  }
-  return Status::Ok();
 }
 
 Status FtJob::allgather_union(std::span<const int> mine, std::set<int>& out) {
@@ -230,12 +270,11 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     Bytes data;
     double cost = 0.0;
     if (auto s = fs_->read_file(storage::Tier::kShared, node(),
-                                opts_.input_dir + "/" + chunk_name(task), data,
-                                &cost, io_conc());
+                                opts_.input_dir + "/" + chunks_[task], data,
+                                &cost, p0_);
         !s.ok()) {
       return s;
     }
-    wc_.compute(cost);
     charge_cost("io_wait", cost);
     chunk.assign(reinterpret_cast<const char*>(data.data()), data.size());
   } else {
@@ -261,9 +300,8 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     } else {
       kv_cursor = tp.pos;
     }
-    wc_.compute(static_cast<double>(tp.pos) * opts_.skip_cost_per_record);
-    charge_cost("skip", static_cast<double>(tp.pos) * opts_.skip_cost_per_record);
   }
+  charge_skip(tp);
 
   // -- the Algorithm-1 loop: while next() { map(); commit(); } --
   const double map_cost = current_map_cost(fns);
@@ -298,20 +336,12 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     wc_.compute(map_cost);
     map_bytes_done_ += static_cast<double>(key.size() + value.size());
     tp.pos++;
-    if (auto s = commit(task, tp, stage); !s.ok()) return s;
+    if (auto s = commit(stage, task, tp); !s.ok()) return s;
   }
 
   // -- task completion: flush the tail checkpoint --
-  if (opts_.ckpt.enabled && !tp.pending_delta.empty()) {
-    const double t0 = wc_.now();
-    if (auto s = check(ckpt_->map_ckpt(wc_, stage, task, tp.last_ckpt_pos, tp.pos,
-                                       tp.pending_delta));
-        !s.ok()) {
-      return s;
-    }
-    tp.pending_delta.clear();
-    tp.last_ckpt_pos = tp.pos;
-    charge_span("ckpt", t0);
+  if (!tp.pending_delta.empty()) {
+    if (auto s = checkpoint_delta(stage, task, tp); !s.ok()) return s;
   }
   // Completed task: move its partitioned output into the stage's paged
   // stores so residency drops back to O(budget) before the next task.
@@ -340,7 +370,7 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
 Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
                         StageState& st) {
   const double t0 = wc_.now();
-  for (uint64_t task : my_task_ids(stage, kv_input)) {
+  for (uint64_t task : my_task_ids(kv_input)) {
     if (auto s = check(run_one_map_task(fns, kv_input, stage, st, task)); !s.ok()) {
       return s;
     }
@@ -349,11 +379,8 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
   // them, and hold their records until the shuffle (or the orphan rebuild)
   // is done with them.
   for (auto& [p, store] : st.map_output) store.shrink_to_fit();
-  double spill_io = 0.0;
-  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
-  if (spill_io > 0.0) {
-    wc_.compute(spill_io);
-    charge_cost("io_wait", spill_io);
+  if (const double io = take_spill_io(st.map_output); io > 0.0) {
+    charge_cost("io_wait", io);
   }
   ckpt_->drain(wc_);
   if (auto s = check(master_->exchange_now()); !s.ok()) return s;
@@ -426,11 +453,7 @@ mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
   auto it = st.partitions.find(p);
   if (it == st.partitions.end()) {
-    size_t owned = 0;
-    const int me = world_.global_rank();
-    for (int q = 0; q < p0_; ++q) {
-      if (part_owner_[static_cast<size_t>(q)] == me) owned++;
-    }
+    const size_t owned = owned_partitions().size();
     it = st.partitions
              .emplace(p, mr::SpillableKvBuffer(
                              spill_config(stage, "part")
@@ -557,29 +580,19 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   }
   mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(),
                   stats.pairs_received);
-  // The partition stores are sealed: nothing more arrives, and they hold
-  // their records until the convert consumes them.
-  for (auto& [p, store] : st.partitions) store.shrink_to_fit();
-  double spill_io = 0.0;
-  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.partitions) spill_io += store.take_io_seconds();
-  if (spill_io > 0.0) wc_.compute(spill_io);
-
-  // Partition checkpoints make the shuffle result durable: a work-conserving
-  // resume after a reduce-phase failure reads exactly these. Every owned
-  // partition gets one, including ones that received nothing: restart
-  // priming claims shuffle-done only when each owned partition's checkpoint
-  // is present.
-  if (opts_.ckpt.enabled) {
-    const double c0 = wc_.now();
-    const int me = world_.global_rank();
-    for (int p = 0; p < p0_; ++p) {
-      if (part_owner_[static_cast<size_t>(p)] != me) continue;
-      if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
-    charge_span("ckpt", c0);
+  if (const double io = take_spill_io(st.partitions, take_spill_io(st.map_output));
+      io > 0.0) {
+    wc_.compute(io);
   }
+  // The partition stores are sealed: nothing more arrives, and they hold
+  // their records until the convert consumes them. Partition checkpoints
+  // make the shuffle result durable: a work-conserving resume after a
+  // reduce-phase failure reads exactly these. Every owned partition gets
+  // one, including ones that received nothing: restart priming claims
+  // shuffle-done only when each owned partition's checkpoint is present.
+  const double c0 = wc_.now();
+  if (auto s = seal_partitions(stage, st, owned_partitions()); !s.ok()) return s;
+  if (opts_.ckpt.enabled) charge_span("ckpt", c0);
   st.phase = kPhaseShuffleDone;
   // Sender-side stores are only needed again by the detect/resume orphan
   // rebuild; the other modes never rebuild, so their pages free now.
@@ -603,11 +616,11 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // Each rebuilt partition replaces what this rank held (idempotent under
   // retry: it stays in partitions_missing until the rebuild completes) and
   // restarts its reduce.
-  const int me = world_.global_rank();
-  std::vector<int> mine;
+  const std::set<int> owned = owned_partitions();
+  std::set<int> mine;
   for (int p : missing) {
-    if (part_owner_[static_cast<size_t>(p)] != me) continue;
-    mine.push_back(p);
+    if (!owned.count(p)) continue;
+    mine.insert(p);
     st.partitions.erase(p);
     st.reduce.erase(p);
   }
@@ -642,20 +655,25 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
       return s;
     }
   }
-  for (int p : mine) partition_store(st, stage, p).shrink_to_fit();
-  if (opts_.ckpt.enabled) {
-    for (int p : mine) {
-      if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
+  if (auto s = seal_partitions(stage, st, mine); !s.ok()) return s;
+  if (const double io = take_spill_io(st.partitions, take_spill_io(st.map_output));
+      io > 0.0) {
+    wc_.compute(io);
   }
-  double spill_io = 0.0;
-  for (auto& [p, store] : st.map_output) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.partitions) spill_io += store.take_io_seconds();
-  if (spill_io > 0.0) wc_.compute(spill_io);
   st.partitions_missing.clear();
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("recovery", t0);
+  return Status::Ok();
+}
+
+Status FtJob::seal_partitions(int stage, StageState& st,
+                              const std::set<int>& parts) {
+  for (int p : parts) partition_store(st, stage, p).shrink_to_fit();
+  if (!opts_.ckpt.enabled) return Status::Ok();
+  for (int p : parts) {
+    if (auto s = check(checkpoint_partition(st, stage, p)); !s.ok()) return s;
+  }
+  ckpt_->drain(wc_);
   return Status::Ok();
 }
 
@@ -692,16 +710,14 @@ Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
     charge_span("merge", m0);
   }
 
-  if (rp.entries_done > 0) {
-    wc_.compute(static_cast<double>(rp.entries_done) * opts_.skip_cost_per_record);
-  }
+  charge_skip(rp);
   // The Algorithm-1 reduce loop, driven by the streamed k-way merge.
   // check() may throw FailureDetected out of the stream; rp.kmv survives in
   // the stage state, so re-entry resumes at the committed entry cursor
   // without re-converting.
   mr::KvBuffer emitted;
   if (auto s = rp.kmv->for_each_entry(
-          rp.entries_done,
+          rp.pos,
           [&](std::string_view key,
               std::span<const std::string_view> values) -> Status {
             emitted.clear();
@@ -711,46 +727,16 @@ Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
             rp.out.merge_from(emitted);
             if (opts_.ckpt.enabled) rp.pending_delta.merge_from(emitted);
             wc_.compute(reduce_cost * static_cast<double>(values.size()));
-            rp.entries_done++;
-            if (opts_.ckpt.enabled &&
-                opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
-                static_cast<int64_t>(rp.entries_done - rp.last_ckpt_entries) >=
-                    opts_.ckpt.records_per_ckpt) {
-              const double c0 = wc_.now();
-              if (auto cs = check(ckpt_->reduce_ckpt(wc_, stage, p,
-                                                     rp.last_ckpt_entries,
-                                                     rp.entries_done,
-                                                     rp.pending_delta));
-                  !cs.ok()) {
-                return cs;
-              }
-              rp.pending_delta.clear();
-              rp.last_ckpt_entries = rp.entries_done;
-              charge_span("ckpt", c0);
-            }
-            if ((rp.entries_done & 0x3f) == 0) {
-              if (auto cs = check(master_->tick()); !cs.ok()) return cs;
-              if (!wc_.failed_ranks().empty()) {
-                if (auto cs = check({ErrorCode::kProcFailed,
-                                     "failure observed in reduce"});
-                    !cs.ok()) {
-                  return cs;
-                }
-              }
-            }
-            return Status::Ok();
+            rp.pos++;
+            return commit(stage, static_cast<uint64_t>(p), rp);
           });
       !s.ok()) {
     return s;
   }
-  if (opts_.ckpt.enabled && !rp.pending_delta.empty()) {
-    if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
-                                          rp.entries_done, rp.pending_delta));
-        !s.ok()) {
+  if (!rp.pending_delta.empty()) {
+    if (auto s = checkpoint_delta(stage, static_cast<uint64_t>(p), rp); !s.ok()) {
       return s;
     }
-    rp.pending_delta.clear();
-    rp.last_ckpt_entries = rp.entries_done;
   }
   const double kmv_io = rp.kmv->take_io_seconds();
   if (kmv_io > 0.0) wc_.compute(kmv_io);
@@ -758,18 +744,18 @@ Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
   st.outputs[p] = rp.out;
   rp.kmv.reset();
   if (opts_.ckpt.enabled) {
+    const double c0 = wc_.now();
     if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
       return s;
     }
+    charge_span("ckpt", c0);
   }
   return Status::Ok();
 }
 
 Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
-  const int me = world_.global_rank();
-  for (int p = 0; p < p0_; ++p) {
-    if (part_owner_[static_cast<size_t>(p)] != me) continue;
+  for (int p : owned_partitions()) {
     ReduceProgress& rp = st.reduce[p];
     if (rp.done) continue;
     if (auto s = reduce_partition(fns, stage, st, p, rp); !s.ok()) return s;
@@ -790,12 +776,8 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
   if (kv_input && stage == 0) {
     return {ErrorCode::kInvalidArgument, "stage 0 cannot take kv input"};
   }
-  if (!kv_input && chunks_.empty()) {
-    if (auto s = fs_->list_dir(storage::Tier::kShared, node(), opts_.input_dir,
-                               chunks_);
-        !s.ok()) {
-      return s;
-    }
+  if (!kv_input) {
+    if (auto s = list_chunks(); !s.ok()) return s;
   }
   StageState& st = stages_[stage];
   st.kv_input = kv_input;
@@ -817,7 +799,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
         // Patch-up: re-execute every unfinished or newly inherited map task
         // — the dead ranks' contributions to the orphaned partitions can
         // only come from these re-executions.
-        for (uint64_t task : my_task_ids(stage, kv_input)) {
+        for (uint64_t task : my_task_ids(kv_input)) {
           auto it = st.tasks.find(task);
           if (it != st.tasks.end() && it->second.done) continue;
           if (auto s = check(run_one_map_task(fns, kv_input, stage, st, task));
@@ -837,12 +819,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
   last_stage_ = stage;
   if (output) {
     output->clear();
-    const int me = world_.global_rank();
-    for (int p = 0; p < p0_; ++p) {
-      if (part_owner_[static_cast<size_t>(p)] == me) {
-        output->merge_from(st.outputs[p]);
-      }
-    }
+    for (int p : owned_partitions()) output->merge_from(st.outputs[p]);
   }
   return Status::Ok();
 }
@@ -852,9 +829,7 @@ Status FtJob::write_output() {
     return {ErrorCode::kFailedPrecondition, "write_output before any stage"};
   }
   StageState& st = stages_[last_stage_];
-  const int me = world_.global_rank();
-  for (int p = 0; p < p0_; ++p) {
-    if (part_owner_[static_cast<size_t>(p)] != me) continue;
+  for (int p : owned_partitions()) {
     Bytes payload;
     if (opts_.output_writer) {
       // User-formatted records (Table 1 FileRecordWriter path).
@@ -878,11 +853,10 @@ Status FtJob::write_output() {
     double cost = 0.0;
     if (auto s = fs_->write_file(storage::Tier::kShared, node(),
                                  opts_.output_dir + "/" + name, payload, &cost,
-                                 io_conc());
+                                 p0_);
         !s.ok()) {
       return s;
     }
-    wc_.compute(cost);
     charge_cost("io_wait", cost);
   }
   return check(wc_.barrier());
@@ -998,21 +972,14 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
   // dead ranks' stage-0 tasks would keep their hash-default owners and
   // silently never execute. The listing is deterministic (shared tier),
   // so every survivor derives the identical task census.
-  if (chunks_.empty()) {
-    if (auto s = fs_->list_dir(storage::Tier::kShared, node(), opts_.input_dir,
-                               chunks_);
-        !s.ok()) {
-      FTMR_WARN << "rank " << world_.global_rank()
-                << " could not list input chunks during recovery: "
-                << s.to_string();
-    }
+  if (auto s = list_chunks(); !s.ok()) {
+    FTMR_WARN << "rank " << world_.global_rank()
+              << " could not list input chunks during recovery: "
+              << s.to_string();
   }
   std::vector<uint64_t> orphan_tasks;
   for (uint64_t t = 0; t < chunks_.size(); ++t) {
-    auto it = task_reassign_.find(t);
-    const int owner = (it != task_reassign_.end()) ? it->second
-                                                   : assign_task_to_rank(t, p0_);
-    if (dead_now.count(owner)) orphan_tasks.push_back(t);
+    if (dead_now.count(task_owner(t))) orphan_tasks.push_back(t);
   }
   {
     std::vector<double> weights;
@@ -1029,23 +996,33 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
       task_reassign_[orphan_tasks[i]] = wc_.global_of_rel(owner[i]);
     }
   }
-
-  // --- Current stage & per-stage state patching. ---
-  int cur_stage = stage_cursor_ > 0 ? stage_cursor_ - 1 : 0;
-  for (const auto& [sid, st] : stages_) {
-    if (st.phase != kPhaseDone) {
-      cur_stage = sid;
-      break;
-    }
-    cur_stage = sid + 1;
+  // The work this rank inherited: dead ranks' file tasks and partitions.
+  const int me = world_.global_rank();
+  std::set<uint64_t> my_new_tasks;
+  for (uint64_t t : orphan_tasks) {
+    if (task_owner(t) == me) my_new_tasks.insert(t);
+  }
+  const std::set<int> owned = owned_partitions();
+  std::set<int> my_new_parts;
+  for (int p : orphan_parts) {
+    if (owned.count(p)) my_new_parts.insert(p);
   }
 
+  // --- Per-stage state patching. ---
   if (opts_.mode == FtMode::kDetectResumeNWC) {
     // Non-work-conserving (Sec. 4.2.2): the lost work is re-executed. Any
     // completed stage whose outputs lived (partly) in dead memory cannot be
     // reconstructed without its inputs, so a multi-stage job falls all the
     // way back to stage 0 — previously finished work is lost, exactly the
     // behaviour Figs. 11/12 show under continuous failures.
+    int cur_stage = stage_cursor_ > 0 ? stage_cursor_ - 1 : 0;
+    for (const auto& [sid, st] : stages_) {
+      if (st.phase != kPhaseDone) {
+        cur_stage = sid;
+        break;
+      }
+      cur_stage = sid + 1;
+    }
     const bool multi_stage = cur_stage > 0 || stages_.size() > 1;
     if (multi_stage) {
       stages_.clear();
@@ -1064,33 +1041,24 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
     // content is rebuilt from the survivors' retained map outputs plus the
     // re-executed dead map tasks.
     for (int p : orphan_parts) st.partitions_missing.insert(p);
-    for (uint64_t t : orphan_tasks) {
-      if (task_reassign_[t] == world_.global_rank()) {
-        st.tasks[t] = TaskProgress{};  // re-execute from record 0
-        st.tasks[t].rerun_from_scratch = true;
-      }
-    }
+    for (uint64_t t : my_new_tasks) st.tasks[t] = TaskProgress{};
     return;
   }
 
   // Work-conserving (WC): survivors read the dead ranks' checkpoints from
   // the shared storage — only the files covering the work they inherited.
-  std::set<uint64_t> my_new_tasks;
-  for (uint64_t t : orphan_tasks) {
-    if (task_reassign_[t] == world_.global_rank()) my_new_tasks.insert(t);
-  }
-  std::set<int> my_new_parts;
-  for (int p : orphan_parts) {
-    if (part_owner_[static_cast<size_t>(p)] == world_.global_rank()) {
-      my_new_parts.insert(p);
-    }
-  }
-
+  // A kv-input stage's map tasks are partitions, so the dead rank's
+  // progress must land on the rank that inherited the *partition*. Keying
+  // by inherited file tasks would park the restored output on a rank that
+  // never runs the task — and since the shuffle merges every entry in
+  // st.tasks, the partition owner's re-execution would then be counted
+  // alongside it, duplicating the task's records.
+  const std::set<uint64_t> my_new_part_tasks(my_new_parts.begin(),
+                                             my_new_parts.end());
   for (int d : new_dead) {
     const int d_node = d / opts_.ppn;
     for (auto& [sid, st] : stages_) {
-      if (wc_loaded_.count({d, sid})) continue;
-      wc_loaded_.insert({d, sid});
+      if (!wc_loaded_.insert({d, sid}).second) continue;
       RankRecovery rec;
       LoadFilter filter;
       filter.tasks = &my_new_tasks;
@@ -1103,101 +1071,82 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
         FTMR_WARN << "WC recovery load failed for rank " << d << " stage " << sid
                   << ": " << s.to_string();
       }
-      if (sid < cur_stage || st.phase == kPhaseDone) {
-        // Completed stage: adopt the dead rank's stage outputs for the
-        // partitions I now own (they are the next stage's inputs).
-        for (auto& [p, kv] : rec.stage_outputs) {
-          if (my_new_parts.count(p)) st.outputs[p] = std::move(kv);
-        }
-        continue;
-      }
-      if (st.phase == kPhaseMap) {
-        // A kv-input stage's map tasks are partitions, so the dead rank's
-        // progress must land on the rank that inherited the *partition*.
-        // Keying by inherited file tasks would park the restored output on
-        // a rank that never runs the task — and since the shuffle merges
-        // every entry in st.tasks, the partition owner's re-execution would
-        // then be counted alongside it, duplicating the task's records.
-        std::set<uint64_t> inherited;
-        if (st.kv_input) {
-          for (int p : my_new_parts) inherited.insert(static_cast<uint64_t>(p));
-        } else {
-          inherited = my_new_tasks;
-        }
-        for (uint64_t t : inherited) {
-          TaskProgress& tp = st.tasks[t];
-          if (tp.done) continue;
-          auto rit = rec.map_tasks.find(t);
-          if (rit == rec.map_tasks.end()) {
-            // No usable checkpoint: the task reruns from record 0. When the
-            // load quarantined files this is work lost to corruption (not
-            // merely an undrained tail) — count it.
-            if (rec.quarantined > 0) ckpt_->note_segments_reprocessed(1);
-            continue;
-          }
-          if (rit->second.pos <= tp.pos) continue;   // already have newer
-          tp.pos = rit->second.pos;
-          tp.last_ckpt_pos = tp.pos;
-          adopt_map_kv(tp, rit->second.kv);
-          tp.pending_delta.clear();
-        }
-      } else {  // kPhaseShuffleDone: adopt partition + reduce progress
-        for (int p : my_new_parts) {
-          auto pit = rec.partitions.find(p);
-          if (pit == rec.partitions.end()) {
-            // Partition checkpoint missing (not drained in time, or
-            // quarantined as corrupt): fall back to the NWC rebuild.
-            if (rec.quarantined > 0) ckpt_->note_segments_reprocessed(1);
-            st.partitions_missing.insert(p);
-            // Seed the inherited map tasks (partition ids on kv-input
-            // stages) so the patch-up re-execution covers them.
-            if (st.kv_input) {
-              for (int q : my_new_parts) {
-                if (!st.tasks.count(static_cast<uint64_t>(q))) {
-                  st.tasks[static_cast<uint64_t>(q)] = TaskProgress{};
-                }
-              }
-            } else {
-              for (uint64_t t : my_new_tasks) {
-                if (!st.tasks.count(t)) st.tasks[t] = TaskProgress{};
-              }
-            }
-            continue;
-          }
-          adopt_partition(st, sid, p, std::move(pit->second));
-          auto rrit = rec.reduce.find(p);
-          if (rrit != rec.reduce.end()) {
-            adopt_reduce(st, p, std::move(rrit->second));
-          }
-        }
+      const std::set<uint64_t>& inherited =
+          st.kv_input ? my_new_part_tasks : my_new_tasks;
+      // A partition checkpoint missing (not drained in time, or quarantined
+      // as corrupt) falls back to the NWC rebuild; the inherited map tasks
+      // are seeded so the patch-up re-execution covers them.
+      const std::vector<int> missing =
+          adopt_stage(st, sid, rec, inherited, my_new_parts);
+      for (int p : missing) st.partitions_missing.insert(p);
+      if (!missing.empty()) {
+        for (uint64_t t : inherited) st.tasks.try_emplace(t);
       }
     }
   }
 }
 
-void FtJob::adopt_map_kv(TaskProgress& tp, const mr::KvBuffer& kv) const {
-  tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
-  if (opts_.testing_break_recovery) return;  // drop the KV, keep the cursor
-  for (size_t i = 0; i < kv.size(); ++i) {
-    tp.parts[static_cast<size_t>(partition_of_key(kv.view(i).key, p0_))]
-        .append_record_from(kv, i);
+std::vector<int> FtJob::adopt_stage(StageState& st, int stage, RankRecovery& rec,
+                                    const std::set<uint64_t>& tasks,
+                                    const std::set<int>& parts) {
+  std::vector<int> missing;
+  switch (st.phase) {
+    case kPhaseDone:
+      // A completed stage: its outputs are the next stage's inputs.
+      for (int p : parts) {
+        const auto it = rec.stage_outputs.find(p);
+        if (it != rec.stage_outputs.end()) st.outputs[p] = std::move(it->second);
+      }
+      break;
+    case kPhaseMap:
+      for (uint64_t t : tasks) {
+        TaskProgress& tp = st.tasks[t];
+        if (tp.done) continue;
+        const auto it = rec.map_tasks.find(t);
+        if (it == rec.map_tasks.end()) {
+          // No usable checkpoint: the task reruns from record 0. When the
+          // load quarantined files this is work lost to corruption (not
+          // merely an undrained tail) — count it.
+          if (rec.quarantined > 0) ckpt_->note_segments_reprocessed(1);
+          continue;
+        }
+        if (it->second.pos <= tp.pos) continue;  // the newer cursor wins
+        tp.pos = it->second.pos;
+        tp.last_ckpt_pos = tp.pos;
+        tp.pending_delta.clear();
+        tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
+        if (opts_.testing_break_recovery) continue;  // drop the KV, keep the cursor
+        const mr::KvBuffer& kv = it->second.kv;
+        for (size_t i = 0; i < kv.size(); ++i) {
+          tp.parts[static_cast<size_t>(partition_of_key(kv.view(i).key, p0_))]
+              .append_record_from(kv, i);
+        }
+      }
+      break;
+    default:  // kPhaseShuffleDone
+      for (int p : parts) {
+        const auto it = rec.partitions.find(p);
+        if (it == rec.partitions.end()) {
+          if (rec.quarantined > 0) ckpt_->note_segments_reprocessed(1);
+          missing.push_back(p);
+          continue;
+        }
+        st.partitions.erase(p);
+        if (auto s = partition_store(st, stage, p).absorb_kv(std::move(it->second));
+            !s.ok()) {
+          FTMR_WARN << "rank " << world_.global_rank() << " recovered partition "
+                    << p << " spill degraded to resident: " << s.to_string();
+        }
+        const auto rit = rec.reduce.find(p);
+        if (rit == rec.reduce.end()) continue;
+        ReduceProgress& rp = st.reduce[p];
+        rp.pos = rit->second.entries_done;
+        rp.last_ckpt_pos = rp.pos;
+        rp.out = std::move(rit->second.out);
+      }
+      break;
   }
-}
-
-void FtJob::adopt_partition(StageState& st, int stage, int p,
-                            mr::KvBuffer&& kv) {
-  st.partitions.erase(p);
-  if (auto s = partition_store(st, stage, p).absorb_kv(std::move(kv)); !s.ok()) {
-    FTMR_WARN << "rank " << world_.global_rank() << " recovered partition "
-              << p << " spill degraded to resident: " << s.to_string();
-  }
-}
-
-void FtJob::adopt_reduce(StageState& st, int p, RankRecovery::Reduce&& rec) {
-  ReduceProgress& rp = st.reduce[p];
-  rp.entries_done = rec.entries_done;
-  rp.last_ckpt_entries = rec.entries_done;
-  rp.out = std::move(rec.out);
+  return missing;
 }
 
 // ---------------------------------------------------------------------------
@@ -1208,6 +1157,11 @@ void FtJob::prime_from_own_checkpoints() {
   const bool shared = opts_.restart_read_shared;
   const std::set<int> present =
       ckpt_->stages_present(world_.global_rank(), node(), shared);
+  const std::set<int> owned = owned_partitions();
+  const auto covers_owned = [&owned](const std::map<int, mr::KvBuffer>& m) {
+    return std::all_of(owned.begin(), owned.end(),
+                       [&m](int p) { return m.count(p) > 0; });
+  };
   // My local resume candidate: the furthest (stage, phase) my checkpoints
   // support. The job-wide resume point is the minimum across ranks.
   int64_t my_composite = 0;
@@ -1222,29 +1176,14 @@ void FtJob::prime_from_own_checkpoints() {
     if (!s.ok()) continue;
     int phase = kPhaseMap;
     // All owned partitions produced output -> the stage completed.
-    bool all_out = true;
-    for (int p = 0; p < p0_; ++p) {
-      if (part_owner_[static_cast<size_t>(p)] == world_.global_rank() &&
-          !rec.stage_outputs.count(p)) {
-        all_out = false;
-        break;
-      }
-    }
     // Claiming shuffle-done requires *every* owned partition's checkpoint —
     // with corruption-tolerant loading a quarantined partition file is
     // simply absent from `rec`, and resuming reduce without it would
     // silently drop its keys. Fall back to map phase (map progress is still
     // usable) and let the shuffle regenerate the partitions.
-    bool all_parts = !rec.partitions.empty();
-    for (int p = 0; p < p0_ && all_parts; ++p) {
-      if (part_owner_[static_cast<size_t>(p)] == world_.global_rank() &&
-          !rec.partitions.count(p)) {
-        all_parts = false;
-      }
-    }
-    if (all_out && !rec.stage_outputs.empty()) {
+    if (!rec.stage_outputs.empty() && covers_owned(rec.stage_outputs)) {
       phase = kPhaseDone;
-    } else if (all_parts) {
+    } else if (!rec.partitions.empty() && covers_owned(rec.partitions)) {
       phase = kPhaseShuffleDone;
     } else if (rec.quarantined > 0 && !rec.partitions.empty()) {
       ckpt_->note_segments_reprocessed(1);  // shuffle re-executed for corruption
@@ -1262,39 +1201,17 @@ void FtJob::prime_from_own_checkpoints() {
   for (auto& [sid, rec] : recs) {
     if (sid > agreed_stage) break;  // ahead of the job-wide resume point
     StageState& st = stages_[sid];
-    if (sid < agreed_stage || agreed_phase == kPhaseDone) {
-      // Fully completed job-wide (either behind the resume stage, or the
-      // resume stage itself when every rank's checkpoints prove it done —
-      // a failure at a stage/iteration boundary). Prime to kPhaseDone so
-      // the driver replay fast-forwards it and execution resumes at the
-      // *next* stage; re-running its reduce from a full cursor would be
-      // wasted work and (on the iterative engine) a spurious re-execution
-      // of a converged round.
-      st.phase = kPhaseDone;
-      for (auto& [p, kv] : rec.stage_outputs) st.outputs[p] = std::move(kv);
-      // Keep reduce marks consistent for completeness.
-      for (auto& [p, kv] : st.outputs) {
-        ReduceProgress& rp = st.reduce[p];
-        rp.done = true;
-        rp.out = kv;
-      }
-      continue;
-    }
-    // The stage every rank resumes in. Cap my state at the agreed phase.
-    st.phase = std::min<int>(agreed_phase, kPhaseShuffleDone);
-    // Map progress is always usable.
-    for (auto& [t, mrec] : rec.map_tasks) {
-      TaskProgress& tp = st.tasks[t];
-      tp.pos = mrec.pos;
-      tp.last_ckpt_pos = mrec.pos;
-      adopt_map_kv(tp, mrec.kv);
-    }
-    if (st.phase >= kPhaseShuffleDone) {
-      for (auto& [p, kv] : rec.partitions) {
-        adopt_partition(st, sid, p, std::move(kv));
-      }
-      for (auto& [p, rrec] : rec.reduce) adopt_reduce(st, p, std::move(rrec));
-    }
+    // A stage behind the resume stage completed job-wide, and so did the
+    // resume stage itself when every rank's checkpoints prove it done (a
+    // failure at a stage/iteration boundary). Priming it to kPhaseDone
+    // makes the driver replay fast-forward it and resume at the *next*
+    // stage; re-running its reduce from a full cursor would be wasted work
+    // and (on the iterative engine) a spurious re-execution of a converged
+    // round. The stage every rank resumes in takes the agreed phase.
+    st.phase = sid < agreed_stage ? kPhaseDone : agreed_phase;
+    std::set<uint64_t> tasks;
+    for (const auto& [t, m] : rec.map_tasks) tasks.insert(t);
+    (void)adopt_stage(st, sid, rec, tasks, owned);
   }
   primed_from_ckpt_ = !stages_.empty();
   if (primed_from_ckpt_) {

@@ -60,15 +60,10 @@ struct FtJobOptions {
   std::string input_dir = "input";
   std::string output_dir = "output";
   double map_cost_per_record = 2e-7;
-  double reduce_cost_per_value = 1e-7;
-  /// Cheap per-record skip on recovery (record-granularity replay).
-  double skip_cost_per_record = 1e-8;
   int ppn = 8;
-  int io_concurrency = 0;  // 0 = initial comm size
   bool two_pass_convert = true;
   size_t convert_segment_bytes = 4096;
   bool load_balance = true;
-  int status_interval_commits = 256;
   /// Checkpoint/restart: read recovery state from the shared tier instead
   /// of the node-local disk (the Fig. 15 recovery-source ablation).
   bool restart_read_shared = false;
@@ -134,7 +129,8 @@ struct StageFns {
   /// Only used for file-input stages.
   std::function<std::unique_ptr<FileRecordReader<int64_t, std::string>>()>
       make_reader;
-  /// Optional per-stage cost overrides (<0: use job options).
+  /// Optional per-stage cost overrides (<0: the job's map_cost_per_record
+  /// and the engine's reduce cost per value).
   double map_cost_per_record = -1.0;
   double reduce_cost_per_value = -1.0;
 };
@@ -243,24 +239,28 @@ class FtJob {
   void testing_invalidate_stage(int stage) { stages_.erase(stage); }
 
  private:
+  /// Reduce cost per value of a stage that sets no override.
+  static constexpr double kReduceCostPerValue = 1e-7;
+  /// Cost of skipping one committed record (or reduce entry) on resume.
+  static constexpr double kSkipCostPerRecord = 1e-8;
 
-  struct TaskProgress {
-    uint64_t pos = 0;            // committed record cursor
+  /// A committed cursor and the delta checkpoint chain behind it: input
+  /// records for a map task, KMV entries for a reduce partition.
+  struct Progress {
+    uint64_t pos = 0;            // committed cursor
     uint64_t last_ckpt_pos = 0;  // cursor at the last checkpoint
     bool done = false;
-    bool rerun_from_scratch = false;  // NWC-recovered task
     mr::KvBuffer pending_delta;  // emitted since the last checkpoint
+  };
+
+  struct TaskProgress : Progress {
     // Emitted KV, partitioned (P0), until the task completes and moves it
     // into StageState::map_output.
     std::vector<mr::KvBuffer> parts;
   };
 
-  struct ReduceProgress {
-    uint64_t entries_done = 0;
-    uint64_t last_ckpt_entries = 0;
-    bool done = false;
+  struct ReduceProgress : Progress {
     mr::KvBuffer out;
-    mr::KvBuffer pending_delta;
     /// The partition's convert result, streamed into reduce (survives a
     /// FailureDetected unwind so re-entry resumes mid-stream).
     std::unique_ptr<mr::SpillableKmvBuffer> kmv;
@@ -283,16 +283,27 @@ class FtJob {
   };
 
   // -- helpers --
-  [[nodiscard]] int io_conc() const noexcept {
-    return opts_.io_concurrency > 0 ? opts_.io_concurrency : p0_;
-  }
   /// Route a status: OK passes; failure classes throw FailureDetected (or
   /// flush+abort in CR mode); anything else is returned.
   Status check(Status s);
   [[nodiscard]] bool is_failure(const Status& s) const noexcept;
-  /// Algorithm 1's commit point: the record checkpoint and periodic
-  /// master duties. A non-OK status (routed through check) ends the task.
-  Status commit(uint64_t task, TaskProgress& tp, int stage);
+  /// Write the pending delta of a map task (TaskProgress) or a reduce
+  /// partition (ReduceProgress) as one checkpoint covering
+  /// [last_ckpt_pos, pos), then clear it and advance last_ckpt_pos. Not
+  /// routed through check(): the C/R error handler inside check() calls it.
+  template <class P>
+  Status flush_delta(int stage, uint64_t id, P& pr);
+  /// flush_delta routed through check() and charged to the ckpt bucket.
+  template <class P>
+  Status checkpoint_delta(int stage, uint64_t id, P& pr);
+  /// Algorithm 1's commit point at cursor pr.pos, shared by the map and
+  /// reduce loops: the due record checkpoint, then on every 64th cursor the
+  /// master duties and the failed-rank check. A non-OK status (routed
+  /// through check) ends the task.
+  template <class P>
+  Status commit(int stage, uint64_t id, P& pr);
+  /// Charge the resume skip over pr.pos committed records (entries).
+  void charge_skip(const Progress& pr);
   /// Census allgather: each rank contributes its ids (u32 count + i32 ids)
   /// and `out` becomes the union over all ranks. One op.
   Status allgather_union(std::span<const int> mine, std::set<int>& out);
@@ -303,6 +314,10 @@ class FtJob {
   Status rebuild_orphan_partitions(const StageFns& fns, int stage,
                                    StageState& st,
                                    const std::vector<int>& missing);
+  /// The seal step after an exchange: shrink the stores of `parts` (owned
+  /// partitions; nothing more arrives) and, with checkpoints on, checkpoint
+  /// each and drain.
+  Status seal_partitions(int stage, StageState& st, const std::set<int>& parts);
   Status reduce_phase(const StageFns& fns, int stage, StageState& st);
   Status reduce_partition(const StageFns& fns, int stage, StageState& st,
                           int p, ReduceProgress& rp);
@@ -327,30 +342,39 @@ class FtJob {
   void recover();
   void patch_state_after_shrink(const std::vector<int>& new_dead);
   void prime_from_own_checkpoints();
-  // Adoption of recovered checkpoint state, shared by work-conserving
-  // recovery and checkpoint/restart priming (the callers decide what to
-  // adopt). adopt_map_kv splits a recovered map task's KV into its P0
-  // partitions; under testing_break_recovery it drops the KV and leaves
-  // the parts empty.
-  void adopt_map_kv(TaskProgress& tp, const mr::KvBuffer& kv) const;
-  void adopt_partition(StageState& st, int stage, int p, mr::KvBuffer&& kv);
-  static void adopt_reduce(StageState& st, int p, RankRecovery::Reduce&& rec);
-  [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
-  [[nodiscard]] std::string chunk_name(uint64_t task) const;
+  /// The one adoption step of recovered checkpoint state, shared by
+  /// work-conserving recovery and checkpoint/restart priming (the callers
+  /// set st.phase and choose what to adopt). By st.phase: kPhaseDone adopts
+  /// the stage outputs of `parts`; kPhaseMap adopts each of `tasks` whose
+  /// recovered cursor is newer than the one held, with its KV split into
+  /// the P0 parts (testing_break_recovery keeps the cursor and drops the
+  /// KV); kPhaseShuffleDone adopts the partitions of `parts` and their
+  /// reduce progress. Returns the partitions of `parts` whose shuffle-end
+  /// checkpoint `rec` lacks.
+  std::vector<int> adopt_stage(StageState& st, int stage, RankRecovery& rec,
+                               const std::set<uint64_t>& tasks,
+                               const std::set<int>& parts);
+  /// Partitions this rank owns, ascending.
+  [[nodiscard]] std::set<int> owned_partitions() const;
+  /// Global rank that runs stage-0 file task t.
+  [[nodiscard]] int task_owner(uint64_t t) const;
+  [[nodiscard]] std::vector<uint64_t> my_task_ids(bool kv_input) const;
+  /// List the stage-0 input chunks once.
+  Status list_chunks();
   [[nodiscard]] int owner_rel(int partition) const;  // rel rank on wc_
   [[nodiscard]] double current_map_cost(const StageFns& f) const {
     return f.map_cost_per_record >= 0 ? f.map_cost_per_record
                                       : opts_.map_cost_per_record;
   }
-  [[nodiscard]] double current_reduce_cost(const StageFns& f) const {
+  [[nodiscard]] static double current_reduce_cost(const StageFns& f) {
     return f.reduce_cost_per_value >= 0 ? f.reduce_cost_per_value
-                                        : opts_.reduce_cost_per_value;
+                                        : kReduceCostPerValue;
   }
   /// Charge wc_.now()-t0 into `bucket` AND record the matching phase span,
   /// so the trace reproduces the TimeBuckets decomposition exactly.
   void charge_span(const char* bucket, double t0);
-  /// Same for pre-computed costs charged after a wc_.compute(cost): the
-  /// span covers [now-cost, now].
+  /// Advance the clock by a pre-computed cost and charge it the same way:
+  /// the span covers [now-cost, now].
   void charge_cost(const char* bucket, double cost);
 
   simmpi::Comm world_;  // never shrinks; failure census

@@ -8,6 +8,7 @@
 #include <charconv>
 #include <map>
 
+#include "common/hash.hpp"
 #include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
@@ -205,11 +206,18 @@ TEST_P(DetectResume, OutputSurvivesFailure) {
   simmpi::JobOptions jo;
   jo.kills.push_back({2, tc.kill_vtime, -1});
   std::atomic<int> recoveries{0};
+  // Map calls per rank and input line; each rank writes only its own slot.
+  std::vector<std::map<std::string, int>> mapped(4);
   JobResult r = Runtime::run(4, [&](Comm& c) {
     FtJob job(c, w.fs.get(), opts);
     // Slow reduce so late kill times land inside the reduce phase.
-    Status s = job.run(
-        [&](FtJob& j) { return wordcount_driver(j, wordcount_fns(5e-4)); });
+    StageFns fns = wordcount_fns(5e-4);
+    fns.map = [&, inner = fns.map](std::string_view key, std::string_view line,
+                                   mr::KvBuffer& out) {
+      mapped[static_cast<size_t>(c.global_rank())][std::string(line)]++;
+      return inner(key, line, out);
+    };
+    Status s = job.run([&](FtJob& j) { return wordcount_driver(j, fns); });
     if (c.global_rank() != 2) {
       EXPECT_TRUE(s.ok()) << s.to_string();
       recoveries = job.recoveries();
@@ -220,6 +228,26 @@ TEST_P(DetectResume, OutputSurvivesFailure) {
   EXPECT_EQ(r.finished_count(), 3);
   EXPECT_GE(recoveries.load(), 1);
   EXPECT_EQ(w.read_output(), w.expected) << tc.label;
+
+  // Every World line is distinct. A recovered task cursor never moves
+  // behind what a rank already mapped, so no survivor maps a line twice.
+  // Work-conserving adoption resumes inherited tasks at the dead rank's
+  // checkpointed cursor, so the survivors map fewer lines than the input
+  // holds; the non-work-conserving model re-executes them all.
+  size_t survivor_maps = 0;
+  for (int rank : {0, 1, 3}) {
+    for (const auto& [line, n] : mapped[static_cast<size_t>(rank)]) {
+      EXPECT_EQ(n, 1) << tc.label << ": rank " << rank << " mapped '" << line
+                      << "' " << n << " times";
+      survivor_maps += static_cast<size_t>(n);
+    }
+  }
+  const size_t lines = 12 * 40;
+  if (tc.mode == FtMode::kDetectResumeWC) {
+    EXPECT_LT(survivor_maps, lines) << tc.label;
+  } else {
+    EXPECT_EQ(survivor_maps, lines) << tc.label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -434,22 +462,261 @@ TEST(MultiStage, NwcFailureInSecondStageRestartsFromScratchButFinishes) {
 }
 
 TEST(MultiStage, CrRestartResumesAtSecondStage) {
+  const FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+  // Two-stage driver that hands back this rank's stage-0 output and counts
+  // stage-0 map calls.
+  const auto driver = [](FtJob& job, mr::KvBuffer& out0,
+                         std::atomic<int>& stage0_maps) {
+    StageFns fns = wordcount_fns();
+    fns.map = [&stage0_maps, inner = fns.map](std::string_view key,
+                                              std::string_view line,
+                                              mr::KvBuffer& out) {
+      stage0_maps++;
+      return inner(key, line, out);
+    };
+    if (auto s = job.run_stage(fns, false, &out0); !s.ok()) return s;
+    if (auto s = job.run_stage(bucket_fns(), true, nullptr); !s.ok()) return s;
+    return job.write_output();
+  };
+  // Failure-free stage-0 output of every rank: what a primed completed
+  // stage must hand back byte for byte.
+  std::vector<mr::KvBuffer> reference(4);
+  {
+    World ref;
+    std::atomic<int> maps{0};
+    Runtime::run(4, [&](Comm& c) {
+      FtJob job(c, ref.fs.get(), opts);
+      mr::KvBuffer& out0 = reference[static_cast<size_t>(c.global_rank())];
+      ASSERT_TRUE(job.run([&](FtJob& j) { return driver(j, out0, maps); }).ok());
+    });
+  }
+
   World w;
-  FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
   int submissions = 0;
+  std::atomic<int> primed_done{0}, identical{0}, resumed_stage0_maps{0};
   for (;;) {
     submissions++;
     simmpi::JobOptions jo;
     if (submissions == 1) jo.kills.push_back({0, 4e-2, -1});
+    std::atomic<int> stage0_maps{0};
     JobResult r = Runtime::run(4, [&](Comm& c) {
       FtJob job(c, w.fs.get(), opts);
-      (void)job.run(two_stage_driver);
+      if (job.stage_phase(0) == FtJob::kPhaseDone) primed_done++;
+      mr::KvBuffer out0;
+      const Status s =
+          job.run([&](FtJob& j) { return driver(j, out0, stage0_maps); });
+      if (s.ok() && out0 == reference[static_cast<size_t>(c.global_rank())]) {
+        identical++;
+      }
     }, jo);
-    if (!r.aborted) break;
+    if (!r.aborted) {
+      resumed_stage0_maps = stage0_maps.load();
+      break;
+    }
     ASSERT_LT(submissions, 5);
   }
   EXPECT_EQ(submissions, 2);
   EXPECT_EQ(w.read_output(), bucket_expected(w.expected));
+  // The kill lands in stage 1: the restart primes stage 0 as completed,
+  // never maps it again, and resumes at stage 1 with stage 0's output
+  // identical to the failure-free run's.
+  EXPECT_EQ(primed_done.load(), 4);
+  EXPECT_EQ(resumed_stage0_maps.load(), 0);
+  EXPECT_EQ(identical.load(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// Commit point: record checkpoints, tail flushes and the C/R abort flush
+// ---------------------------------------------------------------------------
+
+// Delta checkpoint files ("map" per task, "red" per partition) that every
+// rank wrote to its node-local tier, counted by (kind, id).
+std::map<std::pair<std::string, uint64_t>, int> delta_files(
+    storage::StorageSystem& fs, int nranks, int ppn) {
+  std::map<std::pair<std::string, uint64_t>, int> n;
+  for (int rank = 0; rank < nranks; ++rank) {
+    std::vector<std::string> names;
+    if (!fs.list_dir(storage::Tier::kLocal, rank / ppn,
+                     checkpoint_rank_dir(rank), names)
+             .ok()) {
+      continue;
+    }
+    for (const std::string& name : names) {
+      CkptFileName f;
+      if (parse_checkpoint_name(name, f) && (f.kind == "map" || f.kind == "red")) {
+        n[{f.kind, f.id}]++;
+      }
+    }
+  }
+  return n;
+}
+
+// Failure-free: a task (partition) writes one delta every records_per_ckpt
+// committed records (reduce entries) plus a tail for the rest; chunk
+// granularity writes the tail only.
+TEST(CommitPoint, DeltaFilesPerTaskAndPartition) {
+  constexpr int kRanks = 4;
+  constexpr int kChunks = 12;
+  constexpr int64_t kLines = 40;
+  struct Case {
+    const char* label;
+    CkptOptions::Granularity granularity;
+    int64_t records_per_ckpt;
+  };
+  const Case cases[] = {
+      {"record-16", CkptOptions::Granularity::kRecord, 16},
+      {"record-beyond-input", CkptOptions::Granularity::kRecord, 1000},
+      {"chunk", CkptOptions::Granularity::kChunk, 16},
+  };
+  for (const Case& tc : cases) {
+    World w(kChunks, static_cast<int>(kLines));
+    FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+    opts.ckpt.granularity = tc.granularity;
+    opts.ckpt.records_per_ckpt = tc.records_per_ckpt;
+    JobResult r = Runtime::run(kRanks, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), opts);
+      Status s = job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
+      EXPECT_TRUE(s.ok()) << s.to_string();
+    });
+    ASSERT_EQ(r.finished_count(), kRanks) << tc.label;
+    // Every map record and every reduce entry emits, so each commit adds
+    // to the pending delta.
+    const auto deltas = [&](int64_t commits) -> int {
+      if (tc.granularity == CkptOptions::Granularity::kChunk) {
+        return commits > 0 ? 1 : 0;
+      }
+      return static_cast<int>((commits + tc.records_per_ckpt - 1) /
+                              tc.records_per_ckpt);
+    };
+    std::map<std::pair<std::string, uint64_t>, int> want;
+    for (uint64_t t = 0; t < kChunks; ++t) want[{"map", t}] = deltas(kLines);
+    std::map<int, int64_t> entries;  // distinct keys per partition
+    for (const auto& [word, count] : w.expected) {
+      entries[partition_of_key(word, kRanks)]++;
+    }
+    for (const auto& [p, n] : entries) {
+      want[{"red", static_cast<uint64_t>(p)}] = deltas(n);
+    }
+    EXPECT_EQ(delta_files(*w.fs, kRanks, opts.ppn), want) << tc.label;
+  }
+}
+
+// The C/R error handler flushes before MPI_Abort. At record granularity the
+// detecting rank writes each pending map or reduce delta; at chunk
+// granularity, which commits whole chunks only, it writes none. Two ranks,
+// so the one survivor is the rank that detects and aborts. It waits at its
+// first map (or reduce) call until the victim is dead, and so detects at its
+// next commit point with a delta pending.
+TEST(CommitPoint, CrAbortFlushesPendingDeltasAtRecordGranularityOnly) {
+  constexpr int kRanks = 2;
+  const auto make_world = [] { return World(8, 200); };
+  // Every line is distinct, so the reduce has far more than 64 entries per
+  // partition.
+  const auto line_fns = [] {
+    StageFns fns = wordcount_fns(5e-4);
+    fns.map = [](std::string_view, std::string_view line, mr::KvBuffer& out) {
+      out.add(line, "1");
+      return 1;
+    };
+    return fns;
+  };
+
+  // The victim's failure-free virtual time at its first map call and over
+  // its reduce calls places each kill inside that phase.
+  double victim_map = -1.0, victim_reduce_first = -1.0, victim_reduce_last = -1.0;
+  {
+    World w = make_world();
+    Runtime::run(kRanks, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), base_opts(FtMode::kCheckpointRestart));
+      StageFns fns = line_fns();
+      if (c.global_rank() == 1) {
+        fns.map = [&, inner = fns.map](std::string_view k, std::string_view v,
+                                       mr::KvBuffer& out) {
+          if (victim_map < 0) victim_map = c.now();
+          return inner(k, v, out);
+        };
+        fns.reduce = [&, inner = fns.reduce](
+                         std::string_view k, std::span<const std::string_view> v,
+                         mr::KvBuffer& out) {
+          if (victim_reduce_first < 0) victim_reduce_first = c.now();
+          victim_reduce_last = c.now();
+          return inner(k, v, out);
+        };
+      }
+      ASSERT_TRUE(job.run([&](FtJob& j) { return wordcount_driver(j, fns); }).ok());
+    });
+  }
+  ASSERT_GT(victim_map, 0.0);
+  ASSERT_GT(victim_reduce_last, victim_reduce_first);
+
+  for (const bool in_reduce : {false, true}) {
+    for (const auto granularity : {CkptOptions::Granularity::kRecord,
+                                   CkptOptions::Granularity::kChunk}) {
+      const bool record = granularity == CkptOptions::Granularity::kRecord;
+      const std::string label = std::string(in_reduce ? "reduce" : "map") +
+                                (record ? "/record" : "/chunk");
+      World w = make_world();
+      FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+      opts.ckpt.granularity = granularity;
+      simmpi::JobOptions jo;
+      jo.kills.push_back(
+          {1, in_reduce ? (victim_reduce_first + victim_reduce_last) / 2 : victim_map,
+           -1});
+      // The survivor's pending delta bytes and checkpoint count, as seen at
+      // its last map/reduce call and once the abort unwinds.
+      std::atomic<size_t> seen_pending{0}, abort_pending{0};
+      std::atomic<int> seen_count{0}, abort_count{-1};
+      JobResult r = Runtime::run(kRanks, [&](Comm& c) {
+        FtJob job(c, w.fs.get(), opts);
+        StageFns fns = line_fns();
+        bool waited = false;
+        const auto observe = [&](bool wait) {
+          // Bounded: a victim that never dies fails the test, not hangs it.
+          for (int i = 0; wait && !waited && i < 1000000 &&
+                          c.failed_ranks().empty();
+               ++i) {
+          }
+          waited = waited || wait;
+          seen_pending = job.pending_delta_bytes();
+          seen_count = job.ckpt().count();
+        };
+        if (c.global_rank() == 0) {
+          fns.map = [&, inner = fns.map](std::string_view k, std::string_view v,
+                                         mr::KvBuffer& out) {
+            observe(!in_reduce);
+            return inner(k, v, out);
+          };
+          fns.reduce = [&, inner = fns.reduce](
+                           std::string_view k, std::span<const std::string_view> v,
+                           mr::KvBuffer& out) {
+            observe(in_reduce);
+            return inner(k, v, out);
+          };
+        }
+        try {
+          (void)job.run([&](FtJob& j) { return wordcount_driver(j, fns); });
+        } catch (const simmpi::AbortError&) {
+          if (c.global_rank() == 0) {
+            abort_pending = job.pending_delta_bytes();
+            abort_count = job.ckpt().count();
+          }
+          throw;
+        }
+      }, jo);
+      ASSERT_TRUE(r.aborted) << label;
+      ASSERT_GE(abort_count.load(), 0) << label << ": survivor did not abort";
+      if (record) {
+        // One delta was pending (the current task's or partition's); the
+        // handler wrote it and left nothing behind.
+        EXPECT_GT(seen_pending.load(), 0u) << label;
+        EXPECT_EQ(abort_count.load(), seen_count.load() + 1) << label;
+        EXPECT_EQ(abort_pending.load(), 0u) << label;
+      } else {
+        EXPECT_EQ(abort_count.load(), seen_count.load()) << label;
+        EXPECT_GT(abort_pending.load(), 0u) << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
