@@ -217,6 +217,12 @@ void CheckpointManager::charge_write(simmpi::Comm& comm, double seconds) {
   write_seconds_ += seconds;
 }
 
+void CheckpointManager::book_retry(simmpi::Comm& comm) {
+  integ_.io_retries++;
+  if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
+  metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
+}
+
 Status CheckpointManager::write_ladder(simmpi::Comm& comm, const std::string& name,
                                        size_t framed_size,
                                        const WriteAttempt& attempt,
@@ -247,24 +253,16 @@ Status CheckpointManager::write_ladder(simmpi::Comm& comm, const std::string& na
       break;
   }
 
-  // Bounded retry; the backoff elapses on the writer's clock. A
-  // misconfiguration (kFailedPrecondition, e.g. local placement on a
-  // cluster with no local disks, or kInvalidArgument) is not transient, so
-  // it is never retried.
-  Status s;
-  for (int a = 1; a <= retry_.max_attempts; ++a) {
-    s = attempt(tier, path, concurrency);
-    if (s.ok() || s.code() == ErrorCode::kFailedPrecondition ||
-        s.code() == ErrorCode::kInvalidArgument) {
-      break;
-    }
-    if (a < retry_.max_attempts) {
-      charge_write(comm, retry_.backoff_before(a));
-      integ_.io_retries++;
-      if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-    }
-  }
+  // The storage retry ladder; the backoff elapses on the writer's clock as
+  // write time. A misconfiguration (kFailedPrecondition, e.g. local
+  // placement on a cluster with no local disks) is not transient, so it is
+  // never retried.
+  const Status s = storage::RetryPolicy::run(
+      [&](int) { return attempt(tier, path, concurrency); },
+      [&](double backoff) {
+        charge_write(comm, backoff);
+        book_retry(comm);
+      });
 
   // Checkpoint writes are best-effort: a write that still fails after the
   // retry budget costs future recovery work (that delta is simply not
@@ -733,34 +731,38 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
     metrics::MetricsRegistry::global().add("ckpt.replica_misses", rank_);
   }
 
-  // 1) Primary tier, with bounded retry. A retry redraws both transient
-  //    read failures and transient corrupt-on-read; the backoff elapses on
-  //    the reader's virtual clock (and, unlike a write backoff, is not
-  //    write time). Attempt 1 may come from the prefetch pipeline; later
-  //    attempts bypass it (its staged copy may be the corrupt one).
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    Bytes raw;
-    double cost = 0.0;
-    last = (prefetch && attempt == 1)
-               ? prefetch->read(prefetch_index, comm.now(), raw, &cost)
-               : fs_->read_file(tier, src_node, path, raw, &cost,
-                                from_shared ? conc_ : 1);
-    if (last.ok()) {
-      comm.compute(cost);
-      last = verify_copy(comm, raw, payload, out);
-      if (last.ok()) {
-        if (trace_) trace_->span("ckpt.read", "ckpt", t0, comm.now());
-        return last;
-      }
-    } else if (last.code() == ErrorCode::kNotFound) {
-      break;  // waiting will not help
-    }
-    if (attempt < retry_.max_attempts) {
-      comm.compute(retry_.backoff_before(attempt));
-      integ_.io_retries++;
-      if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-    }
+  // 1) Primary tier, on the storage retry ladder. A retry redraws both
+  //    transient read failures and transient corrupt-on-read; the backoff
+  //    elapses on the reader's virtual clock (and, unlike a write backoff,
+  //    is not write time). Attempt 1 may come from the prefetch pipeline;
+  //    later attempts bypass it (its staged copy may be the corrupt one).
+  //    A failed stage is the pipeline's error, not the primary tier's (e.g.
+  //    no local disk to stage on), so unless the file is gone it is
+  //    retried as kIo by a direct read.
+  last = storage::RetryPolicy::run(
+      [&](int attempt) -> Status {
+        Bytes raw;
+        double cost = 0.0;
+        Status s;
+        if (prefetch && attempt == 1) {
+          s = prefetch->read(prefetch_index, comm.now(), raw, &cost);
+          if (!s.ok() && s.code() != ErrorCode::kNotFound) {
+            s = {ErrorCode::kIo, s.message()};
+          }
+        } else {
+          s = fs_->read_file(tier, src_node, path, raw, &cost, from_shared ? conc_ : 1);
+        }
+        if (!s.ok()) return s;
+        comm.compute(cost);
+        return verify_copy(comm, raw, payload, out);
+      },
+      [&](double backoff) {
+        comm.compute(backoff);
+        book_retry(comm);
+      });
+  if (last.ok()) {
+    if (trace_) trace_->span("ckpt.read", "ckpt", t0, comm.now());
+    return last;
   }
 
   // 2) The other tier's replica. Reading shared (detect/resume): a process

@@ -292,8 +292,8 @@ class CheckpointManager {
   using WriteAttempt =
       std::function<Status(storage::Tier, const std::string&, int)>;
   /// The one checkpoint write ladder, shared by the whole-frame and the
-  /// paged writer: placement (Location), bounded retry with backoff, the
-  /// best-effort drop of an exhausted write, the copier drain, and the
+  /// paged writer: placement (Location), the storage RetryPolicy ladder,
+  /// the best-effort drop of a failed write, the copier drain, and the
   /// write's spans and counters. `framed_size` is the file's final size.
   /// `paged_source` (null for a whole frame) is the spill-backed partition
   /// a paged attempt streams; its page re-load time elapses inside the
@@ -303,6 +303,9 @@ class CheckpointManager {
                       mr::SpillableKvBuffer* paged_source);
   /// Elapse `seconds` of checkpoint write time on the writer's clock.
   void charge_write(simmpi::Comm& comm, double seconds);
+  /// Book one retry of the write or read ladder (counter, trace instant,
+  /// registry); the caller has already sat out its backoff.
+  void book_retry(simmpi::Comm& comm);
   /// Copier-drain a just-written local checkpoint to the shared tier and
   /// stamp the shared copy with its drain-completion time. Degrades (counts
   /// a drain failure) instead of failing: the local copy stays readable.
@@ -342,7 +345,6 @@ class CheckpointManager {
   CkptOptions opts_;
   int conc_;
   int ppn_ = 1;
-  storage::RetryPolicy retry_;
   storage::CopierAgent copier_;
   /// File sequence number, global across checkpoint kinds so names order
   /// all of one rank's files by write time. Initialized past any sequence

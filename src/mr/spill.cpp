@@ -51,7 +51,7 @@ namespace detail {
 
 SpillPager::SpillPager(SpillPager&& other) noexcept
     : totals(std::exchange(other.totals, {})), fs_(other.fs_),
-      node_(other.node_), dir_(std::move(other.dir_)), retry_(other.retry_),
+      node_(other.node_), dir_(std::move(other.dir_)),
       stats_(std::exchange(other.stats_, {})),
       pending_io_seconds_(std::exchange(other.pending_io_seconds_, 0.0)),
       next_page_id_(other.next_page_id_),
@@ -64,25 +64,25 @@ Status SpillPager::write_page(const char* prefix, Bytes& wire,
   std::string file = dir_ + "/" + name;
   seal_page(wire);
   const size_t sealed = wire.size();
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.write_retries++;
-    }
-    double cost = 0.0;
-    last = fs_->write_file(storage::Tier::kLocal, node_, file, wire, &cost);
-    if (!last.ok()) continue;
-    // A torn write reports success but persists a strict prefix; the size
-    // probe is metadata-only and catches it before the page leaves memory.
-    if (fs_->file_size(storage::Tier::kLocal, node_, file) !=
-        static_cast<int64_t>(sealed)) {
-      last = {ErrorCode::kIo, "torn spill write detected"};
-      continue;
-    }
-    charge_io(cost);
-    break;
-  }
+  const Status last = storage::RetryPolicy::run(
+      [&](int) -> Status {
+        double cost = 0.0;
+        Status s = fs_->write_file(storage::Tier::kLocal, node_, file, wire, &cost);
+        if (!s.ok()) return s;
+        // A torn write reports success but persists a strict prefix; the
+        // size probe is metadata-only and catches it before the page leaves
+        // memory.
+        if (fs_->file_size(storage::Tier::kLocal, node_, file) !=
+            static_cast<int64_t>(sealed)) {
+          return {ErrorCode::kIo, "torn spill write detected"};
+        }
+        charge_io(cost);
+        return Status::Ok();
+      },
+      [&](double backoff) {
+        charge_io(backoff);
+        stats_.write_retries++;
+      });
   if (!last.ok()) {
     stats_.write_failures++;
     (void)remove_file(file);
@@ -97,30 +97,27 @@ Status SpillPager::write_page(const char* prefix, Bytes& wire,
 
 Status SpillPager::load_page(const std::string& path,
                              const std::function<Status(Bytes&&)>& decode) {
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
-    }
-    Bytes wire;
-    double cost = 0.0;
-    last = fs_->read_file(storage::Tier::kLocal, node_, path, wire, &cost);
-    if (!last.ok()) continue;  // clean read failures are transient
-    // The CRC trailer plus the decoder's structural validation catch any
-    // bit flip on the way back in (file intact on disk), so corruption
-    // retries rather than surfacing garbage — or, worse, silently altered
-    // payloads.
-    last = unseal_page(wire);
-    if (!last.ok()) continue;
-    last = decode(std::move(wire));
-    if (last.ok()) {
-      charge_io(cost);
-      stats_.pages_loaded++;
-      return Status::Ok();
-    }
-  }
-  return last;
+  return storage::RetryPolicy::run(
+      [&](int) -> Status {
+        Bytes wire;
+        double cost = 0.0;
+        Status s = fs_->read_file(storage::Tier::kLocal, node_, path, wire, &cost);
+        if (!s.ok()) return s;
+        // The CRC trailer plus the decoder's structural validation catch any
+        // bit flip on the way back in (file intact on disk), so corruption
+        // retries rather than surfacing garbage — or, worse, silently
+        // altered payloads.
+        s = unseal_page(wire);
+        if (s.ok()) s = decode(std::move(wire));
+        if (!s.ok()) return s;
+        charge_io(cost);
+        stats_.pages_loaded++;
+        return Status::Ok();
+      },
+      [&](double backoff) {
+        charge_io(backoff);
+        stats_.read_retries++;
+      });
 }
 
 void SpillPager::absorb(SpillPager& donor) noexcept {

@@ -23,10 +23,11 @@
 // exposes as a plain KvBuffer.
 //
 // Failure-path guarantees (see DESIGN.md "Out-of-core KV"):
-//   * spill writes retain the page until the write has succeeded; a write
-//     error is retried on the storage layer's bounded-backoff ladder and,
-//     if it still fails, the page stays resident (over budget, never lost)
-//     and the error surfaces to the caller;
+//   * spill writes retain the page until the write has succeeded; a
+//     transient write error is retried on the storage layer's RetryPolicy
+//     ladder and, if it still fails (or the error is not transient), the
+//     page stays resident (over budget, never lost) and the error surfaces
+//     to the caller;
 //   * drain_to clears `out` on a mid-stream read failure and leaves every
 //     page — including the already-copied ones — intact and re-readable
 //     (spill files are only deleted by clear(), pop_front_page, or the
@@ -42,7 +43,6 @@
 #include <utility>
 
 #include "mr/kv.hpp"
-#include "storage/copier.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::mr {
@@ -141,9 +141,9 @@ struct SpillConfig {
 namespace detail {
 
 /// The spill pager both stores page through. It owns everything the two
-/// stores share: the storage handle, node, scratch directory and retry
-/// policy, the SpillStats and pending I/O seconds, the page-file ids, the
-/// running totals of the store's pages and the residency booking. Every
+/// stores share: the storage handle, node, scratch directory, the
+/// SpillStats and pending I/O seconds, the page-file ids, the running
+/// totals of the store's pages and the residency booking. Every
 /// spill page is written by write_page, loaded by load_page and removed by
 /// remove_file or drop_pages, so each storage call has one site. The page
 /// lists (and what is paged: KV arenas, KMV entries) stay with the stores.
@@ -179,9 +179,9 @@ class SpillPager {
   }
 
   /// Write `wire` as the next page file `<dir>/<prefix>NNNNNN`: seal it
-  /// with a CRC trailer, retry failed and torn writes on the backoff
-  /// ladder, and on success set `path`. After an exhausted ladder the file
-  /// is removed and `wire` is handed back unsealed, so the caller can keep
+  /// with a CRC trailer, retry failed and torn writes on the RetryPolicy
+  /// ladder, and on success set `path`. After a failed ladder the file is
+  /// removed and `wire` is handed back unsealed, so the caller can keep
   /// the page resident.
   Status write_page(const char* prefix, Bytes& wire, std::string& path);
   /// Read page file `path` back: retry failed reads, check the CRC and
@@ -222,7 +222,6 @@ class SpillPager {
   storage::StorageSystem* fs_ = nullptr;
   int node_ = 0;
   std::string dir_;
-  storage::RetryPolicy retry_{};
   SpillStats stats_;
   double pending_io_seconds_ = 0.0;
   int next_page_id_ = 0;

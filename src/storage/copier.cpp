@@ -5,38 +5,36 @@
 
 namespace ftmr::storage {
 
+namespace {
+
+// Per-copy CPU cost of the copier (it shares a core with the main thread —
+// Fig. 7 shows ~3% CPU): a memcpy-speed pass over the payload plus a small
+// per-file dispatch cost.
+constexpr double kCopierCpuPerByteS = 1.0 / 6.0e9;  // ~6 GB/s buffer pass
+constexpr double kCopierDispatchS = 20e-6;
+
+}  // namespace
+
 Status CopierAgent::enqueue(std::string_view local_path, std::string_view shared_path,
                             double now, double* done_at) {
   double io_cost = 0.0;
   double backoff_total = 0.0;
-  Status last = Status::Ok();
-  bool copied = false;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    last = storage_->copy(Tier::kLocal, node_, local_path, Tier::kShared, node_,
-                          shared_path, &io_cost, concurrency_);
-    if (last.ok()) {
-      copied = true;
-      break;
-    }
-    // A missing source or an unavailable tier cannot be cured by waiting —
-    // fail fast.
-    if (last.code() == ErrorCode::kNotFound ||
-        last.code() == ErrorCode::kFailedPrecondition) {
-      break;
-    }
-    if (attempt < retry_.max_attempts) {
-      const double b = retry_.backoff_before(attempt);
-      backoff_total += b;
-      {
-        MutexLock lock(mu_);
-        retries_++;
-      }
-      // Leaf-lock discipline: the recorder is emitted into outside mu_.
-      if (trace_) trace_->instant("copier.retry", "copier", now);
-      metrics::MetricsRegistry::global().add("copier.retries", node_);
-    }
-  }
-  if (!copied) {
+  const Status last = RetryPolicy::run(
+      [&](int) {
+        return storage_->copy(Tier::kLocal, node_, local_path, Tier::kShared, node_,
+                              shared_path, &io_cost, concurrency_);
+      },
+      [&](double backoff) {
+        backoff_total += backoff;
+        {
+          MutexLock lock(mu_);
+          retries_++;
+        }
+        // Leaf-lock discipline: the recorder is emitted into outside mu_.
+        if (trace_) trace_->instant("copier.retry", "copier", now);
+        metrics::MetricsRegistry::global().add("copier.retries", node_);
+      });
+  if (!last.ok()) {
     {
       MutexLock lock(mu_);
       busy_until_ = std::max(busy_until_, now) + backoff_total;
@@ -56,8 +54,8 @@ Status CopierAgent::enqueue(std::string_view local_path, std::string_view shared
     const double start = std::max(busy_until_, now);
     busy_until_ = start + backoff_total + io_cost;
     io_seconds_ += io_cost;
-    cpu_seconds_ += model_.dispatch_s +
-                    model_.cpu_per_byte_s * static_cast<double>(std::max<int64_t>(size, 0));
+    cpu_seconds_ += kCopierDispatchS +
+                    kCopierCpuPerByteS * static_cast<double>(std::max<int64_t>(size, 0));
     bytes_ += static_cast<size_t>(std::max<int64_t>(size, 0));
     copies_++;
     if (done_at) *done_at = busy_until_;
@@ -119,21 +117,17 @@ Status Prefetcher::start(std::span<const std::string> shared_paths,
     const std::string lp = std::string(local_prefix) + "/" + base;
     const double stage_start = t;
     double io_cost = 0.0;
-    Status last = Status::Ok();
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      last = storage_->copy(Tier::kShared, node_, sp, Tier::kLocal, node_, lp,
-                            &io_cost, concurrency_);
-      if (last.ok() || last.code() == ErrorCode::kNotFound ||
-          last.code() == ErrorCode::kFailedPrecondition) {
-        break;
-      }
-      if (attempt < retry_.max_attempts) {
-        t += retry_.backoff_before(attempt);
-        retries_++;
-        if (trace_) trace_->instant("prefetch.retry", "prefetch", t);
-        metrics::MetricsRegistry::global().add("prefetch.retries", node_);
-      }
-    }
+    const Status last = RetryPolicy::run(
+        [&](int) {
+          return storage_->copy(Tier::kShared, node_, sp, Tier::kLocal, node_, lp,
+                                &io_cost, concurrency_);
+        },
+        [&](double backoff) {
+          t += backoff;
+          retries_++;
+          if (trace_) trace_->instant("prefetch.retry", "prefetch", t);
+          metrics::MetricsRegistry::global().add("prefetch.retries", node_);
+        });
     if (last.ok()) t += io_cost;
     if (trace_) trace_->span("prefetch.stage", "prefetch", stage_start, t);
     available_at_.push_back(t);

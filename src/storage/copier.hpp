@@ -25,29 +25,7 @@
 
 namespace ftmr::storage {
 
-/// Per-copy CPU cost model of the copier (it shares a core with the main
-/// thread — Fig. 7 shows ~3% CPU). Modeled as a memcpy-speed pass over the
-/// payload plus a small per-file dispatch cost.
-struct CopierModel {
-  double cpu_per_byte_s = 1.0 / 6.0e9;  // ~6 GB/s buffer pass
-  double dispatch_s = 20e-6;
-};
-
-/// Bounded exponential backoff for transient I/O errors, accounted in
-/// virtual time on the retrying agent's timeline.
-struct RetryPolicy {
-  int max_attempts = 4;           // total tries, including the first
-  double backoff_s = 1e-3;        // virtual-time wait before the 1st retry
-  double multiplier = 4.0;        // backoff growth per retry
-  /// Backoff before retry number `retry` (1-based).
-  [[nodiscard]] double backoff_before(int retry) const noexcept {
-    double b = backoff_s;
-    for (int i = 1; i < retry; ++i) b *= multiplier;
-    return b;
-  }
-};
-
-/// A drain that exhausted its retry budget. Reported, never silently
+/// A drain the retry ladder gave up on. Reported, never silently
 /// dropped: recovery treats the missing shared copy as lost-but-known work.
 struct FailedDrain {
   std::string local_path;
@@ -59,17 +37,15 @@ struct FailedDrain {
 /// timeline. Thread-safe (a master and a worker may both interact with it).
 class CopierAgent {
  public:
-  CopierAgent(StorageSystem* storage, int node, int shared_concurrency,
-              CopierModel model = {}, RetryPolicy retry = {})
-      : storage_(storage), node_(node), concurrency_(shared_concurrency),
-        model_(model), retry_(retry) {}
+  CopierAgent(StorageSystem* storage, int node, int shared_concurrency)
+      : storage_(storage), node_(node), concurrency_(shared_concurrency) {}
 
   /// Copy local:`local_path` -> shared:`shared_path`, issued at worker
   /// virtual time `now`. The real copy happens immediately; `*done_at`
   /// (if non-null) receives the simulated completion time on the copier's
-  /// timeline. Transient I/O errors are retried with exponential backoff
-  /// (the backoff elapses on the copier's timeline); a drain that exhausts
-  /// the budget is recorded in failed_drains() and its error returned.
+  /// timeline. Transient I/O errors climb the RetryPolicy ladder (the
+  /// backoff elapses on the copier's timeline); a drain that fails for good
+  /// is recorded in failed_drains() and its error returned.
   Status enqueue(std::string_view local_path, std::string_view shared_path,
                  double now, double* done_at = nullptr);
 
@@ -101,8 +77,6 @@ class CopierAgent {
   StorageSystem* storage_;
   int node_;
   int concurrency_;
-  CopierModel model_;
-  RetryPolicy retry_;
   mutable Mutex mu_{"copier.mu"};
   double busy_until_ FTMR_GUARDED_BY(mu_) = 0.0;
   double cpu_seconds_ FTMR_GUARDED_BY(mu_) = 0.0;
@@ -127,15 +101,13 @@ class CopierAgent {
 /// recovering rank.
 class Prefetcher {
  public:
-  Prefetcher(StorageSystem* storage, int node, int shared_concurrency,
-             RetryPolicy retry = {})
-      : storage_(storage), node_(node), concurrency_(shared_concurrency),
-        retry_(retry) {}
+  Prefetcher(StorageSystem* storage, int node, int shared_concurrency)
+      : storage_(storage), node_(node), concurrency_(shared_concurrency) {}
 
   /// Start prefetching `shared_paths` (in consumption order) at virtual
   /// time `start`. Files are copied under local:`local_prefix`/<basename>.
-  /// Transient copy errors are retried with backoff on the pipeline
-  /// timeline; a file that exhausts the budget is marked unavailable (its
+  /// Transient copy errors climb the RetryPolicy ladder on the pipeline
+  /// timeline; a file that still fails is marked unavailable (its
   /// read() reports the error so the reader can fall back to the shared
   /// tier directly) instead of aborting the whole pipeline.
   Status start(std::span<const std::string> shared_paths,
@@ -171,7 +143,6 @@ class Prefetcher {
   StorageSystem* storage_;
   int node_;
   int concurrency_;
-  RetryPolicy retry_;
   int retries_ = 0;
   std::vector<double> available_at_;
   std::vector<std::string> local_paths_;

@@ -6,44 +6,6 @@
 
 namespace ftmr::storage {
 
-ReplicaStore::WriteFault ReplicaStore::draw_write_fault(std::string_view path,
-                                                        size_t size,
-                                                        size_t* torn_prefix) {
-  if (!injector_armed_) return WriteFault::kNone;
-  if (!path_filter_.empty() &&
-      path.find(path_filter_) == std::string_view::npos) {
-    return WriteFault::kNone;
-  }
-  if (faults_.p_write_fail > 0.0 && rng_.next_double() < faults_.p_write_fail) {
-    fault_stats_.write_failures++;
-    return WriteFault::kFail;
-  }
-  if (faults_.p_torn_write > 0.0 && rng_.next_double() < faults_.p_torn_write) {
-    fault_stats_.torn_writes++;
-    *torn_prefix = size > 0 ? rng_.next_below(size) : 0;
-    return WriteFault::kTorn;
-  }
-  return WriteFault::kNone;
-}
-
-ReplicaStore::ReadFault ReplicaStore::draw_read_fault(std::string_view path) {
-  if (!injector_armed_) return ReadFault::kNone;
-  if (!path_filter_.empty() &&
-      path.find(path_filter_) == std::string_view::npos) {
-    return ReadFault::kNone;
-  }
-  if (faults_.p_read_fail > 0.0 && rng_.next_double() < faults_.p_read_fail) {
-    fault_stats_.read_failures++;
-    return ReadFault::kFail;
-  }
-  if (faults_.p_corrupt_read > 0.0 &&
-      rng_.next_double() < faults_.p_corrupt_read) {
-    fault_stats_.corrupt_reads++;
-    return ReadFault::kCorrupt;
-  }
-  return ReadFault::kNone;
-}
-
 Status ReplicaStore::put(int holder, std::string_view path,
                          std::span<const std::byte> data, double* sim_cost) {
   return put(holder, path, std::make_shared<const Bytes>(data.begin(), data.end()),
@@ -57,13 +19,12 @@ Status ReplicaStore::put(int holder, std::string_view path,
     return {ErrorCode::kProcFailed,
             "replica target rank " + std::to_string(holder) + " is dead"};
   }
-  size_t torn_prefix = 0;
-  const WriteFault wf = draw_write_fault(path, blob->size(), &torn_prefix);
-  if (wf == WriteFault::kFail) {
-    return {ErrorCode::kIo, "injected replica put failure: " + std::string(path)};
+  size_t prefix = 0;
+  if (auto s = injector_.write_fault(faults_, path, blob->size(), &prefix); !s.ok()) {
+    return s;
   }
-  if (wf == WriteFault::kTorn) {
-    const auto end = blob->begin() + static_cast<ptrdiff_t>(torn_prefix);
+  if (prefix < blob->size()) {  // torn: this holder keeps a private prefix
+    const auto end = blob->begin() + static_cast<ptrdiff_t>(prefix);
     blob = std::make_shared<const Bytes>(blob->begin(), end);
   }
   const size_t n = blob->size();
@@ -85,10 +46,8 @@ Status ReplicaStore::get(int holder, std::string_view path, Bytes& out,
 Status ReplicaStore::get(int holder, std::string_view path,
                          std::shared_ptr<const Bytes>& out, double* sim_cost) {
   MutexLock lock(mu_);
-  const ReadFault rf = draw_read_fault(path);
-  if (rf == ReadFault::kFail) {
-    return {ErrorCode::kIo, "injected replica get failure: " + std::string(path)};
-  }
+  bool corrupt = false;
+  if (auto s = injector_.read_fault(faults_, path, &corrupt); !s.ok()) return s;
   auto hit = held_.find(holder);
   if (hit == held_.end()) {
     return {ErrorCode::kNotFound,
@@ -100,11 +59,9 @@ Status ReplicaStore::get(int holder, std::string_view path,
                                       " on rank " + std::to_string(holder)};
   }
   out = bit->second;
-  if (rf == ReadFault::kCorrupt && !out->empty()) {
+  if (corrupt && !out->empty()) {  // the stored blob stays pristine
     Bytes flipped = *out;
-    const size_t byte_idx = rng_.next_below(flipped.size());
-    const int bit_idx = static_cast<int>(rng_.next_below(8));
-    flipped[byte_idx] ^= static_cast<std::byte>(1u << bit_idx);
+    injector_.flip_bit(flipped);
     out = std::make_shared<const Bytes>(std::move(flipped));
   }
   stats_.bytes_read += out->size();
@@ -179,20 +136,18 @@ TierStats ReplicaStore::stats() const {
 void ReplicaStore::set_fault_injector(uint64_t seed, TierFaults faults,
                                       std::string path_filter) {
   MutexLock lock(mu_);
-  rng_ = Rng(seed);
   faults_ = faults;
-  path_filter_ = std::move(path_filter);
-  injector_armed_ = true;
+  injector_.arm(seed, std::move(path_filter));
 }
 
 void ReplicaStore::clear_fault_injector() {
   MutexLock lock(mu_);
-  injector_armed_ = false;
+  injector_.disarm();
 }
 
 FaultStats ReplicaStore::fault_stats() const {
   MutexLock lock(mu_);
-  return fault_stats_;
+  return injector_.stats();
 }
 
 std::vector<int> replica_placement(int owner, int k, const std::vector<int>& live,

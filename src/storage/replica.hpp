@@ -25,12 +25,12 @@
 // (each holder's copy is logically private — nothing can mutate it, and a
 // holder's death or removal drops only its reference).
 //
-// Fault injection mirrors the file tiers (storage.hpp TierFaults): torn
-// puts silently store a private strict prefix for that holder only,
-// corrupt gets flip one bit of a private copy handed to the caller (the
-// stored blob stays pristine — transient, like bus bit rot), clean
-// failures return kIo. All of it feeds FaultStats so tests can assert the
-// injector actually fired.
+// Faults are decided by the one FaultInjector (storage.hpp), on this
+// tier's own stream: torn puts silently store a private strict prefix for
+// that holder only, corrupt gets flip one bit of a private copy handed to
+// the caller (the stored blob stays pristine — transient, like bus bit
+// rot), clean failures return kIo. All of it feeds FaultStats so tests can
+// assert the injector actually fired.
 #pragma once
 
 #include <map>
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
 #include "storage/storage.hpp"
@@ -116,12 +115,6 @@ class ReplicaStore {
   [[nodiscard]] FaultStats fault_stats() const;
 
  private:
-  enum class WriteFault { kNone, kFail, kTorn };
-  enum class ReadFault { kNone, kFail, kCorrupt };
-  WriteFault draw_write_fault(std::string_view path, size_t size,
-                              size_t* torn_prefix) FTMR_REQUIRES(mu_);
-  ReadFault draw_read_fault(std::string_view path) FTMR_REQUIRES(mu_);
-
   TierModel model_;
   mutable Mutex mu_{"replica.store"};
   // holder rank -> (path -> blob). Rank threads deposit into each other's
@@ -130,11 +123,8 @@ class ReplicaStore {
   std::map<int, std::map<std::string, std::shared_ptr<const Bytes>, std::less<>>>
       held_ FTMR_GUARDED_BY(mu_);
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
-  bool injector_armed_ FTMR_GUARDED_BY(mu_) = false;
   TierFaults faults_ FTMR_GUARDED_BY(mu_);
-  std::string path_filter_ FTMR_GUARDED_BY(mu_);
-  Rng rng_ FTMR_GUARDED_BY(mu_);
-  FaultStats fault_stats_ FTMR_GUARDED_BY(mu_);
+  FaultInjector injector_ FTMR_GUARDED_BY(mu_);
   TierStats stats_ FTMR_GUARDED_BY(mu_);
 };
 

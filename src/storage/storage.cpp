@@ -29,18 +29,77 @@ fs::path StorageSystem::real_path(Tier tier, int node, std::string_view path) co
   return opts_.root / "local" / ("node" + std::to_string(node)) / fs::path(path);
 }
 
-void StorageSystem::inject_io_failures(int count, Status error) {
-  MutexLock lock(stats_mu_);
-  injected_failures_ = count;
-  injected_error_ = std::move(error);
+void FaultInjector::arm(uint64_t seed, std::string path_filter) {
+  rng_ = Rng(seed);
+  path_filter_ = std::move(path_filter);
+  armed_ = true;
 }
 
-Status StorageSystem::take_injected_failure() {
+void FaultInjector::fail_next(int count, Status error) {
+  fail_next_ = count;
+  fail_error_ = std::move(error);
+}
+
+Status FaultInjector::take_counted() {
+  if (fail_next_ <= 0) return Status::Ok();
+  --fail_next_;
+  stats_.count_failures++;
+  return fail_error_;
+}
+
+FaultInjector::Draw FaultInjector::draw(std::string_view path, double p_fail,
+                                        double p_silent) {
+  if (!armed_) return Draw::kNone;
+  if (!path_filter_.empty() && path.find(path_filter_) == std::string_view::npos) {
+    return Draw::kNone;
+  }
+  if (p_fail > 0.0 && rng_.next_double() < p_fail) return Draw::kFail;
+  if (p_silent > 0.0 && rng_.next_double() < p_silent) return Draw::kSilent;
+  return Draw::kNone;
+}
+
+Status FaultInjector::write_fault(const TierFaults& f, std::string_view path,
+                                  size_t size, size_t* prefix) {
+  *prefix = size;
+  if (auto s = take_counted(); !s.ok()) return s;
+  const Draw d = draw(path, f.p_write_fail, f.p_torn_write);
+  if (d == Draw::kFail) {
+    stats_.write_failures++;
+    return {ErrorCode::kIo, "injected write failure: " + std::string(path)};
+  }
+  if (d == Draw::kSilent) {
+    stats_.torn_writes++;
+    *prefix = rng_.next_below(size);
+  }
+  return Status::Ok();
+}
+
+Status FaultInjector::read_fault(const TierFaults& f, std::string_view path,
+                                 bool* corrupt) {
+  *corrupt = false;
+  if (auto s = take_counted(); !s.ok()) return s;
+  const Draw d = draw(path, f.p_read_fail, f.p_corrupt_read);
+  if (d == Draw::kFail) {
+    stats_.read_failures++;
+    return {ErrorCode::kIo, "injected read failure: " + std::string(path)};
+  }
+  if (d == Draw::kSilent) {
+    stats_.corrupt_reads++;
+    *corrupt = true;
+  }
+  return Status::Ok();
+}
+
+void FaultInjector::flip_bit(Bytes& buf) {
+  if (buf.empty()) return;
+  const size_t byte_idx = rng_.next_below(buf.size());
+  const int bit = static_cast<int>(rng_.next_below(8));
+  buf[byte_idx] ^= static_cast<std::byte>(1u << bit);
+}
+
+void StorageSystem::inject_io_failures(int count, Status error) {
   MutexLock lock(stats_mu_);
-  if (injected_failures_ <= 0) return Status::Ok();
-  --injected_failures_;
-  fault_stats_.count_failures++;
-  return injected_error_;
+  injector_.fail_next(count, std::move(error));
 }
 
 void StorageSystem::set_fault_injector(FaultInjectorConfig cfg) {
@@ -49,79 +108,22 @@ void StorageSystem::set_fault_injector(FaultInjectorConfig cfg) {
   memory_->set_fault_injector(mix64(cfg.seed ^ 0x6d656d6f7279ULL), cfg.memory,
                               cfg.path_filter);
   MutexLock lock(stats_mu_);
-  injector_rng_ = Rng(cfg.seed);
-  injector_ = std::move(cfg);
-  injector_armed_ = true;
+  local_faults_ = cfg.local;
+  shared_faults_ = cfg.shared;
+  injector_.arm(cfg.seed, std::move(cfg.path_filter));
 }
 
 void StorageSystem::clear_fault_injector() {
   memory_->clear_fault_injector();
   MutexLock lock(stats_mu_);
-  injector_armed_ = false;
+  injector_.disarm();
 }
 
 FaultStats StorageSystem::fault_stats() const {
   FaultStats total = memory_->fault_stats();
   MutexLock lock(stats_mu_);
-  total.write_failures += fault_stats_.write_failures;
-  total.torn_writes += fault_stats_.torn_writes;
-  total.read_failures += fault_stats_.read_failures;
-  total.corrupt_reads += fault_stats_.corrupt_reads;
-  total.count_failures += fault_stats_.count_failures;
+  total += injector_.stats();
   return total;
-}
-
-StorageSystem::WriteFault StorageSystem::draw_write_fault(Tier tier,
-                                                          std::string_view path,
-                                                          size_t size,
-                                                          size_t* torn_prefix) {
-  MutexLock lock(stats_mu_);
-  if (!injector_armed_) return WriteFault::kNone;
-  if (!injector_.path_filter.empty() &&
-      path.find(injector_.path_filter) == std::string_view::npos) {
-    return WriteFault::kNone;
-  }
-  const TierFaults& f =
-      (tier == Tier::kLocal) ? injector_.local : injector_.shared;
-  if (f.p_write_fail > 0.0 && injector_rng_.next_double() < f.p_write_fail) {
-    fault_stats_.write_failures++;
-    return WriteFault::kFail;
-  }
-  if (f.p_torn_write > 0.0 && injector_rng_.next_double() < f.p_torn_write) {
-    fault_stats_.torn_writes++;
-    *torn_prefix = size > 0 ? injector_rng_.next_below(size) : 0;
-    return WriteFault::kTorn;
-  }
-  return WriteFault::kNone;
-}
-
-StorageSystem::ReadFault StorageSystem::draw_read_fault(Tier tier,
-                                                        std::string_view path) {
-  MutexLock lock(stats_mu_);
-  if (!injector_armed_) return ReadFault::kNone;
-  if (!injector_.path_filter.empty() &&
-      path.find(injector_.path_filter) == std::string_view::npos) {
-    return ReadFault::kNone;
-  }
-  const TierFaults& f =
-      (tier == Tier::kLocal) ? injector_.local : injector_.shared;
-  if (f.p_read_fail > 0.0 && injector_rng_.next_double() < f.p_read_fail) {
-    fault_stats_.read_failures++;
-    return ReadFault::kFail;
-  }
-  if (f.p_corrupt_read > 0.0 && injector_rng_.next_double() < f.p_corrupt_read) {
-    fault_stats_.corrupt_reads++;
-    return ReadFault::kCorrupt;
-  }
-  return ReadFault::kNone;
-}
-
-void StorageSystem::corrupt_buffer(Bytes& buf) {
-  if (buf.empty()) return;
-  MutexLock lock(stats_mu_);
-  const size_t byte_idx = injector_rng_.next_below(buf.size());
-  const int bit = static_cast<int>(injector_rng_.next_below(8));
-  buf[byte_idx] ^= static_cast<std::byte>(1u << bit);
 }
 
 Status StorageSystem::check_tier(Tier tier) const {
@@ -166,14 +168,13 @@ Status StorageSystem::write_body(Tier tier, int node, std::string_view path,
                                  bool append) {
   const char* op = append ? "append" : "write";
   if (auto s = check_tier(tier); !s.ok()) return s;
-  if (auto s = take_injected_failure(); !s.ok()) return s;
-  size_t torn_prefix = 0;
-  const WriteFault wf = draw_write_fault(tier, path, data.size(), &torn_prefix);
-  if (wf == WriteFault::kFail) {
-    return {ErrorCode::kIo, std::string("injected ") + op + " failure: " +
-                                std::string(path)};
+  size_t prefix = 0;
+  {
+    MutexLock lock(stats_mu_);
+    Status s = injector_.write_fault(faults_of(tier), path, data.size(), &prefix);
+    if (!s.ok()) return s;
   }
-  if (wf == WriteFault::kTorn) data = data.subspan(0, torn_prefix);
+  data = data.first(prefix);
   const fs::path p = real_path(tier, node, path);
   std::error_code ec;
   fs::create_directories(p.parent_path(), ec);
@@ -200,10 +201,11 @@ Status StorageSystem::write_body(Tier tier, int node, std::string_view path,
 Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
                                 Bytes& out, double* sim_cost, int concurrency) {
   if (auto s = check_tier(tier); !s.ok()) return s;
-  if (auto s = take_injected_failure(); !s.ok()) return s;
-  const ReadFault rf = draw_read_fault(tier, path);
-  if (rf == ReadFault::kFail) {
-    return {ErrorCode::kIo, "injected read failure: " + std::string(path)};
+  bool corrupt = false;
+  {
+    MutexLock lock(stats_mu_);
+    Status s = injector_.read_fault(faults_of(tier), path, &corrupt);
+    if (!s.ok()) return s;
   }
   const fs::path p = real_path(tier, node, path);
   std::ifstream f(p, std::ios::binary | std::ios::ate);
@@ -213,10 +215,10 @@ Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
   out.resize(static_cast<size_t>(size));
   f.read(reinterpret_cast<char*>(out.data()), size);
   if (!f) return {ErrorCode::kIo, "read_file: short read from " + p.string()};
-  if (rf == ReadFault::kCorrupt) corrupt_buffer(out);
   if (sim_cost) *sim_cost = cost_of(tier, out.size(), 1, concurrency);
   {
     MutexLock lock(stats_mu_);
+    if (corrupt) injector_.flip_bit(out);
     TierStats& st = (tier == Tier::kLocal) ? local_stats_ : shared_stats_;
     st.bytes_read += out.size();
     st.read_ops++;

@@ -117,6 +117,96 @@ struct FaultStats {
   int64_t read_failures = 0;    // clean injected read failures
   int64_t corrupt_reads = 0;    // silent bit flips on read
   int64_t count_failures = 0;   // legacy inject_io_failures() consumptions
+
+  FaultStats& operator+=(const FaultStats& o) noexcept {
+    write_failures += o.write_failures;
+    torn_writes += o.torn_writes;
+    read_failures += o.read_failures;
+    corrupt_reads += o.corrupt_reads;
+    count_failures += o.count_failures;
+    return *this;
+  }
+};
+
+/// The one storage fault injector: every tier decides its injected faults
+/// here. It holds the armed flag, the path filter, the seeded draw stream,
+/// the count-based failures of inject_io_failures() and the FaultStats; the
+/// probabilities come with each call, so one stream serves both file tiers.
+/// Not locking: each owner keeps its instance under its own mutex.
+class FaultInjector {
+ public:
+  /// Arm the probabilistic draws on a fresh stream seeded with `seed`.
+  void arm(uint64_t seed, std::string path_filter);
+  void disarm() noexcept { armed_ = false; }
+  /// The next `count` decisions fail with `error`, armed or not.
+  void fail_next(int count, Status error);
+
+  /// Decide one write of `size` bytes. A clean failure comes back as its
+  /// error; otherwise OK, with `*prefix` the bytes to persist: all of them,
+  /// or a strict prefix for a torn write.
+  Status write_fault(const TierFaults& f, std::string_view path, size_t size,
+                     size_t* prefix);
+  /// Decide one read. A clean failure comes back as its error; otherwise
+  /// OK, with `*corrupt` set if the read must flip_bit() what it returns.
+  Status read_fault(const TierFaults& f, std::string_view path, bool* corrupt);
+  /// Flip one drawn bit (byte first, then bit) of a non-empty `buf`.
+  void flip_bit(Bytes& buf);
+
+  [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
+
+ private:
+  enum class Draw { kNone, kFail, kSilent };
+  /// First step of every decision: consume a pending count-based failure.
+  Status take_counted();
+  /// Then the armed and path-filter checks, and the clean-failure draw
+  /// before the silent-fault draw (torn write, corrupt read), each only if
+  /// its probability is set.
+  Draw draw(std::string_view path, double p_fail, double p_silent);
+
+  bool armed_ = false;
+  std::string path_filter_;
+  Rng rng_;
+  int fail_next_ = 0;
+  Status fail_error_;
+  FaultStats stats_;
+};
+
+/// The one retry ladder every retried storage operation climbs: up to
+/// max_attempts tries, with an exponential backoff of 1, 4 and 16 ms of
+/// virtual time before the retries. Only transient errors are retried.
+/// kNotFound (a missing file), kFailedPrecondition (an unavailable tier,
+/// e.g. no node-local disk) and kInvalidArgument (a bad call) cannot be
+/// cured by waiting, so they end the ladder at once.
+struct RetryPolicy {
+  static constexpr int max_attempts = 4;      // total tries, including the first
+  static constexpr double backoff_s = 1e-3;   // wait before the 1st retry
+  static constexpr double multiplier = 4.0;   // backoff growth per retry
+
+  /// Backoff before retry number `retry` (1-based).
+  [[nodiscard]] static constexpr double backoff_before(int retry) noexcept {
+    double b = backoff_s;
+    for (int i = 1; i < retry; ++i) b *= multiplier;
+    return b;
+  }
+  [[nodiscard]] static constexpr bool transient(ErrorCode code) noexcept {
+    return code != ErrorCode::kNotFound && code != ErrorCode::kFailedPrecondition &&
+           code != ErrorCode::kInvalidArgument;
+  }
+
+  /// Run `body(attempt)` (attempt is 1-based) until it succeeds, fails with
+  /// a non-transient error or has made max_attempts tries, and return its
+  /// last status. Before each retry, `on_retry(backoff)` sits the backoff
+  /// out on the caller's clock and books the retry.
+  template <typename Body, typename OnRetry>
+  static Status run(Body&& body, OnRetry&& on_retry) {
+    Status s = body(1);
+    for (int attempt = 2; attempt <= max_attempts && !s.ok() && transient(s.code());
+         ++attempt) {
+      on_retry(backoff_before(attempt - 1));
+      s = body(attempt);
+    }
+    return s;
+  }
 };
 
 class StorageSystem {
@@ -195,37 +285,27 @@ class StorageSystem {
   Status check_tier(Tier tier) const;
 
   /// The one body of write_file (truncate) and append_file (`append`):
-  /// fault draw, file write, modeled cost and TierStats booking.
+  /// fault decision, file write, modeled cost and TierStats booking.
   Status write_body(Tier tier, int node, std::string_view path,
                     std::span<const std::byte> data, double* sim_cost,
                     int concurrency, bool append) FTMR_EXCLUDES(stats_mu_);
 
-  /// Consume one injected failure if armed (returns it), else OK.
-  Status take_injected_failure() FTMR_EXCLUDES(stats_mu_);
-
-  /// Injector decision for one operation (locks stats_mu_ internally).
-  enum class WriteFault { kNone, kFail, kTorn };
-  enum class ReadFault { kNone, kFail, kCorrupt };
-  WriteFault draw_write_fault(Tier tier, std::string_view path, size_t size,
-                              size_t* torn_prefix) FTMR_EXCLUDES(stats_mu_);
-  ReadFault draw_read_fault(Tier tier, std::string_view path)
-      FTMR_EXCLUDES(stats_mu_);
-  void corrupt_buffer(Bytes& buf) FTMR_EXCLUDES(stats_mu_);
+  const TierFaults& faults_of(Tier tier) const FTMR_REQUIRES(stats_mu_) {
+    return tier == Tier::kLocal ? local_faults_ : shared_faults_;
+  }
 
   // `opts_` is immutable after construction; real file I/O is delegated to
   // the (thread-safe) filesystem. Everything mutable — counters and the
-  // fault injector, which share one seeded RNG stream — lives under
-  // stats_mu_, which rank threads and the stress tests hit concurrently.
+  // fault injector, whose one seeded stream both file tiers draw from —
+  // lives under stats_mu_, which rank threads and the stress tests hit
+  // concurrently.
   StorageOptions opts_;
   mutable Mutex stats_mu_{"storage.stats"};
   TierStats local_stats_ FTMR_GUARDED_BY(stats_mu_);
   TierStats shared_stats_ FTMR_GUARDED_BY(stats_mu_);
-  int injected_failures_ FTMR_GUARDED_BY(stats_mu_) = 0;
-  Status injected_error_ FTMR_GUARDED_BY(stats_mu_);
-  bool injector_armed_ FTMR_GUARDED_BY(stats_mu_) = false;
-  FaultInjectorConfig injector_ FTMR_GUARDED_BY(stats_mu_);
-  Rng injector_rng_ FTMR_GUARDED_BY(stats_mu_);
-  FaultStats fault_stats_ FTMR_GUARDED_BY(stats_mu_);
+  TierFaults local_faults_ FTMR_GUARDED_BY(stats_mu_);
+  TierFaults shared_faults_ FTMR_GUARDED_BY(stats_mu_);
+  FaultInjector injector_ FTMR_GUARDED_BY(stats_mu_);
   // unique_ptr to a forward-declared type: replica.hpp includes this
   // header, so the concrete type is only visible in storage.cpp.
   std::unique_ptr<ReplicaStore> memory_;

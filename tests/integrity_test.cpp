@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/copier.hpp"
+#include "storage/replica.hpp"
 #include "storage/storage.hpp"
 #include "tests/test_seed.hpp"
 
@@ -227,6 +229,188 @@ TEST_F(InjectorTest, SameSeedSameFaultSequence) {
              c = run(tests::test_seed(7));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);  // (astronomically unlikely to collide over 64 draws)
+}
+
+// Every tier's fault stream, pinned bit for bit: a fixed seed and a fixed
+// single-threaded op sequence must give exactly these failures, torn
+// prefix lengths and flipped (byte:bit) positions. This pins the draw
+// order that replaying a seeded fault run depends on: count-based failures
+// before any draw, then the path filter, fail before torn, read fail before
+// corrupt, byte before bit.
+//
+// Tokens, one per operation. Writes: F clean failure, W whole, T<n> torn to
+// n bytes. Reads: F clean failure, N not found, L<n> short file, @<byte>:<bit>
+// flipped bit, . intact.
+enum class FaultOps { kWrites, kReads, kMixed };
+
+struct StreamRow {
+  storage::Tier tier;
+  // The TierFaults probability set to 0.5; "mixed" sets all four to 0.25.
+  const char* faults;
+  FaultOps ops;
+  const char* golden;
+  storage::FaultStats stats;
+};
+
+std::string run_fault_stream(const std::filesystem::path& root, const StreamRow& row,
+                             storage::FaultStats& stats) {
+  constexpr int kOps = 16;
+  const Bytes data = [] {
+    Bytes b(64);
+    for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::byte>(i * 37 + 11);
+    return b;
+  }();
+  storage::StorageOptions so;
+  so.root = root;
+  storage::StorageSystem fs(so);
+  storage::ReplicaStore& mem = fs.memory();
+  const bool memory = row.tier == storage::Tier::kMemory;
+  // The mixed rows filter on "ck/": every fourth path is outside it and
+  // must draw nothing.
+  auto path = [&](int i) {
+    return std::string(row.ops == FaultOps::kMixed && i % 4 == 3 ? "in/f" : "ck/r0/f") +
+           std::to_string(i);
+  };
+  auto put = [&](int i) {
+    return memory ? mem.put(0, path(i), data) : fs.write_file(row.tier, 0, path(i), data);
+  };
+  auto get = [&](int i, Bytes& out) {
+    return memory ? mem.get(0, path(i), out) : fs.read_file(row.tier, 0, path(i), out);
+  };
+  auto read_token = [&](const Status& s, const Bytes& out) -> std::string {
+    if (!s.ok()) return s.code() == ErrorCode::kNotFound ? "N" : "F";
+    std::string t = out.size() == data.size() ? "" : "L" + std::to_string(out.size());
+    for (size_t b = 0; b < out.size(); ++b) {
+      const auto diff = static_cast<unsigned>(out[b] ^ data[b]);
+      for (int bit = 0; bit < 8; ++bit) {
+        if (diff & (1u << bit)) t += "@" + std::to_string(b) + ":" + std::to_string(bit);
+      }
+    }
+    return t.empty() ? "." : t;
+  };
+
+  storage::FaultInjectorConfig fc;
+  fc.seed = 0xC0FFEEULL;
+  storage::TierFaults& f = row.tier == storage::Tier::kLocal    ? fc.local
+                           : row.tier == storage::Tier::kShared ? fc.shared
+                                                                : fc.memory;
+  const std::string kind = row.faults;
+  const double p = kind == "mixed" ? 0.25 : 0.5;
+  if (kind == "write_fail" || kind == "mixed") f.p_write_fail = p;
+  if (kind == "torn_write" || kind == "mixed") f.p_torn_write = p;
+  if (kind == "read_fail" || kind == "mixed") f.p_read_fail = p;
+  if (kind == "corrupt_read" || kind == "mixed") f.p_corrupt_read = p;
+  if (kind == "mixed") fc.path_filter = "ck/";
+
+  std::string tokens;
+  auto emit = [&](const std::string& t) { tokens += (tokens.empty() ? "" : " ") + t; };
+  Bytes out;
+  switch (row.ops) {
+    case FaultOps::kWrites: {
+      fs.set_fault_injector(fc);
+      std::vector<bool> landed;
+      for (int i = 0; i < kOps; ++i) landed.push_back(put(i).ok());
+      fs.clear_fault_injector();
+      for (int i = 0; i < kOps; ++i) {
+        if (!landed[static_cast<size_t>(i)]) {
+          emit("F");
+          continue;
+        }
+        EXPECT_TRUE(get(i, out).ok());
+        emit(out.size() == data.size() ? "W" : "T" + std::to_string(out.size()));
+      }
+      break;
+    }
+    case FaultOps::kReads:
+      for (int i = 0; i < kOps; ++i) EXPECT_TRUE(put(i).ok());
+      fs.set_fault_injector(fc);
+      for (int i = 0; i < kOps; ++i) {
+        const Status s = get(i, out);
+        emit(read_token(s, out));
+      }
+      break;
+    case FaultOps::kMixed:
+      fs.set_fault_injector(fc);
+      // Count-based failures hit the file tiers only, before any draw.
+      fs.inject_io_failures(2);
+      for (int i = 0; i < kOps; ++i) {
+        emit(put(i).ok() ? "W" : "F");
+        const Status s = get(i, out);
+        emit(read_token(s, out));
+      }
+      break;
+  }
+  stats = fs.fault_stats();
+  return tokens;
+}
+
+TEST_F(InjectorTest, EveryTierFaultStreamIsPinnedBitForBit) {
+  using storage::Tier;
+  const StreamRow rows[] = {
+      {Tier::kLocal, "write_fail", FaultOps::kWrites,
+       "W W W F W F F F F F W W F F W W",
+       {8, 0, 0, 0, 0}},
+      {Tier::kLocal, "torn_write", FaultOps::kWrites,
+       "W W W T37 T27 T11 T36 W T34 W W T32 W T21 T32 W",
+       {0, 8, 0, 0, 0}},
+      {Tier::kLocal, "read_fail", FaultOps::kReads,
+       ". . . F . F F F F F . . F F . .",
+       {0, 0, 8, 0, 0}},
+      {Tier::kLocal, "corrupt_read", FaultOps::kReads,
+       ". . . @37:1 @0:3 @36:7 @34:6 . @32:0 @21:4 @31:0 . @38:7 . @12:0 @30:6",
+       {0, 0, 0, 10, 0}},
+      {Tier::kLocal, "mixed", FaultOps::kMixed,
+       "F F W . W L27@1:4 W . W L34 F N W F W . W @38:7 W L12 F N W . "
+       "W @37:3 W @56:6 F N W .",
+       {3, 4, 1, 5, 2}},
+      {Tier::kShared, "write_fail", FaultOps::kWrites,
+       "W W W F W F F F F F W W F F W W",
+       {8, 0, 0, 0, 0}},
+      {Tier::kShared, "torn_write", FaultOps::kWrites,
+       "W W W T37 T27 T11 T36 W T34 W W T32 W T21 T32 W",
+       {0, 8, 0, 0, 0}},
+      {Tier::kShared, "read_fail", FaultOps::kReads,
+       ". . . F . F F F F F . . F F . .",
+       {0, 0, 8, 0, 0}},
+      {Tier::kShared, "corrupt_read", FaultOps::kReads,
+       ". . . @37:1 @0:3 @36:7 @34:6 . @32:0 @21:4 @31:0 . @38:7 . @12:0 @30:6",
+       {0, 0, 0, 10, 0}},
+      {Tier::kShared, "mixed", FaultOps::kMixed,
+       "F F W . W L27@1:4 W . W L34 F N W F W . W @38:7 W L12 F N W . "
+       "W @37:3 W @56:6 F N W .",
+       {3, 4, 1, 5, 2}},
+      {Tier::kMemory, "write_fail", FaultOps::kWrites,
+       "F W W F W W W F W F W F F F F W",
+       {8, 0, 0, 0, 0}},
+      {Tier::kMemory, "torn_write", FaultOps::kWrites,
+       "T60 W T5 W W T61 T60 T60 T42 W W W W W T48 T21",
+       {0, 8, 0, 0, 0}},
+      {Tier::kMemory, "read_fail", FaultOps::kReads,
+       "F . . F . . . F . F . F F F F .",
+       {0, 0, 8, 0, 0}},
+      {Tier::kMemory, "corrupt_read", FaultOps::kReads,
+       "@60:5 @5:0 . @61:5 . @60:7 @1:1 . . . @48:4 . . @18:0 . @57:0",
+       {0, 0, 0, 8, 0}},
+      {Tier::kMemory, "mixed", FaultOps::kMixed,
+       "F N F N W @60:5 W . F F F N W @48:4 W . W @8:7 W . W L38 W . W F W F W . W .",
+       {4, 1, 3, 3, 0}},
+  };
+  int n = 0;
+  for (const StreamRow& row : rows) {
+    const char* tier = row.tier == Tier::kLocal    ? "local"
+                       : row.tier == Tier::kShared ? "shared"
+                                                   : "memory";
+    SCOPED_TRACE(std::string(tier) + " " + row.faults);
+    storage::FaultStats st;
+    const std::string got =
+        run_fault_stream(tmp_.path() / ("row" + std::to_string(n++)), row, st);
+    EXPECT_EQ(got, row.golden);
+    EXPECT_EQ(st.write_failures, row.stats.write_failures);
+    EXPECT_EQ(st.torn_writes, row.stats.torn_writes);
+    EXPECT_EQ(st.read_failures, row.stats.read_failures);
+    EXPECT_EQ(st.corrupt_reads, row.stats.corrupt_reads);
+    EXPECT_EQ(st.count_failures, row.stats.count_failures);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -573,6 +757,34 @@ TEST(CkptWriteLadder, LocalPlacementWithoutLocalDiskFailsPrecondition) {
       EXPECT_EQ(cm.write_seconds(), 0.0);
     });
   }
+}
+
+TEST(CkptReadLadder, PrefetchWithoutLocalDiskReadsSharedDirectly) {
+  // With no local disk the prefetcher cannot stage anything. That is the
+  // pipeline's error, not the shared tier's: the read ladder's next rung
+  // reads the shared file directly, so nothing falls back or is lost.
+  storage::TempDir tmp("ftmr-integrity-nodisk-prefetch");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  so.has_local_disk = false;
+  storage::StorageSystem fs(so);
+  Runtime::run(1, [&](Comm& c) {
+    CkptOptions o;
+    o.location = CkptOptions::Location::kSharedDirect;
+    o.prefetch_recovery = true;
+    CheckpointManager cm(&fs, 0, 0, o, 1);
+    mr::KvBuffer kv;
+    kv.add("alpha", "1");
+    kv.add("beta", "2");
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv).ok());
+    RankRecovery rec;
+    ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/true, -1.0, rec).ok());
+    ASSERT_TRUE(rec.partitions.count(3));
+    EXPECT_EQ(rec.partitions[3].size(), kv.size());
+    EXPECT_EQ(rec.quarantined, 0u);
+    EXPECT_EQ(cm.integrity().io_retries, 1);
+    EXPECT_EQ(cm.integrity().tier_fallbacks, 0);
+  });
 }
 
 // ---------------------------------------------------------------------------

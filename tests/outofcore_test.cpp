@@ -397,6 +397,26 @@ TEST_P(SpillLadder, ExhaustedWriteLadderKeepsPageResident) {
   EXPECT_EQ(store.stream(), store.want());
 }
 
+TEST_P(SpillLadder, NonTransientWriteFailureIsNotRetried) {
+  // No node-local disk is a configuration error: every spill write fails
+  // with kFailedPrecondition, which no retry can cure. Each failed page
+  // write makes one attempt and sits out no backoff; the pages stay
+  // resident and every pair reads back.
+  storage::TempDir tmp("ftmr-ooc-nodisk");
+  storage::StorageOptions o;
+  o.root = tmp.path();
+  o.has_local_disk = false;
+  storage::StorageSystem fs(o);
+  LadderStore store(GetParam(), &fs);
+  EXPECT_EQ(store.fill(0, 50).code(), ErrorCode::kFailedPrecondition);
+  EXPECT_GT(store.stats().write_failures, 0);
+  EXPECT_EQ(store.stats().write_retries, 0);
+  EXPECT_EQ(store.stats().pages_spilled, 0);
+  EXPECT_EQ(store.stats().sim_io_seconds, 0.0);
+  EXPECT_GT(store.resident_bytes(), 0u);
+  EXPECT_EQ(store.stream(), store.want());
+}
+
 TEST_P(SpillLadder, CorruptReadIsRetriedThroughCrc) {
   LadderStore store(GetParam(), cl_.fs.get());
   ASSERT_TRUE(store.fill(0, 300).ok());

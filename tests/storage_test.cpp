@@ -1,6 +1,9 @@
-// Tests for the simulated storage hierarchy, the copier agent, and the
-// recovery prefetcher.
+// Tests for the simulated storage hierarchy, the retry ladder, the copier
+// agent, and the recovery prefetcher.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "storage/copier.hpp"
 #include "storage/storage.hpp"
@@ -125,6 +128,51 @@ TEST(TierModel, OpLatencyDominatesSmallIo) {
   // GPFS" premise that motivates the local+copier design.
   const double c = shared.cost(100, 1, 1);
   EXPECT_GT(2e-3 / c, 0.99);
+}
+
+// The one retry ladder: a body that succeeds on attempt k makes k calls,
+// the retries wait 1, 4 and 16 ms, a non-transient error stops at once and
+// a transient one is retried up to max_attempts.
+TEST(RetryLadder, RetriesTransientErrorsOnlyWithExponentialBackoff) {
+  struct Run {
+    int calls = 0;
+    std::vector<double> backoffs;
+    Status result;
+  };
+  auto climb = [](int succeed_on, ErrorCode fail_with) {
+    Run r;
+    r.result = RetryPolicy::run(
+        [&](int attempt) {
+          EXPECT_EQ(attempt, ++r.calls);
+          return attempt == succeed_on ? Status::Ok() : Status{fail_with, "x"};
+        },
+        [&](double backoff) { r.backoffs.push_back(backoff); });
+    return r;
+  };
+  for (int k = 1; k <= RetryPolicy::max_attempts; ++k) {
+    SCOPED_TRACE("succeeds on attempt " + std::to_string(k));
+    const Run r = climb(k, ErrorCode::kIo);
+    EXPECT_TRUE(r.result.ok());
+    EXPECT_EQ(r.calls, k);
+    EXPECT_EQ(r.backoffs.size(), static_cast<size_t>(k - 1));
+  }
+  EXPECT_EQ(climb(0, ErrorCode::kIo).backoffs,
+            (std::vector<double>{1e-3, 4e-3, 16e-3}));
+  for (const ErrorCode code : {ErrorCode::kNotFound, ErrorCode::kFailedPrecondition,
+                               ErrorCode::kInvalidArgument}) {
+    SCOPED_TRACE(std::string(to_string(code)));
+    const Run r = climb(0, code);
+    EXPECT_EQ(r.result.code(), code);
+    EXPECT_EQ(r.calls, 1);
+    EXPECT_TRUE(r.backoffs.empty());
+  }
+  for (const ErrorCode code : {ErrorCode::kIo, ErrorCode::kCorrupt}) {
+    SCOPED_TRACE(std::string(to_string(code)));
+    const Run r = climb(0, code);
+    EXPECT_EQ(r.result.code(), code);
+    EXPECT_EQ(r.calls, RetryPolicy::max_attempts);
+    EXPECT_EQ(r.backoffs.size(), static_cast<size_t>(RetryPolicy::max_attempts - 1));
+  }
 }
 
 TEST(NoLocalDisk, LocalOpsFail) {
