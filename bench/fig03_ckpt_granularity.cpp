@@ -14,9 +14,8 @@ MiniJob pagerank_mini(core::CkptOptions::Granularity gran, double kill_at) {
   j.nranks = 8;
   j.opts.mode = core::FtMode::kCheckpointRestart;
   j.opts.ppn = 2;
-  // Deterministic redistribution: the LB's models depend on gossip arrival
-  // timing (real-thread scheduling), which would add run-to-run noise to
-  // this fine-grained comparison.
+  // The load balancer only splits work in detect/resume recovery, which a
+  // C/R job never runs; keep it off so granularity is the only variable.
   j.opts.load_balance = false;
   j.opts.ckpt.granularity = gran;
   j.opts.ckpt.records_per_ckpt = 64;

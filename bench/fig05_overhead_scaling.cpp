@@ -73,7 +73,7 @@ int main() {
   // Paper-scale rank count, functionally: the fiber scheduler runs the
   // real engine at the top of Figure 5's x-axis on one box. 64 chunks
   // keeps the data volume mini-cluster-sized — the point is the rank
-  // count (gossip, collectives, 2048-way shuffle), not the bytes.
+  // count (collectives, 2048-way shuffle), not the bytes.
   rep.section("functional @ paper scale (2048 simulated ranks)");
   {
     using Clock = std::chrono::steady_clock;

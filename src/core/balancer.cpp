@@ -44,7 +44,7 @@ LinearModel LoadBalancer::decode_model(std::span<const std::byte> blob,
       std::isfinite(m.a) && std::isfinite(m.b) && std::isfinite(m.r2);
   if (valid) *valid = complete && finite;
   if (!complete || !finite) {
-    // A truncated or corrupt gossip payload must not become a garbage model
+    // A truncated or corrupt gathered payload must not become a garbage model
     // fed into the split: degrade to plain size balancing for that rank.
     LinearModel identity;
     return sanitize(identity);

@@ -6,9 +6,10 @@
 // *predicted* finish times of all survivors equalize — the proportional
 // redistribution that keeps everyone finishing at the same pace.
 //
-// The observations live in the DistributedMaster (they piggyback on status
-// gossip); this module supplies the model exchange and the deterministic
-// split every survivor computes identically.
+// The observations feed a linear fit in each rank's DistributedMaster;
+// this module supplies the model exchange (one allgather of the fitted
+// models at recovery) and the deterministic split every survivor computes
+// identically.
 #pragma once
 
 #include <span>

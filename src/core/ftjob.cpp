@@ -30,17 +30,7 @@ FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
   part_owner_.resize(static_cast<size_t>(p0_));
   for (int p = 0; p < p0_; ++p) part_owner_[p] = p;  // identity group at start
 
-  simmpi::Comm mc;
-  try {
-    (void)check(wc_.dup(mc, /*accounts_time=*/false));
-  } catch (const FailureDetected&) {
-    // A peer was already dead at construction (possible under continuous
-    // failures). The dup is collective, so `mc` is unusable; defer to
-    // run(), whose recovery shrinks and rebinds the master comm before the
-    // driver starts.
-    ctor_failure_ = true;
-  }
-  master_ = std::make_unique<DistributedMaster>(mc);
+  master_ = std::make_unique<DistributedMaster>(wc_);
   ckpt_ = std::make_unique<CheckpointManager>(fs_, node(), world_.global_rank(),
                                               opts_.ckpt, p0_, opts_.ppn);
   trace_.set_tid(world_.global_rank());
@@ -112,14 +102,13 @@ Status FtJob::commit(int stage, uint64_t id, P& pr) {
       static_cast<int64_t>(pr.pos - pr.last_ckpt_pos) >= opts_.ckpt.records_per_ckpt) {
     if (auto s = checkpoint_delta(stage, id, pr); !s.ok()) return s;
   }
-  // Periodic master duties + eager failure observation (every few commits,
-  // not every record, to keep the real-time overhead of the simulator low).
+  // Master progress + eager failure observation (every few commits, not
+  // every record, to keep the real-time overhead of the simulator low).
   if ((pr.pos & 0x3f) == 0) {
     if constexpr (std::is_same_v<P, TaskProgress>) {
       master_->on_task_progress(id, pr.pos, 0);
       master_->observe(map_bytes_done_, wc_.now());
     }
-    if (auto s = check(master_->tick()); !s.ok()) return s;
     if (!wc_.failed_ranks().empty()) {
       return check({ErrorCode::kProcFailed, "failure observed at commit"});
     }
@@ -162,7 +151,7 @@ Status FtJob::check(Status s) {
 }
 
 Status FtJob::run(const Driver& driver) {
-  bool pending_recover = ctor_failure_;
+  bool pending_recover = false;
   for (;;) {
     try {
       if (pending_recover) {
@@ -383,8 +372,8 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
     charge_cost("io_wait", io);
   }
   ckpt_->drain(wc_);
+  // The status exchange is the map boundary's synchronisation point.
   if (auto s = check(master_->exchange_now()); !s.ok()) return s;
-  if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("map", t0);
   return Status::Ok();
 }
@@ -867,22 +856,18 @@ Status FtJob::write_output() {
 // ---------------------------------------------------------------------------
 
 void FtJob::recover() {
-  // 1. Failure notification: revoke both communicators so every survivor —
-  //    including ones blocked in collectives — lands in recovery.
+  // 1. Failure notification: revoke the work communicator so every
+  //    survivor — including ones blocked in collectives — lands in recovery.
   (void)wc_.revoke();
-  // The master comm is invalid when construction itself hit the failure
-  // (ctor_failure_): nothing to revoke, the rebind below creates it.
-  if (master_->comm().valid()) (void)master_->comm().revoke();
 
-  // 2. Rebuild communication capability: shrink, then a fresh master comm.
+  // 2. Rebuild communication capability: shrink, and move the master onto
+  //    the shrunken comm.
   simmpi::Comm new_wc;
   if (auto s = wc_.shrink(new_wc); !s.ok()) {
     throw std::runtime_error("shrink failed: " + s.to_string());
   }
   wc_ = new_wc;
-  simmpi::Comm new_mc;
-  (void)check(wc_.dup(new_mc, /*accounts_time=*/false));
-  master_->rebind(std::move(new_mc));
+  master_->rebind(wc_);
 
   // 3. Uniform agreement that everyone reached recovery with the same view.
   int flag = 1;

@@ -10,8 +10,8 @@
 //     and calls MPI_Abort; the process manager tears the job down; the user
 //     resubmits; the new job primes itself from checkpoints and skips
 //     processed records.
-//   * detect/resume (4.2) — ULFM: the detecting rank revokes the work and
-//     master communicators, survivors shrink, agree, redistribute the dead
+//   * detect/resume (4.2) — ULFM: the detecting rank revokes the work
+//     communicator, survivors shrink, agree, redistribute the dead
 //     ranks' work (work-conserving: read their checkpoints; non-work-
 //     conserving: re-execute their tasks), and resume in place with fewer
 //     processes. Continuous failures shrink repeatedly.
@@ -298,8 +298,8 @@ class FtJob {
   Status checkpoint_delta(int stage, uint64_t id, P& pr);
   /// Algorithm 1's commit point at cursor pr.pos, shared by the map and
   /// reduce loops: the due record checkpoint, then on every 64th cursor the
-  /// master duties and the failed-rank check. A non-OK status (routed
-  /// through check) ends the task.
+  /// master's progress update and the failed-rank check. A non-OK status
+  /// (routed through check) ends the task.
   template <class P>
   Status commit(int stage, uint64_t id, P& pr);
   /// Charge the resume skip over pr.pos committed records (entries).
@@ -394,9 +394,6 @@ class FtJob {
   std::map<int, StageState> stages_;
   int stage_cursor_ = 0;
   int last_stage_ = -1;
-  /// A failure was already detected while constructing (the master-comm dup
-  /// is collective); run() recovers before the first driver attempt.
-  bool ctor_failure_ = false;
   bool primed_from_ckpt_ = false;
   int recoveries_ = 0;
   TimeBuckets times_;

@@ -47,11 +47,15 @@ Status IterDriver::run(FtJob& job) {
   if (first_pass_ && spec_.log != nullptr) {
     spec_.log->primed.emplace(spec_.submission, job.resumed_from_checkpoint());
   }
+  // Every rank of a resubmission joins the mutation's agreement, primed or
+  // not (a rank with no checkpoint of its own primes nothing): it is a
+  // collective, so a rank-local condition would mismatch it.
+  const bool restart_pass = first_pass_ && spec_.submission > 0;
   recoveries_seen_ = job.recoveries();
   first_pass_ = false;
 
-  if (job.options().testing_break_iteration_reuse && post_failure &&
-      !mutation_fired_) {
+  if (job.options().testing_break_iteration_reuse &&
+      (post_failure || restart_pass) && !mutation_fired_) {
     // Deliberately break reuse: invalidate the newest fully-completed round
     // so this replay re-executes it. Re-execution replays the round's
     // collectives, so every rank must pick the same victim — agree on the

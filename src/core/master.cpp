@@ -1,19 +1,10 @@
 #include "core/master.hpp"
 
 #include "common/hash.hpp"
-#include "common/log.hpp"
 
 namespace ftmr::core {
 
-namespace {
-constexpr int kStatusTag = 9001;
-}
-
-DistributedMaster::DistributedMaster(simmpi::Comm& mcomm, int status_interval_commits)
-    : mcomm_(mcomm), status_interval_(status_interval_commits) {
-  peer_obs_.resize(static_cast<size_t>(mcomm_.size()));
-  peer_obs_valid_.assign(static_cast<size_t>(mcomm_.size()), false);
-}
+DistributedMaster::DistributedMaster(simmpi::Comm& comm) : comm_(comm) {}
 
 std::vector<uint64_t> DistributedMaster::assign_tasks(size_t ntasks, int nranks,
                                                       int rank) {
@@ -25,121 +16,38 @@ std::vector<uint64_t> DistributedMaster::assign_tasks(size_t ntasks, int nranks,
 }
 
 void DistributedMaster::on_task_start(uint64_t task_id, uint64_t total_bytes) {
-  TaskStatus ts;
-  ts.task_id = task_id;
-  ts.owner = mcomm_.global_rank();
-  ts.state = TaskState::kRunning;
-  ts.bytes_done = 0;
-  ts.total_bytes = total_bytes;
-  local_.upsert(ts);
-  global_.upsert(ts);
+  record({.task_id = task_id, .state = TaskState::kRunning, .total_bytes = total_bytes});
 }
 
 void DistributedMaster::on_task_progress(uint64_t task_id, uint64_t records_done,
                                          uint64_t bytes_done) {
-  TaskStatus ts;
-  ts.task_id = task_id;
-  ts.owner = mcomm_.global_rank();
-  ts.state = TaskState::kRunning;
-  ts.records_done = records_done;
-  ts.bytes_done = bytes_done;
-  local_.upsert(ts);
-  global_.upsert(ts);
+  record({.task_id = task_id, .state = TaskState::kRunning,
+          .records_done = records_done, .bytes_done = bytes_done});
 }
 
 void DistributedMaster::on_task_done(uint64_t task_id, uint64_t records_done,
                                      uint64_t bytes_done) {
-  TaskStatus ts;
-  ts.task_id = task_id;
-  ts.owner = mcomm_.global_rank();
-  ts.state = TaskState::kDone;
-  ts.records_done = records_done;
-  ts.bytes_done = bytes_done;
+  record({.task_id = task_id, .state = TaskState::kDone,
+          .records_done = records_done, .bytes_done = bytes_done});
+}
+
+void DistributedMaster::record(TaskStatus ts) {
+  ts.owner = comm_.global_rank();
   local_.upsert(ts);
   global_.upsert(ts);
 }
 
-Status DistributedMaster::tick() {
-  if (++commits_since_exchange_ < status_interval_) return Status::Ok();
-  return exchange_now();
-}
-
 Status DistributedMaster::exchange_now() {
-  commits_since_exchange_ = 0;
-  if (auto s = broadcast_status(); !s.ok()) return s;
-  return drain_inbox();
-}
-
-Status DistributedMaster::broadcast_status() {
-  const double t0 = mcomm_.now();
-  ByteWriter w;
-  w.put<int32_t>(mcomm_.rank());
-  w.put<double>(units_done_);
-  w.put<double>(elapsed_);
-  w.put_blob(local_.encode());
-  Status first_error;
-  int sent = 0;
-  for (int r = 0; r < mcomm_.size(); ++r) {
-    if (r == mcomm_.rank()) continue;
-    // A send to a dead master is exactly how the gossip detects failures;
-    // remember the first error but keep informing the live peers.
-    if (auto s = mcomm_.send(r, kStatusTag, w.bytes()); !s.ok() && first_error.ok()) {
-      first_error = s;
-    } else if (s.ok()) {
-      sent++;
-    }
-  }
-  if (trace_) trace_->span("master.broadcast", "master", t0, mcomm_.now());
-  metrics::MetricsRegistry::global().add("master.status_sends",
-                                         mcomm_.global_rank(),
-                                         static_cast<double>(sent));
-  return first_error;
-}
-
-Status DistributedMaster::drain_inbox() {
-  const double t0 = mcomm_.now();
-  // How many status messages are in the inbox at poll time is a real-time
-  // race (peers send asynchronously); keep the racy iprobe/recv count off
-  // the deterministic op axis or every later op index would shift run to
-  // run, breaking op-addressed fault schedules.
-  simmpi::UncountedOps uncounted(mcomm_);
-  int drained = 0;
-  simmpi::MessageInfo info;
-  while (mcomm_.iprobe(simmpi::kAnySource, kStatusTag, &info)) {
-    Bytes msg;
-    if (auto s = mcomm_.recv(info.source, kStatusTag, msg); !s.ok()) return s;
-    ByteReader r(msg);
-    int32_t sender = 0;
-    double units = 0.0, elapsed = 0.0;
-    Bytes table_bytes;
-    if (auto s = r.get(sender); !s.ok()) return s;
-    if (auto s = r.get(units); !s.ok()) return s;
-    if (auto s = r.get(elapsed); !s.ok()) return s;
-    if (auto s = r.get_blob(table_bytes); !s.ok()) return s;
+  const double t0 = comm_.now();
+  std::vector<Bytes> tables;
+  if (auto s = comm_.allgather(local_.encode(), tables); !s.ok()) return s;
+  for (const Bytes& blob : tables) {
     TaskTable t;
-    if (auto s = TaskTable::decode(table_bytes, t); !s.ok()) return s;
+    if (auto s = TaskTable::decode(blob, t); !s.ok()) return s;
     global_.merge(t);
-    drained++;
-    if (sender >= 0 && sender < static_cast<int32_t>(peer_obs_.size())) {
-      peer_obs_[sender] = {units, elapsed};
-      peer_obs_valid_[sender] = true;
-    }
   }
-  if (trace_) trace_->span("master.drain", "master", t0, mcomm_.now());
-  if (drained > 0) {
-    metrics::MetricsRegistry::global().add("master.status_drained",
-                                           mcomm_.global_rank(),
-                                           static_cast<double>(drained));
-  }
+  if (trace_) trace_->span("master.broadcast", "master", t0, comm_.now());
   return Status::Ok();
-}
-
-std::optional<std::pair<double, double>> DistributedMaster::peer_observation(
-    int r) const {
-  if (r < 0 || r >= static_cast<int>(peer_obs_.size()) || !peer_obs_valid_[r]) {
-    return std::nullopt;
-  }
-  return peer_obs_[r];
 }
 
 }  // namespace ftmr::core

@@ -1,9 +1,11 @@
 // task.hpp — task descriptors and the master's status tables.
 //
 // Paper Sec. 3.3: each master thread keeps two task status tables — one for
-// its local tasks and one for all tasks globally, updated by periodic
-// status broadcasts — and assigns tasks to ranks with a deterministic hash
-// so no coordination is needed at startup.
+// its local tasks and one for all tasks globally — and assigns tasks to
+// ranks with a deterministic hash so no coordination is needed at startup.
+// The paper keeps the global table current by periodic broadcast; here the
+// masters allgather their local tables once per map phase, at the map
+// boundary (DistributedMaster::exchange_now).
 #pragma once
 
 #include <algorithm>
@@ -37,7 +39,7 @@ struct TaskStatus {
 };
 
 /// Status table: task id -> status. Used for both the local and the global
-/// view; the global view is merged from gossip.
+/// view; the global view is merged from the status exchange.
 class TaskTable {
  public:
   /// Insert or replace; the task's input size is sticky — progress updates

@@ -73,19 +73,6 @@ int64_t Comm::ops_issued() const {
   return job_->ranks[global_rank_].op_count;
 }
 
-void Comm::begin_uncounted_ops() {
-  if (job_ == nullptr) return;
-  MutexLock lock(job_->mu);
-  job_->ranks[global_rank_].uncounted_depth++;
-}
-
-void Comm::end_uncounted_ops() {
-  if (job_ == nullptr) return;
-  MutexLock lock(job_->mu);
-  auto& depth = job_->ranks[global_rank_].uncounted_depth;
-  if (depth > 0) depth--;
-}
-
 void Comm::compute(double seconds) {
   MutexLock lock(job_->mu);
   job_->check_callable_locked(global_rank_);

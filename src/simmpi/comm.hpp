@@ -91,14 +91,6 @@ class Comm {
   /// scheduling a kill at it reproduces the failure at the same MPI call
   /// on a deterministic rerun.
   [[nodiscard]] int64_t ops_issued() const;
-  /// Enter/leave an *uncounted* section: MPI calls made inside do not
-  /// advance the op counter (kill triggers and vtime still apply). Polling
-  /// loops whose iteration count depends on real-time message arrival (the
-  /// master's status-inbox drain) must wrap themselves in one, or the racy
-  /// poll count would shift every later op index and break the determinism
-  /// contract ops_issued() documents. Prefer the UncountedOps RAII guard.
-  void begin_uncounted_ops();
-  void end_uncounted_ops();
   /// Advance the virtual clock by `seconds` of modeled computation. May
   /// throw KilledError if a scheduled failure time is crossed.
   void compute(double seconds);
@@ -224,21 +216,6 @@ class Comm {
   int global_rank_ = -1;
   int rel_rank_ = -1;
   ErrorHandler errhandler_;
-};
-
-/// RAII guard for Comm::begin_uncounted_ops/end_uncounted_ops. Exception-
-/// safe: a KilledError thrown by a poll inside the section still restores
-/// the counter on unwind (the depth lives in job state keyed by rank, so a
-/// dead rank's leaked depth is harmless anyway).
-class UncountedOps {
- public:
-  explicit UncountedOps(Comm& c) : comm_(c) { comm_.begin_uncounted_ops(); }
-  ~UncountedOps() { comm_.end_uncounted_ops(); }
-  UncountedOps(const UncountedOps&) = delete;
-  UncountedOps& operator=(const UncountedOps&) = delete;
-
- private:
-  Comm& comm_;
 };
 
 }  // namespace ftmr::simmpi

@@ -50,7 +50,7 @@ void Job::check_callable(int rank) {
   MutexLock lock(mu);
   check_callable_locked(rank);
   RankState& st = ranks[rank];
-  if (st.uncounted_depth == 0) st.op_count++;
+  st.op_count++;
   if (st.kill_after_ops >= 0 && st.op_count >= st.kill_after_ops) {
     die_locked(rank);
     throw KilledError();

@@ -130,10 +130,6 @@ struct RankState {
   int exit_code = 0;
   double vtime = 0.0;
   int64_t op_count = 0;
-  /// Depth of nested Comm uncounted-ops sections: while > 0, MPI calls do
-  /// not advance op_count (kill triggers still fire). Keeps real-time-racy
-  /// polling loops off the deterministic op axis.
-  int64_t uncounted_depth = 0;
   // Failure injection triggers (either may be set).
   double kill_vtime = -1.0;
   int64_t kill_after_ops = -1;

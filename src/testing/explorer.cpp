@@ -710,9 +710,14 @@ Status Explorer::harvest() {
     bool wanted = false;
     for (std::string_view c : kCats) wanted = wanted || e.cat == c;
     if (!wanted) continue;
-    by_op.emplace(e.op, e.cat + ":" + e.name);  // first writer wins
+    // First writer wins, except that a round boundary takes over the label
+    // of the op it shares: a round starts and ends on a phase event's op.
+    auto [it, fresh] = by_op.emplace(e.op, e.cat + ":" + e.name);
+    if (!fresh && e.cat == "iter" && !it->second.starts_with("iter:")) {
+      it->second = e.cat + ":" + e.name;
+    }
   }
-  // Boundary ops: the very first calls (job construction collectives) and
+  // Boundary ops: the very first calls (the job's first collectives) and
   // each rank's final op, which no trace event lands exactly on.
   by_op.emplace(1, "boundary:first-op");
   by_op.emplace(2, "boundary:second-op");

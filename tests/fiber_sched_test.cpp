@@ -37,9 +37,9 @@ constexpr int kMaxRanks = 2048;
 namespace ftmr::simmpi {
 namespace {
 
-// Workload mixing counted ops (send/recv/allreduce/barrier) with uncounted
-// polling, the same shape engine code has. Counted-op totals must not
-// depend on how fibers interleave.
+// Workload mixing point-to-point ops, probes and collectives, the same
+// shape engine code has. Op totals must not depend on how fibers
+// interleave.
 void mixed_workload(Comm& c) {
   const int n = c.size();
   const int r = c.rank();
@@ -51,12 +51,7 @@ void mixed_workload(Comm& c) {
         c.send_string(dst, 7, std::to_string(iter * n + r)).ok());
     ASSERT_TRUE(c.recv(src, 7, buf).ok());
     EXPECT_EQ(to_string_copy(buf), std::to_string(iter * n + src));
-    {
-      // Uncounted polling must stay off the op axis no matter how often
-      // the scheduler lets it spin.
-      UncountedOps guard(c);
-      (void)c.iprobe(kAnySource, 99);
-    }
+    (void)c.iprobe(kAnySource, 99);
     int64_t sum = 0;
     ASSERT_TRUE(c.allreduce_one(ReduceOp::kSum, int64_t{1}, sum).ok());
     EXPECT_EQ(sum, n);
@@ -113,7 +108,6 @@ TEST(BatchedMailbox, ManyToOneLosesNothingKeepsSenderOrder) {
       }
       // Every stream complete, and nothing left over (no duplication).
       for (int s = 1; s <= kSenders; ++s) EXPECT_EQ(next[s], kMsgs);
-      UncountedOps guard(c);
       EXPECT_FALSE(c.iprobe(kAnySource, 5)) << "duplicate delivery";
     } else {
       for (int i = 0; i < kMsgs; ++i) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <charconv>
 #include <map>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "core/ftjob.hpp"
@@ -130,14 +131,21 @@ class ModeSweep : public ::testing::TestWithParam<FtMode> {};
 TEST_P(ModeSweep, FailureFreeOutputCorrect) {
   World w;
   const FtJobOptions opts = base_opts(GetParam());
+  std::vector<Bytes> tables(4);  // each rank's encoded global table
   JobResult r = Runtime::run(4, [&](Comm& c) {
     FtJob job(c, w.fs.get(), opts);
     Status s = job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
     EXPECT_TRUE(s.ok()) << s.to_string();
     EXPECT_EQ(job.recoveries(), 0);
+    const TaskTable& global = job.master().global_table();
+    EXPECT_EQ(global.size(), 12u) << "rank " << c.rank();
+    EXPECT_EQ(global.done_count(), 12u) << "rank " << c.rank();
+    tables[static_cast<size_t>(c.rank())] = global.encode();
   });
   EXPECT_EQ(r.finished_count(), 4);
   EXPECT_EQ(w.read_output(), w.expected);
+  // The map-boundary exchange leaves every master with the same table.
+  for (size_t i = 1; i < tables.size(); ++i) EXPECT_EQ(tables[i], tables[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ModeSweep,

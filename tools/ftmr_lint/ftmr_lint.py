@@ -76,7 +76,7 @@ DEFAULT_CONFIG = {
     ],
     # Members forming the deterministic kill-addressing axis.
     "watched_members": [
-        "staged", "waiting", "mailbox", "op_count", "uncounted_depth",
+        "staged", "waiting", "mailbox", "op_count",
     ],
     "mutating_methods": [
         "push_back", "push_front", "pop_back", "pop_front", "clear",
