@@ -359,17 +359,12 @@ Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
               << s.to_string();
     return Status::Ok();
   }
-  const std::string stamped = with_drain_stamp(probe, done_at);
-  // Rename the drained copy to carry its stamp. If the rename chain fails
-  // the unstamped probe remains readable, so this too degrades instead of
-  // failing the job.
-  Bytes data;
-  if (auto s = fs_->read_file(storage::Tier::kShared, node_, probe, data);
-      !s.ok()) {
-    integ_.drain_failures++;
-    return Status::Ok();
-  }
-  if (auto s = fs_->write_file(storage::Tier::kShared, node_, stamped, data);
+  // Copy the drained file to its stamped name, then drop the probe. The
+  // copy reads and writes the shared tier (and draws its faults) like any
+  // copy, but on the host it only links. If it fails the unstamped probe
+  // remains readable, so this too degrades instead of failing the job.
+  if (auto s = fs_->copy(storage::Tier::kShared, node_, probe, storage::Tier::kShared,
+                         node_, with_drain_stamp(probe, done_at));
       !s.ok()) {
     integ_.drain_failures++;
     return Status::Ok();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/log.hpp"
 
@@ -312,8 +313,9 @@ Request Comm::irecv(int src, int tag, Bytes* out, MessageInfo* info) {
 // the collective rendezvous: join, settle, compute once, pick up
 // ---------------------------------------------------------------------------
 
-Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute,
-                            Bytes* result_out, std::vector<Bytes>* row) {
+Status Comm::run_collective(CollectiveKind kind, Bytes contribution,
+                            const CollectiveCompute& compute, Bytes* result_out,
+                            std::vector<Bytes>* row) {
   job_->check_callable(global_rank_);
   MutexLock lock(job_->mu);
   if (state_->revoked) {
@@ -322,7 +324,8 @@ Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute
   }
   const uint64_t seq = job_->ranks[global_rank_].coll_seq[state_->ctx]++;
   const SlotKey key{state_->ctx, slot_seq(kNsNormal, seq)};
-  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, std::move(contribution));
+  auto slot =
+      job_->join_slot_locked(key, *state_, rel_rank_, kind, std::move(contribution));
   if (row) slot->rows[rel_rank_] = std::move(*row);
 
   for (;;) {
@@ -333,10 +336,12 @@ Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute
     }
     if (slot->computed) break;
     if (job_->settled_locked(*slot, *state_)) {
-      // A dead member fails the collective for every participant.
+      // A dead member fails the collective for every participant, and
+      // mismatched kinds skip compute so no payload is decoded as the
+      // wrong collective's.
       if (job_->any_dead_in_locked(*state_)) {
         slot->failed = true;
-      } else {
+      } else if (!slot->mismatched) {
         compute(*slot, *state_, *job_);
       }
       slot->computed = true;
@@ -349,9 +354,14 @@ Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute
     }
   }
 
+  const bool mismatched = slot->mismatched;
   Job::Pickup mine = job_->pickup_locked(key, *slot, *state_, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
+  if (mismatched) {
+    return handle({ErrorCode::kInternal,
+                   "collective: ranks issued different collectives at one position"});
+  }
   if (mine.failed) {
     return handle({ErrorCode::kProcFailed, "collective: participant died"});
   }
@@ -366,14 +376,15 @@ Status Comm::run_collective(Bytes contribution, const CollectiveCompute& compute
 // failure still pair up. The epoch is bumped by whichever rank computes the
 // slot, inside the same critical section, so a rank entering afterwards
 // joins the *next* logical operation.
-Status Comm::run_tolerant(uint64_t ns, Bytes contribution,
+Status Comm::run_tolerant(uint64_t ns, CollectiveKind kind, Bytes contribution,
                           const CollectiveCompute& compute, Bytes* result_out) {
   job_->check_callable(global_rank_);
   MutexLock lock(job_->mu);
   const SlotKey epoch_key{state_->ctx, ns};
   const uint64_t epoch = job_->tol_epochs[epoch_key];
   const SlotKey key{state_->ctx, slot_seq(ns, epoch)};
-  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, std::move(contribution));
+  auto slot =
+      job_->join_slot_locked(key, *state_, rel_rank_, kind, std::move(contribution));
 
   for (;;) {
     job_->check_callable_locked(global_rank_);
@@ -421,7 +432,7 @@ Status Comm::barrier() {
   auto compute = [alpha](CollectiveSlot& slot, const CommState& cs, Job&) {
     slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()));
   };
-  return run_collective({}, compute, nullptr);
+  return run_collective(CollectiveKind::kBarrier, {}, compute, nullptr);
 }
 
 Status Comm::bcast(int root, Bytes& data) {
@@ -439,7 +450,8 @@ Status Comm::bcast(int root, Bytes& data) {
     slot.finish_all(t, &payload);
   };
   Bytes result;
-  Status s = run_collective(std::move(contribution), compute, &result);
+  Status s =
+      run_collective(CollectiveKind::kBcast, std::move(contribution), compute, &result);
   if (s.ok()) data = std::move(result);
   return s;
 }
@@ -488,8 +500,12 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
     slot.finish_all(t, to_all ? &result : nullptr);
     if (!to_all) slot.results[root] = std::move(result);
   };
+  constexpr bool kF64 = std::is_same_v<T, double>;
+  const CollectiveKind kind =
+      to_all ? (kF64 ? CollectiveKind::kAllreduceF64 : CollectiveKind::kAllreduceI64)
+             : (kF64 ? CollectiveKind::kReduceF64 : CollectiveKind::kReduceI64);
   Bytes result;
-  Status s = run_collective(std::move(w).take(), compute, &result);
+  Status s = run_collective(kind, std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -577,7 +593,8 @@ Status Comm::gather_impl(int root, std::span<const std::byte> in,
     slot.results[root] = std::move(result);
   };
   Bytes result;
-  Status s = run_collective(Bytes(in.begin(), in.end()), compute, &result);
+  Status s = run_collective(to_all ? CollectiveKind::kAllgather : CollectiveKind::kGather,
+                            Bytes(in.begin(), in.end()), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -628,7 +645,7 @@ Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
           static_cast<double>(send_bytes[dst] + recv_bytes[dst]) / net.bandwidth_Bps;
     }
   };
-  Status s = run_collective({}, compute, nullptr, &send);
+  Status s = run_collective(CollectiveKind::kAlltoall, {}, compute, nullptr, &send);
   if (!s.ok()) return s;
   recv = std::move(send);
   return Status::Ok();
@@ -643,7 +660,7 @@ Status Comm::dup(Comm& out, bool accounts_time) {
     slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
-  Status s = run_collective({}, compute, &result);
+  Status s = run_collective(CollectiveKind::kDup, {}, compute, &result);
   if (!s.ok()) return s;
   return bind_new_comm(result, out);
 }
@@ -690,7 +707,7 @@ Status Comm::split(int color, int key, Comm& out) {
     }
   };
   Bytes result;
-  Status s = run_collective(std::move(w).take(), compute, &result);
+  Status s = run_collective(CollectiveKind::kSplit, std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   return bind_new_comm(result, out);
 }
@@ -734,7 +751,7 @@ Status Comm::shrink(Comm& out) {
     slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
-  Status s = run_tolerant(kNsShrink, {}, compute, &result);
+  Status s = run_tolerant(kNsShrink, CollectiveKind::kShrink, {}, compute, &result);
   if (!s.ok()) return s;
   return bind_new_comm(result, out);
 }
@@ -758,7 +775,8 @@ Status Comm::agree(int& flag) {
     slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
-  Status s = run_tolerant(kNsAgree, std::move(w).take(), compute, &result);
+  Status s = run_tolerant(kNsAgree, CollectiveKind::kAgree, std::move(w).take(), compute,
+                          &result);
   if (!s.ok()) return s;
   ByteReader reader(result);
   int32_t v = 0;

@@ -188,15 +188,17 @@ class Comm {
   /// revoked comm and when a member is dead (shrink/agree use run_tolerant
   /// instead). A non-null `row` is deposited by move into slot.rows and, on
   /// success only, replaced by this rank's slot.rows entry after compute
-  /// (alltoall's transpose).
-  Status run_collective(Bytes contribution, const CollectiveCompute& compute,
-                        Bytes* result_out, std::vector<Bytes>* row = nullptr);
+  /// (alltoall's transpose). If the ranks issued different `kind`s at this
+  /// position, compute never runs and every participant fails kInternal.
+  Status run_collective(CollectiveKind kind, Bytes contribution,
+                        const CollectiveCompute& compute, Bytes* result_out,
+                        std::vector<Bytes>* row = nullptr);
 
   /// Failure-tolerant rendezvous (shrink/agree): proceeds once every *alive*
   /// member has arrived, keyed by a shared epoch rather than per-rank
   /// sequence numbers. Ignores revocation.
-  Status run_tolerant(uint64_t ns, Bytes contribution, const CollectiveCompute& compute,
-                      Bytes* result_out);
+  Status run_tolerant(uint64_t ns, CollectiveKind kind, Bytes contribution,
+                      const CollectiveCompute& compute, Bytes* result_out);
 
   /// Bind `out` to the communicator whose ctx is encoded in `result`
   /// (dup/split/shrink); ctx 0 yields an invalid Comm.

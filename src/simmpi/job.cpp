@@ -121,9 +121,15 @@ uint64_t Job::register_comm_locked(std::vector<int> group, bool accounts_time) {
 
 std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
                                                       const CommState& cs, int rel,
+                                                      CollectiveKind kind,
                                                       Bytes contribution) {
   auto& slot = slots[key];
-  if (!slot) slot = std::make_shared<CollectiveSlot>();
+  if (!slot) {
+    slot = std::make_shared<CollectiveSlot>();
+    slot->kind = kind;
+  } else if (slot->kind != kind) {
+    slot->mismatched = true;
+  }
   slot->contribs[rel] = std::move(contribution);
   slot->arrive_vtime[rel] = cs.accounts_time ? ranks[cs.group[rel]].vtime : 0.0;
   // No wake here: intermediate arrivals don't change a parked waiter's

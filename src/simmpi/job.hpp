@@ -69,6 +69,25 @@ struct CommState {
   }
 };
 
+/// Which collective a slot serves. Ranks that issue different collectives
+/// at the same position on a comm meet in one slot; the kind tag turns that
+/// into an error instead of one collective decoding the other's payloads.
+enum class CollectiveKind : uint8_t {
+  kBarrier,
+  kBcast,
+  kReduceF64,
+  kReduceI64,
+  kAllreduceF64,
+  kAllreduceI64,
+  kGather,
+  kAllgather,
+  kAlltoall,
+  kDup,
+  kSplit,
+  kShrink,
+  kAgree,
+};
+
 /// Rendezvous state for one arrival-synchronized collective call.
 /// Keyed by (ctx, per-rank call sequence number); MPI requires all ranks to
 /// issue collectives on a comm in the same order, which makes the sequence
@@ -82,6 +101,8 @@ struct CollectiveSlot {
   /// alltoall only: rel rank -> its send row on arrival, transposed in
   /// place (by move) into its receive column by the last arriver.
   std::map<int, std::vector<Bytes>> rows;
+  CollectiveKind kind{};  // set by the first arrival
+  bool mismatched = false;  // a later arrival's kind differed: no compute
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
   int pickups = 0;      // alive ranks that have taken their result
@@ -225,10 +246,12 @@ class Job {
 
   // ---- the collective rendezvous (see DESIGN.md "Collective rendezvous") ----
 
-  /// Join: find or create the slot at `key` and deposit comm-relative
-  /// `rel`'s contribution and arrival clock.
+  /// Join: find or create the slot at `key`, tag a new slot with `kind`
+  /// (or mark an existing one of another kind mismatched), and deposit
+  /// comm-relative `rel`'s contribution and arrival clock.
   std::shared_ptr<CollectiveSlot> join_slot_locked(const SlotKey& key,
                                                    const CommState& cs, int rel,
+                                                   CollectiveKind kind,
                                                    Bytes contribution) FTMR_REQUIRES(mu);
 
   /// Complete-check: true once every member of `cs` has arrived at `slot`

@@ -1,9 +1,11 @@
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #include "storage/storage.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
+#include <cerrno>
 #include <system_error>
 
 #include "common/hash.hpp"
@@ -13,6 +15,98 @@
 namespace ftmr::storage {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+// Host files are immutable once written: a truncating write replaces its
+// path with a new file, and an append first gives a file whose bytes
+// another name shares a private copy. So copy() can share bytes across
+// tiers through hard links, and remove() and wipe_node_local() only drop
+// names.
+
+/// Run `op`, a syscall that creates `p`; if it fails for want of a parent
+/// directory, create the directories and run it once more.
+template <typename Op>
+int creating_parents(const fs::path& p, Op&& op) {
+  int rc = op();
+  if (rc < 0 && errno == ENOENT) {
+    std::error_code ec;
+    fs::create_directories(p.parent_path(), ec);
+    rc = op();
+  }
+  return rc;
+}
+
+/// The one host read: the whole file at `p` into `out`.
+Status load(const fs::path& p, Bytes& out) {
+  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {ErrorCode::kNotFound, "read_file: no such file " + p.string()};
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    out.resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < out.size()) {
+      const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    ok = got == out.size();
+  }
+  ::close(fd);
+  if (!ok) return {ErrorCode::kIo, "read_file: short read from " + p.string()};
+  return Status::Ok();
+}
+
+/// The one host write: `data` as the new file at `p`, or appended to it.
+Status persist(const fs::path& p, std::span<const std::byte> data, bool append) {
+  const char* op = append ? "append" : "write";
+  if (append) {
+    struct stat st {};
+    if (::stat(p.c_str(), &st) == 0 && st.st_nlink > 1) {
+      Bytes whole;
+      if (auto s = load(p, whole); !s.ok()) return s;
+      whole.insert(whole.end(), data.begin(), data.end());
+      return persist(p, whole, /*append=*/false);
+    }
+  } else {
+    (void)::unlink(p.c_str());
+  }
+  const int flags = O_WRONLY | O_CREAT | O_CLOEXEC | (append ? O_APPEND : O_TRUNC);
+  const int fd = creating_parents(p, [&] { return ::open(p.c_str(), flags, 0644); });
+  if (fd < 0) {
+    return {ErrorCode::kIo, std::string(op) + "_file: cannot open " + p.string()};
+  }
+  bool ok = true;
+  while (ok && !data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) data = data.subspan(static_cast<size_t>(n));
+  }
+  if (::close(fd) != 0) ok = false;
+  if (!ok) {
+    return {ErrorCode::kIo, std::string(op) + "_file: short write to " + p.string()};
+  }
+  return Status::Ok();
+}
+
+/// Make `dst` another name of `src`'s bytes, replacing any file there.
+/// False when the file system refuses the link.
+bool link_over(const fs::path& src, const fs::path& dst) {
+  const auto link = [&] { return ::link(src.c_str(), dst.c_str()); };
+  if (creating_parents(dst, link) == 0) return true;
+  if (errno != EEXIST) return false;
+  struct stat a {}, b {};
+  if (::stat(src.c_str(), &a) == 0 && ::stat(dst.c_str(), &b) == 0 &&
+      a.st_dev == b.st_dev && a.st_ino == b.st_ino) {
+    return true;  // already one file, e.g. a copy onto itself
+  }
+  return ::unlink(dst.c_str()) == 0 && link() == 0;
+}
+
+}  // namespace
 
 StorageSystem::StorageSystem(StorageOptions opts)
     : opts_(std::move(opts)),
@@ -162,67 +256,54 @@ Status StorageSystem::append_file(Tier tier, int node, std::string_view path,
                     /*append=*/true);
 }
 
+Status StorageSystem::decide_read(Tier tier, std::string_view path, bool* corrupt) {
+  if (auto s = check_tier(tier); !s.ok()) return s;
+  MutexLock lock(stats_mu_);
+  return injector_.read_fault(faults_of(tier), path, corrupt);
+}
+
+Status StorageSystem::decide_write(Tier tier, std::string_view path, size_t size,
+                                   size_t* prefix) {
+  if (auto s = check_tier(tier); !s.ok()) return s;
+  MutexLock lock(stats_mu_);
+  return injector_.write_fault(faults_of(tier), path, size, prefix);
+}
+
+void StorageSystem::book_read(Tier tier, size_t bytes, Bytes* data, bool corrupt) {
+  MutexLock lock(stats_mu_);
+  if (corrupt) injector_.flip_bit(*data);
+  TierStats& st = stats_of(tier);
+  st.bytes_read += bytes;
+  st.read_ops++;
+}
+
+void StorageSystem::book_write(Tier tier, size_t bytes) {
+  MutexLock lock(stats_mu_);
+  TierStats& st = stats_of(tier);
+  st.bytes_written += bytes;
+  st.write_ops++;
+}
+
 Status StorageSystem::write_body(Tier tier, int node, std::string_view path,
                                  std::span<const std::byte> data,
                                  double* sim_cost, int concurrency,
                                  bool append) {
-  const char* op = append ? "append" : "write";
-  if (auto s = check_tier(tier); !s.ok()) return s;
   size_t prefix = 0;
-  {
-    MutexLock lock(stats_mu_);
-    Status s = injector_.write_fault(faults_of(tier), path, data.size(), &prefix);
-    if (!s.ok()) return s;
-  }
+  if (auto s = decide_write(tier, path, data.size(), &prefix); !s.ok()) return s;
   data = data.first(prefix);
-  const fs::path p = real_path(tier, node, path);
-  std::error_code ec;
-  fs::create_directories(p.parent_path(), ec);
-  std::ofstream f(p, std::ios::binary |
-                         (append ? std::ios::app : std::ios::trunc));
-  if (!f) {
-    return {ErrorCode::kIo, std::string(op) + "_file: cannot open " + p.string()};
-  }
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  if (!f) {
-    return {ErrorCode::kIo, std::string(op) + "_file: short write to " + p.string()};
-  }
+  if (auto s = persist(real_path(tier, node, path), data, append); !s.ok()) return s;
   if (sim_cost) *sim_cost = cost_of(tier, data.size(), 1, concurrency);
-  {
-    MutexLock lock(stats_mu_);
-    TierStats& st = (tier == Tier::kLocal) ? local_stats_ : shared_stats_;
-    st.bytes_written += data.size();
-    st.write_ops++;
-  }
+  book_write(tier, data.size());
   return Status::Ok();
 }
 
 Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
                                 Bytes& out, double* sim_cost, int concurrency) {
-  if (auto s = check_tier(tier); !s.ok()) return s;
   bool corrupt = false;
-  {
-    MutexLock lock(stats_mu_);
-    Status s = injector_.read_fault(faults_of(tier), path, &corrupt);
-    if (!s.ok()) return s;
-  }
-  const fs::path p = real_path(tier, node, path);
-  std::ifstream f(p, std::ios::binary | std::ios::ate);
-  if (!f) return {ErrorCode::kNotFound, "read_file: no such file " + p.string()};
-  const auto size = f.tellg();
-  f.seekg(0);
-  out.resize(static_cast<size_t>(size));
-  f.read(reinterpret_cast<char*>(out.data()), size);
-  if (!f) return {ErrorCode::kIo, "read_file: short read from " + p.string()};
+  if (auto s = decide_read(tier, path, &corrupt); !s.ok()) return s;
+  if (auto s = load(real_path(tier, node, path), out); !s.ok()) return s;
   if (sim_cost) *sim_cost = cost_of(tier, out.size(), 1, concurrency);
-  {
-    MutexLock lock(stats_mu_);
-    if (corrupt) injector_.flip_bit(out);
-    TierStats& st = (tier == Tier::kLocal) ? local_stats_ : shared_stats_;
-    st.bytes_read += out.size();
-    st.read_ops++;
-  }
+  book_read(tier, out.size(), &out, corrupt);
   return Status::Ok();
 }
 
@@ -256,7 +337,7 @@ Status StorageSystem::list_dir(Tier tier, int node, std::string_view dir,
   for (auto it = fs::recursive_directory_iterator(base, ec);
        !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (it->is_regular_file(ec)) {
-      names.push_back(fs::relative(it->path(), base, ec).generic_string());
+      names.push_back(it->path().lexically_relative(base).generic_string());
     }
   }
   std::sort(names.begin(), names.end());
@@ -266,17 +347,40 @@ Status StorageSystem::list_dir(Tier tier, int node, std::string_view dir,
 Status StorageSystem::copy(Tier src_tier, int src_node, std::string_view src_path,
                            Tier dst_tier, int dst_node, std::string_view dst_path,
                            double* sim_cost, int concurrency) {
+  // read_file(src)'s decision, cost and booking; the bytes are loaded only
+  // when a corrupt read makes the destination differ from the source.
+  bool corrupt = false;
+  if (auto s = decide_read(src_tier, src_path, &corrupt); !s.ok()) return s;
+  const fs::path src = real_path(src_tier, src_node, src_path);
   Bytes data;
-  double read_cost = 0.0, write_cost = 0.0;
-  if (auto s = read_file(src_tier, src_node, src_path, data, &read_cost, concurrency);
-      !s.ok()) {
-    return s;
+  size_t size = 0;
+  if (corrupt) {
+    if (auto s = load(src, data); !s.ok()) return s;
+    size = data.size();
+  } else {
+    struct stat st {};
+    if (::stat(src.c_str(), &st) != 0) {
+      return {ErrorCode::kNotFound, "read_file: no such file " + src.string()};
+    }
+    size = static_cast<size_t>(st.st_size);
   }
-  if (auto s = write_file(dst_tier, dst_node, dst_path, data, &write_cost, concurrency);
-      !s.ok()) {
-    return s;
+  const double read_cost = cost_of(src_tier, size, 1, concurrency);
+  book_read(src_tier, size, &data, corrupt);
+
+  // write_file(dst)'s decision, cost and booking; a destination whose
+  // bytes equal the source's shares them.
+  size_t prefix = 0;
+  if (auto s = decide_write(dst_tier, dst_path, size, &prefix); !s.ok()) return s;
+  const fs::path dst = real_path(dst_tier, dst_node, dst_path);
+  if (corrupt || prefix < size || !link_over(src, dst)) {
+    if (!corrupt) {
+      if (auto s = load(src, data); !s.ok()) return s;
+    }
+    const auto bytes = std::span<const std::byte>(data).first(std::min(prefix, data.size()));
+    if (auto s = persist(dst, bytes, /*append=*/false); !s.ok()) return s;
   }
-  if (sim_cost) *sim_cost = read_cost + write_cost;
+  if (sim_cost) *sim_cost = read_cost + cost_of(dst_tier, prefix, 1, concurrency);
+  book_write(dst_tier, prefix);
   return Status::Ok();
 }
 

@@ -223,12 +223,15 @@ class StorageSystem {
 
   /// Write (create/truncate) a file. `node` namespaces the local tier
   /// (each compute node has its own disk); ignored for kShared.
-  /// On success `*sim_cost` (if non-null) is the modeled time.
+  /// On success `*sim_cost` (if non-null) is the modeled time. The write
+  /// replaces the path with a new file, so a copy() that shares the old
+  /// one keeps its bytes.
   Status write_file(Tier tier, int node, std::string_view path,
                     std::span<const std::byte> data, double* sim_cost = nullptr,
                     int concurrency = 1);
 
-  /// Append to a file (creating it if needed).
+  /// Append to a file (creating it if needed). A file that shares its
+  /// bytes with a copy() gets a private copy first.
   Status append_file(Tier tier, int node, std::string_view path,
                      std::span<const std::byte> data, double* sim_cost = nullptr,
                      int concurrency = 1);
@@ -239,13 +242,19 @@ class StorageSystem {
   [[nodiscard]] bool exists(Tier tier, int node, std::string_view path) const;
   [[nodiscard]] int64_t file_size(Tier tier, int node, std::string_view path) const;
 
+  /// Drop a path (recursively); copies of its files keep their bytes.
   Status remove(Tier tier, int node, std::string_view path);
   /// Recursively list file paths (relative) under a logical directory.
   Status list_dir(Tier tier, int node, std::string_view dir,
                   std::vector<std::string>& names) const;
 
-  /// Copy a file across tiers (the copier/prefetcher primitive). The cost
-  /// is read(src tier) + write(dst tier).
+  /// Copy a file across tiers (the copier/prefetcher primitive). Draws the
+  /// faults and books the TierStats and cost of read_file(src) followed by
+  /// write_file(dst), in that order. On the host it is copy-on-write: when
+  /// the destination's bytes would equal the source's (no corrupt read, no
+  /// torn write) the destination becomes a hard link to the source, since
+  /// files are immutable once written (see write_file/append_file). Only a
+  /// faulted copy, or one the file system refuses to link, writes bytes.
   Status copy(Tier src_tier, int src_node, std::string_view src_path,
               Tier dst_tier, int dst_node, std::string_view dst_path,
               double* sim_cost = nullptr, int concurrency = 1);
@@ -290,8 +299,23 @@ class StorageSystem {
                     std::span<const std::byte> data, double* sim_cost,
                     int concurrency, bool append) FTMR_EXCLUDES(stats_mu_);
 
+  /// The halves that read_file, write_body and copy share. decide_read and
+  /// decide_write check the tier and draw the operation's injected fault;
+  /// book_read flips the drawn bit of a corrupt read's `*data` and counts
+  /// the read, book_write counts the write.
+  Status decide_read(Tier tier, std::string_view path, bool* corrupt)
+      FTMR_EXCLUDES(stats_mu_);
+  Status decide_write(Tier tier, std::string_view path, size_t size, size_t* prefix)
+      FTMR_EXCLUDES(stats_mu_);
+  void book_read(Tier tier, size_t bytes, Bytes* data, bool corrupt)
+      FTMR_EXCLUDES(stats_mu_);
+  void book_write(Tier tier, size_t bytes) FTMR_EXCLUDES(stats_mu_);
+
   const TierFaults& faults_of(Tier tier) const FTMR_REQUIRES(stats_mu_) {
     return tier == Tier::kLocal ? local_faults_ : shared_faults_;
+  }
+  TierStats& stats_of(Tier tier) FTMR_REQUIRES(stats_mu_) {
+    return tier == Tier::kLocal ? local_stats_ : shared_stats_;
   }
 
   // `opts_` is immutable after construction; real file I/O is delegated to

@@ -907,6 +907,80 @@ TEST(FaultyRecovery, ProbabilisticBitRotAndProcessKillStillExactOutput) {
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
+// Draw-order parity pin: on one worker thread with an op-indexed kill the
+// fault injector's draws land in one fixed order, so the exact fault
+// counts, the recovery they force and the file tiers' counters repeat run
+// after run. Any change to the order or number of draws, or to the bytes
+// and operations a write, copy, drain stamp or recovery read books, moves
+// these numbers.
+TEST(DrawOrderParity, SeededWcKillPinsFaultsIntegrityAndTierStats) {
+  FaultyCluster cl;
+  storage::FaultInjectorConfig fc;
+  fc.seed = 0x9a11a5ULL;  // fixed, not test_seed(): the counts are pinned
+  for (storage::TierFaults* f : {&fc.local, &fc.shared}) {
+    f->p_torn_write = 0.05;
+    f->p_corrupt_read = 0.05;
+    f->p_read_fail = 0.05;
+  }
+  fc.path_filter = "ck/";
+  cl.fs->set_fault_injector(fc);
+
+  simmpi::JobOptions jo;
+  jo.worker_threads = 1;
+  jo.kills.push_back({1, /*vtime=*/-1.0, /*after_ops=*/5});
+  IntegrityStats total;
+  int finished = 0;
+  std::mutex mu;
+  Runtime::run(4, [&](Comm& c) {
+    FtJobOptions o;
+    o.mode = FtMode::kDetectResumeWC;
+    o.ppn = 2;
+    o.ckpt.records_per_ckpt = 16;
+    FtJob job(c, cl.fs.get(), o);
+    Status s = job.run(wc_driver);
+    EXPECT_TRUE(s.ok()) << s.to_string();
+    const IntegrityStats st = job.ckpt().integrity();
+    std::lock_guard<std::mutex> lock(mu);
+    finished++;
+    total.corrupt_frames += st.corrupt_frames;
+    total.io_retries += st.io_retries;
+    total.tier_fallbacks += st.tier_fallbacks;
+    total.files_quarantined += st.files_quarantined;
+    total.segments_reprocessed += st.segments_reprocessed;
+    total.ckpt_write_failures += st.ckpt_write_failures;
+    total.drain_failures += st.drain_failures;
+  }, jo);
+  cl.fs->clear_fault_injector();
+  EXPECT_EQ(finished, 3);  // rank 1 was killed
+  EXPECT_EQ(cl.read_output(), cl.expected);
+
+  const storage::FaultStats f = cl.fs->fault_stats();
+  EXPECT_EQ(f.write_failures, 0);
+  EXPECT_EQ(f.torn_writes, 13);
+  EXPECT_EQ(f.read_failures, 8);
+  EXPECT_EQ(f.corrupt_reads, 9);
+  EXPECT_EQ(f.count_failures, 0);
+
+  EXPECT_EQ(total.corrupt_frames, 16);
+  EXPECT_EQ(total.io_retries, 13);
+  EXPECT_EQ(total.tier_fallbacks, 4);
+  EXPECT_EQ(total.files_quarantined, 0);
+  EXPECT_EQ(total.segments_reprocessed, 0);
+  EXPECT_EQ(total.ckpt_write_failures, 0);
+  EXPECT_EQ(total.drain_failures, 2);
+
+  const storage::TierStats lo = cl.fs->stats(storage::Tier::kLocal);
+  EXPECT_EQ(lo.bytes_written, 135136u);
+  EXPECT_EQ(lo.bytes_read, 140396u);
+  EXPECT_EQ(lo.write_ops, 86);
+  EXPECT_EQ(lo.read_ops, 90);
+  const storage::TierStats sh = cl.fs->stats(storage::Tier::kShared);
+  EXPECT_EQ(sh.bytes_written, 276269u);
+  EXPECT_EQ(sh.bytes_read, 203550u);
+  EXPECT_EQ(sh.write_ops, 190);
+  EXPECT_EQ(sh.read_ops, 137);
+}
+
 TEST(FaultyRecovery, RestartFallsBackAcrossTiersForTornLocalFiles) {
   // Checkpoint/restart (Sec. 4.1): first submission killed mid-map, then
   // the job is resubmitted. Between submissions the node-local files of

@@ -209,6 +209,27 @@ TEST(Collectives, AllgatherEveryoneSeesAll) {
   });
 }
 
+TEST(Collectives, MismatchedKindsFailBothRanksWithInternal) {
+  // Rank 0 issues allreduce and rank 1 allgather at the same position: the
+  // slot's kind tag fails both before either decodes the other's payload,
+  // and the comm stays usable for the next, matching collective.
+  Runtime::run(2, [](Comm& c) {
+    Status s;
+    if (c.rank() == 0) {
+      const int64_t in = 7;
+      std::vector<int64_t> out;
+      s = c.allreduce(ReduceOp::kSum, std::span<const int64_t>(&in, 1), out);
+    } else {
+      std::vector<Bytes> out;
+      s = c.allgather(as_bytes_view("mismatch"), out);
+    }
+    EXPECT_EQ(s.code(), ErrorCode::kInternal) << s.to_string();
+    int64_t sum = 0;
+    ASSERT_TRUE(c.allreduce_one(ReduceOp::kSum, int64_t{c.rank() + 1}, sum).ok());
+    EXPECT_EQ(sum, 3);
+  });
+}
+
 TEST(Collectives, AlltoallExchangesBlocks) {
   constexpr int kP = 5;
   Runtime::run(kP, [](Comm& c) {

@@ -2,6 +2,8 @@
 // agent, and the recovery prefetcher.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,21 @@ TEST_F(StorageTest, ListDirRecursesAndSorts) {
   EXPECT_TRUE(names.empty());
 }
 
+TEST(ListDir, NamesAreRelativeUnderASymlinkedRoot) {
+  TempDir tmp("ftmr-storage-symlink");
+  std::filesystem::create_directories(tmp.path() / "real");
+  std::filesystem::create_directory_symlink(tmp.path() / "real", tmp.path() / "link");
+  StorageOptions opts;
+  opts.root = tmp.path() / "link";
+  StorageSystem fs(opts);
+  for (const char* p : {"ck/r1/z", "ck/r0/b/2", "ck/r0/a", "ck/r0/b/1", "out/x"}) {
+    ASSERT_TRUE(fs.write_file(Tier::kShared, 0, p, as_bytes_view("x")).ok());
+  }
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs.list_dir(Tier::kShared, 0, "ck", names).ok());
+  EXPECT_EQ(names, (std::vector<std::string>{"r0/a", "r0/b/1", "r0/b/2", "r1/z"}));
+}
+
 TEST_F(StorageTest, RemoveDeletes) {
   ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "f", as_bytes_view("x")).ok());
   ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "f").ok());
@@ -90,6 +107,164 @@ TEST_F(StorageTest, CopyAcrossTiers) {
   ASSERT_TRUE(fs_->read_file(Tier::kShared, 0, "dst", out).ok());
   EXPECT_EQ(to_string_copy(out), "move me");
   EXPECT_GT(cost, 0.0);
+}
+
+// Copies are copy-on-write on the host: a destination whose bytes equal
+// the source's shares them. Each tier must still behave as an independent
+// copy, and a copy must draw and book exactly what read_file + write_file do.
+
+Bytes read_back(StorageSystem& fs, Tier tier, int node, std::string_view path) {
+  Bytes out;
+  EXPECT_TRUE(fs.read_file(tier, node, path, out).ok()) << path;
+  return out;
+}
+
+TEST_F(StorageTest, CopyKeepsOldBytesWhenSourceIsRewritten) {
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "ck/a", as_bytes_view("old")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "ck/a", Tier::kShared, 0, "ck/a").ok());
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "ck/a", as_bytes_view("new!")).ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck/a")), "old");
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "ck/a")), "new!");
+}
+
+TEST_F(StorageTest, AppendToCopyLeavesSourceUnchanged) {
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "src", as_bytes_view("ab")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "src", Tier::kLocal, 1, "dst").ok());
+  ASSERT_TRUE(fs_->append_file(Tier::kLocal, 1, "dst", as_bytes_view("cd")).ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 1, "dst")), "abcd");
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "src")), "ab");
+}
+
+TEST_F(StorageTest, SharedCopySurvivesNodeWipe) {
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 3, "ck/r6/f", as_bytes_view("ckpt")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 3, "ck/r6/f", Tier::kShared, 3, "ck/r6/f").ok());
+  fs_->wipe_node_local(3);
+  EXPECT_FALSE(fs_->exists(Tier::kLocal, 3, "ck/r6/f"));
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 3, "ck/r6/f")), "ckpt");
+}
+
+TEST_F(StorageTest, CopyReplacesExistingDestination) {
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view("fresh")).ok());
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "dst", as_bytes_view("stale bytes")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "dst")), "fresh");
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "src")), "fresh");
+}
+
+TEST_F(StorageTest, CopyOntoItselfLeavesFileIntact) {
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "f", as_bytes_view("keep me")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "f", Tier::kShared, 0, "f").ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "f")), "keep me");
+}
+
+TEST_F(StorageTest, CorruptReadCopyHoldsFlippedBytesAndSourceStaysClean) {
+  const std::string clean = "sixteen bytes!!!";
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view(clean)).ok());
+  FaultInjectorConfig fc;
+  fc.local.p_corrupt_read = 1.0;
+  fs_->set_fault_injector(fc);
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
+  fs_->clear_fault_injector();
+  const std::string copied = to_string_copy(read_back(*fs_, Tier::kShared, 0, "dst"));
+  ASSERT_EQ(copied.size(), clean.size());
+  int flipped_bits = 0;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    flipped_bits += std::popcount(static_cast<unsigned char>(copied[i] ^ clean[i]));
+  }
+  EXPECT_EQ(flipped_bits, 1);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "src")), clean);
+  EXPECT_EQ(fs_->fault_stats().corrupt_reads, 1);
+}
+
+TEST_F(StorageTest, TornWriteCopyHoldsStrictPrefix) {
+  const std::string whole = "a checkpoint that tears";
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view(whole)).ok());
+  FaultInjectorConfig fc;
+  fc.shared.p_torn_write = 1.0;
+  fs_->set_fault_injector(fc);
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
+  fs_->clear_fault_injector();
+  const std::string copied = to_string_copy(read_back(*fs_, Tier::kShared, 0, "dst"));
+  EXPECT_LT(copied.size(), whole.size());
+  EXPECT_EQ(copied, whole.substr(0, copied.size()));
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "src")), whole);
+  EXPECT_EQ(fs_->fault_stats().torn_writes, 1);
+}
+
+TEST(CopyParity, CopyDrawsAndBooksLikeReadThenWrite) {
+  // Two systems armed alike: one copies, the other reads and writes. Every
+  // cost, counter, fault and resulting file must agree.
+  TempDir tmp("ftmr-storage-copy-parity");
+  FaultInjectorConfig fc;
+  fc.seed = 77;
+  for (TierFaults* f : {&fc.local, &fc.shared}) {
+    f->p_write_fail = 0.15;
+    f->p_torn_write = 0.15;
+    f->p_read_fail = 0.15;
+    f->p_corrupt_read = 0.15;
+  }
+  StorageOptions a_opts, b_opts;
+  a_opts.root = tmp.path() / "a";
+  b_opts.root = tmp.path() / "b";
+  StorageSystem a(a_opts), b(b_opts);
+  for (StorageSystem* fs : {&a, &b}) {
+    for (int i = 0; i < 24; ++i) {
+      const std::string body(static_cast<size_t>(40 + i), static_cast<char>('a' + i));
+      ASSERT_TRUE(fs->write_file(Tier::kLocal, 0, "f" + std::to_string(i),
+                                 as_bytes_view(body)).ok());
+    }
+    fs->set_fault_injector(fc);
+  }
+  int faulted = 0;
+  std::vector<std::pair<Tier, std::string>> copied;
+  for (int i = 0; i < 24; ++i) {
+    const std::string src = "f" + std::to_string(i);
+    const std::string dst = "d" + std::to_string(i);
+    const Tier to = i % 2 ? Tier::kShared : Tier::kLocal;
+    double copy_cost = -1.0;
+    const Status cs = a.copy(Tier::kLocal, 0, src, to, 0, dst, &copy_cost, 8);
+    double read_cost = 0.0, write_cost = 0.0;
+    Bytes data;
+    Status rw = b.read_file(Tier::kLocal, 0, src, data, &read_cost, 8);
+    if (rw.ok()) rw = b.write_file(to, 0, dst, data, &write_cost, 8);
+    SCOPED_TRACE(i);
+    EXPECT_EQ(cs.code(), rw.code());
+    if (!cs.ok()) {
+      faulted++;
+      continue;
+    }
+    EXPECT_EQ(copy_cost, read_cost + write_cost);
+    copied.emplace_back(to, dst);
+  }
+  EXPECT_GT(faulted, 0);
+  EXPECT_GT(copied.size(), 0u);
+  const FaultStats fa = a.fault_stats(), fb = b.fault_stats();
+  EXPECT_EQ(fa.write_failures, fb.write_failures);
+  EXPECT_EQ(fa.torn_writes, fb.torn_writes);
+  EXPECT_EQ(fa.read_failures, fb.read_failures);
+  EXPECT_EQ(fa.corrupt_reads, fb.corrupt_reads);
+  EXPECT_GT(fa.torn_writes, 0);
+  EXPECT_GT(fa.corrupt_reads, 0);
+  for (Tier t : {Tier::kLocal, Tier::kShared}) {
+    const TierStats sa = a.stats(t), sb = b.stats(t);
+    EXPECT_EQ(sa.bytes_written, sb.bytes_written);
+    EXPECT_EQ(sa.bytes_read, sb.bytes_read);
+    EXPECT_EQ(sa.write_ops, sb.write_ops);
+    EXPECT_EQ(sa.read_ops, sb.read_ops);
+  }
+  a.clear_fault_injector();
+  b.clear_fault_injector();
+  for (const auto& [tier, path] : copied) {
+    EXPECT_EQ(read_back(a, tier, 0, path), read_back(b, tier, 0, path)) << path;
+  }
+}
+
+TEST_F(StorageTest, CleanCopySharesBytesOnHost) {
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view("shared")).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
+  std::error_code ec;
+  EXPECT_EQ(std::filesystem::hard_link_count(fs_->real_path(Tier::kShared, 0, "dst"), ec),
+            2u);
 }
 
 TEST_F(StorageTest, WipeNodeLocalModelsNodeCrash) {
