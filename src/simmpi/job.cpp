@@ -121,13 +121,14 @@ uint64_t Job::register_comm_locked(std::vector<int> group, bool accounts_time) {
 
 std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
                                                       const CommState& cs, int rel,
-                                                      CollectiveKind kind,
+                                                      CollectiveKind kind, int root,
                                                       Bytes contribution) {
   auto& slot = slots[key];
   if (!slot) {
     slot = std::make_shared<CollectiveSlot>();
     slot->kind = kind;
-  } else if (slot->kind != kind) {
+    slot->root = root;
+  } else if (slot->kind != kind || slot->root != root) {
     slot->mismatched = true;
   }
   slot->contribs[rel] = std::move(contribution);

@@ -94,6 +94,9 @@ enum class CollectiveKind : uint8_t {
 /// number a consistent key. Shrink and agree key by a shared epoch instead
 /// (see Job::tol_epochs).
 struct CollectiveSlot {
+  /// The root of a collective that has none (barrier, alltoall, dup, ...).
+  static constexpr int kNoRoot = -1;
+
   std::map<int, Bytes> contribs;       // rel rank -> contribution payload
   std::map<int, double> arrive_vtime;  // rel rank -> clock at arrival
   std::map<int, Bytes> results;        // rel rank -> result payload
@@ -102,7 +105,8 @@ struct CollectiveSlot {
   /// place (by move) into its receive column by the last arriver.
   std::map<int, std::vector<Bytes>> rows;
   CollectiveKind kind{};  // set by the first arrival
-  bool mismatched = false;  // a later arrival's kind differed: no compute
+  int root = kNoRoot;     // set by the first arrival
+  bool mismatched = false;  // a later arrival's kind or root differed: no compute
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
   int pickups = 0;      // alive ranks that have taken their result
@@ -247,11 +251,12 @@ class Job {
   // ---- the collective rendezvous (see DESIGN.md "Collective rendezvous") ----
 
   /// Join: find or create the slot at `key`, tag a new slot with `kind`
-  /// (or mark an existing one of another kind mismatched), and deposit
+  /// and `root` (or mark an existing one of another kind or root
+  /// mismatched), and deposit
   /// comm-relative `rel`'s contribution and arrival clock.
   std::shared_ptr<CollectiveSlot> join_slot_locked(const SlotKey& key,
                                                    const CommState& cs, int rel,
-                                                   CollectiveKind kind,
+                                                   CollectiveKind kind, int root,
                                                    Bytes contribution) FTMR_REQUIRES(mu);
 
   /// Complete-check: true once every member of `cs` has arrived at `slot`

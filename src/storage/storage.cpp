@@ -59,6 +59,27 @@ Status load(const fs::path& p, Bytes& out) {
   return Status::Ok();
 }
 
+/// The `len` bytes at `offset` of the file at `p` into `out`.
+Status load_range(const fs::path& p, uint64_t offset, size_t len, Bytes& out) {
+  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {ErrorCode::kNotFound, "read_range: no such file " + p.string()};
+  out.resize(len);
+  size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, out.data() + got, len - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (got != len) {
+    out.clear();
+    return {ErrorCode::kIo, "read_range: range past the end of " + p.string()};
+  }
+  return Status::Ok();
+}
+
 /// The one host write: `data` as the new file at `p`, or appended to it.
 Status persist(const fs::path& p, std::span<const std::byte> data, bool append) {
   const char* op = append ? "append" : "write";
@@ -304,6 +325,19 @@ Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
   if (auto s = load(real_path(tier, node, path), out); !s.ok()) return s;
   if (sim_cost) *sim_cost = cost_of(tier, out.size(), 1, concurrency);
   book_read(tier, out.size(), &out, corrupt);
+  return Status::Ok();
+}
+
+Status StorageSystem::read_range(Tier tier, int node, std::string_view path,
+                                 uint64_t offset, size_t len, Bytes& out,
+                                 double* sim_cost, int concurrency) {
+  bool corrupt = false;
+  if (auto s = decide_read(tier, path, &corrupt); !s.ok()) return s;
+  if (auto s = load_range(real_path(tier, node, path), offset, len, out); !s.ok()) {
+    return s;
+  }
+  if (sim_cost) *sim_cost = cost_of(tier, len, 1, concurrency);
+  book_read(tier, len, &out, corrupt);
   return Status::Ok();
 }
 

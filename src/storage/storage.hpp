@@ -239,6 +239,14 @@ class StorageSystem {
   Status read_file(Tier tier, int node, std::string_view path, Bytes& out,
                    double* sim_cost = nullptr, int concurrency = 1);
 
+  /// Read the `len` bytes at `offset` of a file: the one read of a file
+  /// that holds many records (a spill segment). Draws the fault, flips the
+  /// bit and books the TierStats and cost of a read_file() of a file
+  /// holding just those bytes. A range past the end of the file is kIo.
+  Status read_range(Tier tier, int node, std::string_view path, uint64_t offset,
+                    size_t len, Bytes& out, double* sim_cost = nullptr,
+                    int concurrency = 1);
+
   [[nodiscard]] bool exists(Tier tier, int node, std::string_view path) const;
   [[nodiscard]] int64_t file_size(Tier tier, int node, std::string_view path) const;
 
@@ -299,10 +307,10 @@ class StorageSystem {
                     std::span<const std::byte> data, double* sim_cost,
                     int concurrency, bool append) FTMR_EXCLUDES(stats_mu_);
 
-  /// The halves that read_file, write_body and copy share. decide_read and
-  /// decide_write check the tier and draw the operation's injected fault;
-  /// book_read flips the drawn bit of a corrupt read's `*data` and counts
-  /// the read, book_write counts the write.
+  /// The halves that read_file, read_range, write_body and copy share.
+  /// decide_read and decide_write check the tier and draw the operation's
+  /// injected fault; book_read flips the drawn bit of a corrupt read's
+  /// `*data` and counts the read, book_write counts the write.
   Status decide_read(Tier tier, std::string_view path, bool* corrupt)
       FTMR_EXCLUDES(stats_mu_);
   Status decide_write(Tier tier, std::string_view path, size_t size, size_t* prefix)

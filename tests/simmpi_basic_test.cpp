@@ -230,6 +230,20 @@ TEST(Collectives, MismatchedKindsFailBothRanksWithInternal) {
   });
 }
 
+TEST(Collectives, MismatchedRootsFailWithInternal) {
+  // Both ranks issue bcast at the same position but name different roots:
+  // the slot's root tag fails both instead of broadcasting one rank's
+  // payload, and the comm stays usable for the next, matching collective.
+  Runtime::run(2, [](Comm& c) {
+    Bytes data = to_bytes("from r" + std::to_string(c.rank()));
+    const Status s = c.bcast(c.rank(), data);
+    EXPECT_EQ(s.code(), ErrorCode::kInternal) << s.to_string();
+    Bytes agreed = to_bytes("from r" + std::to_string(c.rank()));
+    ASSERT_TRUE(c.bcast(1, agreed).ok());
+    EXPECT_EQ(to_string_copy(agreed), "from r1");
+  });
+}
+
 TEST(Collectives, AlltoallExchangesBlocks) {
   constexpr int kP = 5;
   Runtime::run(kP, [](Comm& c) {

@@ -259,6 +259,67 @@ TEST(CopyParity, CopyDrawsAndBooksLikeReadThenWrite) {
   }
 }
 
+TEST(ReadRangeParity, RangeDrawsAndBooksLikeReadFileOfItsBytes) {
+  // Two systems armed alike: one reads each record as a range of one log
+  // file, the other reads it as a file of its own. Every status, cost,
+  // fault, counter and returned byte (flipped bits included) must agree.
+  TempDir tmp("ftmr-storage-range-parity");
+  FaultInjectorConfig fc;
+  fc.seed = 91;
+  fc.local.p_read_fail = 0.2;
+  fc.local.p_corrupt_read = 0.2;
+  StorageOptions a_opts, b_opts;
+  a_opts.root = tmp.path() / "a";
+  b_opts.root = tmp.path() / "b";
+  StorageSystem a(a_opts), b(b_opts);
+  std::vector<std::pair<uint64_t, size_t>> ranges;
+  uint64_t end = 0;
+  for (int i = 0; i < 24; ++i) {
+    const std::string body(static_cast<size_t>(30 + 7 * i), static_cast<char>('a' + i));
+    ASSERT_TRUE(a.append_file(Tier::kLocal, 0, "log", as_bytes_view(body)).ok());
+    ASSERT_TRUE(b.write_file(Tier::kLocal, 0, "f" + std::to_string(i),
+                             as_bytes_view(body)).ok());
+    ranges.emplace_back(end, body.size());
+    end += body.size();
+  }
+  const TierStats a0 = a.stats(Tier::kLocal), b0 = b.stats(Tier::kLocal);
+  a.set_fault_injector(fc);
+  b.set_fault_injector(fc);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 24; ++i) {
+      SCOPED_TRACE(i);
+      const auto [offset, len] = ranges[static_cast<size_t>(i)];
+      Bytes ra, rb;
+      double ca = -1.0, cb = -2.0;
+      const Status sa = a.read_range(Tier::kLocal, 0, "log", offset, len, ra, &ca, 4);
+      const Status sb = b.read_file(Tier::kLocal, 0, "f" + std::to_string(i), rb, &cb, 4);
+      EXPECT_EQ(sa.code(), sb.code());
+      if (!sa.ok()) continue;
+      EXPECT_EQ(ca, cb);
+      EXPECT_EQ(ra, rb);
+    }
+  }
+  const FaultStats fa = a.fault_stats(), fb = b.fault_stats();
+  EXPECT_GT(fa.read_failures, 0);
+  EXPECT_GT(fa.corrupt_reads, 0);
+  EXPECT_EQ(fa.read_failures, fb.read_failures);
+  EXPECT_EQ(fa.corrupt_reads, fb.corrupt_reads);
+  const TierStats sa = a.stats(Tier::kLocal), sb = b.stats(Tier::kLocal);
+  EXPECT_EQ(sa.bytes_read - a0.bytes_read, sb.bytes_read - b0.bytes_read);
+  EXPECT_EQ(sa.read_ops - a0.read_ops, sb.read_ops - b0.read_ops);
+  // A range past the end of the file is an I/O error, not a short read.
+  a.clear_fault_injector();
+  Bytes out;
+  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "log", end - 4, 8, out).code(),
+            ErrorCode::kIo);
+  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "log", end + 100, 1, out).code(),
+            ErrorCode::kIo);
+  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "missing", 0, 1, out).code(),
+            ErrorCode::kNotFound);
+  ASSERT_TRUE(a.read_range(Tier::kLocal, 0, "log", end - 4, 4, out).ok());
+  EXPECT_EQ(to_string_copy(out), std::string(4, static_cast<char>('a' + 23)));
+}
+
 TEST_F(StorageTest, CleanCopySharesBytesOnHost) {
   ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view("shared")).ok());
   ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
