@@ -17,6 +17,7 @@ inline constexpr const char* kLockNames[] = {
     "metrics.registry",
     "metrics.trace",
     "storage.stats",
+    "storage.segments",
     "replica.store",
     "copier.mu",
 };

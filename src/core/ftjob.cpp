@@ -33,11 +33,6 @@ FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
   master_ = std::make_unique<DistributedMaster>(wc_);
   ckpt_ = std::make_unique<CheckpointManager>(fs_, node(), world_.global_rank(),
                                               opts_.ckpt, p0_, opts_.ppn);
-  if (opts_.memory_budget > 0 && fs_ != nullptr) {
-    spill_log_ = std::make_shared<mr::SpillLog>(
-        fs_, node(), opts_.spill_dir + "/r" + std::to_string(world_.global_rank()),
-        "seg_");
-  }
   trace_.set_tid(world_.global_rank());
   trace_.set_op_probe([this] { return world_.ops_issued(); });
   master_->set_trace(&trace_);
@@ -421,7 +416,6 @@ mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
   if (opts_.memory_budget == 0 || fs_ == nullptr) return cfg;  // never spills
   cfg.fs = fs_;
   cfg.node = node();
-  cfg.log = spill_log_;
   cfg.dir = opts_.spill_dir + "/r" + std::to_string(world_.global_rank()) +
             "/s" + std::to_string(stage) + "/" + std::string(what);
   // One per-rank budget, split evenly between the KV side (map output or

@@ -323,9 +323,8 @@ class FtJob {
                           int p, ReduceProgress& rp);
   /// Spill namespace for one component of one stage on this rank; the
   /// per-rank budget is split evenly between the KV side (map output or
-  /// received partitions) and the convert/KMV side, and every store pages
-  /// into the rank's one spill log. Without a budget the config never
-  /// spills (it only carries the residency meter).
+  /// received partitions) and the convert/KMV side. Without a budget the
+  /// config never spills (it only carries the residency meter).
   [[nodiscard]] mr::SpillConfig spill_config(int stage,
                                              std::string_view what) const;
   /// The stage's spill store for map-output partition p (created on first
@@ -401,9 +400,6 @@ class FtJob {
   // Mutated through SpillConfig::meter by the buffers spill_config() opens
   // (accounting state, like times_; spill_config itself stays const).
   mutable mr::ResidencyMeter meter_;
-  // The rank's spill log: every store spill_config() opens appends its
-  // pages to it (null without a memory budget).
-  std::shared_ptr<mr::SpillLog> spill_log_;
   metrics::TraceRecorder trace_;
   double map_bytes_done_ = 0.0;  // load-balancer observation feed
   double map_vtime_spent_ = 0.0;

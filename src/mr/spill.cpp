@@ -41,86 +41,7 @@ Status unseal_page(Bytes& wire) {
   return Status::Ok();
 }
 
-/// The log `cfg` names, or a private one in `cfg.dir` whose segments are
-/// named `<prefix>NNNNNN`; null when `cfg` does not spill.
-std::shared_ptr<SpillLog> log_of(const SpillConfig& cfg, const char* prefix) {
-  if (!cfg.enabled()) return nullptr;
-  if (cfg.log) return cfg.log;
-  return std::make_shared<SpillLog>(cfg.fs, cfg.node, cfg.dir, prefix);
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// SpillLog
-// ---------------------------------------------------------------------------
-
-SpillLog::SpillLog(storage::StorageSystem* fs, int node, std::string dir,
-                   std::string prefix)
-    : fs_(fs), node_(node), dir_(std::move(dir)), prefix_(std::move(prefix)) {}
-
-SpillLog::~SpillLog() {
-  for (const auto& [segment, pages] : live_) (void)remove_segment(segment);
-}
-
-std::string SpillLog::segment_path(int segment) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%06d", prefix_.c_str(), segment);
-  return dir_ + "/" + name;
-}
-
-Status SpillLog::append(std::span<const std::byte> page, SpillExtent& at,
-                        double* cost) {
-  if (written_ == kPagesPerSegment) {
-    open_++;
-    end_ = 0;
-    written_ = 0;
-  }
-  // A new segment is written, never appended to: a file of its name left by
-  // an earlier incarnation (a resubmission in the same spill directory) is
-  // replaced, not extended.
-  const std::string path = segment_path(open_);
-  const Status s =
-      end_ == 0
-          ? fs_->write_file(storage::Tier::kLocal, node_, path, page, cost)
-          : fs_->append_file(storage::Tier::kLocal, node_, path, page, cost);
-  if (!s.ok()) return s;
-  // A torn write reports success but persists a strict prefix; the size
-  // probe is metadata-only and catches it before the page leaves memory.
-  // The retry appends after the torn tail.
-  const int64_t size = fs_->file_size(storage::Tier::kLocal, node_, path);
-  const uint64_t want = end_ + page.size();
-  if (size != static_cast<int64_t>(want)) {
-    end_ = size > 0 ? static_cast<uint64_t>(size) : 0;
-    return {ErrorCode::kIo, "torn spill write detected"};
-  }
-  at = {shared_from_this(), open_, end_, page.size()};
-  end_ = want;
-  written_++;
-  live_[open_]++;
-  return Status::Ok();
-}
-
-Status SpillLog::read(const SpillExtent& at, Bytes& out, double* cost) {
-  return fs_->read_range(storage::Tier::kLocal, node_, segment_path(at.segment),
-                         at.offset, at.len, out, cost);
-}
-
-Status SpillLog::release(const SpillExtent& at) {
-  auto it = live_.find(at.segment);
-  if (it == live_.end() || --it->second > 0) return Status::Ok();
-  live_.erase(it);
-  return remove_segment(at.segment);
-}
-
-Status SpillLog::abandon() {
-  return live_.count(open_) != 0 ? Status::Ok() : remove_segment(open_);
-}
-
-Status SpillLog::remove_segment(int segment) {
-  if (segment == open_) end_ = 0;
-  return fs_->remove(storage::Tier::kLocal, node_, segment_path(segment));
-}
 
 // ---------------------------------------------------------------------------
 // SpillPager
@@ -129,18 +50,32 @@ Status SpillLog::remove_segment(int segment) {
 namespace detail {
 
 SpillPager::SpillPager(SpillPager&& other) noexcept
-    : totals(std::exchange(other.totals, {})), log_(other.log_),
+    : totals(std::exchange(other.totals, {})), fs_(other.fs_),
+      node_(other.node_), dir_(std::move(other.dir_)),
       stats_(std::exchange(other.stats_, {})),
       pending_io_seconds_(std::exchange(other.pending_io_seconds_, 0.0)),
+      next_page_id_(other.next_page_id_),
       booking_(std::move(other.booking_)) {}
 
-Status SpillPager::write_page(Bytes& wire, SpillExtent& at) {
+Status SpillPager::write_page(const char* prefix, Bytes& wire,
+                              std::string& path) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%06d", prefix, next_page_id_++);
+  std::string file = dir_ + "/" + name;
   seal_page(wire);
   const size_t sealed = wire.size();
   const Status last = storage::RetryPolicy::run(
       [&](int) -> Status {
         double cost = 0.0;
-        if (auto s = log_->append(wire, at, &cost); !s.ok()) return s;
+        Status s = fs_->write_file(storage::Tier::kLocal, node_, file, wire, &cost);
+        if (!s.ok()) return s;
+        // A torn write reports success but persists a strict prefix; the
+        // size probe is metadata-only and catches it before the page leaves
+        // memory.
+        if (fs_->file_size(storage::Tier::kLocal, node_, file) !=
+            static_cast<int64_t>(sealed)) {
+          return {ErrorCode::kIo, "torn spill write detected"};
+        }
         charge_io(cost);
         return Status::Ok();
       },
@@ -150,22 +85,23 @@ Status SpillPager::write_page(Bytes& wire, SpillExtent& at) {
       });
   if (!last.ok()) {
     stats_.write_failures++;
-    (void)log_->abandon();
+    (void)remove_file(file);
     wire.resize(sealed - kPageCrcBytes);
     return last;
   }
   stats_.pages_spilled++;
   stats_.bytes_spilled += sealed;
+  path = std::move(file);
   return Status::Ok();
 }
 
-Status SpillPager::load_page(const SpillExtent& at,
+Status SpillPager::load_page(const std::string& path,
                              const std::function<Status(Bytes&&)>& decode) {
   return storage::RetryPolicy::run(
       [&](int) -> Status {
         Bytes wire;
         double cost = 0.0;
-        Status s = at.log->read(at, wire, &cost);
+        Status s = fs_->read_file(storage::Tier::kLocal, node_, path, wire, &cost);
         if (!s.ok()) return s;
         // The CRC trailer plus the decoder's structural validation catch any
         // bit flip on the way back in (file intact on disk), so corruption
@@ -185,7 +121,10 @@ Status SpillPager::load_page(const SpillExtent& at,
 }
 
 void SpillPager::absorb(SpillPager& donor) noexcept {
-  if (log_ == nullptr) log_ = donor.log_;
+  if (fs_ == nullptr && donor.fs_ != nullptr) {
+    fs_ = donor.fs_;
+    node_ = donor.node_;
+  }
   const Totals t = std::exchange(donor.totals, {});
   totals.items += t.items;
   totals.bytes += t.bytes;
@@ -211,15 +150,12 @@ void SpillPager::absorb(SpillPager& donor) noexcept {
 SpillableKvBuffer::SpillableKvBuffer(storage::StorageSystem* storage, int node,
                                      std::string spill_dir, size_t page_bytes,
                                      size_t memory_budget)
-    : pager_(storage == nullptr ? nullptr
-                                : std::make_shared<SpillLog>(
-                                      storage, node, std::move(spill_dir), "page_"),
-             nullptr),
+    : pager_(storage, node, std::move(spill_dir), nullptr),
       page_bytes_(page_bytes ? page_bytes : 1),
       memory_budget_(memory_budget) {}
 
 SpillableKvBuffer::SpillableKvBuffer(const SpillConfig& cfg)
-    : pager_(log_of(cfg, "page_"), cfg.meter),
+    : pager_(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir, cfg.meter),
       page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
       memory_budget_(cfg.memory_budget ? cfg.memory_budget : size_t{4} << 20) {}
 
@@ -313,7 +249,7 @@ Status SpillableKvBuffer::spill_oldest_resident() {
   // failed (or torn) spill re-adopts it, so no page is ever lost to the
   // storage layer.
   Bytes wire = std::move(p.mem).take_wire();
-  if (auto s = pager_.write_page(wire, p.at); !s.ok()) {
+  if (auto s = pager_.write_page("page_", wire, p.path); !s.ok()) {
     (void)p.mem.adopt(std::move(wire));  // our own bytes; cannot fail
     return s;
   }
@@ -342,7 +278,7 @@ Status SpillableKvBuffer::enforce_budget() {
 
 Status SpillableKvBuffer::load_page(const Page& p, KvBuffer& out) {
   return pager_.load_page(
-      p.at, [&out](Bytes&& wire) { return out.adopt(std::move(wire)); });
+      p.path, [&out](Bytes&& wire) { return out.adopt(std::move(wire)); });
 }
 
 Status SpillableKvBuffer::for_each(const std::function<void(KvView)>& fn) {
@@ -391,7 +327,7 @@ Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
     Page& p = pages_.front();
     if (p.on_disk) {
       if (auto s = load_page(p, out); !s.ok()) return s;  // page stays intact
-      (void)detail::SpillPager::release(p.at);
+      (void)pager_.remove_file(p.path);
     } else {
       out = std::move(p.mem);
       pager_.totals.resident -= p.bytes;
@@ -430,7 +366,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
   // Disk reads can fail mid-stream, so nothing is moved out of this buffer
   // until every page has been copied: on failure `out` is cleared and every
   // page — including the already-copied prefix — stays intact and
-  // re-readable (spilled pages are only released by the success path below).
+  // re-readable (spill files are only deleted by the success path below).
   out.reserve_records(size(), bytes());
   for (const Page& p : pages_) {
     if (p.on_disk) {
@@ -522,7 +458,7 @@ Status decode_kmv(std::span<const std::byte> wire, KmvBuffer& out) {
 // No meter is passed: KMV pages and the merge cursors are not booked yet
 // (ROADMAP, "KMV residency is unmetered").
 SpillableKmvBuffer::SpillableKmvBuffer(const SpillConfig& cfg)
-    : pager_(log_of(cfg, "kmv_"), nullptr),
+    : pager_(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir, nullptr),
       page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
       memory_budget_(cfg.memory_budget) {}
 
@@ -585,7 +521,7 @@ Status SpillableKmvBuffer::enforce_budget() {
     Page& p = *it;
     Bytes wire = encode_kmv(p.mem);
     // A failed write leaves the page resident; nothing is lost.
-    if (auto s = pager_.write_page(wire, p.at); !s.ok()) return s;
+    if (auto s = pager_.write_page("kmv_", wire, p.path); !s.ok()) return s;
     p.on_disk = true;
     p.mem = KmvBuffer{};
     pager_.totals.resident -= p.bytes;
@@ -595,7 +531,7 @@ Status SpillableKmvBuffer::enforce_budget() {
 
 Status SpillableKmvBuffer::load_page(const Page& p, KmvBuffer& out) {
   return pager_.load_page(
-      p.at, [&out](Bytes&& wire) { return decode_kmv(wire, out); });
+      p.path, [&out](Bytes&& wire) { return decode_kmv(wire, out); });
 }
 
 Status SpillableKmvBuffer::for_each_entry(

@@ -11,44 +11,33 @@
 // re-materializing the dataset.
 //
 // Page model. A buffer is an ordered list of closed pages — each either
-// resident (an in-memory KvBuffer) or on disk (an extent of a spill
-// segment whose header info, pair/byte counts, stays in memory) — plus one
-// open page being filled. Pair order is the page order; spilling never
-// reorders. The memory budget counts every resident byte *including the
-// open page*; when (resident closed pages + open page) exceed the budget,
-// the oldest resident page spills. Residency can exceed the budget only
-// while a single page is itself larger than the budget (it spills as soon
-// as it closes). A buffer that cannot spill (no storage) never closes a
-// page: everything it holds is one ever-growing open page, which in_core()
+// resident (an in-memory KvBuffer) or on disk (a spill file whose header
+// info, pair/byte counts, stays in memory) — plus one open page being
+// filled. Pair order is the page order; spilling never reorders. The
+// memory budget counts every resident byte *including the open page*;
+// when (resident closed pages + open page) exceed the budget, the oldest
+// resident page spills. Residency can exceed the budget only while a
+// single page is itself larger than the budget (it spills as soon as it
+// closes). A buffer that cannot spill (no storage) never closes a page:
+// everything it holds is one ever-growing open page, which in_core()
 // exposes as a plain KvBuffer.
-//
-// Disk layout. Spilled pages are appended to the segment files of a
-// SpillLog, as MR-MPI appends a KV object's pages to one spill file: a page
-// is an extent {segment, offset, len}, written with one storage write and
-// read back with one ranged read. A rank shares one log across every
-// store it opens (SpillConfig::log); a store configured without one gets a
-// private log in its own directory. A segment takes a fixed number of
-// pages, then the log moves on to the next; a segment is removed as soon
-// as it holds no live page.
 //
 // Failure-path guarantees (see DESIGN.md "Out-of-core KV"):
 //   * spill writes retain the page until the write has succeeded; a
 //     transient write error is retried on the storage layer's RetryPolicy
 //     ladder and, if it still fails (or the error is not transient), the
 //     page stays resident (over budget, never lost) and the error surfaces
-//     to the caller. A torn write leaves a tail the retry is appended
-//     after; the tail goes with its segment;
+//     to the caller;
 //   * drain_to clears `out` on a mid-stream read failure and leaves every
 //     page — including the already-copied ones — intact and re-readable
-//     (spilled pages are only released by clear(), pop_front_page, or the
+//     (spill files are only deleted by clear(), pop_front_page, or the
 //     destructor), so the caller can retry or fall back;
-//   * clear() releases every spilled page and reports the first segment
-//     removal error after clearing all in-memory state.
+//   * clear() removes every spill file and reports the first removal error
+//     after clearing all in-memory state.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -115,75 +104,11 @@ class MeterBooking {
   size_t booked_ = 0;
 };
 
-class SpillLog;
-
-/// Where one spilled page lives: `len` bytes at `offset` of segment
-/// `segment` of `log`. The extent keeps its log alive, so pages moved
-/// between stores with different logs stay readable and removable.
-struct SpillExtent {
-  std::shared_ptr<SpillLog> log;
-  int segment = 0;
-  uint64_t offset = 0;
-  size_t len = 0;
-};
-
-/// The append-only segment files spill pages are written into, on one
-/// node's local disk: segment i is `<dir>/<prefix>NNNNNN`. Pages append at
-/// the open segment's end; after kPagesPerSegment pages the log opens the
-/// next segment. A segment is removed when its last live page is released
-/// (or a write ladder that added none has failed), so a segment file
-/// exists only while it holds a live page or a write is in progress.
-/// Single-rank state, like ResidencyMeter: every store of one rank may
-/// share a log, stores of different ranks may not.
-class SpillLog : public std::enable_shared_from_this<SpillLog> {
- public:
-  /// Pages a segment takes before the log opens the next one.
-  static constexpr int kPagesPerSegment = 256;
-
-  SpillLog(storage::StorageSystem* fs, int node, std::string dir,
-           std::string prefix);
-  /// Removes every segment still on disk.
-  ~SpillLog();
-  SpillLog(const SpillLog&) = delete;
-  SpillLog& operator=(const SpillLog&) = delete;
-
-  /// One write attempt of `page` at the open segment's end: a new segment
-  /// is written with write_file (replacing any stale file of that name), a
-  /// used one with append_file. A torn write is detected by the file-size
-  /// probe and reported as kIo; the log's end moves past the torn tail, so
-  /// the retry lands after it. On success `at` names the page and `*cost`
-  /// is the modeled time.
-  Status append(std::span<const std::byte> page, SpillExtent& at, double* cost);
-  /// One read attempt of the page at `at` (one ranged read).
-  Status read(const SpillExtent& at, Bytes& out, double* cost);
-  /// The page at `at` is gone: remove its segment once it holds no live
-  /// page.
-  Status release(const SpillExtent& at);
-  /// A write ladder failed: remove the open segment if it holds no live
-  /// page (it holds at most torn tails).
-  Status abandon();
-
-  [[nodiscard]] std::string segment_path(int segment) const;
-
- private:
-  Status remove_segment(int segment);
-
-  storage::StorageSystem* fs_;
-  int node_;
-  std::string dir_;
-  std::string prefix_;
-  int open_ = 0;        // the segment pages append to
-  uint64_t end_ = 0;    // its size on disk (0 = not written yet)
-  int written_ = 0;     // pages appended to it
-  std::map<int, int> live_;  // segment -> pages not yet released
-};
-
 /// Everything a component needs to open spill-backed buffers: the storage
 /// system, the node whose local disk receives the pages, a scratch
-/// directory namespace, the page/budget sizing and the spill log.
-/// `memory_budget == 0` (or a null fs) disables spilling — buffers are
-/// purely in-memory and the streamed algorithms degrade to their in-core
-/// behaviour. A shared log's own node and directory are where its pages go.
+/// directory namespace, and the page/budget sizing. `memory_budget == 0`
+/// (or a null fs) disables spilling — buffers are purely in-memory and the
+/// streamed algorithms degrade to their in-core behaviour.
 struct SpillConfig {
   storage::StorageSystem* fs = nullptr;
   int node = 0;
@@ -193,9 +118,6 @@ struct SpillConfig {
   /// Optional shared residency accounting (one meter per rank, shared by
   /// every buffer the rank opens); null = no accounting.
   ResidencyMeter* meter = nullptr;
-  /// Optional shared spill log (one per rank, shared by every buffer the
-  /// rank opens); null = each buffer appends to a private log in `dir`.
-  std::shared_ptr<SpillLog> log;
 
   [[nodiscard]] bool enabled() const noexcept {
     return fs != nullptr && memory_budget > 0;
@@ -219,12 +141,12 @@ struct SpillConfig {
 namespace detail {
 
 /// The spill pager both stores page through. It owns everything the two
-/// stores share: the spill log, the SpillStats and pending I/O seconds,
-/// the running totals of the store's pages and the residency booking.
-/// Every spill page is written by write_page, loaded by load_page and
-/// released by release or drop_pages, so each storage call has one site.
-/// The page lists (and what is paged: KV arenas, KMV entries) stay with
-/// the stores.
+/// stores share: the storage handle, node, scratch directory, the
+/// SpillStats and pending I/O seconds, the page-file ids, the running
+/// totals of the store's pages and the residency booking. Every
+/// spill page is written by write_page, loaded by load_page and removed by
+/// remove_file or drop_pages, so each storage call has one site. The page
+/// lists (and what is paged: KV arenas, KMV entries) stay with the stores.
 class SpillPager {
  public:
   /// Running totals of the store's pages.
@@ -235,15 +157,16 @@ class SpillPager {
   };
 
   SpillPager() = default;
-  /// `log` null = no spilling; `meter` null = no residency accounting.
-  SpillPager(std::shared_ptr<SpillLog> log, ResidencyMeter* meter)
-      : log_(std::move(log)), booking_(meter) {}
-  /// The totals, stats and booking move with the pages (whose extents
-  /// name their log); the source keeps its log, so it can still spill.
+  /// `fs` null = no spilling; `meter` null = no residency accounting.
+  SpillPager(storage::StorageSystem* fs, int node, std::string dir,
+             ResidencyMeter* meter)
+      : fs_(fs), node_(node), dir_(std::move(dir)), booking_(meter) {}
+  /// The pages' files, totals, stats and booking move with the pager; the
+  /// source keeps only its storage handle.
   SpillPager(SpillPager&& other) noexcept;
   SpillPager& operator=(SpillPager&&) = delete;
 
-  [[nodiscard]] bool can_spill() const noexcept { return log_ != nullptr; }
+  [[nodiscard]] bool can_spill() const noexcept { return fs_ != nullptr; }
   [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
   [[nodiscard]] double take_io_seconds() noexcept {
     return std::exchange(pending_io_seconds_, 0.0);
@@ -255,25 +178,28 @@ class SpillPager {
     return booking_.another();
   }
 
-  /// Append `wire` to the log as a page: seal it with a CRC trailer, retry
-  /// failed and torn writes on the RetryPolicy ladder, and on success set
-  /// `at`. After a failed ladder `wire` is handed back unsealed, so the
-  /// caller can keep the page resident.
-  Status write_page(Bytes& wire, SpillExtent& at);
-  /// Read the page at `at` back: retry failed reads, check the CRC and
+  /// Write `wire` as the next page file `<dir>/<prefix>NNNNNN`: seal it
+  /// with a CRC trailer, retry failed and torn writes on the RetryPolicy
+  /// ladder, and on success set `path`. After a failed ladder the file is
+  /// removed and `wire` is handed back unsealed, so the caller can keep
+  /// the page resident.
+  Status write_page(const char* prefix, Bytes& wire, std::string& path);
+  /// Read page file `path` back: retry failed reads, check the CRC and
   /// hand the body to `decode`; a CRC or decode failure retries too.
-  Status load_page(const SpillExtent& at,
+  Status load_page(const std::string& path,
                    const std::function<Status(Bytes&&)>& decode);
-  static Status release(const SpillExtent& at) { return at.log->release(at); }
-  /// Release every on-disk page in `pages`, then empty the list, zero the
-  /// totals and release the booking. Reports the first removal error after
-  /// clearing everything.
+  Status remove_file(const std::string& path) {
+    return fs_->remove(storage::Tier::kLocal, node_, path);
+  }
+  /// Remove the file of every on-disk page in `pages`, then empty the
+  /// list, zero the totals and release the booking. Reports the first
+  /// removal error after clearing everything.
   template <typename Pages>
   Status drop_pages(Pages& pages) {
     Status first;
     for (const auto& p : pages) {
-      if (!p.on_disk) continue;
-      if (auto s = release(p.at); !s.ok() && first.ok()) first = s;
+      if (!p.on_disk || fs_ == nullptr) continue;
+      if (auto s = remove_file(p.path); !s.ok() && first.ok()) first = s;
     }
     pages.clear();
     totals = {};
@@ -281,8 +207,8 @@ class SpillPager {
     return first;
   }
   /// Take over `donor`'s totals, stats and pending I/O seconds (its pages
-  /// were moved here), and its log if this pager has none. The donor's
-  /// booking drops to zero.
+  /// were moved here), and its storage if this pager has none, so the
+  /// moved files can still be removed. The donor's booking drops to zero.
   void absorb(SpillPager& donor) noexcept;
 
   Totals totals;
@@ -293,14 +219,17 @@ class SpillPager {
     pending_io_seconds_ += cost;
   }
 
-  std::shared_ptr<SpillLog> log_;
+  storage::StorageSystem* fs_ = nullptr;
+  int node_ = 0;
+  std::string dir_;
   SpillStats stats_;
   double pending_io_seconds_ = 0.0;
+  int next_page_id_ = 0;
   MeterBooking booking_;
 };
 
-/// Move-assign a spill store: destroying the old contents releases its
-/// spilled pages and its booking, then the defaulted move
+/// Move-assign a spill store: destroying the old contents removes its
+/// spill files and releases its booking, then the defaulted move
 /// constructor takes `other` over and leaves it empty.
 template <typename Store>
 Store& replace_store(Store& self, Store&& other) noexcept {
@@ -355,9 +284,9 @@ class SpillableKvBuffer {
   Status append_page(KvBuffer&& page);
 
   /// Steal every page of `other` (closed and open, resident and on-disk)
-  /// and append them after this buffer's pages, order preserved — no data
-  /// is read or copied; each spilled page keeps naming its own log.
-  /// `other` is left empty.
+  /// and append them after this buffer's pages, order preserved, moving
+  /// spill-file ownership — no data is read or copied. `other` is left
+  /// empty. The two buffers must not share a spill directory namespace.
   Status absorb_pages(SpillableKvBuffer&& other);
 
   /// Pairs added so far (in memory + spilled).
@@ -398,13 +327,13 @@ class SpillableKvBuffer {
   Status for_each_page(const std::function<Status(const KvBuffer&)>& fn);
 
   /// Non-destructive random page access for streamed senders: closed page
-  /// `i` is copied (resident) or loaded back (spilled; the page is kept),
+  /// `i` is copied (resident) or loaded back (spilled; the file is kept),
   /// and index page_count()-1 addresses the open page when it is non-empty.
   /// kOutOfRange past the last page.
   Status read_page(size_t i, KvBuffer& out);
 
   /// Consume the oldest page: `out` receives it (loaded if spilled, the
-  /// spilled page is released), `have` is false when the buffer is empty.
+  /// spill file is removed), `have` is false when the buffer is empty.
   /// Streaming consumers use this so freed pages stop counting against
   /// the budget the moment they are handed off.
   Status pop_front_page(KvBuffer& out, bool& have);
@@ -412,7 +341,7 @@ class SpillableKvBuffer {
   /// Move everything into a plain in-memory KvBuffer (insertion order):
   /// spilled pages are adopted wholesale from their wire image, resident
   /// and open pages are moved — no per-pair copies. On success the buffer
-  /// is cleared (spilled pages released). On a mid-stream failure `out` is
+  /// is cleared (spill files removed). On a mid-stream failure `out` is
   /// cleared and every page of this buffer — including the already-copied
   /// prefix — remains intact and re-readable.
   Status drain_to(KvBuffer& out);
@@ -434,7 +363,7 @@ class SpillableKvBuffer {
  private:
   struct Page {
     KvBuffer mem;        // meaningful when !on_disk
-    SpillExtent at;      // meaningful when on_disk
+    std::string path;    // meaningful when on_disk
     size_t pairs = 0;
     size_t bytes = 0;
     bool on_disk = false;
@@ -529,7 +458,7 @@ class SpillableKmvBuffer {
  private:
   struct Page {
     KmvBuffer mem;       // meaningful when !on_disk
-    SpillExtent at;      // meaningful when on_disk
+    std::string path;    // meaningful when on_disk
     size_t entries = 0;
     size_t bytes = 0;    // serialized size (what residency/spill accounting uses)
     bool on_disk = false;

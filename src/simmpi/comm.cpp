@@ -313,7 +313,7 @@ Request Comm::irecv(int src, int tag, Bytes* out, MessageInfo* info) {
 // the collective rendezvous: join, settle, compute once, pick up
 // ---------------------------------------------------------------------------
 
-Status Comm::run_collective(CollectiveKind kind, int root, Bytes contribution,
+Status Comm::run_collective(const CollectiveSig& sig, Bytes contribution,
                             const CollectiveCompute& compute, Bytes* result_out,
                             std::vector<Bytes>* row) {
   job_->check_callable(global_rank_);
@@ -324,8 +324,7 @@ Status Comm::run_collective(CollectiveKind kind, int root, Bytes contribution,
   }
   const uint64_t seq = job_->ranks[global_rank_].coll_seq[state_->ctx]++;
   const SlotKey key{state_->ctx, slot_seq(kNsNormal, seq)};
-  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, kind, root,
-                                     std::move(contribution));
+  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, sig, std::move(contribution));
   if (row) slot->rows[rel_rank_] = std::move(*row);
 
   for (;;) {
@@ -337,7 +336,7 @@ Status Comm::run_collective(CollectiveKind kind, int root, Bytes contribution,
     if (slot->computed) break;
     if (job_->settled_locked(*slot, *state_)) {
       // A dead member fails the collective for every participant, and
-      // mismatched kinds or roots skip compute so no payload is decoded as the
+      // mismatched signatures skip compute so no payload is decoded as the
       // wrong collective's.
       if (job_->any_dead_in_locked(*state_)) {
         slot->failed = true;
@@ -360,8 +359,8 @@ Status Comm::run_collective(CollectiveKind kind, int root, Bytes contribution,
   job_->check_vtime_kill(global_rank_);
   if (mismatched) {
     return handle({ErrorCode::kInternal,
-                   "collective: ranks issued different collectives or roots at one "
-                   "position"});
+                   "collective: ranks issued different collectives, roots, ops or "
+                   "counts at one position"});
   }
   if (mine.failed) {
     return handle({ErrorCode::kProcFailed, "collective: participant died"});
@@ -384,8 +383,8 @@ Status Comm::run_tolerant(uint64_t ns, CollectiveKind kind, Bytes contribution,
   const SlotKey epoch_key{state_->ctx, ns};
   const uint64_t epoch = job_->tol_epochs[epoch_key];
   const SlotKey key{state_->ctx, slot_seq(ns, epoch)};
-  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, kind,
-                                     CollectiveSlot::kNoRoot, std::move(contribution));
+  auto slot = job_->join_slot_locked(key, *state_, rel_rank_, CollectiveSig{kind},
+                                     std::move(contribution));
 
   for (;;) {
     job_->check_callable_locked(global_rank_);
@@ -433,7 +432,7 @@ Status Comm::barrier() {
   auto compute = [alpha](CollectiveSlot& slot, const CommState& cs, Job&) {
     slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()));
   };
-  return run_collective(CollectiveKind::kBarrier, CollectiveSlot::kNoRoot, {}, compute,
+  return run_collective({CollectiveKind::kBarrier}, {}, compute,
                         nullptr);
 }
 
@@ -452,7 +451,7 @@ Status Comm::bcast(int root, Bytes& data) {
     slot.finish_all(t, &payload);
   };
   Bytes result;
-  Status s = run_collective(CollectiveKind::kBcast, root, std::move(contribution),
+  Status s = run_collective({CollectiveKind::kBcast, root}, std::move(contribution),
                             compute, &result);
   if (s.ok()) data = std::move(result);
   return s;
@@ -507,7 +506,10 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
       to_all ? (kF64 ? CollectiveKind::kAllreduceF64 : CollectiveKind::kAllreduceI64)
              : (kF64 ? CollectiveKind::kReduceF64 : CollectiveKind::kReduceI64);
   Bytes result;
-  Status s = run_collective(kind, root, std::move(w).take(), compute, &result);
+  // The op and element count join the signature: ranks that disagree on
+  // either fail instead of getting a truncated result in one rank's op.
+  const CollectiveSig sig{kind, root, static_cast<int>(op), in.size()};
+  Status s = run_collective(sig, std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -595,8 +597,9 @@ Status Comm::gather_impl(int root, std::span<const std::byte> in,
     slot.results[root] = std::move(result);
   };
   Bytes result;
-  Status s = run_collective(to_all ? CollectiveKind::kAllgather : CollectiveKind::kGather,
-                            root, Bytes(in.begin(), in.end()), compute, &result);
+  Status s = run_collective({to_all ? CollectiveKind::kAllgather : CollectiveKind::kGather,
+                             root},
+                            Bytes(in.begin(), in.end()), compute, &result);
   if (!s.ok()) return s;
   out.clear();
   if (!result.empty()) {
@@ -647,7 +650,7 @@ Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
           static_cast<double>(send_bytes[dst] + recv_bytes[dst]) / net.bandwidth_Bps;
     }
   };
-  Status s = run_collective(CollectiveKind::kAlltoall, CollectiveSlot::kNoRoot, {},
+  Status s = run_collective({CollectiveKind::kAlltoall}, {},
                             compute, nullptr, &send);
   if (!s.ok()) return s;
   recv = std::move(send);
@@ -663,7 +666,7 @@ Status Comm::dup(Comm& out, bool accounts_time) {
     slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()), &result);
   };
   Bytes result;
-  Status s = run_collective(CollectiveKind::kDup, CollectiveSlot::kNoRoot, {}, compute,
+  Status s = run_collective({CollectiveKind::kDup}, {}, compute,
                             &result);
   if (!s.ok()) return s;
   return bind_new_comm(result, out);
@@ -711,7 +714,7 @@ Status Comm::split(int color, int key, Comm& out) {
     }
   };
   Bytes result;
-  Status s = run_collective(CollectiveKind::kSplit, CollectiveSlot::kNoRoot,
+  Status s = run_collective({CollectiveKind::kSplit},
                             std::move(w).take(), compute, &result);
   if (!s.ok()) return s;
   return bind_new_comm(result, out);

@@ -188,11 +188,10 @@ class Comm {
   /// revoked comm and when a member is dead (shrink/agree use run_tolerant
   /// instead). A non-null `row` is deposited by move into slot.rows and, on
   /// success only, replaced by this rank's slot.rows entry after compute
-  /// (alltoall's transpose). If the ranks issued different `kind`s or
-  /// `root`s at this position, compute never runs and every participant
-  /// fails kInternal. Collectives without a root pass
-  /// CollectiveSlot::kNoRoot.
-  Status run_collective(CollectiveKind kind, int root, Bytes contribution,
+  /// (alltoall's transpose). If the ranks issued different signatures
+  /// (kind, root, reduce op or element count) at this position, compute
+  /// never runs and every participant fails kInternal.
+  Status run_collective(const CollectiveSig& sig, Bytes contribution,
                         const CollectiveCompute& compute, Bytes* result_out,
                         std::vector<Bytes>* row = nullptr);
 

@@ -121,14 +121,13 @@ uint64_t Job::register_comm_locked(std::vector<int> group, bool accounts_time) {
 
 std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
                                                       const CommState& cs, int rel,
-                                                      CollectiveKind kind, int root,
+                                                      const CollectiveSig& sig,
                                                       Bytes contribution) {
   auto& slot = slots[key];
   if (!slot) {
     slot = std::make_shared<CollectiveSlot>();
-    slot->kind = kind;
-    slot->root = root;
-  } else if (slot->kind != kind || slot->root != root) {
+    slot->sig = sig;
+  } else if (!(slot->sig == sig)) {
     slot->mismatched = true;
   }
   slot->contribs[rel] = std::move(contribution);

@@ -88,15 +88,28 @@ enum class CollectiveKind : uint8_t {
   kAgree,
 };
 
+/// What every participant of one collective call must agree on. The first
+/// arrival's signature tags the slot; an arrival with another signature
+/// marks it mismatched.
+struct CollectiveSig {
+  /// The root of a collective that has none (barrier, alltoall, dup, ...).
+  static constexpr int kNoRoot = -1;
+
+  CollectiveKind kind{};
+  int root = kNoRoot;
+  /// Reduce kinds: the ReduceOp and the element count (0 for the others).
+  int op = 0;
+  uint64_t count = 0;
+
+  bool operator==(const CollectiveSig&) const = default;
+};
+
 /// Rendezvous state for one arrival-synchronized collective call.
 /// Keyed by (ctx, per-rank call sequence number); MPI requires all ranks to
 /// issue collectives on a comm in the same order, which makes the sequence
 /// number a consistent key. Shrink and agree key by a shared epoch instead
 /// (see Job::tol_epochs).
 struct CollectiveSlot {
-  /// The root of a collective that has none (barrier, alltoall, dup, ...).
-  static constexpr int kNoRoot = -1;
-
   std::map<int, Bytes> contribs;       // rel rank -> contribution payload
   std::map<int, double> arrive_vtime;  // rel rank -> clock at arrival
   std::map<int, Bytes> results;        // rel rank -> result payload
@@ -104,9 +117,8 @@ struct CollectiveSlot {
   /// alltoall only: rel rank -> its send row on arrival, transposed in
   /// place (by move) into its receive column by the last arriver.
   std::map<int, std::vector<Bytes>> rows;
-  CollectiveKind kind{};  // set by the first arrival
-  int root = kNoRoot;     // set by the first arrival
-  bool mismatched = false;  // a later arrival's kind or root differed: no compute
+  CollectiveSig sig;        // set by the first arrival
+  bool mismatched = false;  // a later arrival's signature differed: no compute
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
   int pickups = 0;      // alive ranks that have taken their result
@@ -250,13 +262,12 @@ class Job {
 
   // ---- the collective rendezvous (see DESIGN.md "Collective rendezvous") ----
 
-  /// Join: find or create the slot at `key`, tag a new slot with `kind`
-  /// and `root` (or mark an existing one of another kind or root
-  /// mismatched), and deposit
-  /// comm-relative `rel`'s contribution and arrival clock.
+  /// Join: find or create the slot at `key`, tag a new slot with `sig`
+  /// (or mark an existing one of another signature mismatched), and
+  /// deposit comm-relative `rel`'s contribution and arrival clock.
   std::shared_ptr<CollectiveSlot> join_slot_locked(const SlotKey& key,
                                                    const CommState& cs, int rel,
-                                                   CollectiveKind kind, int root,
+                                                   const CollectiveSig& sig,
                                                    Bytes contribution) FTMR_REQUIRES(mu);
 
   /// Complete-check: true once every member of `cs` has arrived at `slot`

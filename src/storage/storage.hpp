@@ -7,11 +7,17 @@
 //     large I/O, and a scalability bottleneck beyond ~256 concurrent
 //     writers (the Fig. 5 observation).
 //
-// This module stores real files in a sandbox directory (correctness: the
+// This module stores real bytes in a sandbox directory (correctness: the
 // checkpoint/recovery code manipulates actual bytes) while *costing* every
 // operation with a tier model (latency per op + per-byte bandwidth + an
 // aggregate-bandwidth contention term for the shared tier). Costs are
 // returned to the caller, which charges them to its rank's virtual clock.
+//
+// On the host, logical files are not host files: a segment store
+// (segment_store.hpp) indexes them in memory and appends each directory's
+// bytes to a few append-only segment files, so creating a logical file
+// (a checkpoint, a spill page) costs an append instead of a new inode.
+// Fault draws, TierStats and modeled cost are those of one file per path.
 #pragma once
 
 #include <filesystem>
@@ -28,6 +34,7 @@
 namespace ftmr::storage {
 
 class ReplicaStore;  // replica.hpp — the kMemory tier's backing object
+class SegmentStore;  // segment_store.hpp — the file tiers' host layout
 
 /// kMemory is the diskless replication tier (replica.hpp): checkpoint blobs
 /// k-replicated into peer ranks' RAM. It is not file-backed — the file-path
@@ -224,28 +231,19 @@ class StorageSystem {
   /// Write (create/truncate) a file. `node` namespaces the local tier
   /// (each compute node has its own disk); ignored for kShared.
   /// On success `*sim_cost` (if non-null) is the modeled time. The write
-  /// replaces the path with a new file, so a copy() that shares the old
-  /// one keeps its bytes.
+  /// replaces the file, so a copy() that shares its old bytes keeps them.
   Status write_file(Tier tier, int node, std::string_view path,
                     std::span<const std::byte> data, double* sim_cost = nullptr,
                     int concurrency = 1);
 
-  /// Append to a file (creating it if needed). A file that shares its
-  /// bytes with a copy() gets a private copy first.
+  /// Append to a file (creating it if needed). A copy() that shares the
+  /// file's bytes does not see the append.
   Status append_file(Tier tier, int node, std::string_view path,
                      std::span<const std::byte> data, double* sim_cost = nullptr,
                      int concurrency = 1);
 
   Status read_file(Tier tier, int node, std::string_view path, Bytes& out,
                    double* sim_cost = nullptr, int concurrency = 1);
-
-  /// Read the `len` bytes at `offset` of a file: the one read of a file
-  /// that holds many records (a spill segment). Draws the fault, flips the
-  /// bit and books the TierStats and cost of a read_file() of a file
-  /// holding just those bytes. A range past the end of the file is kIo.
-  Status read_range(Tier tier, int node, std::string_view path, uint64_t offset,
-                    size_t len, Bytes& out, double* sim_cost = nullptr,
-                    int concurrency = 1);
 
   [[nodiscard]] bool exists(Tier tier, int node, std::string_view path) const;
   [[nodiscard]] int64_t file_size(Tier tier, int node, std::string_view path) const;
@@ -258,11 +256,10 @@ class StorageSystem {
 
   /// Copy a file across tiers (the copier/prefetcher primitive). Draws the
   /// faults and books the TierStats and cost of read_file(src) followed by
-  /// write_file(dst), in that order. On the host it is copy-on-write: when
-  /// the destination's bytes would equal the source's (no corrupt read, no
-  /// torn write) the destination becomes a hard link to the source, since
-  /// files are immutable once written (see write_file/append_file). Only a
-  /// faulted copy, or one the file system refuses to link, writes bytes.
+  /// write_file(dst), in that order. On the host, a copy within one
+  /// directory whose bytes would equal the source's (no corrupt read, no
+  /// torn write) shares the source's bytes and writes none; any other
+  /// copy appends the bytes to the destination directory.
   Status copy(Tier src_tier, int src_node, std::string_view src_path,
               Tier dst_tier, int dst_node, std::string_view dst_path,
               double* sim_cost = nullptr, int concurrency = 1);
@@ -294,10 +291,6 @@ class StorageSystem {
   void clear_fault_injector();
   [[nodiscard]] FaultStats fault_stats() const;
 
-  /// Filesystem location of a logical path (for tests/debugging).
-  [[nodiscard]] std::filesystem::path real_path(Tier tier, int node,
-                                                std::string_view path) const;
-
  private:
   Status check_tier(Tier tier) const;
 
@@ -307,7 +300,7 @@ class StorageSystem {
                     std::span<const std::byte> data, double* sim_cost,
                     int concurrency, bool append) FTMR_EXCLUDES(stats_mu_);
 
-  /// The halves that read_file, read_range, write_body and copy share.
+  /// The halves that read_file, write_body and copy share.
   /// decide_read and decide_write check the tier and draw the operation's
   /// injected fault; book_read flips the drawn bit of a corrupt read's
   /// `*data` and counts the read, book_write counts the write.
@@ -326,9 +319,9 @@ class StorageSystem {
     return tier == Tier::kLocal ? local_stats_ : shared_stats_;
   }
 
-  // `opts_` is immutable after construction; real file I/O is delegated to
-  // the (thread-safe) filesystem. Everything mutable — counters and the
-  // fault injector, whose one seeded stream both file tiers draw from —
+  // `opts_` is immutable after construction; host I/O is delegated to the
+  // (thread-safe) segment store. Everything else mutable — counters and
+  // the fault injector, whose one seeded stream both file tiers draw from —
   // lives under stats_mu_, which rank threads and the stress tests hit
   // concurrently.
   StorageOptions opts_;
@@ -338,9 +331,11 @@ class StorageSystem {
   TierFaults local_faults_ FTMR_GUARDED_BY(stats_mu_);
   TierFaults shared_faults_ FTMR_GUARDED_BY(stats_mu_);
   FaultInjector injector_ FTMR_GUARDED_BY(stats_mu_);
-  // unique_ptr to a forward-declared type: replica.hpp includes this
-  // header, so the concrete type is only visible in storage.cpp.
+  // unique_ptrs to forward-declared types: replica.hpp and
+  // segment_store.hpp include this header, so the concrete types are only
+  // visible in storage.cpp.
   std::unique_ptr<ReplicaStore> memory_;
+  std::unique_ptr<SegmentStore> store_;
 };
 
 /// RAII temp sandbox for tests/benches: creates a unique directory under

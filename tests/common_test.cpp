@@ -6,6 +6,7 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
+#include "common/crc32.hpp"
 #include "common/hash.hpp"
 #include "common/regression.hpp"
 #include "common/rng.hpp"
@@ -94,6 +95,30 @@ TEST(Hash, TaskAssignmentIsRoughlyBalanced) {
   for (int c : counts) {
     EXPECT_GT(c, kTasks / kRanks / 2);
     EXPECT_LT(c, kTasks / kRanks * 2);
+  }
+}
+
+TEST(Crc32, MatchesKnownAnswer) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::string_view("")), 0u);
+  static_assert(crc32_final(crc32_update(crc32_init(), {})) == 0u);
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseReferenceAcrossSplits) {
+  // Random buffers of 0-4096 bytes, each fed whole and in two incremental
+  // pieces split at a random point (so the 8-byte steps start at every
+  // alignment): every state equals the bytewise reference's.
+  Rng rng(2024);
+  for (int round = 0; round < 300; ++round) {
+    Bytes buf(rng.next_below(4097));
+    for (std::byte& b : buf) b = static_cast<std::byte>(rng.next_below(256));
+    const std::span<const std::byte> all(buf);
+    const uint32_t seed = round % 2 ? crc32_init() : static_cast<uint32_t>(rng.next_u64());
+    const uint32_t want = detail::crc32_update_bytewise(seed, all);
+    EXPECT_EQ(crc32_update(seed, all), want) << "length " << buf.size();
+    const size_t split = rng.next_below(buf.size() + 1);
+    EXPECT_EQ(crc32_update(crc32_update(seed, all.first(split)), all.subspan(split)), want)
+        << "length " << buf.size() << " split at " << split;
   }
 }
 

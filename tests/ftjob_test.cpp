@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <charconv>
+#include <filesystem>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -607,6 +609,47 @@ TEST(CommitPoint, DeltaFilesPerTaskAndPartition) {
     }
     EXPECT_EQ(delta_files(*w.fs, kRanks, opts.ppn), want) << tc.label;
   }
+}
+
+// The host footprint of a checkpointing job: every checkpoint, drained copy,
+// input chunk and output partition is an extent of its directory's segment
+// file, so a failure-free job leaves at most one host file per directory
+// holding files, not one per checkpoint.
+TEST(HostFootprint, WcJobKeepsAtMostOneSegmentPerDirectory) {
+  constexpr int kRanks = 8;
+  World w(16, 40);
+  FtJobOptions opts = base_opts(FtMode::kDetectResumeWC);
+  opts.ckpt.records_per_ckpt = 8;
+  ASSERT_EQ(opts.ckpt.location, CkptOptions::Location::kLocalWithCopier);
+  JobResult r = Runtime::run(kRanks, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    Status s = job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
+    EXPECT_TRUE(s.ok()) << s.to_string();
+  });
+  ASSERT_EQ(r.finished_count(), kRanks);
+  EXPECT_EQ(w.read_output(), w.expected);
+  // Logical files and their directories, per tier and node.
+  size_t files = 0;
+  std::set<std::string> dirs;
+  const auto census = [&](storage::Tier tier, int node, const std::string& volume) {
+    std::vector<std::string> names;
+    ASSERT_TRUE(w.fs->list_dir(tier, node, "", names).ok());
+    files += names.size();
+    for (const std::string& n : names) {
+      dirs.insert(volume + "/" + std::filesystem::path(n).parent_path().string());
+    }
+  };
+  census(storage::Tier::kShared, 0, "shared");
+  for (int node = 0; node < kRanks / opts.ppn; ++node) {
+    census(storage::Tier::kLocal, node, "node" + std::to_string(node));
+  }
+  size_t host_files = 0;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(w.tmp.path())) {
+    host_files += e.is_regular_file() ? 1 : 0;
+  }
+  EXPECT_LE(host_files, dirs.size());
+  EXPECT_GT(files, 8 * host_files) << files << " logical files in " << dirs.size()
+                                   << " directories";
 }
 
 // The C/R error handler flushes before MPI_Abort. At record granularity the

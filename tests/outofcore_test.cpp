@@ -173,11 +173,11 @@ TEST(SpillBudget, ResidencyMeterTracksPeakAcrossBuffers) {
 
 // --- bug (c): drain_to mid-stream failure semantics -----------------------
 
-// A buffer of keys key_0..key_299 whose later pages live in a second log:
-// the first half spills to `spill`, the second half to `spill_tail` and is
-// absorbed after it, so a fault filtered on `spill_tail` hits a page after
-// earlier pages were read.
-SpillableKvBuffer two_log_buffer(MiniCluster& cl,
+// A buffer of keys key_0..key_299 whose later pages live in a second spill
+// directory: the first half spills to `spill`, the second half to
+// `spill_tail` and is absorbed after it, so a fault filtered on
+// `spill_tail` hits a page after earlier pages were read.
+SpillableKvBuffer two_dir_buffer(MiniCluster& cl,
                                  std::map<std::string, int64_t>& want) {
   SpillableKvBuffer buf(cl.fs.get(), 0, "spill", 256, 256);
   SpillableKvBuffer tail(cl.fs.get(), 0, "spill_tail", 256, 256);
@@ -201,11 +201,12 @@ size_t files_under(MiniCluster& cl, const std::string& dir) {
 TEST(SpillFailurePath, DrainMidStreamFailureRestoresWellDefinedState) {
   MiniCluster cl;
   std::map<std::string, int64_t> want;
-  SpillableKvBuffer buf = two_log_buffer(cl, want);
+  SpillableKvBuffer buf = two_dir_buffer(cl, want);
   ASSERT_GE(buf.spilled_page_count(), 4u);
   const size_t size_before = buf.size();
-  // Make the second log unreadable (every retry included): its first page
-  // fails after the first log's pages were already copied into `out`.
+  // Make the second directory unreadable (every retry included): its first
+  // page fails after the first directory's pages were already copied into
+  // `out`.
   storage::FaultInjectorConfig fi;
   fi.local.p_read_fail = 1.0;
   fi.path_filter = "spill_tail";
@@ -228,7 +229,7 @@ TEST(SpillFailurePath, DrainMidStreamFailureRestoresWellDefinedState) {
 TEST(SpillFailurePath, ClearAfterPartialDrainRemovesAllSpillFiles) {
   MiniCluster cl;
   std::map<std::string, int64_t> want;
-  SpillableKvBuffer buf = two_log_buffer(cl, want);
+  SpillableKvBuffer buf = two_dir_buffer(cl, want);
   storage::FaultInjectorConfig fi;
   fi.local.p_read_fail = 1.0;
   fi.path_filter = "spill_tail";
@@ -243,67 +244,6 @@ TEST(SpillFailurePath, ClearAfterPartialDrainRemovesAllSpillFiles) {
   EXPECT_EQ(files_under(cl, "spill"), 0u) << "clear() must remove every spill file";
   EXPECT_EQ(files_under(cl, "spill_tail"), 0u)
       << "clear() must remove the absorbed pages' files too";
-}
-
-// --- the spill log: stale segments and the disk footprint -----------------
-
-TEST(SpillLogTest, NeverAppendsToAStaleSegment) {
-  MiniCluster cl;
-  // An earlier incarnation (a resubmission in the same spill directory)
-  // left garbage at the first segment's name.
-  SpillLog probe(cl.fs.get(), 0, "spill", "page_");
-  const std::string first = probe.segment_path(0);
-  const std::string garbage(1000, 'g');
-  ASSERT_TRUE(cl.fs->write_file(storage::Tier::kLocal, 0, first,
-                                as_bytes_view(garbage)).ok());
-  SpillableKvBuffer buf(cl.fs.get(), 0, "spill", 256, 256);
-  std::map<std::string, int64_t> want;
-  for (int i = 0; i < 300; ++i) {
-    const std::string k = "key_" + std::to_string(i);
-    ASSERT_TRUE(buf.add(k, "v").ok());
-    want[k]++;
-  }
-  ASSERT_GE(buf.stats().pages_spilled, 3);
-  ASSERT_LT(buf.stats().pages_spilled, SpillLog::kPagesPerSegment);
-  EXPECT_EQ(buf.stats().write_retries, 0);
-  // The segment holds exactly the pages spilled: the garbage was replaced.
-  EXPECT_EQ(cl.fs->file_size(storage::Tier::kLocal, 0, first),
-            static_cast<int64_t>(buf.stats().bytes_spilled));
-  EXPECT_EQ(collect_counts(buf), want);
-  KvBuffer flat;
-  ASSERT_TRUE(buf.drain_to(flat).ok());
-  std::map<std::string, int64_t> got;
-  for (KvView p : flat) got[std::string(p.key)]++;
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(files_under(cl, "spill"), 0u);
-}
-
-TEST(SpillLogTest, StreamedPagesKeepAtMostTwoSegmentsOnDisk) {
-  MiniCluster cl;
-  // Tiny pages, each spilled as it closes; a consumer pops the oldest
-  // pages while the producer appends, through ten segments' worth.
-  SpillableKvBuffer buf(cl.fs.get(), 0, "spill", 64, 64);
-  const int target = 10 * SpillLog::kPagesPerSegment;
-  int64_t added = 0, popped = 0;
-  size_t most_files = 0;
-  KvBuffer page;
-  bool have = false;
-  for (int i = 0; buf.stats().pages_spilled < target; ++i) {
-    ASSERT_TRUE(buf.add("key_" + std::to_string(i), "value").ok());
-    added++;
-    while (buf.spilled_page_count() > 3) {
-      ASSERT_TRUE(buf.pop_front_page(page, have).ok());
-      ASSERT_TRUE(have);
-      popped += static_cast<int64_t>(page.size());
-    }
-    most_files = std::max(most_files, files_under(cl, "spill"));
-    ASSERT_LE(most_files, 2u) << "after " << buf.stats().pages_spilled
-                              << " spilled pages";
-  }
-  EXPECT_EQ(most_files, 2u);
-  EXPECT_EQ(static_cast<int64_t>(buf.size()), added - popped);
-  ASSERT_TRUE(buf.clear().ok());
-  EXPECT_EQ(files_under(cl, "spill"), 0u) << "clear() must remove every segment";
 }
 
 // --- fault matrix: probabilistic injector, no pair lost or duplicated -----

@@ -244,6 +244,28 @@ TEST(Collectives, MismatchedRootsFailWithInternal) {
   });
 }
 
+TEST(Collectives, MismatchedReduceOpsOrCountsFailWithInternal) {
+  // Both ranks allreduce at the same position but disagree on the op, then
+  // on the element count, then reduce to a root with different ops: the
+  // slot's signature fails every participant instead of returning one
+  // rank's op over a truncated vector, and the comm stays usable.
+  Runtime::run(2, [](Comm& c) {
+    const std::vector<int64_t> in{1, 2, 3};
+    std::vector<int64_t> out;
+    Status s = c.allreduce(c.rank() == 0 ? ReduceOp::kSum : ReduceOp::kMax, in, out);
+    EXPECT_EQ(s.code(), ErrorCode::kInternal) << s.to_string();
+    const size_t n = c.rank() == 0 ? 3 : 2;
+    s = c.allreduce(ReduceOp::kSum, std::span<const int64_t>(in).first(n), out);
+    EXPECT_EQ(s.code(), ErrorCode::kInternal) << s.to_string();
+    const std::vector<double> din{1.5};
+    std::vector<double> dout;
+    s = c.reduce(0, c.rank() == 0 ? ReduceOp::kMin : ReduceOp::kSum, din, dout);
+    EXPECT_EQ(s.code(), ErrorCode::kInternal) << s.to_string();
+    ASSERT_TRUE(c.allreduce(ReduceOp::kSum, in, out).ok());
+    EXPECT_EQ(out, (std::vector<int64_t>{2, 4, 6}));
+  });
+}
+
 TEST(Collectives, AlltoallExchangesBlocks) {
   constexpr int kP = 5;
   Runtime::run(kP, [](Comm& c) {

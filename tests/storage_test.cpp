@@ -2,12 +2,14 @@
 // agent, and the recovery prefetcher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "storage/copier.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::storage {
@@ -109,9 +111,9 @@ TEST_F(StorageTest, CopyAcrossTiers) {
   EXPECT_GT(cost, 0.0);
 }
 
-// Copies are copy-on-write on the host: a destination whose bytes equal
-// the source's shares them. Each tier must still behave as an independent
-// copy, and a copy must draw and book exactly what read_file + write_file do.
+// A clean copy within one directory shares its source's bytes on the host.
+// Each tier must still behave as an independent copy, and a copy must draw
+// and book exactly what read_file + write_file do.
 
 Bytes read_back(StorageSystem& fs, Tier tier, int node, std::string_view path) {
   Bytes out;
@@ -259,73 +261,89 @@ TEST(CopyParity, CopyDrawsAndBooksLikeReadThenWrite) {
   }
 }
 
-TEST(ReadRangeParity, RangeDrawsAndBooksLikeReadFileOfItsBytes) {
-  // Two systems armed alike: one reads each record as a range of one log
-  // file, the other reads it as a file of its own. Every status, cost,
-  // fault, counter and returned byte (flipped bits included) must agree.
-  TempDir tmp("ftmr-storage-range-parity");
-  FaultInjectorConfig fc;
-  fc.seed = 91;
-  fc.local.p_read_fail = 0.2;
-  fc.local.p_corrupt_read = 0.2;
-  StorageOptions a_opts, b_opts;
-  a_opts.root = tmp.path() / "a";
-  b_opts.root = tmp.path() / "b";
-  StorageSystem a(a_opts), b(b_opts);
-  std::vector<std::pair<uint64_t, size_t>> ranges;
-  uint64_t end = 0;
-  for (int i = 0; i < 24; ++i) {
-    const std::string body(static_cast<size_t>(30 + 7 * i), static_cast<char>('a' + i));
-    ASSERT_TRUE(a.append_file(Tier::kLocal, 0, "log", as_bytes_view(body)).ok());
-    ASSERT_TRUE(b.write_file(Tier::kLocal, 0, "f" + std::to_string(i),
-                             as_bytes_view(body)).ok());
-    ranges.emplace_back(end, body.size());
-    end += body.size();
+// The host footprint of the segment store: logical files are extents of a
+// directory's segment files, not host files.
+
+/// Regular files under `root` and the bytes they hold.
+std::pair<size_t, uintmax_t> host_files(const std::filesystem::path& root) {
+  size_t files = 0;
+  uintmax_t bytes = 0;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(root)) {
+    if (!e.is_regular_file()) continue;
+    files++;
+    bytes += e.file_size();
   }
-  const TierStats a0 = a.stats(Tier::kLocal), b0 = b.stats(Tier::kLocal);
-  a.set_fault_injector(fc);
-  b.set_fault_injector(fc);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 24; ++i) {
-      SCOPED_TRACE(i);
-      const auto [offset, len] = ranges[static_cast<size_t>(i)];
-      Bytes ra, rb;
-      double ca = -1.0, cb = -2.0;
-      const Status sa = a.read_range(Tier::kLocal, 0, "log", offset, len, ra, &ca, 4);
-      const Status sb = b.read_file(Tier::kLocal, 0, "f" + std::to_string(i), rb, &cb, 4);
-      EXPECT_EQ(sa.code(), sb.code());
-      if (!sa.ok()) continue;
-      EXPECT_EQ(ca, cb);
-      EXPECT_EQ(ra, rb);
-    }
-  }
-  const FaultStats fa = a.fault_stats(), fb = b.fault_stats();
-  EXPECT_GT(fa.read_failures, 0);
-  EXPECT_GT(fa.corrupt_reads, 0);
-  EXPECT_EQ(fa.read_failures, fb.read_failures);
-  EXPECT_EQ(fa.corrupt_reads, fb.corrupt_reads);
-  const TierStats sa = a.stats(Tier::kLocal), sb = b.stats(Tier::kLocal);
-  EXPECT_EQ(sa.bytes_read - a0.bytes_read, sb.bytes_read - b0.bytes_read);
-  EXPECT_EQ(sa.read_ops - a0.read_ops, sb.read_ops - b0.read_ops);
-  // A range past the end of the file is an I/O error, not a short read.
-  a.clear_fault_injector();
-  Bytes out;
-  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "log", end - 4, 8, out).code(),
-            ErrorCode::kIo);
-  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "log", end + 100, 1, out).code(),
-            ErrorCode::kIo);
-  EXPECT_EQ(a.read_range(Tier::kLocal, 0, "missing", 0, 1, out).code(),
-            ErrorCode::kNotFound);
-  ASSERT_TRUE(a.read_range(Tier::kLocal, 0, "log", end - 4, 4, out).ok());
-  EXPECT_EQ(to_string_copy(out), std::string(4, static_cast<char>('a' + 23)));
+  return {files, bytes};
 }
 
-TEST_F(StorageTest, CleanCopySharesBytesOnHost) {
-  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "src", as_bytes_view("shared")).ok());
-  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "src", Tier::kShared, 0, "dst").ok());
-  std::error_code ec;
-  EXPECT_EQ(std::filesystem::hard_link_count(fs_->real_path(Tier::kShared, 0, "dst"), ec),
-            2u);
+TEST_F(StorageTest, CleanSameDirectoryCopyAddsNoHostBytes) {
+  const std::string body(4096, 'c');
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "ck/r0/probe", as_bytes_view(body)).ok());
+  const auto before = host_files(tmp_.path());
+  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "ck/r0/probe", Tier::kShared, 0,
+                        "ck/r0/stamped").ok());
+  EXPECT_EQ(host_files(tmp_.path()), before);
+  ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "ck/r0/probe").ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck/r0/stamped")), body);
+  EXPECT_EQ(host_files(tmp_.path()), before) << "the copy keeps the shared segment";
+  // A copy to another directory or tier appends the bytes.
+  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "ck/r0/stamped", Tier::kLocal, 0,
+                        "ck/r0/stamped").ok());
+  EXPECT_EQ(host_files(tmp_.path()).second, before.second + body.size());
+}
+
+TEST_F(StorageTest, DirectoryKeepsOneSegmentForManyFiles) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(fs_->write_file(Tier::kLocal, 2, "ck/r4/f" + std::to_string(i),
+                                as_bytes_view("frame " + std::to_string(i))).ok());
+  }
+  EXPECT_EQ(host_files(tmp_.path()).first, 1u);
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs_->list_dir(Tier::kLocal, 2, "ck", names).ok());
+  EXPECT_EQ(names.size(), 100u);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 2, "ck/r4/f42")), "frame 42");
+  // The last file of a segment unlinks it.
+  ASSERT_TRUE(fs_->remove(Tier::kLocal, 2, "ck").ok());
+  EXPECT_EQ(host_files(tmp_.path()).first, 0u);
+}
+
+TEST_F(StorageTest, StreamedFilesKeepAtMostTwoSegmentsOnDisk) {
+  // A producer writes files while a consumer removes the oldest, three
+  // live at a time, through ten segments' worth of writes: a segment goes
+  // as soon as its last file does.
+  constexpr int kFiles = 10 * SegmentStore::kExtentsPerSegment;
+  size_t most = 0;
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "spill/page_" + std::to_string(i),
+                                as_bytes_view("page " + std::to_string(i))).ok());
+    if (i >= 3) {
+      ASSERT_TRUE(
+          fs_->remove(Tier::kLocal, 0, "spill/page_" + std::to_string(i - 3)).ok());
+    }
+    most = std::max(most, host_files(tmp_.path()).first);
+    ASSERT_LE(most, 2u) << "after " << i + 1 << " files";
+  }
+  EXPECT_EQ(most, 2u);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0,
+                                     "spill/page_" + std::to_string(kFiles - 1))),
+            "page " + std::to_string(kFiles - 1));
+  ASSERT_TRUE(fs_->remove(Tier::kLocal, 0, "spill").ok());
+  EXPECT_EQ(host_files(tmp_.path()).first, 0u);
+}
+
+TEST_F(StorageTest, PathSpellingsNameOneFile) {
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "a//b/./c", as_bytes_view("x")).ok());
+  EXPECT_EQ(fs_->file_size(Tier::kShared, 0, "a/b/c"), 1);
+  EXPECT_TRUE(fs_->exists(Tier::kShared, 0, "a/b/"));
+  EXPECT_FALSE(fs_->exists(Tier::kShared, 0, "a/b/c/d"));
+  // A sibling that sorts between "a" and "a/..." is not under "a".
+  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "a-z", as_bytes_view("y")).ok());
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs_->list_dir(Tier::kShared, 0, "a/", names).ok());
+  EXPECT_EQ(names, (std::vector<std::string>{"b/c"}));
+  ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "a").ok());
+  EXPECT_TRUE(fs_->exists(Tier::kShared, 0, "a-z"));
+  EXPECT_FALSE(fs_->exists(Tier::kShared, 0, "a"));
 }
 
 TEST_F(StorageTest, WipeNodeLocalModelsNodeCrash) {
