@@ -2,32 +2,32 @@
 //
 // A simulated cluster writes many small files: a checkpoint per record
 // batch, a spill page per budget overflow, an output file per partition.
-// Making each one a host file costs a new inode per logical file, which
-// dominates the simulator's host time on a disk file system. The segment
-// store keeps the logical namespace in memory instead and puts only bytes
-// on the host:
+// Making each one a host file costs a new inode per logical file, and even
+// one host file per directory costs an open per write; either dominates
+// the simulator's host time. The segment store keeps the logical namespace
+// in memory instead and puts only bytes on the host, in one file:
 //
 //   * Index. Each volume (the shared tier, or one node's local disk) maps
-//     its logical paths to ordered extents {segment, offset, len}.
-//   * Segments. A logical directory's bytes are appended to its open
-//     segment, a host file that is only ever appended to. A segment takes
-//     kExtentsPerSegment writes, then the directory opens the next. A
-//     segment's host file is unlinked as soon as no extent references it.
+//     its logical paths to ordered extents {run, len}, each the first len
+//     bytes of a run.
+//   * Runs. Each write appends its bytes to the store's one host file,
+//     `<root>/segments`, as a run: a bump allocation that starts on a file
+//     system block, so no two runs share a block. The store opens the file
+//     once and writes and reads through that one descriptor.
 //   * Sharing. Files change only by replacement or append, so extents are
-//     values: a whole-file copy within one directory shares its source's
-//     extents, and an append adds an extent to one file only. Any other
-//     copy streams the bytes through a bounded buffer, so no copy holds a
-//     whole file in memory.
+//     values: a copy shares a prefix of its source's extents, whatever the
+//     tier, node or directory of either file, and moves no byte on the
+//     host. An append adds an extent to one file only.
+//   * Reclaim. A run lives while an extent or a read in flight holds it.
+//     The last one punches the run's blocks out of the file
+//     (fallocate(FALLOC_FL_PUNCH_HOLE)), so the host file holds the live
+//     bytes plus at most a block per live extent. Where the file system
+//     cannot punch holes, freed blocks stay until the store closes.
 //
-// So a directory's files cost one host file per kExtentsPerSegment writes,
-// and the host holds about one segment per live directory. No descriptor
-// is held between calls: a run can have thousands of directories.
-//
-// Thread-safe. One mutex guards the index; host I/O runs outside it. Every
-// extent, and every read or write in flight, holds a reference to its
-// segment, so no segment is unlinked under an I/O.
+// Thread-safe. One mutex guards the index; host I/O runs outside it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -48,27 +48,22 @@ namespace ftmr::storage {
 
 class SegmentStore {
  public:
-  /// Writes a segment takes before its directory opens the next one.
-  static constexpr int kExtentsPerSegment = 256;
-
-  /// Segments of the shared tier live in `<root>/shared`, those of node
-  /// n's local disk in `<root>/local/node<n>`.
-  explicit SegmentStore(std::filesystem::path root);
-  /// Unlinks every segment: the index that names their bytes goes with it.
+  /// Creates `root` if need be and opens the host file `<root>/segments`.
+  explicit SegmentStore(const std::filesystem::path& root);
+  /// Closes and unlinks the host file: the index that names its bytes goes
+  /// with it.
   ~SegmentStore();
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// Append `data` to the open segment of `path`'s directory and make it
-  /// the file at `path` (replacing it), or add it to the file's end.
+  /// Append `data` to the host file as one run and make it the file at
+  /// `path` (replacing it), or add it to the file's end.
   Status write(Tier tier, int node, std::string_view path,
                std::span<const std::byte> data, bool append);
   /// The whole file at `path` into `out`; kNotFound if there is none.
   Status read(Tier tier, int node, std::string_view path, Bytes& out) const;
   /// Make the file at `dst` (replacing it) the first `len` bytes of the
-  /// file at `src`; kNotFound if there is none. All of a file copied
-  /// within one directory of one volume shares its extents; any other
-  /// copy appends the bytes to the open segment of `dst`'s directory.
+  /// file at `src`, sharing its extents; kNotFound if there is none.
   Status copy(Tier src_tier, int src_node, std::string_view src, Tier dst_tier,
               int dst_node, std::string_view dst, uint64_t len);
 
@@ -85,55 +80,43 @@ class SegmentStore {
   void wipe(Tier tier, int node);
 
  private:
-  struct Segment;
+  struct Run;
   struct Extent {
-    std::shared_ptr<Segment> seg;
-    uint64_t offset = 0;
-    uint64_t len = 0;
+    std::shared_ptr<Run> run;
+    uint64_t len = 0;  // the run's first len bytes
   };
   /// A file is its extents, in order.
   using Extents = std::pmr::vector<Extent>;
-  struct Volume {
-    explicit Volume(std::pmr::memory_resource* pool) : files(pool), open(pool) {}
-    std::pmr::map<std::pmr::string, Extents, std::less<>> files;
-    /// Directory -> the segment its writes append to. Weak: a segment
-    /// lives only while an extent or an I/O in flight holds it.
-    std::pmr::map<std::pmr::string, std::weak_ptr<Segment>, std::less<>> open;
-  };
+  using Files = std::pmr::map<std::pmr::string, Extents, std::less<>>;
   using VolumeKey = std::pair<Tier, int>;
 
   /// The shared tier is one volume whatever the node.
   static VolumeKey key_of(Tier tier, int node) noexcept {
     return {tier, tier == Tier::kShared ? 0 : node};
   }
-  Volume& volume_locked(Tier tier, int node) FTMR_REQUIRES(mu_);
+  /// `len` rounded up to whole blocks: the bytes a run of `len` reserves.
+  [[nodiscard]] uint64_t blocks(uint64_t len) const noexcept {
+    return (len + block_ - 1) / block_ * block_;
+  }
+  /// The file at normalized `path`, created empty if there is none.
+  Extents& file_locked(Tier tier, int node, const std::string& path) FTMR_REQUIRES(mu_);
   /// The file at normalized `path`, or null.
   const Extents* find_file_locked(Tier tier, int node, std::string_view path) const
       FTMR_REQUIRES(mu_);
-  /// Reserve `len` bytes at the end of the open segment of `path`'s
-  /// directory, opening a new segment when there is none or it is full.
-  std::shared_ptr<Segment> reserve(Tier tier, int node, std::string_view path,
-                                   uint64_t len, uint64_t* offset) FTMR_EXCLUDES(mu_);
-  /// Make the written bytes `len` at `offset` of `seg` (null: none) the
-  /// file at `path`, or add them to its end.
-  void commit(Tier tier, int node, const std::string& path, std::shared_ptr<Segment> seg,
-              uint64_t offset, uint64_t len, bool append) FTMR_EXCLUDES(mu_);
-  /// Hand `sink(fd, offset, n)` the first `len` bytes of `extents` in
-  /// order, one extent at a time, with `fd` open on its segment. False as
-  /// soon as a segment cannot be opened or the sink fails.
-  template <typename Sink>
-  static bool scan(const std::vector<Extent>& extents, uint64_t len, Sink&& sink);
 
-  const std::filesystem::path root_;
-  // The index and the segments live as long as their files, while the KV
+  const std::string host_;
+  int fd_ = -1;
+  uint64_t block_ = 4096;  // the file system's block size; runs start on one
+  bool closing_ = false;   // set by the destructor: runs leave their blocks
+  std::atomic<uint64_t> end_{0};  // bytes reserved by runs so far
+  // The index and the runs live as long as their files, while the KV
   // buffers churn around them; allocated from the general heap, they pin
   // freed buffer memory (+1.5 MiB peak RSS on perfbench's
-  // wc_spill_restart). This pool keeps them together. Thread-safe: a
-  // segment may be freed by a reader outside mu_.
+  // wc_spill_restart). This pool keeps them together. Thread-safe: a run
+  // may be freed by a reader outside mu_.
   std::pmr::synchronized_pool_resource pool_;
   mutable Mutex mu_{"storage.segments"};
-  std::map<VolumeKey, Volume> volumes_ FTMR_GUARDED_BY(mu_);
-  uint64_t next_segment_ FTMR_GUARDED_BY(mu_) = 0;
+  std::map<VolumeKey, Files> volumes_ FTMR_GUARDED_BY(mu_);
 };
 
 }  // namespace ftmr::storage

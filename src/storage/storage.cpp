@@ -16,11 +16,7 @@ namespace fs = std::filesystem;
 StorageSystem::StorageSystem(StorageOptions opts)
     : opts_(std::move(opts)),
       memory_(std::make_unique<ReplicaStore>(opts_.memory)),
-      store_(std::make_unique<SegmentStore>(opts_.root)) {
-  std::error_code ec;
-  fs::create_directories(opts_.root / "shared", ec);
-  if (opts_.has_local_disk) fs::create_directories(opts_.root / "local", ec);
-}
+      store_(std::make_unique<SegmentStore>(opts_.root)) {}
 
 StorageSystem::~StorageSystem() = default;
 
@@ -253,9 +249,8 @@ Status StorageSystem::copy(Tier src_tier, int src_node, std::string_view src_pat
   book_read(src_tier, size, &data, corrupt);
 
   // write_file(dst)'s decision, cost and booking. A corrupt read's flipped
-  // bytes are written; otherwise the store copies the persisted prefix,
-  // sharing the source's extents when that is all of it and the two files
-  // share a directory.
+  // bytes are written; otherwise the destination shares the source's
+  // extents, cut to the persisted prefix.
   size_t prefix = 0;
   if (auto s = decide_write(dst_tier, dst_path, size, &prefix); !s.ok()) return s;
   const Status written =

@@ -14,10 +14,11 @@
 // returned to the caller, which charges them to its rank's virtual clock.
 //
 // On the host, logical files are not host files: a segment store
-// (segment_store.hpp) indexes them in memory and appends each directory's
-// bytes to a few append-only segment files, so creating a logical file
-// (a checkpoint, a spill page) costs an append instead of a new inode.
-// Fault draws, TierStats and modeled cost are those of one file per path.
+// (segment_store.hpp) indexes them in memory and appends their bytes to one
+// host file per StorageSystem, so creating a logical file (a checkpoint, a
+// spill page) costs a pwrite instead of a new inode, and a copy costs no
+// host I/O. Fault draws, TierStats and modeled cost are those of one file
+// per path.
 #pragma once
 
 #include <filesystem>
@@ -256,10 +257,10 @@ class StorageSystem {
 
   /// Copy a file across tiers (the copier/prefetcher primitive). Draws the
   /// faults and books the TierStats and cost of read_file(src) followed by
-  /// write_file(dst), in that order. On the host, a copy within one
-  /// directory whose bytes would equal the source's (no corrupt read, no
-  /// torn write) shares the source's bytes and writes none; any other
-  /// copy appends the bytes to the destination directory.
+  /// write_file(dst), in that order. On the host, a copy whose bytes
+  /// would be a prefix of the source's (no corrupt read) shares them and
+  /// writes none, whatever the tiers or nodes; a corrupt read's copy
+  /// writes its flipped bytes.
   Status copy(Tier src_tier, int src_node, std::string_view src_path,
               Tier dst_tier, int dst_node, std::string_view dst_path,
               double* sim_cost = nullptr, int concurrency = 1);

@@ -3,12 +3,13 @@
 // injected in every phase, including continuous failures and multi-stage
 // (iterative) jobs. This is the paper's core correctness claim.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <charconv>
 #include <filesystem>
 #include <map>
-#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -612,10 +613,12 @@ TEST(CommitPoint, DeltaFilesPerTaskAndPartition) {
 }
 
 // The host footprint of a checkpointing job: every checkpoint, drained copy,
-// input chunk and output partition is an extent of its directory's segment
-// file, so a failure-free job leaves at most one host file per directory
-// holding files, not one per checkpoint.
-TEST(HostFootprint, WcJobKeepsAtMostOneSegmentPerDirectory) {
+// input chunk and output partition is a run of the storage system's one host
+// file, and the job writes each file whole, as one extent. So the file's
+// allocated bytes are at most the live logical bytes plus a block per file
+// (drained copies share their checkpoint's run, so the logical bytes count
+// it twice), and about none once every file is removed.
+TEST(HostFootprint, WcJobKeepsOneHostFileOfLiveBytes) {
   constexpr int kRanks = 8;
   World w(16, 40);
   FtJobOptions opts = base_opts(FtMode::kDetectResumeWC);
@@ -628,28 +631,43 @@ TEST(HostFootprint, WcJobKeepsAtMostOneSegmentPerDirectory) {
   });
   ASSERT_EQ(r.finished_count(), kRanks);
   EXPECT_EQ(w.read_output(), w.expected);
-  // Logical files and their directories, per tier and node.
+  // Logical files and their bytes, per tier and node.
+  const int nodes = kRanks / opts.ppn;
   size_t files = 0;
-  std::set<std::string> dirs;
-  const auto census = [&](storage::Tier tier, int node, const std::string& volume) {
+  uint64_t live = 0;
+  const auto census = [&](storage::Tier tier, int node) {
     std::vector<std::string> names;
     ASSERT_TRUE(w.fs->list_dir(tier, node, "", names).ok());
     files += names.size();
     for (const std::string& n : names) {
-      dirs.insert(volume + "/" + std::filesystem::path(n).parent_path().string());
+      live += static_cast<uint64_t>(w.fs->file_size(tier, node, n));
     }
   };
-  census(storage::Tier::kShared, 0, "shared");
-  for (int node = 0; node < kRanks / opts.ppn; ++node) {
-    census(storage::Tier::kLocal, node, "node" + std::to_string(node));
+  census(storage::Tier::kShared, 0);
+  for (int node = 0; node < nodes; ++node) census(storage::Tier::kLocal, node);
+  // The one host file and the bytes allocated to it.
+  const auto host = [&] {
+    size_t count = 0;
+    uint64_t block = 0, allocated = 0;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(w.tmp.path())) {
+      struct stat st {};
+      if (!e.is_regular_file() || ::stat(e.path().c_str(), &st) != 0) continue;
+      count++;
+      block = static_cast<uint64_t>(st.st_blksize);
+      allocated += static_cast<uint64_t>(st.st_blocks) * 512;
+    }
+    return std::tuple(count, block, allocated);
+  };
+  const auto [host_files, block, allocated] = host();
+  EXPECT_EQ(host_files, 1u);
+  EXPECT_GT(files, 100u);
+  EXPECT_LE(allocated, live + files * block)
+      << files << " logical files of " << live << " bytes";
+  ASSERT_TRUE(w.fs->remove(storage::Tier::kShared, 0, "").ok());
+  for (int node = 0; node < nodes; ++node) {
+    ASSERT_TRUE(w.fs->remove(storage::Tier::kLocal, node, "").ok());
   }
-  size_t host_files = 0;
-  for (const auto& e : std::filesystem::recursive_directory_iterator(w.tmp.path())) {
-    host_files += e.is_regular_file() ? 1 : 0;
-  }
-  EXPECT_LE(host_files, dirs.size());
-  EXPECT_GT(files, 8 * host_files) << files << " logical files in " << dirs.size()
-                                   << " directories";
+  EXPECT_LE(std::get<2>(host()), block);
 }
 
 // The C/R error handler flushes before MPI_Abort. At record granularity the

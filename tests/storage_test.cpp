@@ -1,15 +1,17 @@
 // Tests for the simulated storage hierarchy, the retry ladder, the copier
 // agent, and the recovery prefetcher.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <iterator>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "storage/copier.hpp"
-#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::storage {
@@ -261,58 +263,68 @@ TEST(CopyParity, CopyDrawsAndBooksLikeReadThenWrite) {
   }
 }
 
-// The host footprint of the segment store: logical files are extents of a
-// directory's segment files, not host files.
+// The host footprint of the segment store: one host file per store, whose
+// allocated bytes (st_blocks, not its size: a freed run is a hole) are the
+// live logical bytes plus at most one block per live extent.
 
-/// Regular files under `root` and the bytes they hold.
-std::pair<size_t, uintmax_t> host_files(const std::filesystem::path& root) {
+/// The regular files under `root`, their block size and the bytes the file
+/// system has allocated to them.
+struct HostUsage {
   size_t files = 0;
-  uintmax_t bytes = 0;
+  uint64_t block = 0;
+  uint64_t allocated = 0;
+};
+
+HostUsage host_usage(const std::filesystem::path& root) {
+  HostUsage u;
   for (const auto& e : std::filesystem::recursive_directory_iterator(root)) {
-    if (!e.is_regular_file()) continue;
-    files++;
-    bytes += e.file_size();
+    struct stat st {};
+    if (!e.is_regular_file() || ::stat(e.path().c_str(), &st) != 0) continue;
+    u.files++;
+    u.block = static_cast<uint64_t>(st.st_blksize);
+    u.allocated += static_cast<uint64_t>(st.st_blocks) * 512;
   }
-  return {files, bytes};
+  return u;
 }
 
-TEST_F(StorageTest, CleanSameDirectoryCopyAddsNoHostBytes) {
-  const std::string body(4096, 'c');
-  ASSERT_TRUE(fs_->write_file(Tier::kShared, 0, "ck/r0/probe", as_bytes_view(body)).ok());
-  const auto before = host_files(tmp_.path());
-  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "ck/r0/probe", Tier::kShared, 0,
-                        "ck/r0/stamped").ok());
-  EXPECT_EQ(host_files(tmp_.path()), before);
-  ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "ck/r0/probe").ok());
-  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck/r0/stamped")), body);
-  EXPECT_EQ(host_files(tmp_.path()), before) << "the copy keeps the shared segment";
-  // A copy to another directory or tier appends the bytes.
-  ASSERT_TRUE(fs_->copy(Tier::kShared, 0, "ck/r0/stamped", Tier::kLocal, 0,
-                        "ck/r0/stamped").ok());
-  EXPECT_EQ(host_files(tmp_.path()).second, before.second + body.size());
+/// The descriptors this process holds open.
+size_t open_descriptors() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return static_cast<size_t>(std::distance(begin(fds), end(fds)));
 }
 
-TEST_F(StorageTest, DirectoryKeepsOneSegmentForManyFiles) {
+TEST_F(StorageTest, StoreKeepsOneHostFileOfLiveBytes) {
+  // Files on three nodes' disks and the shared tier, in seven directories.
+  uint64_t live = 0;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(fs_->write_file(Tier::kLocal, 2, "ck/r4/f" + std::to_string(i),
-                                as_bytes_view("frame " + std::to_string(i))).ok());
+    const std::string body = "frame " + std::to_string(i) + std::string(i * 97, 'f');
+    const Tier tier = i % 2 == 0 ? Tier::kShared : Tier::kLocal;
+    const std::string path = "ck/r" + std::to_string(i % 7) + "/f" + std::to_string(i);
+    ASSERT_TRUE(fs_->write_file(tier, i % 3, path, as_bytes_view(body)).ok());
+    live += body.size();
   }
-  EXPECT_EQ(host_files(tmp_.path()).first, 1u);
+  HostUsage u = host_usage(tmp_.path());
+  EXPECT_EQ(u.files, 1u);
+  EXPECT_LE(u.allocated, live + 100 * u.block);
   std::vector<std::string> names;
-  ASSERT_TRUE(fs_->list_dir(Tier::kLocal, 2, "ck", names).ok());
-  EXPECT_EQ(names.size(), 100u);
-  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 2, "ck/r4/f42")), "frame 42");
-  // The last file of a segment unlinks it.
-  ASSERT_TRUE(fs_->remove(Tier::kLocal, 2, "ck").ok());
-  EXPECT_EQ(host_files(tmp_.path()).first, 0u);
+  ASSERT_TRUE(fs_->list_dir(Tier::kShared, 0, "ck", names).ok());
+  EXPECT_EQ(names.size(), 50u);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "ck/r3/f45")),
+            "frame 45" + std::string(45 * 97, 'f'));
+  // Removing every file punches every run out of the host file.
+  ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "ck").ok());
+  for (int node = 0; node < 3; ++node) {
+    ASSERT_TRUE(fs_->remove(Tier::kLocal, node, "ck").ok());
+  }
+  u = host_usage(tmp_.path());
+  EXPECT_EQ(u.files, 1u);
+  EXPECT_LE(u.allocated, u.block);
 }
 
-TEST_F(StorageTest, StreamedFilesKeepAtMostTwoSegmentsOnDisk) {
+TEST_F(StorageTest, StreamedFilesKeepOnlyTheirOwnBlocks) {
   // A producer writes files while a consumer removes the oldest, three
-  // live at a time, through ten segments' worth of writes: a segment goes
-  // as soon as its last file does.
-  constexpr int kFiles = 10 * SegmentStore::kExtentsPerSegment;
-  size_t most = 0;
+  // live at a time: a run's blocks go as soon as its file does.
+  constexpr int kFiles = 2000;
   for (int i = 0; i < kFiles; ++i) {
     ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "spill/page_" + std::to_string(i),
                                 as_bytes_view("page " + std::to_string(i))).ok());
@@ -320,15 +332,112 @@ TEST_F(StorageTest, StreamedFilesKeepAtMostTwoSegmentsOnDisk) {
       ASSERT_TRUE(
           fs_->remove(Tier::kLocal, 0, "spill/page_" + std::to_string(i - 3)).ok());
     }
-    most = std::max(most, host_files(tmp_.path()).first);
-    ASSERT_LE(most, 2u) << "after " << i + 1 << " files";
+    const HostUsage u = host_usage(tmp_.path());
+    ASSERT_EQ(u.files, 1u);
+    ASSERT_LE(u.allocated, 3 * u.block) << "after " << i + 1 << " files";
   }
-  EXPECT_EQ(most, 2u);
   EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0,
                                      "spill/page_" + std::to_string(kFiles - 1))),
             "page " + std::to_string(kFiles - 1));
   ASSERT_TRUE(fs_->remove(Tier::kLocal, 0, "spill").ok());
-  EXPECT_EQ(host_files(tmp_.path()).first, 0u);
+  const HostUsage u = host_usage(tmp_.path());
+  EXPECT_LE(u.allocated, u.block);
+}
+
+TEST_F(StorageTest, CleanCopiesAddNoAllocatedBytes) {
+  // Within a directory and to another node's disk: the copies share the
+  // source's run, which outlives the source.
+  const std::string body(10000, 'c');
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 0, "ck/r0/probe", as_bytes_view(body)).ok());
+  const uint64_t before = host_usage(tmp_.path()).allocated;
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "ck/r0/probe", Tier::kLocal, 0,
+                        "ck/r0/stamped").ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "ck/r0/probe", Tier::kLocal, 1,
+                        "ck/r0/probe").ok());
+  EXPECT_EQ(host_usage(tmp_.path()).allocated, before);
+  ASSERT_TRUE(fs_->remove(Tier::kLocal, 0, "ck/r0/probe").ok());
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "ck/r0/stamped")), body);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 1, "ck/r0/probe")), body);
+  EXPECT_EQ(host_usage(tmp_.path()).allocated, before) << "the copies keep the run";
+}
+
+TEST_F(StorageTest, CleanLocalToSharedCopyAddsNoAllocatedBytes) {
+  // A drained delta log: five appended extents on node 3's disk.
+  std::string body;
+  for (int i = 0; i < 5; ++i) {
+    const std::string piece(3000 + static_cast<size_t>(i), static_cast<char>('a' + i));
+    ASSERT_TRUE(fs_->append_file(Tier::kLocal, 3, "ck/r6/delta", as_bytes_view(piece)).ok());
+    body += piece;
+  }
+  const uint64_t before = host_usage(tmp_.path()).allocated;
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 3, "ck/r6/delta", Tier::kShared, 0,
+                        "ck_shared/r6/delta").ok());
+  EXPECT_EQ(host_usage(tmp_.path()).allocated, before);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck_shared/r6/delta")), body);
+  // The copy is still booked as a write of every byte.
+  EXPECT_EQ(fs_->stats(Tier::kShared).bytes_written, body.size());
+}
+
+TEST_F(StorageTest, SharedCopySurvivesWipeOfItsSourceNode) {
+  std::string body(20000, '\0');
+  for (size_t i = 0; i < body.size(); ++i) body[i] = static_cast<char>(i * 131 + 7);
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 2, "ck/r4/f0", as_bytes_view(body)).ok());
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 2, "ck/r4/f0", Tier::kShared, 0, "ck/r4/f0").ok());
+  fs_->wipe_node_local(2);
+  EXPECT_FALSE(fs_->exists(Tier::kLocal, 2, "ck/r4/f0"));
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck/r4/f0")), body);
+  // The shared copy held the last reference to the run.
+  ASSERT_TRUE(fs_->remove(Tier::kShared, 0, "ck").ok());
+  const HostUsage u = host_usage(tmp_.path());
+  EXPECT_LE(u.allocated, u.block);
+}
+
+TEST_F(StorageTest, TornCopySharesExactlyThePrefix) {
+  std::string body;
+  for (int i = 0; i < 4; ++i) {
+    const std::string piece(2500, static_cast<char>('p' + i));
+    ASSERT_TRUE(fs_->append_file(Tier::kLocal, 0, "ck/r0/stream", as_bytes_view(piece)).ok());
+    body += piece;
+  }
+  const uint64_t before = host_usage(tmp_.path()).allocated;
+  FaultInjectorConfig fc;
+  fc.shared.p_torn_write = 1.0;
+  fs_->set_fault_injector(fc);
+  ASSERT_TRUE(fs_->copy(Tier::kLocal, 0, "ck/r0/stream", Tier::kShared, 0,
+                        "ck/r0/stream").ok());
+  fs_->clear_fault_injector();
+  EXPECT_EQ(fs_->fault_stats().torn_writes, 1);
+  const std::string torn = to_string_copy(read_back(*fs_, Tier::kShared, 0, "ck/r0/stream"));
+  EXPECT_LT(torn.size(), body.size());
+  EXPECT_EQ(torn, body.substr(0, torn.size()));
+  EXPECT_EQ(fs_->stats(Tier::kShared).bytes_written, torn.size());
+  EXPECT_EQ(host_usage(tmp_.path()).allocated, before);
+  EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "ck/r0/stream")), body);
+}
+
+TEST_F(StorageTest, OneHostFileAndOneDescriptorPerStore) {
+  const size_t fds = open_descriptors();
+  TempDir tmp("ftmr-storage-fds");
+  {
+    StorageOptions opts;
+    opts.root = tmp.path() / "fs";
+    StorageSystem fs(opts);
+    EXPECT_EQ(open_descriptors(), fds + 1);
+    for (int i = 0; i < 50; ++i) {
+      const std::string path = "d" + std::to_string(i % 5) + "/f" + std::to_string(i);
+      ASSERT_TRUE(fs.write_file(Tier::kLocal, i % 4, path, as_bytes_view(path)).ok());
+      ASSERT_TRUE(fs.append_file(Tier::kLocal, i % 4, path, as_bytes_view("+")).ok());
+      ASSERT_TRUE(fs.copy(Tier::kLocal, i % 4, path, Tier::kShared, 0, path).ok());
+      EXPECT_EQ(to_string_copy(read_back(fs, Tier::kShared, 0, path)), path + "+");
+      if (i % 3 == 0) {
+        ASSERT_TRUE(fs.remove(Tier::kLocal, i % 4, path).ok());
+      }
+    }
+    EXPECT_EQ(open_descriptors(), fds + 1);
+    EXPECT_EQ(host_usage(tmp.path()).files, 1u);
+  }
+  EXPECT_EQ(open_descriptors(), fds);
+  EXPECT_EQ(host_usage(tmp.path()).files, 0u);
 }
 
 TEST_F(StorageTest, PathSpellingsNameOneFile) {
