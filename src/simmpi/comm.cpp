@@ -38,6 +38,13 @@ Bytes ctx_bytes(uint64_t ctx) {
   return std::move(w).take();
 }
 
+using Member = CollectiveSlot::Member;
+
+// A picked-up result: this rank's copy of the shared one, or its own.
+Bytes take_result(Job::Pickup& mine) {
+  return mine.shared_result ? *mine.shared_result : std::move(mine.result);
+}
+
 template <typename T>
 T apply_op(ReduceOp op, T a, T b) noexcept {
   switch (op) {
@@ -325,7 +332,7 @@ Status Comm::run_collective(const CollectiveSig& sig, Bytes contribution,
   const uint64_t seq = job_->ranks[global_rank_].coll_seq[state_->ctx]++;
   const SlotKey key{state_->ctx, slot_seq(kNsNormal, seq)};
   auto slot = job_->join_slot_locked(key, *state_, rel_rank_, sig, std::move(contribution));
-  if (row) slot->rows[rel_rank_] = std::move(*row);
+  if (row) slot->members[rel_rank_].row = std::move(*row);
 
   for (;;) {
     job_->check_callable_locked(global_rank_);
@@ -344,6 +351,7 @@ Status Comm::run_collective(const CollectiveSig& sig, Bytes contribution,
         compute(*slot, *state_, *job_);
       }
       slot->computed = true;
+      job_->slots.erase(key);
       job_->wake_channel(slot->ch);
       break;
     }
@@ -354,7 +362,7 @@ Status Comm::run_collective(const CollectiveSig& sig, Bytes contribution,
   }
 
   const bool mismatched = slot->mismatched;
-  Job::Pickup mine = job_->pickup_locked(key, *slot, *state_, rel_rank_);
+  Job::Pickup mine = job_->pickup_locked(*slot, *state_, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
   if (mismatched) {
@@ -365,7 +373,7 @@ Status Comm::run_collective(const CollectiveSig& sig, Bytes contribution,
   if (mine.failed) {
     return handle({ErrorCode::kProcFailed, "collective: participant died"});
   }
-  if (result_out) *result_out = std::move(mine.result);
+  if (result_out) *result_out = take_result(mine);
   if (row) *row = std::move(mine.row);
   return Status::Ok();
 }
@@ -393,6 +401,7 @@ Status Comm::run_tolerant(uint64_t ns, CollectiveKind kind, Bytes contribution,
       // A dead member never fails the slot: compute runs over what arrived.
       compute(*slot, *state_, *job_);
       slot->computed = true;
+      job_->slots.erase(key);
       job_->tol_epochs[epoch_key] = epoch + 1;
       job_->wake_channel(slot->ch);
       break;
@@ -403,10 +412,10 @@ Status Comm::run_tolerant(uint64_t ns, CollectiveKind kind, Bytes contribution,
     }
   }
 
-  Job::Pickup mine = job_->pickup_locked(key, *slot, *state_, rel_rank_);
+  Job::Pickup mine = job_->pickup_locked(*slot, *state_, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
-  if (result_out) *result_out = std::move(mine.result);
+  if (result_out) *result_out = take_result(mine);
   return Status::Ok();
 }
 
@@ -443,12 +452,12 @@ Status Comm::bcast(int root, Bytes& data) {
   Bytes contribution = (rel_rank_ == root) ? data : Bytes{};
   const NetworkModel net = job_->opts.net;
   auto compute = [root, net](CollectiveSlot& slot, const CommState& cs, Job&) {
-    const Bytes& payload = slot.contribs[root];
+    Bytes& payload = slot.members[root].contrib;
     const double t =
         slot.latest_arrival() +
         log2ceil(cs.size()) *
             (net.latency_s + static_cast<double>(payload.size()) / net.bandwidth_Bps);
-    slot.finish_all(t, &payload);
+    slot.finish_all(t, std::move(payload));
   };
   Bytes result;
   Status s = run_collective({CollectiveKind::kBcast, root}, std::move(contribution),
@@ -473,12 +482,11 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
     bool first = true;
     size_t payload_bytes = 0;
     // Deterministic order: reduce in rel-rank order.
-    for (const auto& [r, c] : slot.contribs) {
-      (void)r;
-      ByteReader reader(c);
+    for (const Member& m : slot.members) {
+      ByteReader reader(m.contrib);
       uint64_t n = 0;
       (void)reader.get(n);
-      payload_bytes = std::max(payload_bytes, c.size());
+      payload_bytes = std::max(payload_bytes, m.contrib.size());
       std::vector<T> vals(n);
       for (auto& v : vals) (void)reader.get(v);
       if (first) {
@@ -498,8 +506,12 @@ Status Comm::reduce_impl(int root, ReduceOp op, std::span<const T> in,
         slot.latest_arrival() +
         (to_all ? 2.0 : 1.0) * log2ceil(cs.size()) *
             (net.latency_s + static_cast<double>(payload_bytes) / net.bandwidth_Bps);
-    slot.finish_all(t, to_all ? &result : nullptr);
-    if (!to_all) slot.results[root] = std::move(result);
+    if (to_all) {
+      slot.finish_all(t, std::move(result));
+    } else {
+      slot.finish_all(t);
+      slot.members[root].result = std::move(result);
+    }
   };
   constexpr bool kF64 = std::is_same_v<T, double>;
   const CollectiveKind kind =
@@ -570,14 +582,9 @@ Status Comm::gather_impl(int root, std::span<const std::byte> in,
     ByteWriter w;
     w.put<uint32_t>(static_cast<uint32_t>(p));
     size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      auto it = slot.contribs.find(r);
-      if (it != slot.contribs.end()) {
-        w.put_blob(it->second);
-        total += it->second.size();
-      } else {
-        w.put_blob({});
-      }
+    for (const Member& m : slot.members) {
+      w.put_blob(m.contrib);
+      total += m.contrib.size();
     }
     Bytes result = std::move(w).take();
     const double t = slot.latest_arrival();
@@ -585,16 +592,17 @@ Status Comm::gather_impl(int root, std::span<const std::byte> in,
     if (to_all) {
       // Everyone receives all `total` bytes: t + (hops + total/bw).
       slot.finish_all(t + (hops + static_cast<double>(total) / net.bandwidth_Bps),
-                      &result);
+                      std::move(result));
       return;
     }
     // The root receives `total` bytes, every other rank sends its own:
     // (t + hops) + bytes/bw.
-    for (const auto& [r, c] : slot.contribs) {
-      const size_t bytes = r == root ? total : c.size();
-      slot.done_vtime[r] = (t + hops) + static_cast<double>(bytes) / net.bandwidth_Bps;
+    for (int r = 0; r < p; ++r) {
+      Member& m = slot.members[r];
+      const size_t bytes = r == root ? total : m.contrib.size();
+      m.done_vtime = (t + hops) + static_cast<double>(bytes) / net.bandwidth_Bps;
     }
-    slot.results[root] = std::move(result);
+    slot.members[root].result = std::move(result);
   };
   Bytes result;
   Status s = run_collective({to_all ? CollectiveKind::kAllgather : CollectiveKind::kGather,
@@ -618,36 +626,25 @@ Status Comm::alltoall(std::vector<Bytes> send, std::vector<Bytes>& recv) {
     return handle({ErrorCode::kInvalidArgument, "alltoall: send.size() != comm size"});
   }
   const NetworkModel net = job_->opts.net;
-  auto compute = [net, p](CollectiveSlot& slot, const CommState& cs, Job&) {
-    // Byte counts first: the transpose below moves the blobs out.
-    std::map<int, size_t> send_bytes;
-    std::map<int, size_t> recv_bytes;
-    for (const auto& [src, row] : slot.rows) {
-      for (int dst = 0; dst < p; ++dst) {
-        const size_t n = row[static_cast<size_t>(dst)].size();
-        send_bytes[src] += n;
-        recv_bytes[dst] += n;
+  auto compute = [net](CollectiveSlot& slot, const CommState& cs, Job&) {
+    std::vector<Member>& m = slot.members;
+    // Byte counts first: what each rank sends plus what it receives.
+    std::vector<size_t> moved(m.size(), 0);
+    for (size_t src = 0; src < m.size(); ++src) {
+      for (size_t dst = 0; dst < m.size(); ++dst) {
+        moved[src] += m[src].row[dst].size();
+        moved[dst] += m[src].row[dst].size();
       }
     }
     const double t0 = slot.latest_arrival();
-    // Transpose by move: column dst gathers blob [src][dst] from every
-    // contributor (a src that never arrived leaves an empty blob).
-    std::map<int, std::vector<Bytes>> cols;
-    for (const auto& [dst, row] : slot.rows) {
-      (void)row;
-      cols[dst].resize(static_cast<size_t>(p));
+    // Transpose in place: swapping blob [i][j] with [j][i] turns each row
+    // into its receive column without copying a byte.
+    for (size_t i = 0; i < m.size(); ++i) {
+      for (size_t j = i + 1; j < m.size(); ++j) std::swap(m[i].row[j], m[j].row[i]);
     }
-    for (auto& [src, row] : slot.rows) {
-      for (auto& [dst, col] : cols) {
-        col[static_cast<size_t>(src)] = std::move(row[static_cast<size_t>(dst)]);
-      }
-    }
-    slot.rows = std::move(cols);
-    for (const auto& [dst, col] : slot.rows) {
-      (void)col;
-      slot.done_vtime[dst] =
-          t0 + static_cast<double>(cs.size()) * net.latency_s +
-          static_cast<double>(send_bytes[dst] + recv_bytes[dst]) / net.bandwidth_Bps;
+    for (size_t r = 0; r < m.size(); ++r) {
+      m[r].done_vtime = t0 + static_cast<double>(cs.size()) * net.latency_s +
+                        static_cast<double>(moved[r]) / net.bandwidth_Bps;
     }
   };
   Status s = run_collective({CollectiveKind::kAlltoall}, {},
@@ -662,8 +659,8 @@ Status Comm::dup(Comm& out, bool accounts_time) {
   auto compute = [alpha, accounts_time](CollectiveSlot& slot, const CommState& cs,
                                         Job& job) {
     job.mu.assert_held();  // compute callbacks run inside run_collective's CS
-    const Bytes result = ctx_bytes(job.register_comm_locked(cs.group, accounts_time));
-    slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()), &result);
+    slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()),
+                    ctx_bytes(job.register_comm_locked(cs.group, accounts_time)));
   };
   Bytes result;
   Status s = run_collective({CollectiveKind::kDup}, {}, compute,
@@ -684,8 +681,8 @@ Status Comm::split(int color, int key, Comm& out) {
       int color, key, rel;
     };
     std::vector<Entry> entries;
-    for (const auto& [r, c] : slot.contribs) {
-      ByteReader reader(c);
+    for (int r = 0; r < cs.size(); ++r) {
+      ByteReader reader(slot.members[r].contrib);
       int32_t col = 0, k = 0;
       (void)reader.get(col);
       (void)reader.get(k);
@@ -710,7 +707,7 @@ Status Comm::split(int color, int key, Comm& out) {
     }
     slot.finish_all(slot.latest_arrival() + alpha * log2ceil(cs.size()));
     for (const Entry& e : entries) {
-      slot.results[e.rel] = ctx_bytes(e.color >= 0 ? ctx_of_color[e.color] : 0);
+      slot.members[e.rel].result = ctx_bytes(e.color >= 0 ? ctx_of_color[e.color] : 0);
     }
   };
   Bytes result;
@@ -751,12 +748,12 @@ Status Comm::shrink(Comm& out) {
     std::vector<int> group;
     for (int rel = 0; rel < cs.size(); ++rel) {
       const int g = cs.group[rel];
-      if (job.ranks[g].alive && slot.contribs.count(rel)) group.push_back(g);
+      if (job.ranks[g].alive && slot.members[rel].arrived) group.push_back(g);
     }
-    const Bytes result = ctx_bytes(job.register_comm_locked(std::move(group),
-                                                            cs.accounts_time));
     // ~agreement-protocol rounds
-    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
+    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()),
+                    ctx_bytes(job.register_comm_locked(std::move(group),
+                                                       cs.accounts_time)));
   };
   Bytes result;
   Status s = run_tolerant(kNsShrink, CollectiveKind::kShrink, {}, compute, &result);
@@ -770,17 +767,17 @@ Status Comm::agree(int& flag) {
   const double alpha = job_->opts.net.latency_s;
   auto compute = [alpha](CollectiveSlot& slot, const CommState& cs, Job&) {
     int32_t acc = ~0;
-    for (const auto& [r, c] : slot.contribs) {
-      (void)r;
-      ByteReader reader(c);
+    for (const Member& m : slot.members) {
+      if (!m.arrived) continue;  // died before arriving
+      ByteReader reader(m.contrib);
       int32_t v = 0;
       (void)reader.get(v);
       acc &= v;
     }
     ByteWriter rw;
     rw.put<int32_t>(acc);
-    const Bytes result = std::move(rw).take();
-    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()), &result);
+    slot.finish_all(slot.latest_arrival() + 3.0 * alpha * log2ceil(cs.size()),
+                    std::move(rw).take());
   };
   Bytes result;
   Status s = run_tolerant(kNsAgree, CollectiveKind::kAgree, std::move(w).take(), compute,

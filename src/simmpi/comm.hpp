@@ -181,13 +181,16 @@ class Comm {
   Status handle(Status s) FTMR_MAY_PARK;
 
   /// A collective's completion step: runs once, on the last arriver, under
-  /// Job::mu, and fills slot.results/done_vtime for the contributors.
+  /// Job::mu. It sets each member's done_vtime and either the slot's
+  /// shared result or per-member results (CollectiveSlot::finish_all).
+  /// run_collective computes only once every member has arrived;
+  /// run_tolerant also computes over members that died before arriving.
   using CollectiveCompute = std::function<void(CollectiveSlot&, const CommState&, Job&)>;
 
   /// Generic arrival-synchronized collective (see job.hpp). It fails on a
   /// revoked comm and when a member is dead (shrink/agree use run_tolerant
-  /// instead). A non-null `row` is deposited by move into slot.rows and, on
-  /// success only, replaced by this rank's slot.rows entry after compute
+  /// instead). A non-null `row` is deposited by move into this rank's
+  /// Member::row and, on success only, replaced by that row after compute
   /// (alltoall's transpose). If the ranks issued different signatures
   /// (kind, root, reduce op or element count) at this position, compute
   /// never runs and every participant fails kInternal.

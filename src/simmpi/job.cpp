@@ -7,16 +7,17 @@ namespace ftmr::simmpi {
 
 double CollectiveSlot::latest_arrival() const {
   double t = 0.0;
-  for (const auto& [r, v] : arrive_vtime) t = std::max(t, v);
+  for (const Member& m : members) t = std::max(t, m.arrive_vtime);
   return t;
 }
 
-void CollectiveSlot::finish_all(double t, const Bytes* result) {
-  for (const auto& [r, c] : contribs) {
-    (void)c;
-    if (result != nullptr) results[r] = *result;
-    done_vtime[r] = t;
-  }
+void CollectiveSlot::finish_all(double t) {
+  for (Member& m : members) m.done_vtime = t;
+}
+
+void CollectiveSlot::finish_all(double t, Bytes result) {
+  finish_all(t);
+  shared_result = std::make_shared<const Bytes>(std::move(result));
 }
 
 Job::Job(int nranks_, JobOptions opts_)
@@ -114,6 +115,8 @@ uint64_t Job::register_comm_locked(std::vector<int> group, bool accounts_time) {
   auto cs = std::make_shared<CommState>();
   cs->ctx = alloc_ctx_locked();
   cs->group = std::move(group);
+  cs->rel_of.assign(nranks, -1);
+  for (int rel = 0; rel < cs->size(); ++rel) cs->rel_of[cs->group[rel]] = rel;
   cs->accounts_time = accounts_time;
   comms[cs->ctx] = cs;
   return cs->ctx;
@@ -127,11 +130,14 @@ std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
   if (!slot) {
     slot = std::make_shared<CollectiveSlot>();
     slot->sig = sig;
+    slot->members.resize(cs.size());
   } else if (!(slot->sig == sig)) {
     slot->mismatched = true;
   }
-  slot->contribs[rel] = std::move(contribution);
-  slot->arrive_vtime[rel] = cs.accounts_time ? ranks[cs.group[rel]].vtime : 0.0;
+  CollectiveSlot::Member& m = slot->members[rel];
+  m.arrived = true;
+  m.contrib = std::move(contribution);
+  m.arrive_vtime = cs.accounts_time ? ranks[cs.group[rel]].vtime : 0.0;
   // No wake here: intermediate arrivals don't change a parked waiter's
   // predicate (it waits for `computed`; deaths/revokes broadcast via
   // wake_all). The last arriver runs the completion check inline —
@@ -141,41 +147,23 @@ std::shared_ptr<CollectiveSlot> Job::join_slot_locked(const SlotKey& key,
 }
 
 bool Job::settled_locked(CollectiveSlot& slot, const CommState& cs) {
-  // A group index is settled once it contributed or died — both monotone,
-  // so the cursor never moves backwards. Iterating by index also avoids
-  // the O(p) rel_rank_of lookup per member.
+  // A group index is settled once it arrived or died — both monotone, so
+  // the cursor never moves backwards.
   int& cur = slot.scan_cursor;
   const int p = cs.size();
-  while (cur < p && (slot.contribs.count(cur) != 0 || !ranks[cs.group[cur]].alive)) {
+  while (cur < p && (slot.members[cur].arrived || !ranks[cs.group[cur]].alive)) {
     ++cur;
   }
   return cur >= p;
 }
 
-Job::Pickup Job::pickup_locked(const SlotKey& key, CollectiveSlot& slot,
-                               const CommState& cs, int rel) {
-  Pickup mine;
-  if (auto it = slot.results.find(rel); it != slot.results.end()) {
-    mine.result = std::move(it->second);
-  }
-  if (auto it = slot.rows.find(rel); it != slot.rows.end()) {
-    mine.row = std::move(it->second);
-  }
+Job::Pickup Job::pickup_locked(CollectiveSlot& slot, const CommState& cs, int rel) {
+  CollectiveSlot::Member& m = slot.members[rel];
   if (cs.accounts_time) {
-    if (auto it = slot.done_vtime.find(rel); it != slot.done_vtime.end()) {
-      double& vtime = ranks[cs.group[rel]].vtime;
-      vtime = std::max(vtime, it->second);
-    }
+    double& vtime = ranks[cs.group[rel]].vtime;
+    vtime = std::max(vtime, m.done_vtime);
   }
-  mine.failed = slot.failed;
-  slot.pickups++;
-  int alive_contributors = 0;
-  for (const auto& [r, c] : slot.contribs) {
-    (void)c;
-    if (ranks[cs.group[r]].alive) alive_contributors++;
-  }
-  if (slot.pickups >= alive_contributors) slots.erase(key);
-  return mine;
+  return {slot.shared_result, std::move(m.result), std::move(m.row), slot.failed};
 }
 
 std::vector<int> Job::dead_in_locked(const CommState& cs) const {

@@ -44,28 +44,28 @@ struct Message {
 };
 
 /// Shared state of a communicator. `group[i]` is the global rank of the
-/// comm-relative rank i. Revocation (ULFM MPI_Comm_revoke) is a flag here:
-/// every op except shrink/agree observes it.
+/// comm-relative rank i, and `rel_of` is its inverse over every global rank
+/// of the job (-1 for a non-member). Revocation (ULFM MPI_Comm_revoke) is a
+/// flag here: every op except shrink/agree observes it.
 ///
-/// Thread model: `ctx`, `group` and `accounts_time` are immutable once the
-/// CommState is published into Job::comms (they are filled inside the
-/// critical section that creates the comm and never change after), so they
-/// may be read without a lock. `revoked` is mutable shared state guarded by
-/// the owning Job's `mu` — the analysis cannot express a guard living in a
-/// different object, so that rule is enforced by review + TSan.
+/// Thread model: `ctx`, `group`, `rel_of` and `accounts_time` are filled by
+/// Job::register_comm_locked before it publishes the CommState into
+/// Job::comms and never change after, so they may be read without a lock.
+/// `revoked` is mutable shared state guarded by the owning Job's `mu` — the
+/// analysis cannot express a guard living in a different object, so that
+/// rule is enforced by review + TSan.
 struct CommState {
   uint64_t ctx = 0;
   std::vector<int> group;
+  std::vector<int> rel_of;
   bool revoked = false;
   /// Master/copier-thread comms don't advance the rank's virtual clock.
   bool accounts_time = true;
 
   [[nodiscard]] int size() const noexcept { return static_cast<int>(group.size()); }
   [[nodiscard]] int rel_rank_of(int global_rank) const noexcept {
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (group[i] == global_rank) return static_cast<int>(i);
-    }
-    return -1;
+    // A negative rank wraps to a huge index: one bounds check covers both ends.
+    return static_cast<size_t>(global_rank) < rel_of.size() ? rel_of[global_rank] : -1;
   }
 };
 
@@ -108,37 +108,44 @@ struct CollectiveSig {
 /// Keyed by (ctx, per-rank call sequence number); MPI requires all ranks to
 /// issue collectives on a comm in the same order, which makes the sequence
 /// number a consistent key. Shrink and agree key by a shared epoch instead
-/// (see Job::tol_epochs).
+/// (see Job::tol_epochs). The slot stays in Job::slots until it is
+/// computed; every participant holds its own shared_ptr and picks up from
+/// that.
 struct CollectiveSlot {
-  std::map<int, Bytes> contribs;       // rel rank -> contribution payload
-  std::map<int, double> arrive_vtime;  // rel rank -> clock at arrival
-  std::map<int, Bytes> results;        // rel rank -> result payload
-  std::map<int, double> done_vtime;    // rel rank -> clock after the op
-  /// alltoall only: rel rank -> its send row on arrival, transposed in
-  /// place (by move) into its receive column by the last arriver.
-  std::map<int, std::vector<Bytes>> rows;
+  /// One member of the comm, at its rel rank.
+  struct Member {
+    bool arrived = false;
+    Bytes contrib;
+    double arrive_vtime = 0.0;  // its clock at arrival
+    double done_vtime = 0.0;    // its clock after the op
+    Bytes result;               // a result for this member alone
+    /// alltoall only: its send row on arrival, transposed in place (by
+    /// swap) into its receive column by the last arriver.
+    std::vector<Bytes> row;
+  };
+  std::vector<Member> members;  // sized to the group by the first arrival
+  /// The result every member receives, when they all receive the same one.
+  std::shared_ptr<const Bytes> shared_result;
   CollectiveSig sig;        // set by the first arrival
   bool mismatched = false;  // a later arrival's signature differed: no compute
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
-  int pickups = 0;      // alive ranks that have taken their result
   /// First group index not yet arrived-or-dead. Arrivals and deaths are
   /// both monotone, so the completion predicate advances this cursor
-  /// instead of rescanning the whole group — amortized O(p log p) per
-  /// collective instead of O(p^2) (which was O(p^3) via rel_rank_of).
+  /// instead of rescanning the whole group: O(p) per collective.
   int scan_cursor = 0;
   /// Fibers waiting on this slot (arrivals / compute) park here, so an
   /// arrival wakes only this collective's participants, not the whole job.
-  /// Safe against slot erasure: waiters hold their own shared_ptr to the
-  /// slot, and a slot is only erased by its last alive participant — at
-  /// which point every participant has picked up (none can be parked here).
+  /// Waiters hold their own shared_ptr, so the slot outlives its erasure
+  /// from Job::slots.
   WaitChannel ch;
 
   /// Latest arrival clock (0 if none): no collective completes earlier.
   [[nodiscard]] double latest_arrival() const;
-  /// Every contributor finishes at `t`; a non-null `result` is each one's
-  /// result.
-  void finish_all(double t, const Bytes* result = nullptr);
+  /// Every member finishes at `t`.
+  void finish_all(double t);
+  /// Every member finishes at `t` and receives `result`, held once.
+  void finish_all(double t, Bytes result);
 };
 
 /// Collective slot key: (ctx, namespaced sequence or epoch).
@@ -208,7 +215,7 @@ class Job {
   std::map<uint64_t, std::shared_ptr<CommState>> comms FTMR_GUARDED_BY(mu);
   bool aborted FTMR_GUARDED_BY(mu) = false;
   int abort_code FTMR_GUARDED_BY(mu) = 0;
-  uint64_t next_ctx FTMR_GUARDED_BY(mu) = 1;  // 0 is the world comm
+  uint64_t next_ctx FTMR_GUARDED_BY(mu) = 0;  // the world comm registers first
 
   // ---- helpers; "locked" variants require mu held ----
 
@@ -276,15 +283,15 @@ class Job {
 
   /// What one rank takes out of a computed slot.
   struct Pickup {
-    Bytes result;
+    std::shared_ptr<const Bytes> shared_result;
+    Bytes result;            // used when there is no shared result
     std::vector<Bytes> row;  // alltoall's receive column
     bool failed = false;
   };
-  /// Pick up: move `rel`'s result and row out, advance its clock to its
-  /// done time, and erase the slot once every alive contributor has
-  /// picked up.
-  Pickup pickup_locked(const SlotKey& key, CollectiveSlot& slot, const CommState& cs,
-                       int rel) FTMR_REQUIRES(mu);
+  /// Pick up: take `rel`'s result and row and advance its clock to its
+  /// done time.
+  Pickup pickup_locked(CollectiveSlot& slot, const CommState& cs, int rel)
+      FTMR_REQUIRES(mu);
 
   /// Trigger job-wide abort (MPI_Abort semantics).
   void abort_job(int code) FTMR_EXCLUDES(mu);

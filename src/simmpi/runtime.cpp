@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <memory>
+#include <numeric>
 
 #include "common/log.hpp"
 #include "simmpi/scheduler.hpp"
@@ -11,14 +12,13 @@ namespace ftmr::simmpi {
 JobResult Runtime::run(int nranks, const RankMain& main, JobOptions opts) {
   auto job = std::make_unique<Job>(nranks, std::move(opts));
 
-  // World communicator: ctx 0, identity group.
-  auto world_state = std::make_shared<CommState>();
-  world_state->ctx = 0;
-  world_state->group.resize(nranks);
-  for (int i = 0; i < nranks; ++i) world_state->group[i] = i;
+  // World communicator: the first registered (ctx 0), identity group.
+  std::shared_ptr<CommState> world_state;
   {
+    std::vector<int> group(nranks);
+    std::iota(group.begin(), group.end(), 0);
     MutexLock lock(job->mu);
-    job->comms[0] = world_state;
+    world_state = job->comms.at(job->register_comm_locked(std::move(group), true));
   }
 
   // One fiber per rank, multiplexed over a small worker pool. The on_switch

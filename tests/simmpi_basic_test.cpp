@@ -373,6 +373,40 @@ TEST(Collectives, AlltoallWithDeadMemberFailsAndLeavesRecvUntouched) {
   EXPECT_EQ(failures.load(), kP - 1);
 }
 
+TEST(Collectives, SlotsLeaveTheRegistryWhenComputed) {
+  // Every collective kind, then a final barrier: a slot leaves Job::slots
+  // in the critical section that computes it, so once a rank is past the
+  // final barrier no slot is left, even for peers still to pick up.
+  JobResult r = Runtime::run(4, [](Comm& c) {
+    const int64_t one = 1;
+    const double x = 1.0;
+    std::vector<int64_t> i64;
+    std::vector<double> f64;
+    std::vector<Bytes> blobs;
+    Bytes data = to_bytes("b");
+    Comm other;
+    int flag = 1;
+    ASSERT_TRUE(c.barrier().ok());
+    ASSERT_TRUE(c.bcast(1, data).ok());
+    ASSERT_TRUE(c.reduce(2, ReduceOp::kSum, std::span<const int64_t>(&one, 1), i64).ok());
+    ASSERT_TRUE(c.reduce(3, ReduceOp::kMax, std::span<const double>(&x, 1), f64).ok());
+    ASSERT_TRUE(c.allreduce(ReduceOp::kSum, std::span<const int64_t>(&one, 1), i64).ok());
+    ASSERT_TRUE(c.allreduce(ReduceOp::kMin, std::span<const double>(&x, 1), f64).ok());
+    ASSERT_TRUE(c.gather(0, to_bytes("g"), blobs).ok());
+    ASSERT_TRUE(c.allgather(to_bytes("a"), blobs).ok());
+    ASSERT_TRUE(c.alltoall(std::vector<Bytes>(4, to_bytes("t")), blobs).ok());
+    ASSERT_TRUE(c.dup(other).ok());
+    ASSERT_TRUE(c.split(c.rank() % 2, 0, other).ok());
+    ASSERT_TRUE(c.shrink(other).ok());
+    ASSERT_TRUE(c.agree(flag).ok());
+    ASSERT_TRUE(c.barrier().ok());
+    Job& job = *c.job();
+    MutexLock lock(job.mu);
+    EXPECT_TRUE(job.slots.empty()) << job.slots.size() << " slots left";
+  });
+  EXPECT_EQ(r.finished_count(), 4);
+}
+
 TEST(VirtualTime, AlltoallCompletionTimeIsPinned) {
   // done = t0 + p*latency + (bytes sent + bytes received) / bandwidth,
   // with t0 the latest arrival. An asymmetric pattern makes every rank's
@@ -561,6 +595,42 @@ TEST(Comms, SplitUndefinedColorGetsInvalidComm) {
       EXPECT_EQ(sub.size(), 3);
     }
   });
+}
+
+TEST(Comms, RelOfGlobalMatchesGroupOnEveryComm) {
+  // Each comm's global -> rel index is the inverse of its group, and every
+  // other global rank (non-members, -1, nranks) maps to -1.
+  constexpr int kP = 6;
+  auto check = [](const Comm& comm) {
+    std::vector<int> expect(kP, -1);
+    for (int rel = 0; rel < comm.size(); ++rel) expect[comm.global_of_rel(rel)] = rel;
+    for (int g = 0; g < kP; ++g) EXPECT_EQ(comm.rel_of_global(g), expect[g]) << g;
+    EXPECT_EQ(comm.rel_of_global(comm.global_rank()), comm.rank());
+    EXPECT_EQ(comm.rel_of_global(-1), -1);
+    EXPECT_EQ(comm.rel_of_global(kP), -1);
+  };
+  JobOptions o;
+  o.kills.push_back({kP - 1, 1.0, -1});
+  JobResult r = Runtime::run(kP, [&](Comm& c) {
+    check(c);
+    for (int g = 0; g < kP; ++g) EXPECT_EQ(c.rel_of_global(g), g);
+    Comm half;
+    // Descending keys: the split comm's rel order reverses the world's.
+    ASSERT_TRUE(c.split(c.rank() % 2, -c.rank(), half).ok());
+    check(half);
+    if (c.rank() == kP - 1) {
+      c.compute(2.0);  // dies
+      return;
+    }
+    while (c.failed_ranks().empty()) {
+    }
+    Comm shrunk;
+    ASSERT_TRUE(c.shrink(shrunk).ok());
+    ASSERT_EQ(shrunk.size(), kP - 1);
+    check(shrunk);
+    EXPECT_EQ(shrunk.rel_of_global(kP - 1), -1);
+  }, o);
+  EXPECT_EQ(r.killed_count(), 1);
 }
 
 TEST(VirtualTime, ComputeAdvancesClock) {

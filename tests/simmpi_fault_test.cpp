@@ -108,6 +108,44 @@ TEST(Kill, CollectiveWithDeadMemberFailsForSurvivors) {
   EXPECT_EQ(failures.load(), 3);
 }
 
+TEST(Kill, MemberDyingAfterArrivalFailsAndFreesTheSlot) {
+  // Rank 1 arrives at the barrier and parks; then a call made on its
+  // behalf elsewhere (as a master or copier thread of that process would)
+  // trips its kill. The survivors' barrier fails, and the failed slot
+  // leaves the registry like a computed one.
+  std::atomic<int> failures{0};
+  JobResult r = Runtime::run(4, [&](Comm& c) {
+    Job& job = *c.job();
+    if (c.rank() == 1) {
+      (void)c.barrier();  // killed while parked here
+      ADD_FAILURE() << "rank 1 outlived its kill";
+      return;
+    }
+    if (c.rank() == 0) {
+      auto rank1_arrived = [&job] {
+        MutexLock lock(job.mu);
+        for (const auto& entry : job.slots) {
+          if (entry.second->members[1].arrived) return true;
+        }
+        return false;
+      };
+      while (!rank1_arrived()) (void)c.failed_ranks();  // yields
+      std::shared_ptr<CommState> world;
+      {
+        MutexLock lock(job.mu);
+        world = job.comms.at(0);
+      }
+      Comm as_rank1(&job, world, 1);
+      EXPECT_THROW(as_rank1.compute(2.0), KilledError);
+    }
+    if (c.barrier().code() == ErrorCode::kProcFailed) failures++;
+    MutexLock lock(job.mu);
+    EXPECT_TRUE(job.slots.empty()) << job.slots.size() << " slots left";
+  }, kill_rank(1, 1.0));
+  EXPECT_EQ(r.killed_count(), 1);
+  EXPECT_EQ(failures.load(), 3);
+}
+
 TEST(Kill, AnySourceRecvReportsPendingFailure) {
   Runtime::run(3, [](Comm& c) {
     if (c.rank() == 2) {
