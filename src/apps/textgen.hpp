@@ -26,6 +26,15 @@ struct TextGenOptions {
 
 /// Write the corpus chunks under shared:`dir` and (optionally) accumulate
 /// the ground-truth word counts for verification.
+///
+/// Chunk c is `lines_per_chunk` lines of `words_per_line` space-separated
+/// words `word<id>`, id drawn from Zipf(`zipf_exponent`) over
+/// [0, `vocabulary`) by an Rng seeded from `seed` and c. Counts are kept by
+/// word id while generating; `expected_counts` gets one `+=` per word that
+/// occurred, after the last chunk, so a map passed in accumulates (several
+/// corpora can share it) and words that never occurred get no entry.
+/// Returns kInvalidArgument when `vocabulary` < 1, and the first failed
+/// write's status otherwise (counts are then not added).
 Status generate_text(storage::StorageSystem& fs, const TextGenOptions& opts,
                      std::map<std::string, int64_t>* expected_counts = nullptr);
 

@@ -4,6 +4,7 @@
 // generated from explicit seeds so every experiment is bit-reproducible.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -63,6 +64,13 @@ class Rng {
 /// Zipf(s) sampler over {0..n-1} via inverse-CDF on a precomputed table.
 /// Real text word frequencies and MapReduce key skew are Zipfian; the paper
 /// leans on this non-uniformity when motivating the load balancer.
+///
+/// A guide table narrows the search: guide_[b] is the first index whose CDF
+/// is >= b/n, so a draw u in bucket b = floor(u*n) lies in
+/// [guide_[b], guide_[b+1]]. Rounding can put u just outside its bucket, so
+/// the bracket is used only after checking it holds against the CDF itself;
+/// otherwise the whole table is searched. Either way sample() returns the
+/// first index whose CDF is >= u.
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double exponent) : cdf_(n) {
@@ -72,12 +80,33 @@ class ZipfSampler {
       cdf_[i] = sum;
     }
     for (auto& c : cdf_) c /= sum;
+    if (n == 0) return;
+    guide_.resize(n + 1);
+    size_t i = 0;
+    for (size_t b = 0; b <= n; ++b) {
+      const double edge = static_cast<double>(b) / static_cast<double>(n);
+      while (i < n && cdf_[i] < edge) ++i;
+      guide_[b] = i;
+    }
   }
 
-  size_t sample(Rng& rng) const noexcept {
-    const double u = rng.next_double();
+  size_t sample(Rng& rng) const noexcept { return index_of(rng.next_double()); }
+
+  /// The first index whose CDF is >= u, for u in [0, 1) (the last index if
+  /// none is): the inverse CDF that sample() applies to a uniform draw.
+  [[nodiscard]] size_t index_of(double u) const noexcept {
+    const size_t n = cdf_.size();
+    size_t lo = 0, hi = n;
+    if (n > 0) {
+      const size_t b =
+          std::min(static_cast<size_t>(u * static_cast<double>(n)), n - 1);
+      const size_t glo = guide_[b], ghi = guide_[b + 1];
+      if ((glo == 0 || cdf_[glo - 1] < u) && (ghi == n || u <= cdf_[ghi])) {
+        lo = glo;
+        hi = ghi;
+      }
+    }
     // Binary search the CDF.
-    size_t lo = 0, hi = cdf_.size();
     while (lo < hi) {
       const size_t mid = (lo + hi) / 2;
       if (cdf_[mid] < u) {
@@ -86,13 +115,14 @@ class ZipfSampler {
         hi = mid;
       }
     }
-    return lo < cdf_.size() ? lo : cdf_.size() - 1;
+    return lo < n ? lo : n - 1;
   }
 
   [[nodiscard]] size_t size() const noexcept { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;
+  std::vector<size_t> guide_;  // n + 1 bucket starts; empty when n == 0
 };
 
 }  // namespace ftmr

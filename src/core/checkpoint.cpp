@@ -566,19 +566,13 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   // Pinned (converged-frontier) stages heal first in both passes: if repair
   // is interrupted by another failure, the resume frontier has already
   // regained coverage. Non-frontier blobs keep their harvest order.
-  auto stage_pinned = [this](const std::string& name) {
-    CkptFileName p;
-    return parse_checkpoint_name(name, p) && pinned_stages_.count(p.stage) > 0;
-  };
   auto pinned_first = [&](std::vector<std::string>& items, bool full_path) {
-    std::stable_sort(items.begin(), items.end(),
-                     [&](const std::string& a, const std::string& b) {
-                       auto pinned = [&](const std::string& s) {
-                         return stage_pinned(
-                             full_path ? s.substr(s.rfind('/') + 1) : s);
-                       };
-                       return pinned(a) && !pinned(b);
-                     });
+    if (pinned_stages_.empty()) return;
+    std::stable_partition(items.begin(), items.end(), [&](const std::string& s) {
+      CkptFileName p;
+      return parse_checkpoint_name(full_path ? s.substr(s.rfind('/') + 1) : s, p) &&
+             pinned_stages_.contains(p.stage);
+    });
   };
 
   // Pass 1: blobs still held somewhere but under-replicated after the

@@ -28,7 +28,9 @@ Status ReplicaStore::put(int holder, std::string_view path,
     blob = std::make_shared<const Bytes>(blob->begin(), end);
   }
   const size_t n = blob->size();
-  held_[holder][std::string(path)] = std::move(blob);
+  auto pit = held_.find(path);
+  if (pit == held_.end()) pit = held_.emplace(std::string(path), Holders{}).first;
+  pit->second[holder] = std::move(blob);
   stats_.bytes_written += n;
   stats_.write_ops++;
   if (sim_cost) *sim_cost = model_.cost(n, 1);
@@ -48,17 +50,12 @@ Status ReplicaStore::get(int holder, std::string_view path,
   MutexLock lock(mu_);
   bool corrupt = false;
   if (auto s = injector_.read_fault(faults_, path, &corrupt); !s.ok()) return s;
-  auto hit = held_.find(holder);
-  if (hit == held_.end()) {
-    return {ErrorCode::kNotFound,
-            "no replicas held by rank " + std::to_string(holder)};
-  }
-  auto bit = hit->second.find(path);
-  if (bit == hit->second.end()) {
+  const std::shared_ptr<const Bytes>* blob = find_locked(holder, path);
+  if (blob == nullptr) {
     return {ErrorCode::kNotFound, "no replica of " + std::string(path) +
                                       " on rank " + std::to_string(holder)};
   }
-  out = bit->second;
+  out = *blob;
   if (corrupt && !out->empty()) {  // the stored blob stays pristine
     Bytes flipped = *out;
     injector_.flip_bit(flipped);
@@ -70,44 +67,51 @@ Status ReplicaStore::get(int holder, std::string_view path,
   return Status::Ok();
 }
 
+const std::shared_ptr<const Bytes>* ReplicaStore::find_locked(
+    int holder, std::string_view path) const {
+  auto pit = held_.find(path);
+  if (pit == held_.end()) return nullptr;
+  auto hit = pit->second.find(holder);
+  return hit == pit->second.end() ? nullptr : &hit->second;
+}
+
 void ReplicaStore::remove(int holder, std::string_view path) {
   MutexLock lock(mu_);
-  auto hit = held_.find(holder);
-  if (hit == held_.end()) return;
-  hit->second.erase(std::string(path));
+  auto pit = held_.find(path);
+  if (pit == held_.end()) return;
+  pit->second.erase(holder);
+  if (pit->second.empty()) held_.erase(pit);
 }
 
 bool ReplicaStore::exists(int holder, std::string_view path) const {
   MutexLock lock(mu_);
-  auto hit = held_.find(holder);
-  return hit != held_.end() && hit->second.contains(std::string(path));
+  return find_locked(holder, path) != nullptr;
 }
 
 std::vector<int> ReplicaStore::holders_of(std::string_view path) const {
   MutexLock lock(mu_);
   std::vector<int> out;
-  for (const auto& [rank, blobs] : held_) {
-    if (blobs.contains(std::string(path))) out.push_back(rank);
-  }
+  auto pit = held_.find(path);
+  if (pit == held_.end()) return out;
+  out.reserve(pit->second.size());
+  for (const auto& [rank, blob] : pit->second) out.push_back(rank);
   return out;  // map iteration order is already ascending
 }
 
 std::vector<std::string> ReplicaStore::all_paths() const {
   MutexLock lock(mu_);
-  std::set<std::string> uniq;
-  for (const auto& [rank, blobs] : held_) {
-    for (const auto& [path, blob] : blobs) uniq.insert(path);
-  }
-  return {uniq.begin(), uniq.end()};
+  std::vector<std::string> out;
+  out.reserve(held_.size());
+  for (const auto& [path, holders] : held_) out.push_back(path);
+  return out;  // keys are sorted and every entry has a holder
 }
 
 std::vector<std::string> ReplicaStore::paths_held_by(int holder) const {
   MutexLock lock(mu_);
   std::vector<std::string> out;
-  auto hit = held_.find(holder);
-  if (hit == held_.end()) return out;
-  out.reserve(hit->second.size());
-  for (const auto& [path, blob] : hit->second) out.push_back(path);
+  for (const auto& [path, holders] : held_) {
+    if (holders.contains(holder)) out.push_back(path);
+  }
   return out;
 }
 
@@ -118,7 +122,10 @@ bool ReplicaStore::is_dead(int rank) const {
 
 void ReplicaStore::wipe_rank(int rank) {
   MutexLock lock(mu_);
-  held_.erase(rank);
+  for (auto pit = held_.begin(); pit != held_.end();) {
+    pit->second.erase(rank);
+    pit = pit->second.empty() ? held_.erase(pit) : std::next(pit);
+  }
   dead_.insert(rank);
 }
 

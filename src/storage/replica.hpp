@@ -87,7 +87,7 @@ class ReplicaStore {
   /// Every distinct path held anywhere, sorted (recovery enumerates this).
   [[nodiscard]] std::vector<std::string> all_paths() const;
 
-  /// Paths `holder` currently holds, sorted.
+  /// Paths `holder` currently holds, sorted (a full scan; tests only).
   [[nodiscard]] std::vector<std::string> paths_held_by(int holder) const;
 
   [[nodiscard]] bool is_dead(int rank) const;
@@ -115,13 +115,21 @@ class ReplicaStore {
   [[nodiscard]] FaultStats fault_stats() const;
 
  private:
+  using Holders = std::map<int, std::shared_ptr<const Bytes>>;
+
+  /// `holder`'s blob of `path`, or nullptr.
+  const std::shared_ptr<const Bytes>* find_locked(int holder,
+                                                  std::string_view path) const
+      FTMR_REQUIRES(mu_);
+
   TierModel model_;
   mutable Mutex mu_{"replica.store"};
-  // holder rank -> (path -> blob). Rank threads deposit into each other's
-  // maps concurrently, so everything lives under one mutex; the blobs
+  // path -> (holder rank -> blob); a path leaves when its last holder does.
+  // Recovery asks "who holds this path", so that is one lookup; a rank's
+  // death is the full scan. Rank threads deposit into each other's
+  // memories concurrently, so everything lives under one mutex; the blobs
   // themselves are immutable and shared between holders.
-  std::map<int, std::map<std::string, std::shared_ptr<const Bytes>, std::less<>>>
-      held_ FTMR_GUARDED_BY(mu_);
+  std::map<std::string, Holders, std::less<>> held_ FTMR_GUARDED_BY(mu_);
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
   TierFaults faults_ FTMR_GUARDED_BY(mu_);
   FaultInjector injector_ FTMR_GUARDED_BY(mu_);

@@ -10,6 +10,7 @@
 #include "apps/graph.hpp"
 #include "apps/textgen.hpp"
 #include "apps/wordcount.hpp"
+#include "common/crc32.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace ftmr::apps {
@@ -89,6 +90,66 @@ TEST(TextGen, DeterministicAndCounted) {
   int64_t total = 0;
   for (auto& [w, c] : expected) total += c;
   EXPECT_EQ(total, 4 * 10 * o.words_per_line);
+}
+
+struct CorpusDigest {
+  uint32_t crc = 0;
+  size_t words = 0;
+  int64_t total = 0;
+};
+
+/// CRC-32 over the chunks of corpus `o` in order, plus its ground truth's
+/// size and total.
+CorpusDigest digest_corpus(const TextGenOptions& o) {
+  Cluster cl;
+  std::map<std::string, int64_t> expected;
+  EXPECT_TRUE(generate_text(*cl.fs, o, &expected).ok());
+  CorpusDigest d;
+  uint32_t state = crc32_init();
+  for (int c = 0; c < o.nchunks; ++c) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "input/chunk_%05d", c);
+    Bytes data;
+    EXPECT_TRUE(cl.fs->read_file(storage::Tier::kShared, 0, name, data).ok());
+    state = crc32_update(state, data);
+  }
+  d.crc = crc32_final(state);
+  d.words = expected.size();
+  for (auto& [w, n] : expected) d.total += n;
+  return d;
+}
+
+// The corpus and its ground truth are pinned bit for bit: the benchmark's
+// golden runs and every recorded virtual time depend on these exact bytes.
+TEST(TextGen, CorpusAndCountsArePinned) {
+  const CorpusDigest def = digest_corpus(TextGenOptions{});
+  EXPECT_EQ(def.crc, 2421961919u);
+  EXPECT_EQ(def.words, 870u);
+  EXPECT_EQ(def.total, 16 * 64 * 8);
+
+  TextGenOptions big;
+  big.nchunks = 64;
+  big.lines_per_chunk = 512;
+  big.vocabulary = 5000;
+  const CorpusDigest d = digest_corpus(big);
+  EXPECT_EQ(d.crc, 1512897695u);
+  EXPECT_EQ(d.words, 4999u);
+  EXPECT_EQ(d.total, 64 * 512 * 8);
+}
+
+TEST(TextGen, VocabularyBelowOneIsInvalid) {
+  for (int vocabulary : {0, -3}) {
+    Cluster cl;
+    TextGenOptions o;
+    o.vocabulary = vocabulary;
+    std::map<std::string, int64_t> expected;
+    EXPECT_EQ(generate_text(*cl.fs, o, &expected).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_TRUE(expected.empty());
+    std::vector<std::string> names;
+    (void)cl.fs->list_dir(storage::Tier::kShared, 0, o.dir, names);
+    EXPECT_TRUE(names.empty());
+  }
 }
 
 TEST(GraphGen, EveryNodeHasOutEdges) {

@@ -2,7 +2,9 @@
 // statistics, config.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
@@ -156,6 +158,43 @@ TEST(Zipf, SkewsTowardLowIndices) {
   // With s=1.0 over 1000 items the top-10 mass is ~39%.
   EXPECT_GT(head, kN / 4);
   EXPECT_LT(head, kN / 2);
+}
+
+// The guide table only narrows the binary search: every draw must map to
+// the index a plain lower_bound over the same CDF gives, including draws on
+// and next to every bucket edge b/n, where rounding can misplace a bucket.
+TEST(Zipf, GuidedSampleMatchesBinarySearch) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{1000}, size_t{5000}}) {
+    for (double s : {0.5, 1.0, 1.5}) {
+      // The sampler's table, built the same way.
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+      }
+      for (auto& c : cdf) c /= sum;
+      auto reference = [&](double u) {
+        const auto i = static_cast<size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        return i < n ? i : n - 1;
+      };
+      const ZipfSampler z(n, s);
+      size_t mismatches = 0;
+      for (size_t b = 0; b <= n; ++b) {
+        const double edge = static_cast<double>(b) / static_cast<double>(n);
+        for (double u : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 1.0)}) {
+          if (u < 1.0 && z.index_of(u) != reference(u)) mismatches++;
+        }
+      }
+      Rng rng(0x2f1b ^ n);
+      for (int i = 0; i < 1'000'000; ++i) {
+        Rng peek = rng;
+        if (z.sample(rng) != reference(peek.next_double())) mismatches++;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
 }
 
 TEST(Regression, RecoversPlantedLine) {
