@@ -197,18 +197,25 @@ CheckpointManager::CheckpointManager(storage::StorageSystem* fs, int node, int r
 Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
                               Bytes&& framed_bytes) {
   if (!opts_.enabled) return Status::Ok();
-  // Framed once: the local write and every memory replica share this blob.
-  const auto framed = std::make_shared<const Bytes>(std::move(framed_bytes));
+  // Framed once: the file write and every memory replica store these bytes
+  // in one run of the segment store.
+  const Bytes& framed = framed_bytes;
+  storage::Tier written_tier = storage::Tier::kLocal;
+  std::string written;
   const Status s = write_ladder(
-      comm, name, framed->size(),
+      comm, name, framed.size(),
       [&](storage::Tier tier, const std::string& path, int concurrency) {
         double cost = 0.0;
-        Status w = fs_->write_file(tier, node_, path, *framed, &cost, concurrency);
-        if (w.ok()) charge_write(comm, cost);
+        Status w = fs_->write_file(tier, node_, path, framed, &cost, concurrency);
+        if (w.ok()) {
+          charge_write(comm, cost);
+          written_tier = tier;
+          written = path;
+        }
         return w;
       },
       nullptr);
-  if (s.ok()) replicate(comm, name, framed);
+  if (s.ok()) replicate(comm, name, framed, written_tier, written);
   return s;
 }
 
@@ -300,9 +307,20 @@ std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
   return live;
 }
 
+Status CheckpointManager::frame_extent(storage::Tier tier, const std::string& path,
+                                       std::span<const std::byte> frame,
+                                       storage::SegmentStore::Extent& out) const {
+  storage::SegmentStore& segments = fs_->segments();
+  if (!path.empty() && segments.extent_of(tier, node_, path, out) &&
+      out.len == frame.size()) {
+    return Status::Ok();
+  }
+  return segments.stash(frame, out);
+}
+
 int CheckpointManager::push_replicas(simmpi::Comm& comm, int owner,
                                      const std::string& mpath,
-                                     const std::shared_ptr<const Bytes>& framed,
+                                     const storage::SegmentStore::Extent& framed,
                                      const std::vector<int>& live,
                                      const std::vector<int>& skip) {
   storage::ReplicaStore& mem = fs_->memory();
@@ -318,7 +336,7 @@ int CheckpointManager::push_replicas(simmpi::Comm& comm, int owner,
     // with the target's death — the store's dead-mark turns that into a
     // counted lost push instead of a ghost replica.
     const int rel = comm.rel_of_global(tgt);
-    if (rel >= 0 && comm.rma_put(rel, framed->size()).ok() &&
+    if (rel >= 0 && comm.rma_put(rel, framed.len).ok() &&
         mem.put(tgt, mpath, framed, nullptr).ok()) {
       pushed++;
       continue;
@@ -330,16 +348,23 @@ int CheckpointManager::push_replicas(simmpi::Comm& comm, int owner,
 }
 
 void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
-                                  const std::shared_ptr<const Bytes>& framed) {
+                                  std::span<const std::byte> framed,
+                                  storage::Tier tier, const std::string& written) {
   if (opts_.memory_replication_k <= 0) return;
   const double t0 = comm.now();
+  storage::SegmentStore::Extent blob;
+  if (auto s = frame_extent(tier, written, framed, blob); !s.ok()) {
+    FTMR_WARN << "rank " << rank_ << " cannot replicate " << name << ": "
+              << s.to_string();
+    return;
+  }
   const int pushed =
-      push_replicas(comm, rank_, checkpoint_rank_dir(rank_) + "/" + name, framed,
+      push_replicas(comm, rank_, checkpoint_rank_dir(rank_) + "/" + name, blob,
                     live_ranks(comm), {});
   if (pushed > 0) {
     metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_, pushed);
     metrics::MetricsRegistry::global().add(
-        "ckpt.replica_bytes", rank_, static_cast<double>(pushed * framed->size()));
+        "ckpt.replica_bytes", rank_, static_cast<double>(pushed * framed.size()));
   }
   // The span's op stamp marks the replication window on the timeline, so
   // the fault explorer harvests kill candidates inside it.
@@ -586,9 +611,10 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     if (owner < 0) continue;
     const std::vector<int> holders = mem.holders_of(mpath);
     if (holders.empty() || holders.front() != rank_) continue;
-    std::shared_ptr<const Bytes> framed;
+    // The survivor's extent is handed on: no host I/O.
+    storage::SegmentStore::Extent framed;
     if (!mem.get(rank_, mpath, framed, nullptr).ok()) continue;
-    comm.compute(mem.cost_of(framed->size(), 1));
+    comm.compute(mem.cost_of(framed.len, 1));
     healed += push_replicas(comm, owner, mpath, framed, live, holders);
   }
 
@@ -623,9 +649,12 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     }
     comm.compute(cost);
     Bytes payload;
-    if (!unframe_checkpoint(raw, payload).ok()) continue;
-    healed += push_replicas(comm, rank_, mpath,
-                            std::make_shared<const Bytes>(std::move(raw)), live, {});
+    storage::SegmentStore::Extent framed;
+    if (!unframe_checkpoint(raw, payload).ok() ||
+        !frame_extent(tier, rank_dir + "/" + n, raw, framed).ok()) {
+      continue;
+    }
+    healed += push_replicas(comm, rank_, mpath, framed, live, {});
   }
 
   if (healed > 0) {
@@ -694,17 +723,17 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
     const std::string mpath = rank_dir + "/" + strip_drain_stamp(name);
     storage::ReplicaStore& mem = fs_->memory();
     for (int holder : mem.holders_of(mpath)) {
-      std::shared_ptr<const Bytes> raw;
+      Bytes raw;
       if (!mem.get(holder, mpath, raw, nullptr).ok()) continue;
       if (holder == rank_) {
         // The replica sits in this process's own memory: no wire.
-        comm.compute(mem.cost_of(raw->size(), 1));
+        comm.compute(mem.cost_of(raw.size(), 1));
       } else {
         const int rel = comm.rel_of_global(holder);
         if (rel < 0) continue;
-        if (auto s = comm.rma_get(rel, raw->size()); !s.ok()) continue;
+        if (auto s = comm.rma_get(rel, raw.size()); !s.ok()) continue;
       }
-      if (verify_copy(comm, *raw, payload, out).ok()) {
+      if (verify_copy(comm, raw, payload, out).ok()) {
         integ_.replica_hits++;
         if (trace_) {
           trace_->span("ckpt.replica_fetch", "ckpt", t0, comm.now());
@@ -712,7 +741,7 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
         }
         metrics::MetricsRegistry::global().add("ckpt.replica_hits", rank_);
         metrics::MetricsRegistry::global().add(
-            "ckpt.replica_read_bytes", rank_, static_cast<double>(raw->size()));
+            "ckpt.replica_read_bytes", rank_, static_cast<double>(raw.size()));
         return Status::Ok();
       }
     }

@@ -39,6 +39,7 @@
 #include "mr/spill.hpp"
 #include "simmpi/comm.hpp"
 #include "storage/copier.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -312,15 +313,24 @@ class CheckpointManager {
   Status drain_to_shared(simmpi::Comm& comm, const std::string& probe);
   /// Push the framed blob to the placement peers' memories (best-effort:
   /// lost pushes are counted, never fail the checkpoint; a kill landing on
-  /// the rma op propagates like any MPI death).
+  /// the rma op propagates like any MPI death). `written` is the file the
+  /// write ladder wrote it to in `tier`, or empty if the write was dropped.
   void replicate(simmpi::Comm& comm, const std::string& name,
-                 const std::shared_ptr<const Bytes>& framed);
+                 std::span<const std::byte> framed, storage::Tier tier,
+                 const std::string& written);
+  /// `frame` as one segment-store extent, stored once for all its holders:
+  /// the run of the file at `path` in `tier` when that file holds all of
+  /// it, else a run of its own. A size check suffices: a write persists
+  /// all of a frame, a strict prefix of it (torn) or nothing.
+  Status frame_extent(storage::Tier tier, const std::string& path,
+                      std::span<const std::byte> frame,
+                      storage::SegmentStore::Extent& out) const;
   /// The one replica push loop: deposit `framed` (owner `owner`'s blob at
   /// memory path `mpath`) at every placement target over `live` that is not
   /// in `skip`. Every lost push is counted in integrity() and in the
   /// registry; returns the number of pushes that landed.
   int push_replicas(simmpi::Comm& comm, int owner, const std::string& mpath,
-                    const std::shared_ptr<const Bytes>& framed,
+                    const storage::SegmentStore::Extent& framed,
                     const std::vector<int>& live, const std::vector<int>& skip);
   /// Live global ranks of `comm`, ascending.
   static std::vector<int> live_ranks(const simmpi::Comm& comm);

@@ -29,6 +29,8 @@ FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
       p0_(world.size()) {
   part_owner_.resize(static_cast<size_t>(p0_));
   for (int p = 0; p < p0_; ++p) part_owner_[p] = p;  // identity group at start
+  const int me = world_.global_rank();
+  if (me < p0_) owned_.push_back(me);
 
   master_ = std::make_unique<DistributedMaster>(wc_);
   ckpt_ = std::make_unique<CheckpointManager>(fs_, node(), world_.global_rank(),
@@ -182,15 +184,6 @@ size_t FtJob::pending_delta_bytes() const noexcept {
 
 int FtJob::owner_rel(int partition) const {
   return wc_.rel_of_global(part_owner_[static_cast<size_t>(partition)]);
-}
-
-std::set<int> FtJob::owned_partitions() const {
-  std::set<int> mine;
-  const int me = world_.global_rank();
-  for (int p = 0; p < p0_; ++p) {
-    if (part_owner_[static_cast<size_t>(p)] == me) mine.insert(mine.end(), p);
-  }
-  return mine;
 }
 
 int FtJob::task_owner(uint64_t t) const {
@@ -605,11 +598,10 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // Each rebuilt partition replaces what this rank held (idempotent under
   // retry: it stays in partitions_missing until the rebuild completes) and
   // restarts its reduce.
-  const std::set<int> owned = owned_partitions();
-  std::set<int> mine;
+  std::vector<int> mine;  // ascending, as `missing` is
   for (int p : missing) {
-    if (!owned.count(p)) continue;
-    mine.insert(p);
+    if (!std::binary_search(owned_.begin(), owned_.end(), p)) continue;
+    mine.push_back(p);
     st.partitions.erase(p);
     st.reduce.erase(p);
   }
@@ -656,7 +648,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
 }
 
 Status FtJob::seal_partitions(int stage, StageState& st,
-                              const std::set<int>& parts) {
+                              std::span<const int> parts) {
   for (int p : parts) partition_store(st, stage, p).shrink_to_fit();
   if (!opts_.ckpt.enabled) return Status::Ok();
   for (int p : parts) {
@@ -945,10 +937,14 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
     }
     const std::vector<int> owner =
         LoadBalancer::assign(weights, models, std::move(finish));
+    const int me = world_.global_rank();
+    const auto kept = static_cast<ptrdiff_t>(owned_.size());
     for (size_t i = 0; i < orphan_parts.size(); ++i) {
-      part_owner_[static_cast<size_t>(orphan_parts[i])] =
-          wc_.global_of_rel(owner[i]);
+      const int g = wc_.global_of_rel(owner[i]);
+      part_owner_[static_cast<size_t>(orphan_parts[i])] = g;
+      if (g == me) owned_.push_back(orphan_parts[i]);
     }
+    std::inplace_merge(owned_.begin(), owned_.begin() + kept, owned_.end());
   }
 
   // --- Reassign the dead ranks' file tasks. ---
@@ -987,10 +983,9 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
   for (uint64_t t : orphan_tasks) {
     if (task_owner(t) == me) my_new_tasks.insert(t);
   }
-  const std::set<int> owned = owned_partitions();
   std::set<int> my_new_parts;
   for (int p : orphan_parts) {
-    if (owned.count(p)) my_new_parts.insert(p);
+    if (part_owner_[static_cast<size_t>(p)] == me) my_new_parts.insert(p);
   }
 
   // --- Per-stage state patching. ---
@@ -1040,6 +1035,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
   // alongside it, duplicating the task's records.
   const std::set<uint64_t> my_new_part_tasks(my_new_parts.begin(),
                                              my_new_parts.end());
+  const std::vector<int> my_new_part_list(my_new_parts.begin(), my_new_parts.end());
   for (int d : new_dead) {
     const int d_node = d / opts_.ppn;
     for (auto& [sid, st] : stages_) {
@@ -1062,7 +1058,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
       // as corrupt) falls back to the NWC rebuild; the inherited map tasks
       // are seeded so the patch-up re-execution covers them.
       const std::vector<int> missing =
-          adopt_stage(st, sid, rec, inherited, my_new_parts);
+          adopt_stage(st, sid, rec, inherited, my_new_part_list);
       for (int p : missing) st.partitions_missing.insert(p);
       if (!missing.empty()) {
         for (uint64_t t : inherited) st.tasks.try_emplace(t);
@@ -1073,7 +1069,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
 
 std::vector<int> FtJob::adopt_stage(StageState& st, int stage, RankRecovery& rec,
                                     const std::set<uint64_t>& tasks,
-                                    const std::set<int>& parts) {
+                                    std::span<const int> parts) {
   std::vector<int> missing;
   switch (st.phase) {
     case kPhaseDone:
@@ -1142,7 +1138,7 @@ void FtJob::prime_from_own_checkpoints() {
   const bool shared = opts_.restart_read_shared;
   const std::set<int> present =
       ckpt_->stages_present(world_.global_rank(), node(), shared);
-  const std::set<int> owned = owned_partitions();
+  const std::vector<int>& owned = owned_partitions();
   const auto covers_owned = [&owned](const std::map<int, mr::KvBuffer>& m) {
     return std::all_of(owned.begin(), owned.end(),
                        [&m](int p) { return m.count(p) > 0; });

@@ -317,7 +317,7 @@ class FtJob {
   /// The seal step after an exchange: shrink the stores of `parts` (owned
   /// partitions; nothing more arrives) and, with checkpoints on, checkpoint
   /// each and drain.
-  Status seal_partitions(int stage, StageState& st, const std::set<int>& parts);
+  Status seal_partitions(int stage, StageState& st, std::span<const int> parts);
   Status reduce_phase(const StageFns& fns, int stage, StageState& st);
   Status reduce_partition(const StageFns& fns, int stage, StageState& st,
                           int p, ReduceProgress& rp);
@@ -353,9 +353,11 @@ class FtJob {
   /// checkpoint `rec` lacks.
   std::vector<int> adopt_stage(StageState& st, int stage, RankRecovery& rec,
                                const std::set<uint64_t>& tasks,
-                               const std::set<int>& parts);
+                               std::span<const int> parts);
   /// Partitions this rank owns, ascending.
-  [[nodiscard]] std::set<int> owned_partitions() const;
+  [[nodiscard]] const std::vector<int>& owned_partitions() const noexcept {
+    return owned_;
+  }
   /// Global rank that runs stage-0 file task t.
   [[nodiscard]] int task_owner(uint64_t t) const;
   [[nodiscard]] std::vector<uint64_t> my_task_ids(bool kv_input) const;
@@ -387,6 +389,7 @@ class FtJob {
 
   std::vector<std::string> chunks_;        // stage-0 input chunk names
   std::vector<int> part_owner_;            // partition -> global rank
+  std::vector<int> owned_;                 // p with part_owner_[p] == me, ascending
   std::map<uint64_t, int> task_reassign_;  // stage-0 task -> new global rank
   std::set<int> known_dead_;               // global ranks
   std::set<std::pair<int, int>> wc_loaded_;  // (dead rank, stage) already loaded

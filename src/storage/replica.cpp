@@ -1,6 +1,7 @@
 #include "storage/replica.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.hpp"
 
@@ -8,67 +9,80 @@ namespace ftmr::storage {
 
 Status ReplicaStore::put(int holder, std::string_view path,
                          std::span<const std::byte> data, double* sim_cost) {
-  return put(holder, path, std::make_shared<const Bytes>(data.begin(), data.end()),
-             sim_cost);
+  Extent blob;  // released after put() has let go of the mutex
+  if (auto s = segments_.stash(data, blob); !s.ok()) return s;
+  return put(holder, path, blob, sim_cost);
 }
 
-Status ReplicaStore::put(int holder, std::string_view path,
-                         std::shared_ptr<const Bytes> blob, double* sim_cost) {
+Status ReplicaStore::put(int holder, std::string_view path, const Extent& blob,
+                         double* sim_cost) {
+  Extent previous;  // the holder's previous copy
+  Dropped dropped;
   MutexLock lock(mu_);
+  dropped.swap(released_);
   if (dead_.contains(holder)) {
     return {ErrorCode::kProcFailed,
             "replica target rank " + std::to_string(holder) + " is dead"};
   }
   size_t prefix = 0;
-  if (auto s = injector_.write_fault(faults_, path, blob->size(), &prefix); !s.ok()) {
+  if (auto s = injector_.write_fault(faults_, path, blob.len, &prefix); !s.ok()) {
     return s;
   }
-  if (prefix < blob->size()) {  // torn: this holder keeps a private prefix
-    const auto end = blob->begin() + static_cast<ptrdiff_t>(prefix);
-    blob = std::make_shared<const Bytes>(blob->begin(), end);
-  }
-  const size_t n = blob->size();
   auto pit = held_.find(path);
   if (pit == held_.end()) pit = held_.emplace(std::string(path), Holders{}).first;
-  pit->second[holder] = std::move(blob);
-  stats_.bytes_written += n;
+  // A torn put keeps a strict prefix of the run, for this holder only.
+  previous = std::exchange(pit->second[holder], Extent{blob.run, prefix});
+  stats_.bytes_written += prefix;
   stats_.write_ops++;
-  if (sim_cost) *sim_cost = model_.cost(n, 1);
+  if (sim_cost) *sim_cost = model_.cost(prefix, 1);
   return Status::Ok();
 }
 
-Status ReplicaStore::get(int holder, std::string_view path, Bytes& out,
-                         double* sim_cost) {
-  std::shared_ptr<const Bytes> blob;
-  if (auto s = get(holder, path, blob, sim_cost); !s.ok()) return s;
-  out = *blob;
-  return Status::Ok();
-}
-
-Status ReplicaStore::get(int holder, std::string_view path,
-                         std::shared_ptr<const Bytes>& out, double* sim_cost) {
+Status ReplicaStore::lookup(int holder, std::string_view path, Extent& out,
+                            std::optional<FaultInjector::BitFlip>& flip,
+                            double* sim_cost) {
+  out = {};  // released before the mutex is taken
+  Dropped dropped;
   MutexLock lock(mu_);
+  dropped.swap(released_);
   bool corrupt = false;
   if (auto s = injector_.read_fault(faults_, path, &corrupt); !s.ok()) return s;
-  const std::shared_ptr<const Bytes>* blob = find_locked(holder, path);
+  const Extent* blob = find_locked(holder, path);
   if (blob == nullptr) {
     return {ErrorCode::kNotFound, "no replica of " + std::string(path) +
                                       " on rank " + std::to_string(holder)};
   }
   out = *blob;
-  if (corrupt && !out->empty()) {  // the stored blob stays pristine
-    Bytes flipped = *out;
-    injector_.flip_bit(flipped);
-    out = std::make_shared<const Bytes>(std::move(flipped));
-  }
-  stats_.bytes_read += out->size();
+  if (corrupt && out.len > 0) flip = injector_.draw_flip(out.len);
+  stats_.bytes_read += out.len;
   stats_.read_ops++;
-  if (sim_cost) *sim_cost = model_.cost(out->size(), 1);
+  if (sim_cost) *sim_cost = model_.cost(out.len, 1);
   return Status::Ok();
 }
 
-const std::shared_ptr<const Bytes>* ReplicaStore::find_locked(
-    int holder, std::string_view path) const {
+Status ReplicaStore::get(int holder, std::string_view path, Bytes& out,
+                         double* sim_cost) {
+  Extent blob;
+  std::optional<FaultInjector::BitFlip> flip;
+  if (auto s = lookup(holder, path, blob, flip, sim_cost); !s.ok()) return s;
+  if (auto s = segments_.load(blob, out); !s.ok()) return s;
+  if (flip) flip->apply(out);  // the stored blob stays pristine
+  return Status::Ok();
+}
+
+Status ReplicaStore::get(int holder, std::string_view path, Extent& out,
+                         double* sim_cost) {
+  std::optional<FaultInjector::BitFlip> flip;
+  if (auto s = lookup(holder, path, out, flip, sim_cost); !s.ok()) return s;
+  if (!flip) return Status::Ok();
+  Bytes flipped;
+  if (auto s = segments_.load(out, flipped); !s.ok()) return s;
+  flip->apply(flipped);
+  return segments_.stash(flipped, out);
+}
+
+const ReplicaStore::Extent* ReplicaStore::find_locked(int holder,
+                                                      std::string_view path) const {
   auto pit = held_.find(path);
   if (pit == held_.end()) return nullptr;
   auto hit = pit->second.find(holder);
@@ -76,10 +90,16 @@ const std::shared_ptr<const Bytes>* ReplicaStore::find_locked(
 }
 
 void ReplicaStore::remove(int holder, std::string_view path) {
+  Extent removed;
+  Dropped dropped;
   MutexLock lock(mu_);
+  dropped.swap(released_);
   auto pit = held_.find(path);
   if (pit == held_.end()) return;
-  pit->second.erase(holder);
+  auto hit = pit->second.find(holder);
+  if (hit == pit->second.end()) return;
+  removed = std::move(hit->second);
+  pit->second.erase(hit);
   if (pit->second.empty()) held_.erase(pit);
 }
 
@@ -123,15 +143,21 @@ bool ReplicaStore::is_dead(int rank) const {
 void ReplicaStore::wipe_rank(int rank) {
   MutexLock lock(mu_);
   for (auto pit = held_.begin(); pit != held_.end();) {
-    pit->second.erase(rank);
+    if (auto hit = pit->second.find(rank); hit != pit->second.end()) {
+      released_.push_back(std::move(hit->second));
+      pit->second.erase(hit);
+    }
     pit = pit->second.empty() ? held_.erase(pit) : std::next(pit);
   }
   dead_.insert(rank);
 }
 
 void ReplicaStore::wipe_all() {
+  decltype(held_) held;
+  Dropped dropped;
   MutexLock lock(mu_);
-  held_.clear();
+  held.swap(held_);
+  dropped.swap(released_);
   dead_.clear();
 }
 

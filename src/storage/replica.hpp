@@ -20,13 +20,24 @@
 // the wipe. wipe_all() resets holdings and dead-marks for the next
 // checkpoint/restart incarnation.
 //
-// Blobs are immutable and shared: the simulated ranks live in one address
-// space, so a blob pushed to k holders is one allocation with k references
-// (each holder's copy is logically private — nothing can mutate it, and a
-// holder's death or removal drops only its reference).
+// Blobs are immutable and shared: the simulated ranks live in one process,
+// so a blob pushed to k holders is one run of the StorageSystem's segment
+// store (segment_store.hpp), the host file every tier keeps its bytes in,
+// held by k extents. A checkpoint's replicas share the run of the
+// checkpoint file itself when that write persisted the whole frame. Each
+// holder's copy is logically private — nothing can mutate a run, and a
+// holder's death or removal drops only its extent; the last one punches
+// the run out of the host file. So replicas cost the host page cache, not
+// the heap.
+//
+// Host I/O stays outside the store's mutex: a put of bytes stashes them as
+// a run before it locks, a get reads its extent after it unlocks, and a
+// dropped extent is released after the mutex is. wipe_rank() runs under
+// the job lock (the death hook), so it releases nothing: the dead rank's
+// extents wait for the store's next put, get, remove or wipe_all().
 //
 // Faults are decided by the one FaultInjector (storage.hpp), on this
-// tier's own stream: torn puts silently store a private strict prefix for
+// tier's own stream: torn puts silently keep a strict prefix extent for
 // that holder only, corrupt gets flip one bit of a private copy handed to
 // the caller (the stored blob stays pristine — transient, like bus bit
 // rot), clean failures return kIo. All of it feeds FaultStats so tests can
@@ -34,7 +45,7 @@
 #pragma once
 
 #include <map>
-#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -43,13 +54,18 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::storage {
 
 class ReplicaStore {
  public:
-  explicit ReplicaStore(TierModel model) : model_(model) {}
+  using Extent = SegmentStore::Extent;
+
+  /// A store whose replicas are extents of `segments`, which must outlive it.
+  ReplicaStore(TierModel model, SegmentStore& segments)
+      : model_(model), segments_(segments) {}
 
   ReplicaStore(const ReplicaStore&) = delete;
   ReplicaStore& operator=(const ReplicaStore&) = delete;
@@ -58,12 +74,13 @@ class ReplicaStore {
   /// puts are idempotent, which makes concurrent re-replication pushes
   /// harmless). Fails with kProcFailed if `holder` is dead-marked, kIo on
   /// an injected clean failure. `*sim_cost` (if non-null) gets the modeled
-  /// tier time; callers that already charged wire time pass nullptr.
+  /// tier time; callers that already charged wire time pass nullptr. The
+  /// bytes are stored as a segment-store run of their own.
   Status put(int holder, std::string_view path, std::span<const std::byte> data,
              double* sim_cost = nullptr);
-  /// Same, depositing a reference to the shared immutable `blob` instead of
-  /// a copy (a torn put still stores a private prefix).
-  Status put(int holder, std::string_view path, std::shared_ptr<const Bytes> blob,
+  /// Same, depositing a share of `blob` instead of a copy: no host I/O (a
+  /// torn put keeps a prefix of it).
+  Status put(int holder, std::string_view path, const Extent& blob,
              double* sim_cost = nullptr);
 
   /// Fetch a blob from `holder`'s memory. kNotFound if the holder has no
@@ -71,9 +88,9 @@ class ReplicaStore {
   /// corrupt-read flips one bit of `out` only.
   Status get(int holder, std::string_view path, Bytes& out,
              double* sim_cost = nullptr);
-  /// Same, sharing the stored blob instead of copying it; an injected
+  /// Same, sharing the stored extent instead of reading it; an injected
   /// corrupt read hands back a private flipped copy.
-  Status get(int holder, std::string_view path, std::shared_ptr<const Bytes>& out,
+  Status get(int holder, std::string_view path, Extent& out,
              double* sim_cost = nullptr);
 
   /// Drop one blob from one holder (no-op if absent).
@@ -93,7 +110,8 @@ class ReplicaStore {
   [[nodiscard]] bool is_dead(int rank) const;
 
   /// Rank death: its RAM is gone. Drops all blobs it held and dead-marks
-  /// it so in-flight deposits fail instead of ghost-writing.
+  /// it so in-flight deposits fail instead of ghost-writing. Called under
+  /// the job lock, it does no host I/O (see the header comment).
   void wipe_rank(int rank);
 
   /// Full reset (holdings, dead-marks; stats are retained) — called
@@ -115,14 +133,20 @@ class ReplicaStore {
   [[nodiscard]] FaultStats fault_stats() const;
 
  private:
-  using Holders = std::map<int, std::shared_ptr<const Bytes>>;
+  using Holders = std::map<int, Extent>;
+  /// Extents the store let go of, released (their last runs punched) by the
+  /// caller once the mutex is released.
+  using Dropped = std::vector<Extent>;
 
+  /// The read half of get() under the mutex: the fault draw, `holder`'s
+  /// extent of `path` and, for a corrupt read, the bit to flip.
+  Status lookup(int holder, std::string_view path, Extent& out,
+                std::optional<FaultInjector::BitFlip>& flip, double* sim_cost);
   /// `holder`'s blob of `path`, or nullptr.
-  const std::shared_ptr<const Bytes>* find_locked(int holder,
-                                                  std::string_view path) const
-      FTMR_REQUIRES(mu_);
+  const Extent* find_locked(int holder, std::string_view path) const FTMR_REQUIRES(mu_);
 
   TierModel model_;
+  SegmentStore& segments_;
   mutable Mutex mu_{"replica.store"};
   // path -> (holder rank -> blob); a path leaves when its last holder does.
   // Recovery asks "who holds this path", so that is one lookup; a rank's
@@ -130,6 +154,7 @@ class ReplicaStore {
   // memories concurrently, so everything lives under one mutex; the blobs
   // themselves are immutable and shared between holders.
   std::map<std::string, Holders, std::less<>> held_ FTMR_GUARDED_BY(mu_);
+  Dropped released_ FTMR_GUARDED_BY(mu_);  // wiped ranks' extents
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
   TierFaults faults_ FTMR_GUARDED_BY(mu_);
   FaultInjector injector_ FTMR_GUARDED_BY(mu_);

@@ -69,7 +69,7 @@ uint64_t size_of(const Extents& extents) {
 }
 
 /// The one host write: `n` bytes from `in` at `offset` of `fd`.
-bool store(int fd, uint64_t offset, const std::byte* in, uint64_t n) {
+bool host_write(int fd, uint64_t offset, const std::byte* in, uint64_t n) {
   while (n > 0) {
     const ssize_t done = ::pwrite(fd, in, n, static_cast<off_t>(offset));
     if (done < 0 && errno == EINTR) continue;
@@ -82,7 +82,7 @@ bool store(int fd, uint64_t offset, const std::byte* in, uint64_t n) {
 }
 
 /// The one host read: `n` bytes at `offset` of `fd` into `out`.
-bool load(int fd, uint64_t offset, std::byte* out, uint64_t n) {
+bool host_read(int fd, uint64_t offset, std::byte* out, uint64_t n) {
   while (n > 0) {
     const ssize_t done = ::pread(fd, out, n, static_cast<off_t>(offset));
     if (done < 0 && errno == EINTR) continue;
@@ -133,14 +133,21 @@ const SegmentStore::Extents* SegmentStore::find_file_locked(Tier tier, int node,
   return it == v->second.end() ? nullptr : &it->second;
 }
 
+Status SegmentStore::append_run(std::span<const std::byte> data,
+                                std::shared_ptr<Run>& out) {
+  out = std::allocate_shared<Run>(std::pmr::polymorphic_allocator<Run>(&pool_), *this,
+                                  end_.fetch_add(blocks(data.size())), data.size());
+  if (host_write(fd_, out->offset, data.data(), data.size())) return Status::Ok();
+  out.reset();
+  return {ErrorCode::kIo, "cannot write the segment file " + host_};
+}
+
 Status SegmentStore::write(Tier tier, int node, std::string_view path_in,
                            std::span<const std::byte> data, bool append) {
   const std::string path = normal(path_in);
   std::shared_ptr<Run> run;
   if (!data.empty()) {
-    run = std::allocate_shared<Run>(std::pmr::polymorphic_allocator<Run>(&pool_), *this,
-                                    end_.fetch_add(blocks(data.size())), data.size());
-    if (!store(fd_, run->offset, data.data(), data.size())) {
+    if (!append_run(data, run).ok()) {
       return {ErrorCode::kIo, "write_file: cannot write " + path};
     }
   }
@@ -167,7 +174,7 @@ Status SegmentStore::read(Tier tier, int node, std::string_view path_in,
   out.resize(size_of(extents));
   std::byte* at = out.data();
   for (const Extent& e : extents) {
-    if (!load(fd_, e.run->offset, at, e.len)) {
+    if (!host_read(fd_, e.run->offset, at, e.len)) {
       return {ErrorCode::kIo, "read_file: short read from " + path};
     }
     at += e.len;
@@ -238,6 +245,36 @@ void SegmentStore::list(Tier tier, int node, std::string_view dir_in,
   for (auto [it, last] = subtree(v->second, dir); it != last; ++it) {
     names.emplace_back(std::string_view(it->first).substr(skip));
   }
+}
+
+Status SegmentStore::stash(std::span<const std::byte> data, Extent& out) {
+  out = Extent{};
+  if (data.empty()) return Status::Ok();
+  if (auto s = append_run(data, out.run); !s.ok()) return s;
+  out.len = data.size();
+  return Status::Ok();
+}
+
+Status SegmentStore::load(const Extent& extent, Bytes& out) const {
+  out.resize(extent.len);
+  if (extent.len > 0 && !host_read(fd_, extent.run->offset, out.data(), extent.len)) {
+    return {ErrorCode::kIo, "cannot read the segment file " + host_};
+  }
+  return Status::Ok();
+}
+
+bool SegmentStore::extent_of(Tier tier, int node, std::string_view path_in,
+                             Extent& out) const {
+  const std::string path = normal(path_in);
+  Extent found;
+  {
+    MutexLock lock(mu_);
+    const Extents* f = find_file_locked(tier, node, path);
+    if (f == nullptr || f->size() > 1) return false;
+    if (!f->empty()) found = f->front();
+  }
+  out = std::move(found);  // what `out` held is released outside the mutex
+  return true;
 }
 
 void SegmentStore::wipe(Tier tier, int node) {

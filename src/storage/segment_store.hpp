@@ -23,6 +23,10 @@
 //     (fallocate(FALLOC_FL_PUNCH_HOLE)), so the host file holds the live
 //     bytes plus at most a block per live extent. Where the file system
 //     cannot punch holes, freed blocks stay until the store closes.
+//   * Anonymous extents. An extent may also be held outside the index: the
+//     memory tier (replica.hpp) keeps its replicas as extents, stashed as
+//     runs of their own or shared with the checkpoint file they replicate,
+//     so every tier's bytes are in the one host file.
 //
 // Thread-safe. One mutex guards the index; host I/O runs outside it.
 #pragma once
@@ -56,6 +60,17 @@ class SegmentStore {
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
+ private:
+  struct Run;
+
+ public:
+  /// The first `len` bytes of a run. A value: a copy shares the run, and
+  /// the last extent (or read in flight) to release it punches it out.
+  struct Extent {
+    std::shared_ptr<Run> run;
+    uint64_t len = 0;
+  };
+
   /// Append `data` to the host file as one run and make it the file at
   /// `path` (replacing it), or add it to the file's end.
   Status write(Tier tier, int node, std::string_view path,
@@ -79,12 +94,16 @@ class SegmentStore {
   /// Drop every file of a volume.
   void wipe(Tier tier, int node);
 
+  /// Append `data` to the host file as one run that no file holds, and
+  /// make `out` all of it.
+  Status stash(std::span<const std::byte> data, Extent& out);
+  /// The bytes of `extent` into `out`.
+  Status load(const Extent& extent, Bytes& out) const;
+  /// The file at `path` as one extent, sharing its run; false if there is
+  /// no such file or it has more than one extent (it was appended to).
+  bool extent_of(Tier tier, int node, std::string_view path, Extent& out) const;
+
  private:
-  struct Run;
-  struct Extent {
-    std::shared_ptr<Run> run;
-    uint64_t len = 0;  // the run's first len bytes
-  };
   /// A file is its extents, in order.
   using Extents = std::pmr::vector<Extent>;
   using Files = std::pmr::map<std::pmr::string, Extents, std::less<>>;
@@ -98,6 +117,8 @@ class SegmentStore {
   [[nodiscard]] uint64_t blocks(uint64_t len) const noexcept {
     return (len + block_ - 1) / block_ * block_;
   }
+  /// Append `data` to the host file as a new run.
+  Status append_run(std::span<const std::byte> data, std::shared_ptr<Run>& out);
   /// The file at normalized `path`, created empty if there is none.
   Extents& file_locked(Tier tier, int node, const std::string& path) FTMR_REQUIRES(mu_);
   /// The file at normalized `path`, or null.

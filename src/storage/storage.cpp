@@ -15,8 +15,8 @@ namespace fs = std::filesystem;
 
 StorageSystem::StorageSystem(StorageOptions opts)
     : opts_(std::move(opts)),
-      memory_(std::make_unique<ReplicaStore>(opts_.memory)),
-      store_(std::make_unique<SegmentStore>(opts_.root)) {}
+      store_(std::make_unique<SegmentStore>(opts_.root)),
+      memory_(std::make_unique<ReplicaStore>(opts_.memory, *store_)) {}
 
 StorageSystem::~StorageSystem() = default;
 
@@ -81,11 +81,15 @@ Status FaultInjector::read_fault(const TierFaults& f, std::string_view path,
   return Status::Ok();
 }
 
+FaultInjector::BitFlip FaultInjector::draw_flip(size_t size) {
+  BitFlip f;
+  f.byte = rng_.next_below(size);
+  f.bit = static_cast<int>(rng_.next_below(8));
+  return f;
+}
+
 void FaultInjector::flip_bit(Bytes& buf) {
-  if (buf.empty()) return;
-  const size_t byte_idx = rng_.next_below(buf.size());
-  const int bit = static_cast<int>(rng_.next_below(8));
-  buf[byte_idx] ^= static_cast<std::byte>(1u << bit);
+  if (!buf.empty()) draw_flip(buf.size()).apply(buf);
 }
 
 void StorageSystem::inject_io_failures(int count, Status error) {

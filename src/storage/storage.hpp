@@ -17,8 +17,8 @@
 // (segment_store.hpp) indexes them in memory and appends their bytes to one
 // host file per StorageSystem, so creating a logical file (a checkpoint, a
 // spill page) costs a pwrite instead of a new inode, and a copy costs no
-// host I/O. Fault draws, TierStats and modeled cost are those of one file
-// per path.
+// host I/O. The memory tier's replicas are runs of that file too. Fault
+// draws, TierStats and modeled cost are those of one file per path.
 #pragma once
 
 #include <filesystem>
@@ -157,7 +157,16 @@ class FaultInjector {
   /// Decide one read. A clean failure comes back as its error; otherwise
   /// OK, with `*corrupt` set if the read must flip_bit() what it returns.
   Status read_fault(const TierFaults& f, std::string_view path, bool* corrupt);
-  /// Flip one drawn bit (byte first, then bit) of a non-empty `buf`.
+  /// One bit of a buffer, drawn (byte first, then bit) before the buffer is
+  /// read, so that a caller can draw under its lock and flip outside it.
+  struct BitFlip {
+    size_t byte = 0;
+    int bit = 0;
+    void apply(Bytes& buf) const { buf[byte] ^= static_cast<std::byte>(1u << bit); }
+  };
+  /// Draw the bit to flip of a non-empty `size`-byte buffer.
+  BitFlip draw_flip(size_t size);
+  /// Flip one drawn bit of a non-empty `buf`.
   void flip_bit(Bytes& buf);
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
@@ -228,6 +237,9 @@ class StorageSystem {
   /// The in-memory replica tier (Tier::kMemory). File-path operations on
   /// kMemory fail with kInvalidArgument; this is the real interface.
   [[nodiscard]] ReplicaStore& memory() const noexcept { return *memory_; }
+  /// The host layout every tier keeps its bytes in: the memory tier's
+  /// replicas are extents of it, shared with the checkpoint files they copy.
+  [[nodiscard]] SegmentStore& segments() const noexcept { return *store_; }
 
   /// Write (create/truncate) a file. `node` namespaces the local tier
   /// (each compute node has its own disk); ignored for kShared.
@@ -334,9 +346,10 @@ class StorageSystem {
   FaultInjector injector_ FTMR_GUARDED_BY(stats_mu_);
   // unique_ptrs to forward-declared types: replica.hpp and
   // segment_store.hpp include this header, so the concrete types are only
-  // visible in storage.cpp.
-  std::unique_ptr<ReplicaStore> memory_;
+  // visible in storage.cpp. The replica store holds extents of the segment
+  // store, so it is built after it and destroyed before it.
   std::unique_ptr<SegmentStore> store_;
+  std::unique_ptr<ReplicaStore> memory_;
 };
 
 /// RAII temp sandbox for tests/benches: creates a unique directory under

@@ -15,6 +15,8 @@
 #include "common/hash.hpp"
 #include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
+#include "storage/replica.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -667,6 +669,72 @@ TEST(HostFootprint, WcJobKeepsOneHostFileOfLiveBytes) {
   for (int node = 0; node < nodes; ++node) {
     ASSERT_TRUE(w.fs->remove(storage::Tier::kLocal, node, "").ok());
   }
+  EXPECT_LE(std::get<2>(host()), block);
+}
+
+// The same with k = 2 memory replicas: a replica is an extent of the same
+// host file, sharing its checkpoint file's run, so the file's allocated
+// bytes are at most the live logical bytes plus the bytes the replicas
+// hold plus a block per file or replica, and about none once every file is
+// removed and every replica wiped.
+TEST(HostFootprint, WcJobWithMemoryReplicasKeepsOneHostFile) {
+  constexpr int kRanks = 8;
+  World w(16, 40);
+  FtJobOptions opts = base_opts(FtMode::kDetectResumeWC);
+  opts.ckpt.records_per_ckpt = 8;
+  opts.ckpt.memory_replication_k = 2;
+  JobResult r = Runtime::run(kRanks, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    Status s = job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
+    EXPECT_TRUE(s.ok()) << s.to_string();
+  });
+  ASSERT_EQ(r.finished_count(), kRanks);
+  EXPECT_EQ(w.read_output(), w.expected);
+  const int nodes = kRanks / opts.ppn;
+  uint64_t extents = 0, live = 0;
+  const auto census = [&](storage::Tier tier, int node) {
+    std::vector<std::string> names;
+    ASSERT_TRUE(w.fs->list_dir(tier, node, "", names).ok());
+    extents += names.size();
+    for (const std::string& n : names) {
+      live += static_cast<uint64_t>(w.fs->file_size(tier, node, n));
+    }
+  };
+  census(storage::Tier::kShared, 0);
+  for (int node = 0; node < nodes; ++node) census(storage::Tier::kLocal, node);
+  storage::ReplicaStore& memory = w.fs->memory();
+  uint64_t replicas = 0, held = 0;
+  for (const std::string& path : memory.all_paths()) {
+    for (int h : memory.holders_of(path)) {
+      storage::SegmentStore::Extent e;
+      ASSERT_TRUE(memory.get(h, path, e).ok());
+      replicas++;
+      held += e.len;
+    }
+  }
+  EXPECT_GT(replicas, 100u);
+  extents += replicas;
+  const auto host = [&] {
+    size_t count = 0;
+    uint64_t block = 0, allocated = 0;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(w.tmp.path())) {
+      struct stat st {};
+      if (!e.is_regular_file() || ::stat(e.path().c_str(), &st) != 0) continue;
+      count++;
+      block = static_cast<uint64_t>(st.st_blksize);
+      allocated += static_cast<uint64_t>(st.st_blocks) * 512;
+    }
+    return std::tuple(count, block, allocated);
+  };
+  const auto [host_files, block, allocated] = host();
+  EXPECT_EQ(host_files, 1u);
+  EXPECT_LE(allocated, live + held + extents * block)
+      << extents << " files and replicas of " << live << " + " << held << " bytes";
+  ASSERT_TRUE(w.fs->remove(storage::Tier::kShared, 0, "").ok());
+  for (int node = 0; node < nodes; ++node) {
+    ASSERT_TRUE(w.fs->remove(storage::Tier::kLocal, node, "").ok());
+  }
+  memory.wipe_all();
   EXPECT_LE(std::get<2>(host()), block);
 }
 

@@ -4,17 +4,21 @@
 // with corrupted-replica fallback to the file tiers, and end-to-end fault
 // schedules with memory replicas as the primary recovery source.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "core/checkpoint.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/replica.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 #include "testing/explorer.hpp"
 
@@ -27,6 +31,7 @@ using core::RankRecovery;
 using simmpi::Comm;
 using simmpi::Runtime;
 using storage::ReplicaStore;
+using storage::SegmentStore;
 using storage::replica_placement;
 
 Bytes blob(std::string_view s) {
@@ -116,8 +121,30 @@ TEST(ReplicaPlacement, RotationSpreadsTargetsAcrossOwners) {
 // ReplicaStore semantics
 // ---------------------------------------------------------------------------
 
+/// The segment store a ReplicaStore keeps its replicas in, over a temp
+/// directory.
+struct HostFile {
+  storage::TempDir tmp{"ftmr-replica-store"};
+  SegmentStore segments{tmp.path()};
+};
+
+/// `bytes` as an extent of `host`'s segment store.
+SegmentStore::Extent stashed(HostFile& host, const Bytes& bytes) {
+  SegmentStore::Extent e;
+  EXPECT_TRUE(host.segments.stash(bytes, e).ok());
+  return e;
+}
+
+/// The bytes of `e`.
+Bytes loaded(HostFile& host, const SegmentStore::Extent& e) {
+  Bytes out;
+  EXPECT_TRUE(host.segments.load(e, out).ok());
+  return out;
+}
+
 TEST(ReplicaStoreTest, PutGetRoundTripWithModeledCost) {
-  ReplicaStore store(storage::TierModel{1e-6, 1e9, 0.0});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{1e-6, 1e9, 0.0}, host.segments);
   double put_cost = -1.0, get_cost = -1.0;
   ASSERT_TRUE(store.put(2, "ck/r0/a", blob("payload"), &put_cost).ok());
   EXPECT_GT(put_cost, 0.0);
@@ -131,7 +158,8 @@ TEST(ReplicaStoreTest, PutGetRoundTripWithModeledCost) {
 }
 
 TEST(ReplicaStoreTest, PutsAreIdempotentOverwrites) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   ASSERT_TRUE(store.put(1, "p", blob("old")).ok());
   ASSERT_TRUE(store.put(1, "p", blob("new")).ok());
   Bytes out;
@@ -141,7 +169,8 @@ TEST(ReplicaStoreTest, PutsAreIdempotentOverwrites) {
 }
 
 TEST(ReplicaStoreTest, EnumerationAndRemoval) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   ASSERT_TRUE(store.put(3, "ck/r0/a", blob("x")).ok());
   ASSERT_TRUE(store.put(1, "ck/r0/a", blob("x")).ok());
   ASSERT_TRUE(store.put(1, "ck/r2/b", blob("y")).ok());
@@ -158,7 +187,8 @@ TEST(ReplicaStoreTest, EnumerationAndRemoval) {
 }
 
 TEST(ReplicaStoreTest, DeathWipesHoldingsAndRejectsLateDeposits) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   ASSERT_TRUE(store.put(2, "a", blob("x")).ok());
   ASSERT_TRUE(store.put(4, "a", blob("x")).ok());
   store.wipe_rank(2);
@@ -176,7 +206,8 @@ TEST(ReplicaStoreTest, DeathWipesHoldingsAndRejectsLateDeposits) {
 }
 
 TEST(ReplicaStoreTest, InjectedTornPutStoresStrictPrefix) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   storage::TierFaults f;
   f.p_torn_write = 1.0;
   store.set_fault_injector(11, f, "");
@@ -190,7 +221,8 @@ TEST(ReplicaStoreTest, InjectedTornPutStoresStrictPrefix) {
 }
 
 TEST(ReplicaStoreTest, InjectedCorruptReadIsTransient) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   const Bytes data = blob("pristine replica bytes");
   ASSERT_TRUE(store.put(1, "p", data).ok());
   storage::TierFaults f;
@@ -207,7 +239,8 @@ TEST(ReplicaStoreTest, InjectedCorruptReadIsTransient) {
 }
 
 TEST(ReplicaStoreTest, InjectedCleanFailuresAndPathFilter) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   ASSERT_TRUE(store.put(1, "ck/r0/a", blob("x")).ok());
   ASSERT_TRUE(store.put(1, "ck/r5/b", blob("y")).ok());
   storage::TierFaults f;
@@ -225,36 +258,38 @@ TEST(ReplicaStoreTest, InjectedCleanFailuresAndPathFilter) {
   EXPECT_GE(store.fault_stats().write_failures, 1);
 }
 
-// One framed blob deposited at k holders is a single shared allocation;
-// each holder's copy must still behave as a private one.
+// One framed blob deposited at k holders is a single shared run of the
+// segment store; each holder's copy must still behave as a private one.
 
 TEST(ReplicaStoreTest, SharedBlobCorruptReadAtOneHolderLeavesOthersPristine) {
-  ReplicaStore store(storage::TierModel{});
-  const auto shared = std::make_shared<const Bytes>(blob("one blob, two holders"));
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  const auto shared = stashed(host, blob("one blob, two holders"));
   ASSERT_TRUE(store.put(1, "p", shared).ok());
   ASSERT_TRUE(store.put(2, "p", shared).ok());
-  std::shared_ptr<const Bytes> at2;
+  SegmentStore::Extent at2;
   ASSERT_TRUE(store.get(2, "p", at2).ok());
-  EXPECT_EQ(at2.get(), shared.get()) << "holders must share, not copy";
+  EXPECT_EQ(at2.run, shared.run) << "holders must share, not copy";
   storage::TierFaults f;
   f.p_corrupt_read = 1.0;
   store.set_fault_injector(21, f, "");
   Bytes corrupt;
   ASSERT_TRUE(store.get(1, "p", corrupt).ok());
-  EXPECT_NE(corrupt, *shared);
+  EXPECT_NE(corrupt, loaded(host, shared));
   store.clear_fault_injector();
   Bytes out;
   ASSERT_TRUE(store.get(2, "p", out).ok());
   EXPECT_EQ(out, blob("one blob, two holders"));
   ASSERT_TRUE(store.get(1, "p", out).ok());
   EXPECT_EQ(out, blob("one blob, two holders"));
-  EXPECT_EQ(*shared, blob("one blob, two holders"));
+  EXPECT_EQ(loaded(host, shared), blob("one blob, two holders"));
 }
 
 TEST(ReplicaStoreTest, SharedBlobTornPutStoresThatHoldersPrefixOnly) {
-  ReplicaStore store(storage::TierModel{});
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
   const Bytes data = blob("a blob torn at exactly one holder");
-  const auto shared = std::make_shared<const Bytes>(data);
+  const auto shared = stashed(host, data);
   ASSERT_TRUE(store.put(1, "p", shared).ok());
   storage::TierFaults f;
   f.p_torn_write = 1.0;
@@ -269,20 +304,99 @@ TEST(ReplicaStoreTest, SharedBlobTornPutStoresThatHoldersPrefixOnly) {
   Bytes intact;
   ASSERT_TRUE(store.get(1, "p", intact).ok());
   EXPECT_EQ(intact, data);
-  EXPECT_EQ(*shared, data);
+  EXPECT_EQ(loaded(host, shared), data);
 }
 
 TEST(ReplicaStoreTest, SharedBlobSurvivesOneHoldersWipe) {
-  ReplicaStore store(storage::TierModel{});
-  auto shared = std::make_shared<const Bytes>(blob("outlives holder 1"));
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  auto shared = stashed(host, blob("outlives holder 1"));
   ASSERT_TRUE(store.put(1, "p", shared).ok());
   ASSERT_TRUE(store.put(2, "p", shared).ok());
-  shared.reset();  // the store's references are all that remain
+  shared = {};  // the store's references are all that remain
   store.wipe_rank(1);
   EXPECT_EQ(store.holders_of("p"), (std::vector<int>{2}));
   Bytes out;
   ASSERT_TRUE(store.get(2, "p", out).ok());
   EXPECT_EQ(out, blob("outlives holder 1"));
+}
+
+// The host representation: replicas are extents of the segment store's
+// one host file, whose allocated bytes (st_blocks: a released run is a
+// hole) are those of the runs still held.
+
+/// The file system's block size and the bytes it has allocated to the
+/// files under `root`.
+std::pair<uint64_t, uint64_t> host_usage(const std::filesystem::path& root) {
+  uint64_t block = 0, allocated = 0;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(root)) {
+    struct stat st {};
+    if (!e.is_regular_file() || ::stat(e.path().c_str(), &st) != 0) continue;
+    block = static_cast<uint64_t>(st.st_blksize);
+    allocated += static_cast<uint64_t>(st.st_blocks) * 512;
+  }
+  return {block, allocated};
+}
+
+TEST(ReplicaHostFile, HoldersGoneLeaveAtMostOneBlock) {
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  const Bytes data(20000, std::byte{0x5a});
+  ASSERT_TRUE(store.put(1, "ck/r0/a", data).ok());
+  ASSERT_TRUE(store.put(2, "ck/r0/a", data).ok());
+  ASSERT_TRUE(store.put(3, "ck/r0/b", data).ok());
+  auto [block, allocated] = host_usage(host.tmp.path());
+  EXPECT_GE(allocated, 3 * data.size());
+  // A wiped rank's extents go at the store's next call that may punch.
+  store.wipe_rank(1);
+  store.wipe_rank(3);
+  store.remove(2, "ck/r0/a");
+  EXPECT_TRUE(store.all_paths().empty());
+  std::tie(block, allocated) = host_usage(host.tmp.path());
+  EXPECT_LE(allocated, block);
+}
+
+TEST(ReplicaHostFile, TornPutSharesExactlyThePrefix) {
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  Bytes data(9000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i * 7);
+  const auto blob = stashed(host, data);
+  const uint64_t before = host_usage(host.tmp.path()).second;
+  storage::TierFaults f;
+  f.p_torn_write = 1.0;
+  store.set_fault_injector(31, f, "");
+  ASSERT_TRUE(store.put(1, "p", blob).ok());
+  store.clear_fault_injector();
+  ASSERT_EQ(store.fault_stats().torn_writes, 1);
+  SegmentStore::Extent torn;
+  ASSERT_TRUE(store.get(1, "p", torn).ok());
+  EXPECT_EQ(torn.run, blob.run);
+  ASSERT_LT(torn.len, blob.len);
+  EXPECT_EQ(store.stats().bytes_written, torn.len);
+  const Bytes back = loaded(host, torn);
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), data.begin()));
+  EXPECT_EQ(host_usage(host.tmp.path()).second, before);
+}
+
+TEST(ReplicaHostFile, CorruptExtentGetHandsBackAPrivateRun) {
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  const Bytes data = blob("a replica read with one bit flipped");
+  const auto shared = stashed(host, data);
+  ASSERT_TRUE(store.put(1, "p", shared).ok());
+  storage::TierFaults f;
+  f.p_corrupt_read = 1.0;
+  store.set_fault_injector(32, f, "");
+  SegmentStore::Extent flipped;
+  ASSERT_TRUE(store.get(1, "p", flipped).ok());
+  store.clear_fault_injector();
+  EXPECT_NE(flipped.run, shared.run);
+  EXPECT_EQ(flipped.len, shared.len);
+  EXPECT_NE(loaded(host, flipped), data);
+  Bytes out;
+  ASSERT_TRUE(store.get(1, "p", out).ok());
+  EXPECT_EQ(out, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +484,8 @@ TEST_F(ReplicaCkptFixture, CheckpointWriteReplicatesAndRecoveryHitsMemory) {
 
 TEST_F(ReplicaCkptFixture, EveryHolderSharesOneExactSizeBlob) {
   // A replica lives in peer RAM for the whole job: each kind's frame is one
-  // allocation of exactly its size, shared (not copied) by all k holders.
+  // run of the segment store, the checkpoint file's own, shared (not
+  // copied) by all k holders.
   Runtime::run(4, [&](Comm& c) {
     CkptOptions o;
     o.memory_replication_k = 2;
@@ -386,16 +501,68 @@ TEST_F(ReplicaCkptFixture, EveryHolderSharesOneExactSizeBlob) {
       for (const std::string& mpath : paths) {
         const auto holders = fs->memory().holders_of(mpath);
         ASSERT_EQ(holders.size(), 2u) << mpath;
-        std::shared_ptr<const Bytes> first;
+        // The holders share the run of the checkpoint file itself.
+        SegmentStore::Extent first;
+        ASSERT_TRUE(fs->segments().extent_of(storage::Tier::kLocal, 0, mpath, first));
         for (int h : holders) {
-          std::shared_ptr<const Bytes> b;
-          ASSERT_TRUE(fs->memory().get(h, mpath, b).ok());
-          EXPECT_EQ(b->capacity(), b->size()) << mpath << " at holder " << h;
-          Bytes payload;
-          EXPECT_TRUE(core::unframe_checkpoint(*b, payload).ok()) << mpath;
-          if (!first) first = b;
-          EXPECT_EQ(b.get(), first.get()) << mpath << " copied, not shared";
+          SegmentStore::Extent e;
+          ASSERT_TRUE(fs->memory().get(h, mpath, e).ok());
+          EXPECT_EQ(e.len, first.len) << mpath << " at holder " << h;
+          Bytes b, payload;
+          ASSERT_TRUE(fs->segments().load(e, b).ok());
+          EXPECT_TRUE(core::unframe_checkpoint(b, payload).ok()) << mpath;
+          EXPECT_EQ(e.run, first.run) << mpath << " copied, not shared";
         }
+      }
+    }
+    ASSERT_TRUE(c.barrier().ok());
+  });
+}
+
+TEST_F(ReplicaCkptFixture, OneBlobAtThreeHoldersAddsOneRun) {
+  // The checkpoint file, its drained copy and all k = 3 replicas share the
+  // run the write appended.
+  Runtime::run(5, [&](Comm& c) {
+    CkptOptions o;
+    o.memory_replication_k = 3;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
+    if (c.rank() == 0) {
+      mr::KvBuffer data;
+      for (int i = 0; i < 400; ++i) data.add("key" + std::to_string(i), "value");
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, data).ok());
+      const auto paths = fs->memory().all_paths();
+      ASSERT_EQ(paths.size(), 1u);
+      ASSERT_EQ(fs->memory().holders_of(paths[0]).size(), 3u);
+      const int64_t frame = fs->file_size(storage::Tier::kLocal, 0, paths[0]);
+      ASSERT_GT(frame, 4096);
+      const auto [block, allocated] = host_usage(tmp.path());
+      EXPECT_LE(allocated, static_cast<uint64_t>(frame) + block);
+    }
+    ASSERT_TRUE(c.barrier().ok());
+  });
+}
+
+TEST_F(ReplicaCkptFixture, ReplicaOutlivesItsCheckpointFileAndNode) {
+  Runtime::run(4, [&](Comm& c) {
+    CkptOptions o;
+    o.memory_replication_k = 2;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
+    if (c.rank() == 0) {
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}, {"w", "x"}})).ok());
+      const auto paths = fs->memory().all_paths();
+      ASSERT_EQ(paths.size(), 1u);
+      Bytes file;
+      ASSERT_TRUE(fs->read_file(storage::Tier::kLocal, 0, paths[0], file).ok());
+      // The file whose run the replicas share goes, with its node's disk and
+      // its drained copy.
+      ASSERT_TRUE(fs->remove(storage::Tier::kLocal, 0, paths[0]).ok());
+      fs->wipe_node_local(0);
+      ASSERT_TRUE(fs->remove(storage::Tier::kShared, 0, "").ok());
+      for (int h : fs->memory().holders_of(paths[0])) {
+        Bytes replica, payload;
+        ASSERT_TRUE(fs->memory().get(h, paths[0], replica).ok());
+        EXPECT_EQ(replica, file) << "at holder " << h;
+        EXPECT_TRUE(core::unframe_checkpoint(replica, payload).ok());
       }
     }
     ASSERT_TRUE(c.barrier().ok());
@@ -462,16 +629,17 @@ TEST_F(ReplicaCkptFixture, RereplicateHealsToKSharedCopiesAfterAKill) {
     if (c.rank() == 0) {
       const auto holders = fs->memory().holders_of(mpath);
       ASSERT_EQ(holders.size(), size_t{kK});
-      std::shared_ptr<const Bytes> first;
+      SegmentStore::Extent first;
       for (int h : holders) {
         EXPECT_NE(h, victim);
         EXPECT_NE(h, 0);
-        std::shared_ptr<const Bytes> b;
-        ASSERT_TRUE(fs->memory().get(h, mpath, b).ok());
-        Bytes payload;
-        EXPECT_TRUE(core::unframe_checkpoint(*b, payload).ok());
-        if (!first) first = b;
-        EXPECT_EQ(b.get(), first.get()) << "re-push must share the survivor's blob";
+        SegmentStore::Extent e;
+        ASSERT_TRUE(fs->memory().get(h, mpath, e).ok());
+        Bytes b, payload;
+        ASSERT_TRUE(fs->segments().load(e, b).ok());
+        EXPECT_TRUE(core::unframe_checkpoint(b, payload).ok());
+        if (!first.run) first = e;
+        EXPECT_EQ(e.run, first.run) << "re-push must share the survivor's blob";
       }
     }
   }, o);

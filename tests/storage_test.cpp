@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/copier.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::storage {
@@ -413,6 +414,48 @@ TEST_F(StorageTest, TornCopySharesExactlyThePrefix) {
   EXPECT_EQ(fs_->stats(Tier::kShared).bytes_written, torn.size());
   EXPECT_EQ(host_usage(tmp_.path()).allocated, before);
   EXPECT_EQ(to_string_copy(read_back(*fs_, Tier::kLocal, 0, "ck/r0/stream")), body);
+}
+
+TEST_F(StorageTest, StashedExtentIsOneRunPunchedByItsLastHolder) {
+  std::string body(10000, '\0');
+  for (size_t i = 0; i < body.size(); ++i) body[i] = static_cast<char>(i * 13 + 1);
+  SegmentStore::Extent a;
+  ASSERT_TRUE(fs_->segments().stash(as_bytes_view(body), a).ok());
+  EXPECT_EQ(a.len, body.size());
+  HostUsage u = host_usage(tmp_.path());
+  EXPECT_EQ(u.files, 1u);
+  EXPECT_GE(u.allocated, body.size());
+  EXPECT_LE(u.allocated, body.size() + u.block);
+  SegmentStore::Extent b = a;  // a copy shares the run
+  a = {};
+  Bytes out;
+  ASSERT_TRUE(fs_->segments().load(b, out).ok());
+  EXPECT_EQ(to_string_copy(out), body);
+  EXPECT_EQ(host_usage(tmp_.path()).allocated, u.allocated);
+  b = {};
+  u = host_usage(tmp_.path());
+  EXPECT_LE(u.allocated, u.block);
+}
+
+TEST_F(StorageTest, ExtentOfSharesAWholeFileOnly) {
+  const std::string body(6000, 'w');
+  ASSERT_TRUE(fs_->write_file(Tier::kLocal, 1, "ck/r2/f", as_bytes_view(body)).ok());
+  const uint64_t before = host_usage(tmp_.path()).allocated;
+  SegmentStore::Extent e;
+  ASSERT_TRUE(fs_->segments().extent_of(Tier::kLocal, 1, "ck/r2/f", e));
+  EXPECT_EQ(e.len, body.size());
+  EXPECT_FALSE(fs_->segments().extent_of(Tier::kLocal, 0, "ck/r2/f", e));
+  ASSERT_TRUE(fs_->append_file(Tier::kShared, 0, "log", as_bytes_view("ab")).ok());
+  ASSERT_TRUE(fs_->append_file(Tier::kShared, 0, "log", as_bytes_view("cd")).ok());
+  SegmentStore::Extent appended;
+  EXPECT_FALSE(fs_->segments().extent_of(Tier::kShared, 0, "log", appended));
+  // The extent outlives its file and the file's node.
+  ASSERT_TRUE(fs_->remove(Tier::kLocal, 1, "ck").ok());
+  fs_->wipe_node_local(1);
+  Bytes out;
+  ASSERT_TRUE(fs_->segments().load(e, out).ok());
+  EXPECT_EQ(to_string_copy(out), body);
+  EXPECT_GE(host_usage(tmp_.path()).allocated, before);
 }
 
 TEST_F(StorageTest, OneHostFileAndOneDescriptorPerStore) {
