@@ -22,9 +22,9 @@
  * copy of /proc/self/maps, which the symbolizer needs to map addresses
  * back to their binaries).
  *
- * Knobs: FTMR_PROF_OUT (unset: the library does nothing), FTMR_PROF_US
- * (timer interval, default 1000 us; the kernel delivers it no more often
- * than its tick, see the README).
+ * FTMR_PROF_OUT unset: the library does nothing. The timer interval is a
+ * fixed 1000 us; the kernel delivers it no more often than its tick, so a
+ * shorter one would not help (see the README).
  */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -39,7 +39,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-enum { kDepth = 64, kSamples = 1 << 15 };
+enum { kDepth = 64, kSamples = 1 << 15, kIntervalUs = 1000 };
 
 struct Sample {
   int depth;
@@ -50,7 +50,6 @@ static struct Sample samples[kSamples];
 static atomic_int taken;    /* slots claimed, may run past kSamples */
 static atomic_int dumped;   /* set once this process has written its dump */
 static char out_prefix[512];
-static long interval_us = 1000;
 
 static void on_prof(int sig) {
   (void)sig;
@@ -138,7 +137,7 @@ static void dump(void) {
 /* ---- arming ---- */
 
 static void arm(void) {
-  const struct timeval every = {interval_us / 1000000, interval_us % 1000000};
+  const struct timeval every = {0, kIntervalUs};
   const struct itimerval on = {every, every};
   setitimer(ITIMER_PROF, &on, NULL);
 }
@@ -153,8 +152,6 @@ __attribute__((constructor)) static void start(void) {
   const char* out = getenv("FTMR_PROF_OUT");
   if (out == NULL || *out == '\0' || strlen(out) >= sizeof out_prefix) return;
   strcpy(out_prefix, out);
-  const char* us = getenv("FTMR_PROF_US");
-  if (us != NULL && atol(us) > 0) interval_us = atol(us);
   void* warm[4];
   (void)backtrace(warm, 4); /* loads the unwinder outside the handler */
   struct sigaction sa;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turn the dumps of tools/prof/sampler.c into folded stacks.
 
-    python3 tools/prof/symbolize.py [--require TEXT] [--force] DUMP... > out.folded
+    python3 tools/prof/symbolize.py [--require TEXT] DUMP... > out.folded
 
 Each DUMP is a <prefix>.<pid>.stacks file or any file of that pair (the
 .maps file beside it is found by name); shell globs such as
@@ -17,7 +17,7 @@ signal trampoline below them are dropped.
 A dump is only meaningful against the exact binary that was sampled: a
 rebuild moves every function and silently misattributes every frame. The
 maps copy records each binary's inode, so a binary whose inode changed
-since the run is refused (--force symbolizes it anyway).
+since the run is refused.
 
 --require TEXT exits 1 unless at least one stack has a frame containing
 TEXT (CI uses 'ftmr::' to check that the engine's frames resolve).
@@ -99,8 +99,8 @@ def addr2line(binary, addrs):
     return names
 
 
-def check_inodes(maps, force):
-    """Refuse (unless `force`) binaries replaced since they were sampled."""
+def check_inodes(maps):
+    """Refuse binaries replaced since they were sampled."""
     stale = []
     for path, inode in sorted({(m[4], m[3]) for m in maps}):
         try:
@@ -111,9 +111,8 @@ def check_inodes(maps, force):
             stale.append("%s (inode %s then, %s now)" % (path, inode, now))
     for line in stale:
         sys.stderr.write("symbolize: not the binary that was sampled: %s\n" % line)
-    if stale and not force:
-        sys.exit("symbolize: refusing stale binaries; rerun the sampled program "
-                 "or pass --force")
+    if stale:
+        sys.exit("symbolize: refusing stale binaries; rerun the sampled program")
 
 
 def load(prefix):
@@ -134,11 +133,11 @@ def load(prefix):
     return samples, maps
 
 
-def fold(prefixes, force):
+def fold(prefixes):
     """Folded stacks of every process, each binary symbolized once."""
     processes = [load(p) for p in prefixes]
     check_inodes([m for _, maps in processes for m in maps
-                  if not os.path.basename(m[4]).startswith(SELF)], force)
+                  if not os.path.basename(m[4]).startswith(SELF)])
     wanted = collections.defaultdict(set)  # binary -> addresses
     for samples, _ in processes:
         for frames in samples:
@@ -177,14 +176,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("dumps", nargs="+")
     ap.add_argument("--require", help="exit 1 unless some frame contains this")
-    ap.add_argument("--force", action="store_true",
-                    help="symbolize binaries rebuilt since the run")
     args = ap.parse_args()
     prefixes = sorted({d.rsplit(".", 1)[0] for d in args.dumps
                        if d.endswith((".stacks", ".maps"))})
     prefixes = [p for p in prefixes
                 if os.path.exists(p + ".stacks") and os.path.exists(p + ".maps")]
-    total = fold(prefixes, args.force)
+    total = fold(prefixes)
     for stack, count in sorted(total.items()):
         print("%s %d" % (stack, count))
     sys.stderr.write("symbolize: %d samples in %d stacks from %d processes\n"
