@@ -105,6 +105,20 @@ constexpr char kPart[] = "part";
 constexpr char kRed[] = "red";
 constexpr char kOut[] = "out";
 
+/// The read plan (see LoadFilter): whether adopting a stage at `phase`
+/// consumes checkpoints of `kind`.
+bool consumed_at(const std::string& kind, StagePhase phase) {
+  switch (phase) {
+    case kPhaseDone:
+      return kind == kOut;
+    case kPhaseShuffleDone:
+      return kind == kPart || kind == kRed;
+    case kPhaseMap:
+      return kind == kMap;
+  }
+  return true;
+}
+
 std::string base_name(const char* kind, int stage, uint64_t id, int seq) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%s_s%03d_p%012" PRIu64 "_q%06d", kind, stage, id,
@@ -869,8 +883,9 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
   }
 
   // Sorted names give sequence order per (kind, id). Filter to this stage,
-  // to the caller's assigned tasks/partitions, and (for shared reads) to
-  // checkpoints drained before the horizon.
+  // to the kinds the resume phase consumes, to the caller's assigned
+  // tasks/partitions, and (for shared reads) to checkpoints drained before
+  // the horizon.
   std::vector<std::pair<CkptFileName, std::string>> files;
   for (const std::string& n : names) {
     CkptFileName p;
@@ -880,6 +895,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         p.drained_usec > static_cast<int64_t>(horizon * 1e6)) {
       continue;  // this checkpoint had not finished draining — lost
     }
+    if (filter.phase && !consumed_at(p.kind, *filter.phase)) continue;
     if (p.kind == kMap && filter.tasks && !filter.tasks->count(p.id)) continue;
     if (p.kind != kMap && filter.partitions &&
         !filter.partitions->count(static_cast<int>(p.id))) {

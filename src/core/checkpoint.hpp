@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -151,12 +152,23 @@ struct RankRecovery {
   size_t quarantined = 0;      // files with no valid replica (work lost)
 };
 
-/// Optional selection when loading another rank's checkpoints: a survivor
-/// only reads the files covering the tasks/partitions it was assigned, so
-/// the aggregate recovery I/O stays proportional to the dead rank's data.
+/// How far a stage got on one rank. Values are ordered; the composite
+/// (stage*8 + phase) is what checkpoint/restart ranks agree on.
+enum StagePhase : int { kPhaseMap = 0, kPhaseShuffleDone = 1, kPhaseDone = 2 };
+
+/// Optional selection when loading a rank's checkpoints: a survivor only
+/// reads the files covering the tasks/partitions it was assigned, so the
+/// aggregate recovery I/O stays proportional to the dead rank's data; and a
+/// load for a stage resumed at `phase` reads only the kinds that phase
+/// consumes (the read plan):
+///   kPhaseDone        — out
+///   kPhaseShuffleDone — part and red (one pass: a red delta's staleness
+///                       check needs its partition snapshot's sequence)
+///   kPhaseMap         — map
 struct LoadFilter {
   const std::set<uint64_t>* tasks = nullptr;  // map checkpoints
   const std::set<int>* partitions = nullptr;  // part/red/out checkpoints
+  std::optional<StagePhase> phase = std::nullopt;  // unset: every kind
 };
 
 /// Thread model: a CheckpointManager is confined to its rank's thread (one

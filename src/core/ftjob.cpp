@@ -340,6 +340,7 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
   }
   tp.parts.clear();
   tp.parts.shrink_to_fit();
+  tp.pending_delta = {};
   tp.done = true;
   master_->on_task_done(task, tp.pos, 0);
   master_->observe(map_bytes_done_, wc_.now());
@@ -722,11 +723,12 @@ Status FtJob::reduce_partition(const StageFns& fns, int stage, StageState& st,
   const double kmv_io = rp.kmv->take_io_seconds();
   if (kmv_io > 0.0) wc_.compute(kmv_io);
   rp.done = true;
-  st.outputs[p] = rp.out;
+  rp.pending_delta = {};
   rp.kmv.reset();
+  const mr::KvBuffer& out = st.outputs[p] = std::move(rp.out);
   if (opts_.ckpt.enabled) {
     const double c0 = wc_.now();
-    if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
+    if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, out)); !s.ok()) {
       return s;
     }
     charge_span("ckpt", c0);
@@ -1044,6 +1046,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
       LoadFilter filter;
       filter.tasks = &my_new_tasks;
       filter.partitions = &my_new_parts;
+      filter.phase = st.phase;  // only what adopt_stage consumes below
       const double r0 = wc_.now();
       Status s = ckpt_->load_rank_stage(wc_, sid, d, d_node, /*from_shared=*/true,
                                         horizon, rec, filter);
@@ -1136,41 +1139,57 @@ std::vector<int> FtJob::adopt_stage(StageState& st, int stage, RankRecovery& rec
 
 void FtJob::prime_from_own_checkpoints() {
   const bool shared = opts_.restart_read_shared;
-  const std::set<int> present =
-      ckpt_->stages_present(world_.global_rank(), node(), shared);
+  const int me = world_.global_rank();
+  const std::set<int> present = ckpt_->stages_present(me, node(), shared);
   const std::vector<int>& owned = owned_partitions();
   const auto covers_owned = [&owned](const std::map<int, mr::KvBuffer>& m) {
     return std::all_of(owned.begin(), owned.end(),
                        [&m](int p) { return m.count(p) > 0; });
   };
-  // My local resume candidate: the furthest (stage, phase) my checkpoints
-  // support. The job-wide resume point is the minimum across ranks.
-  int64_t my_composite = 0;
-  std::map<int, RankRecovery> recs;
-  for (int sid : present) {
-    if (sid >= kMaxStagesScan) break;
-    RankRecovery rec;
+  // Reads into `rec` the checkpoints of stage `sid` that resuming it at
+  // `phase` consumes (the read plan, LoadFilter::phase).
+  const auto load = [&](int sid, StagePhase phase, RankRecovery& rec) {
+    LoadFilter filter;
+    filter.phase = phase;
     const double r0 = wc_.now();
-    Status s = ckpt_->load_rank_stage(wc_, sid, world_.global_rank(), node(),
-                                      shared, /*horizon=*/-1.0, rec);
+    Status s = ckpt_->load_rank_stage(wc_, sid, me, node(), shared,
+                                      /*horizon=*/-1.0, rec, filter);
     charge_span("init_recover", r0);
-    if (!s.ok()) continue;
-    int phase = kPhaseMap;
-    // All owned partitions produced output -> the stage completed.
-    // Claiming shuffle-done requires *every* owned partition's checkpoint —
-    // with corruption-tolerant loading a quarantined partition file is
-    // simply absent from `rec`, and resuming reduce without it would
-    // silently drop its keys. Fall back to map phase (map progress is still
-    // usable) and let the shuffle regenerate the partitions.
-    if (!rec.stage_outputs.empty() && covers_owned(rec.stage_outputs)) {
-      phase = kPhaseDone;
-    } else if (!rec.partitions.empty() && covers_owned(rec.partitions)) {
-      phase = kPhaseShuffleDone;
-    } else if (rec.quarantined > 0 && !rec.partitions.empty()) {
+    return s;
+  };
+  // Step 1, my local resume candidate: the furthest (stage, phase) my
+  // checkpoints support, read from the snapshots that claim it. Every stage
+  // reads its outputs; the newest also reads its partition snapshots (with
+  // the reduce deltas over them), since the job may agree to resume it
+  // after the shuffle. A stage whose outputs cover every owned partition
+  // completed. Claiming shuffle-done requires *every* owned partition's
+  // checkpoint — with corruption-tolerant loading a quarantined partition
+  // file is simply absent from `rec`, and resuming reduce without it would
+  // silently drop its keys. Fall back to map phase and let the shuffle
+  // regenerate the partitions. The job-wide resume point is the minimum
+  // across ranks.
+  struct Claim {
+    StagePhase phase = kPhaseMap;
+    RankRecovery rec;
+  };
+  const auto scanned = present.lower_bound(kMaxStagesScan);
+  const int newest = scanned == present.begin() ? -1 : *std::prev(scanned);
+  int64_t my_composite = 0;
+  std::map<int, Claim> claims;
+  for (auto it = present.begin(); it != scanned; ++it) {
+    const int sid = *it;
+    Claim c;
+    if (!load(sid, kPhaseDone, c.rec).ok()) continue;
+    if (sid == newest && !load(sid, kPhaseShuffleDone, c.rec).ok()) continue;
+    if (!c.rec.stage_outputs.empty() && covers_owned(c.rec.stage_outputs)) {
+      c.phase = kPhaseDone;
+    } else if (!c.rec.partitions.empty() && covers_owned(c.rec.partitions)) {
+      c.phase = kPhaseShuffleDone;
+    } else if (c.rec.quarantined > 0 && !c.rec.partitions.empty()) {
       ckpt_->note_segments_reprocessed(1);  // shuffle re-executed for corruption
     }
-    my_composite = static_cast<int64_t>(sid) * 8 + phase;
-    recs[sid] = std::move(rec);
+    my_composite = static_cast<int64_t>(sid) * 8 + c.phase;
+    claims[sid] = std::move(c);
   }
   int64_t agreed = 0;
   if (auto s = wc_.allreduce_one(simmpi::ReduceOp::kMin, my_composite, agreed);
@@ -1178,8 +1197,8 @@ void FtJob::prime_from_own_checkpoints() {
     return;  // degenerate (e.g. failure during restart): start fresh
   }
   const int agreed_stage = static_cast<int>(agreed / 8);
-  const int agreed_phase = static_cast<int>(agreed % 8);
-  for (auto& [sid, rec] : recs) {
+  const auto agreed_phase = static_cast<StagePhase>(agreed % 8);
+  for (auto& [sid, c] : claims) {
     if (sid > agreed_stage) break;  // ahead of the job-wide resume point
     StageState& st = stages_[sid];
     // A stage behind the resume stage completed job-wide, and so did the
@@ -1190,14 +1209,36 @@ void FtJob::prime_from_own_checkpoints() {
     // and (on the iterative engine) a spurious re-execution of a converged
     // round. The stage every rank resumes in takes the agreed phase.
     st.phase = sid < agreed_stage ? kPhaseDone : agreed_phase;
+    // Step 2: read what the applied phase consumes and step 1 did not — the
+    // map deltas of a stage resumed in its map phase, or the partition
+    // snapshots of an older stage another rank had not finished. What the
+    // applied phase does not consume is dropped first.
+    if (st.phase == kPhaseMap) c.rec.stage_outputs.clear();
+    if (st.phase != kPhaseShuffleDone) {
+      c.rec.partitions.clear();
+      c.rec.reduce.clear();
+    }
+    if (st.phase == kPhaseMap ||
+        (st.phase == kPhaseShuffleDone && sid != newest)) {
+      (void)load(sid, st.phase, c.rec);
+    }
     std::set<uint64_t> tasks;
-    for (const auto& [t, m] : rec.map_tasks) tasks.insert(t);
-    (void)adopt_stage(st, sid, rec, tasks, owned);
+    for (const auto& [t, m] : c.rec.map_tasks) tasks.insert(t);
+    // A partition resumed after the shuffle whose snapshot is lost, but
+    // whose reduce had finished here, keeps its output snapshot (read in
+    // step 1) as the finished reduce; reducing it again would start from
+    // an empty partition.
+    for (int p : adopt_stage(st, sid, c.rec, tasks, owned)) {
+      const auto it = c.rec.stage_outputs.find(p);
+      if (it == c.rec.stage_outputs.end()) continue;
+      st.reduce[p].done = true;
+      st.outputs[p] = std::move(it->second);
+    }
   }
   primed_from_ckpt_ = !stages_.empty();
   if (primed_from_ckpt_) {
-    FTMR_INFO << "rank " << world_.global_rank() << " restart: resuming at stage "
-              << agreed_stage << " phase " << agreed_phase;
+    FTMR_INFO << "rank " << me << " restart: resuming at stage " << agreed_stage
+              << " phase " << agreed_phase;
   }
 }
 

@@ -152,11 +152,11 @@ class FtJob {
   /// finally job.write_output(...). Replayed verbatim after recoveries.
   using Driver = std::function<Status(FtJob&)>;
 
-  // Phase progression within a stage. Values are ordered; the composite
-  // (stage*8 + phase) is what checkpoint/restart ranks agree on. Public so
+  // Phase progression within a stage (core/checkpoint.hpp's StagePhase,
+  // which also fixes the checkpoint kinds each phase reads back). Public so
   // the iterative engine can classify a replay encounter (fast-forward vs
   // re-entry) via stage_phase().
-  enum Phase : int { kPhaseMap = 0, kPhaseShuffleDone = 1, kPhaseDone = 2 };
+  using enum StagePhase;
 
   FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts);
 
@@ -267,7 +267,7 @@ class FtJob {
   };
 
   struct StageState {
-    int phase = kPhaseMap;
+    StagePhase phase = kPhaseMap;
     // Task-id space marker: file-input stages key `tasks` by input chunk,
     // kv-input stages by partition. Recovery must restore a dead rank's map
     // progress in the right space (set by run_stage on every entry).
@@ -344,7 +344,8 @@ class FtJob {
   void prime_from_own_checkpoints();
   /// The one adoption step of recovered checkpoint state, shared by
   /// work-conserving recovery and checkpoint/restart priming (the callers
-  /// set st.phase and choose what to adopt). By st.phase: kPhaseDone adopts
+  /// set st.phase, choose what to adopt and load `rec` with the kinds
+  /// st.phase consumes; see LoadFilter::phase). By st.phase: kPhaseDone adopts
   /// the stage outputs of `parts`; kPhaseMap adopts each of `tasks` whose
   /// recovered cursor is newer than the one held, with its KV split into
   /// the P0 parts (testing_break_recovery keeps the cursor and drops the

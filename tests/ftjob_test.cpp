@@ -315,6 +315,44 @@ TEST(DetectResume, ChunkGranularityAlsoRecovers) {
   EXPECT_EQ(w.read_output(), w.expected);
 }
 
+// A work-conserving kill in the reduce phase: the survivors adopt the dead
+// rank's partition snapshots and reduce progress, so they read none of its
+// map deltas (adoption after the shuffle would discard them).
+TEST(DetectResume, ReducePhaseKillReadsNoMapDeltaOfTheDeadRank) {
+  World w;
+  // Checkpoints written straight to the shared tier: no drain copies, so
+  // WC recovery is the only reader of the dead rank's files there.
+  FtJobOptions opts = base_opts(FtMode::kDetectResumeWC);
+  opts.ckpt.location = CkptOptions::Location::kSharedDirect;
+  storage::FaultInjectorConfig fc;
+  fc.shared.p_read_fail = 1.0;
+  fc.path_filter = checkpoint_rank_dir(2) + "/map_";
+  w.fs->set_fault_injector(fc);
+  simmpi::JobOptions jo;
+  jo.kills.push_back({2, 1e-1, -1});
+  std::atomic<int> recoveries{0};
+  JobResult r = Runtime::run(4, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    Status s = job.run(
+        [&](FtJob& j) { return wordcount_driver(j, wordcount_fns(5e-4)); });
+    if (c.global_rank() != 2) {
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      recoveries += job.recoveries();
+    }
+  }, jo);
+  w.fs->clear_fault_injector();
+  EXPECT_EQ(r.killed_count(), 1);
+  EXPECT_EQ(recoveries.load(), 3);
+  std::vector<std::string> dead;
+  ASSERT_TRUE(w.fs->list_dir(storage::Tier::kShared, 1, checkpoint_rank_dir(2),
+                             dead).ok());
+  EXPECT_TRUE(std::any_of(dead.begin(), dead.end(), [](const std::string& n) {
+    return n.rfind("map_", 0) == 0;
+  }));
+  EXPECT_EQ(w.fs->fault_stats().read_failures, 0);
+  EXPECT_EQ(w.read_output(), w.expected);
+}
+
 TEST(DetectResume, LoadBalancerOffStillCorrect) {
   World w;
   FtJobOptions opts = base_opts(FtMode::kDetectResumeWC);
@@ -398,6 +436,193 @@ TEST(CheckpointRestart, SurvivesTwoConsecutiveFailedSubmissions) {
   EXPECT_GE(submissions, 2);
   EXPECT_LE(submissions, 3);
   EXPECT_EQ(w.read_output(), w.expected);
+}
+
+// -- the restart read plan: priming reads only what its resume phase uses --
+
+// Checkpoint files of `stage` in every rank's directory on `tier`, counted
+// by kind.
+std::map<std::string, int> ckpt_files(storage::StorageSystem& fs,
+                                      storage::Tier tier, int nranks, int ppn,
+                                      int stage = 0) {
+  std::map<std::string, int> n;
+  for (int rank = 0; rank < nranks; ++rank) {
+    std::vector<std::string> names;
+    if (!fs.list_dir(tier, rank / ppn, checkpoint_rank_dir(rank), names).ok()) {
+      continue;
+    }
+    for (const std::string& name : names) {
+      CkptFileName f;
+      if (parse_checkpoint_name(name, f) && f.stage == stage) n[f.kind]++;
+    }
+  }
+  return n;
+}
+
+// Every read of a file whose path contains `path_part` fails on both file
+// tiers: the injector's read_failures then counts the reads tried.
+void fail_reads_of(storage::StorageSystem& fs, std::string path_part) {
+  storage::FaultInjectorConfig fc;
+  fc.local.p_read_fail = 1.0;
+  fc.shared.p_read_fail = 1.0;
+  fc.path_filter = std::move(path_part);
+  fs.set_fault_injector(fc);
+}
+
+// A resubmission that only constructs its FtJob, which is where a
+// checkpoint/restart job primes itself; returns each rank's stage-0 phase.
+std::vector<int> prime_only(World& w, const FtJobOptions& opts, int nranks) {
+  std::vector<int> phases(static_cast<size_t>(nranks), -1);
+  Runtime::run(nranks, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    phases[static_cast<size_t>(c.global_rank())] = job.stage_phase(0);
+  });
+  return phases;
+}
+
+// A kill in the reduce phase: every rank agrees to resume after the
+// shuffle, so the restart reads each rank's partition snapshot, reduce
+// deltas and finished outputs once, and not one map delta.
+TEST(CheckpointRestart, ReducePhaseRestartReadsNoMapCheckpoint) {
+  World w;
+  const FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+  const auto submit = [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    (void)job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns(5e-4)); });
+  };
+  simmpi::JobOptions jo;
+  jo.kills.push_back({3, 1e-1, -1});
+  ASSERT_TRUE(Runtime::run(4, submit, jo).aborted);
+  std::map<std::string, int> files =
+      ckpt_files(*w.fs, storage::Tier::kLocal, 4, opts.ppn);
+  ASSERT_GT(files["map"], 0);
+  ASSERT_EQ(files["part"], 4);
+
+  const int64_t before = w.fs->stats(storage::Tier::kLocal).read_ops;
+  EXPECT_EQ(prime_only(w, opts, 4), std::vector<int>(4, FtJob::kPhaseShuffleDone));
+  EXPECT_EQ(w.fs->stats(storage::Tier::kLocal).read_ops - before,
+            files["part"] + files["red"] + files["out"]);
+
+  EXPECT_FALSE(Runtime::run(4, submit).aborted);
+  EXPECT_EQ(w.read_output(), w.expected);
+}
+
+// Loses, between submissions, the partition snapshot of the first rank
+// whose reduce had (`finished`: its output snapshot exists) or had not
+// finished: removed from its node-local tier, or (`corrupt`) overwritten
+// in both tiers so that no valid copy is left. Returns that rank.
+int lose_partition_snapshot(World& w, int ppn, bool finished, bool corrupt) {
+  for (int rank = 0; rank < 4; ++rank) {
+    const std::string dir = checkpoint_rank_dir(rank);
+    const int node = rank / ppn;
+    std::vector<std::string> names;
+    EXPECT_TRUE(w.fs->list_dir(storage::Tier::kLocal, node, dir, names).ok());
+    std::string part;
+    bool done = false;
+    for (const std::string& n : names) {
+      if (n.rfind("out_", 0) == 0) done = true;
+      if (n.rfind("part_", 0) == 0) part = n;
+    }
+    if (done != finished || part.empty()) continue;
+    if (!corrupt) {
+      EXPECT_TRUE(w.fs->remove(storage::Tier::kLocal, node, dir + "/" + part).ok());
+      return rank;
+    }
+    const Bytes junk = to_bytes("not a checkpoint");
+    EXPECT_TRUE(
+        w.fs->write_file(storage::Tier::kLocal, node, dir + "/" + part, junk).ok());
+    std::vector<std::string> shared;
+    EXPECT_TRUE(w.fs->list_dir(storage::Tier::kShared, node, dir, shared).ok());
+    int copies = 0;
+    for (const std::string& n : shared) {
+      if (n.rfind(part + "_d", 0) != 0) continue;
+      EXPECT_TRUE(
+          w.fs->write_file(storage::Tier::kShared, node, dir + "/" + n, junk).ok());
+      copies++;
+    }
+    EXPECT_EQ(copies, 1);
+    return rank;
+  }
+  return -1;
+}
+
+// A C/R wordcount killed mid-reduce (rank 3 at 0.1 s of a slow reduce),
+// resubmitted after one rank's partition snapshot is lost.
+struct LostSnapshotRun {
+  int victim = -1;
+  int submissions_ok = 0;
+  std::vector<int> phases;  // each rank's stage-0 phase once primed
+  int maps = 0;             // map calls of the resubmission
+  int64_t reprocessed = 0;  // integrity().segments_reprocessed, summed
+  int64_t quarantined = 0;  // integrity().files_quarantined, summed
+};
+
+LostSnapshotRun run_with_lost_snapshot(World& w, bool finished, bool corrupt) {
+  const FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+  LostSnapshotRun out;
+  out.phases.assign(4, -1);
+  std::atomic<int> maps{0};
+  std::atomic<int64_t> reprocessed{0}, quarantined{0};
+  StageFns fns = wordcount_fns(5e-4);
+  fns.map = [&maps, inner = fns.map](std::string_view key, std::string_view line,
+                                     mr::KvBuffer& kv) {
+    maps++;
+    return inner(key, line, kv);
+  };
+  const auto submit = [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    out.phases[static_cast<size_t>(c.global_rank())] = job.stage_phase(0);
+    (void)job.run([&](FtJob& j) { return wordcount_driver(j, fns); });
+    reprocessed += job.ckpt().integrity().segments_reprocessed;
+    quarantined += job.ckpt().integrity().files_quarantined;
+  };
+  simmpi::JobOptions jo;
+  jo.kills.push_back({3, 1e-1, -1});
+  if (!Runtime::run(4, submit, jo).aborted) return out;
+  out.victim = lose_partition_snapshot(w, opts.ppn, finished, corrupt);
+  if (out.victim < 0) return out;
+  maps = 0;
+  reprocessed = 0;
+  quarantined = 0;
+  if (!Runtime::run(4, submit).aborted) out.submissions_ok++;
+  out.maps = maps.load();
+  out.reprocessed = reprocessed.load();
+  out.quarantined = quarantined.load();
+  return out;
+}
+
+// The victim had not finished its reduce: it cannot claim shuffle-done, so
+// the job agrees on the map phase and only then reads the map deltas.
+// Every task resumes at its checkpointed cursor, so nothing is mapped
+// again, and the shuffle rebuilds the lost partition.
+TEST(CheckpointRestart, LostPartitionSnapshotResumesInMapPhase) {
+  for (const bool corrupt : {false, true}) {
+    World w;
+    const LostSnapshotRun r = run_with_lost_snapshot(w, /*finished=*/false, corrupt);
+    ASSERT_GE(r.victim, 0) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.submissions_ok, 1) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.phases, std::vector<int>(4, FtJob::kPhaseMap)) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.maps, 0) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.reprocessed, 0) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.quarantined, corrupt ? 1 : 0);
+    EXPECT_EQ(w.read_output(), w.expected) << "corrupt=" << corrupt;
+  }
+}
+
+// The victim had finished its reduce: it claims done, the job agrees to
+// resume after the shuffle, and the victim keeps its output snapshot as
+// the finished reduce of the partition whose snapshot is gone.
+TEST(CheckpointRestart, FinishedRankWithLostSnapshotKeepsItsOutput) {
+  for (const bool corrupt : {false, true}) {
+    World w;
+    const LostSnapshotRun r = run_with_lost_snapshot(w, /*finished=*/true, corrupt);
+    ASSERT_GE(r.victim, 0) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.submissions_ok, 1) << "corrupt=" << corrupt;
+    EXPECT_EQ(r.phases, std::vector<int>(4, FtJob::kPhaseShuffleDone))
+        << "corrupt=" << corrupt;
+    EXPECT_EQ(r.maps, 0) << "corrupt=" << corrupt;
+    EXPECT_EQ(w.read_output(), w.expected) << "corrupt=" << corrupt;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +761,41 @@ TEST(MultiStage, CrRestartResumesAtSecondStage) {
   EXPECT_EQ(primed_done.load(), 4);
   EXPECT_EQ(resumed_stage0_maps.load(), 0);
   EXPECT_EQ(identical.load(), 4);
+}
+
+// A restart that resumes at stage 1 primes stage 0 as completed from its
+// output snapshots alone: none of stage 0's map deltas, partition
+// snapshots or reduce deltas is read.
+TEST(MultiStage, CrRestartReadsOnlyOutputsOfACompletedStage) {
+  World w;
+  const FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+  const auto submit = [&](Comm& c) {
+    FtJob job(c, w.fs.get(), opts);
+    (void)job.run(two_stage_driver);
+  };
+  simmpi::JobOptions jo;
+  jo.kills.push_back({0, 4e-2, -1});  // in stage 1
+  ASSERT_TRUE(Runtime::run(4, submit, jo).aborted);
+  std::map<std::string, int> stage0 =
+      ckpt_files(*w.fs, storage::Tier::kLocal, 4, opts.ppn);
+  for (const char* kind : {"map", "part", "red", "out"}) {
+    ASSERT_GT(stage0[kind], 0) << kind;
+  }
+  for (const char* kind : {"map", "part", "red", "out"}) {
+    const int64_t before = w.fs->fault_stats().read_failures;
+    fail_reads_of(*w.fs, std::string(kind) + "_s000_");
+    const auto phases = prime_only(w, opts, 4);
+    w.fs->clear_fault_injector();
+    const int64_t tried = w.fs->fault_stats().read_failures - before;
+    if (std::string_view(kind) == "out") {
+      EXPECT_GT(tried, 0);  // the control: outputs are read
+    } else {
+      EXPECT_EQ(tried, 0) << kind;
+      EXPECT_EQ(phases, std::vector<int>(4, FtJob::kPhaseDone)) << kind;
+    }
+  }
+  EXPECT_FALSE(Runtime::run(4, submit).aborted);
+  EXPECT_EQ(w.read_output(), bucket_expected(w.expected));
 }
 
 // ---------------------------------------------------------------------------

@@ -29,15 +29,14 @@
 #define _GNU_SOURCE
 #include <errno.h>
 #include <execinfo.h>
-#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdatomic.h>
 #include <stdlib.h>
-#include <string.h>
 #include <sys/syscall.h>
 #include <sys/time.h>
-#include <unistd.h>
+
+#include "dump.h"
 
 enum { kDepth = 64, kSamples = 1 << 15, kIntervalUs = 1000 };
 
@@ -49,7 +48,6 @@ struct Sample {
 static struct Sample samples[kSamples];
 static atomic_int taken;    /* slots claimed, may run past kSamples */
 static atomic_int dumped;   /* set once this process has written its dump */
-static char out_prefix[512];
 
 static void on_prof(int sig) {
   (void)sig;
@@ -61,47 +59,6 @@ static void on_prof(int sig) {
 
 /* ---- dump (outside signal context, but in a process about to exit) ---- */
 
-static void put(int fd, const char* s, size_t n) {
-  while (n > 0) {
-    const ssize_t done = write(fd, s, n);
-    if (done <= 0) return;
-    s += done;
-    n -= (size_t)done;
-  }
-}
-
-static char* hex(char* at, unsigned long v) {
-  char tmp[17];
-  int n = 0;
-  do {
-    tmp[n++] = "0123456789abcdef"[v & 0xf];
-    v >>= 4;
-  } while (v != 0);
-  while (n > 0) *at++ = tmp[--n];
-  return at;
-}
-
-static int open_dump(const char* suffix) {
-  char path[600];
-  char* at = path;
-  const size_t len = strlen(out_prefix);
-  memcpy(at, out_prefix, len);
-  at += len;
-  *at++ = '.';
-  /* the pid in decimal */
-  char digits[16];
-  int n = 0;
-  long pid = (long)getpid();
-  do {
-    digits[n++] = (char)('0' + pid % 10);
-    pid /= 10;
-  } while (pid != 0);
-  while (n > 0) *at++ = digits[--n];
-  const size_t slen = strlen(suffix);
-  memcpy(at, suffix, slen + 1);
-  return open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-}
-
 static void dump(void) {
   if (out_prefix[0] == '\0' || atomic_exchange(&dumped, 1)) return;
   const struct itimerval off = {{0, 0}, {0, 0}};
@@ -109,7 +66,7 @@ static void dump(void) {
   int count = atomic_load(&taken);
   if (count > kSamples) count = kSamples;
 
-  int fd = open_dump(".stacks");
+  const int fd = open_dump(".stacks");
   if (fd < 0) return;
   char line[kDepth * 18 + 32];
   for (int i = 0; i < count; ++i) {
@@ -122,16 +79,7 @@ static void dump(void) {
     put(fd, line, (size_t)(at - line));
   }
   close(fd);
-
-  const int maps = open("/proc/self/maps", O_RDONLY | O_CLOEXEC);
-  fd = open_dump(".maps");
-  if (maps >= 0 && fd >= 0) {
-    char buf[4096];
-    ssize_t n;
-    while ((n = read(maps, buf, sizeof buf)) > 0) put(fd, buf, (size_t)n);
-  }
-  if (maps >= 0) close(maps);
-  if (fd >= 0) close(fd);
+  write_maps();
 }
 
 /* ---- arming ---- */
@@ -149,9 +97,7 @@ static void in_child(void) {
 }
 
 __attribute__((constructor)) static void start(void) {
-  const char* out = getenv("FTMR_PROF_OUT");
-  if (out == NULL || *out == '\0' || strlen(out) >= sizeof out_prefix) return;
-  strcpy(out_prefix, out);
+  if (!read_out_prefix(getenv("FTMR_PROF_OUT"))) return;
   void* warm[4];
   (void)backtrace(warm, 4); /* loads the unwinder outside the handler */
   struct sigaction sa;

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Turn the dumps of tools/prof/sampler.c into folded stacks.
+"""Turn the dumps of tools/prof/sampler.c or heap.c into folded stacks.
 
     python3 tools/prof/symbolize.py [--require TEXT] DUMP... > out.folded
 
-Each DUMP is a <prefix>.<pid>.stacks file or any file of that pair (the
-.maps file beside it is found by name); shell globs such as
-/tmp/prof/run.* work. Every sample becomes one line "root;...;leaf 1",
-merged into "stack count" lines, the format flame-graph tools read.
+Each DUMP is a <prefix>.<pid>.stacks (CPU samples) or .heap (live bytes at
+the heap peak) file, or the .maps file beside it (found by name); shell
+globs such as /tmp/prof/run.* work. Every sample becomes one line
+"root;...;leaf 1" and every heap stack one line "root;...;leaf bytes",
+merged into "stack weight" lines, the format flame-graph tools read. One
+run's dumps are all of one kind; mixing them is refused.
 
 Each address is mapped through the process's /proc/self/maps copy to the
 binary it was sampled in, and every binary is symbolized with one
 `addr2line -f -C` call on (return address - 1), so a frame names the call
-site, not the instruction after it. The sampler's own frames and the
-signal trampoline below them are dropped.
+site, not the instruction after it. The profilers' own frames, and below
+the sampler's the signal trampoline, are dropped.
 
 A dump is only meaningful against the exact binary that was sampled: a
 rebuild moves every function and silently misattributes every frame. The
@@ -115,32 +117,37 @@ def check_inodes(maps):
         sys.exit("symbolize: refusing stale binaries; rerun the sampled program")
 
 
-def load(prefix):
-    """One process's samples, each its frames as (binary, address) leaf
-    first (None for an address outside every file mapping), and its maps."""
+def load(prefix, kind):
+    """One process's stacks as (weight, frames), the frames (binary,
+    address) leaf first (None for an address outside every file mapping),
+    and its maps. A .stacks line is one sample (its first field is the
+    depth); a .heap line's first field is its live bytes at the peak."""
     maps = read_maps(prefix + ".maps")
     where = {}
     samples = []
-    with open(prefix + ".stacks") as f:
+    with open(prefix + kind) as f:
         for line in f:
+            if line.startswith("#"):
+                continue
+            fields = line.split()
             frames = []
-            for field in line.split()[1:]:
+            for field in fields[1:]:
                 pc = int(field, 16)
                 if pc not in where:
                     where[pc] = locate(pc - 1, maps)
                 frames.append(where[pc])
-            samples.append(frames)
+            samples.append((int(fields[0]) if kind == ".heap" else 1, frames))
     return samples, maps
 
 
-def fold(prefixes):
+def fold(prefixes, kind):
     """Folded stacks of every process, each binary symbolized once."""
-    processes = [load(p) for p in prefixes]
+    processes = [load(p, kind) for p in prefixes]
     check_inodes([m for _, maps in processes for m in maps
                   if not os.path.basename(m[4]).startswith(SELF)])
     wanted = collections.defaultdict(set)  # binary -> addresses
     for samples, _ in processes:
-        for frames in samples:
+        for _, frames in samples:
             for hit in frames:
                 if hit:
                     wanted[hit[0]].add(hit[1])
@@ -153,22 +160,25 @@ def fold(prefixes):
             names[(binary, a)] = name
     folded = collections.Counter()
     for samples, _ in processes:
-        for frames in samples:
-            # The handler's own frames, then the signal trampoline
-            # (__restore_rt) it returns through, then the interrupted code.
+        for weight, frames in samples:
+            # The profiler's own frames; below the sampler's handler, the
+            # signal trampoline (__restore_rt) it returns through. Then the
+            # interrupted (or allocating) code.
             skip = 0
             while skip < len(frames) and frames[skip] and \
                     os.path.basename(frames[skip][0]).startswith(SELF):
                 skip += 1
+            if skip and kind == ".stacks":
+                skip += 1
             out = []
-            for hit in frames[skip + 1 if skip else 0:]:
+            for hit in frames[skip:]:
                 if hit is None:
                     out.append("[unknown]")
                 elif not os.path.basename(hit[0]).startswith(SELF):
                     name = names.get(hit, "??")
                     out.append(name if name != "??" else "[%s]" % os.path.basename(hit[0]))
             if out:
-                folded[";".join(reversed(out))] += 1
+                folded[";".join(reversed(out))] += weight
     return folded
 
 
@@ -178,14 +188,21 @@ def main():
     ap.add_argument("--require", help="exit 1 unless some frame contains this")
     args = ap.parse_args()
     prefixes = sorted({d.rsplit(".", 1)[0] for d in args.dumps
-                       if d.endswith((".stacks", ".maps"))})
-    prefixes = [p for p in prefixes
-                if os.path.exists(p + ".stacks") and os.path.exists(p + ".maps")]
-    total = fold(prefixes)
+                       if d.endswith((".stacks", ".heap", ".maps"))})
+    prefixes = [p for p in prefixes if os.path.exists(p + ".maps")]
+    kinds = {k for p in prefixes for k in (".stacks", ".heap")
+             if os.path.exists(p + k)}
+    if len(kinds) > 1:
+        sys.exit("symbolize: both .stacks and .heap dumps given; pass one kind")
+    kind = kinds.pop() if kinds else ".stacks"
+    prefixes = [p for p in prefixes if os.path.exists(p + kind)]
+    total = fold(prefixes, kind)
     for stack, count in sorted(total.items()):
         print("%s %d" % (stack, count))
-    sys.stderr.write("symbolize: %d samples in %d stacks from %d processes\n"
-                     % (sum(total.values()), len(total), len(prefixes)))
+    sys.stderr.write("symbolize: %d %s in %d stacks from %d processes\n"
+                     % (sum(total.values()),
+                        "bytes at the heap peak" if kind == ".heap" else "samples",
+                        len(total), len(prefixes)))
     if args.require and not any(args.require in s for s in total):
         sys.stderr.write("symbolize: no stack has a frame containing %r\n" % args.require)
         return 1
