@@ -618,7 +618,8 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   // shrink. Every survivor derives the identical placement from the
   // identical live set, and exactly one (the lowest-ranked live holder)
   // pushes — puts are idempotent, so even a double push would be harmless.
-  std::vector<std::string> held = mem.all_paths();
+  // Only the paths this rank holds can be its to push.
+  std::vector<std::string> held = mem.paths_held_by(rank_);
   pinned_first(held, true);
   for (const std::string& mpath : held) {
     const int owner = replica_path_owner(mpath);

@@ -328,10 +328,13 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
   // Completed task: move its partitioned output into the stage's paged
   // stores so residency drops back to O(budget) before the next task.
   // absorb_kv keeps a page it could not spill resident (over budget, never
-  // lost), so a spill error degrades instead of losing data.
+  // lost), so a spill error degrades instead of losing data. A task run
+  // after the map boundary (re-entry, patch-up) appends to a parked store,
+  // so that store is loaded back first.
   for (int p = 0; p < p0_; ++p) {
     mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
     if (part.empty()) continue;
+    if (auto s = unpark_map_store(st, stage, p); !s.ok()) return s;
     if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
       FTMR_WARN << "rank " << world_.global_rank() << " map output for "
                 << "partition " << p
@@ -359,9 +362,14 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
     }
   }
   // The map stores are sealed: they grew by doubling as tasks absorbed into
-  // them, and hold their records until the shuffle (or the orphan rebuild)
-  // is done with them.
-  for (auto& [p, store] : st.map_output) store.shrink_to_fit();
+  // them. Detect/resume keeps them for the rare orphan rebuild until the
+  // stage is done, parked outside the heap; the other modes release them
+  // in the shuffle, so they only give back their spare capacity.
+  if (rebuilds_orphans()) {
+    park_map_stores(st);
+  } else {
+    for (auto& [p, store] : st.map_output) store.shrink_to_fit();
+  }
   if (const double io = take_spill_io(st.map_output); io > 0.0) {
     charge_cost("io_wait", io);
   }
@@ -433,6 +441,96 @@ mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
   return it->second;
 }
 
+void FtJob::park_map_stores(StageState& st) {
+  // The sealed in-core stores, back to back in one run: one host write
+  // now, and one hole punched when the last of them is released.
+  std::vector<std::span<const std::byte>> images;
+  std::vector<int> parts;
+  for (const auto& [p, store] : st.map_output) {
+    const mr::KvBuffer* whole = store.in_core();
+    if (whole == nullptr || whole->empty()) continue;  // paged, or empty
+    images.push_back(whole->wire_view());
+    parts.push_back(p);
+  }
+  storage::SegmentStore::Extent run;
+  if (!images.empty() && fs_ != nullptr && fs_->segments().stash(images, run).ok()) {
+    uint64_t at = 0;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      const uint64_t len = images[i].size();
+      const auto it = st.map_output.find(parts[i]);
+      const size_t bytes = it->second.resident_bytes();
+      st.map_output.erase(it);  // unbooked before the parked image books
+      st.parked.try_emplace(parts[i], run, at, len, mr::MeterBooking(&meter_))
+          .first->second.booking.set(bytes);
+      at += len;
+    }
+  }
+  // What stays resident (paged, empty, or all of it after a failed stash)
+  // gives back its spare capacity.
+  for (auto& [p, store] : st.map_output) store.shrink_to_fit();
+}
+
+Status FtJob::unpark_map_store(StageState& st, int stage, int p) {
+  const auto it = st.parked.find(p);
+  if (it == st.parked.end()) return Status::Ok();
+  Bytes wire(it->second.len);
+  if (auto s = fs_->segments().load(it->second.run, it->second.at, wire); !s.ok()) {
+    return s;
+  }
+  mr::KvBuffer kv;
+  if (auto s = kv.adopt(std::move(wire)); !s.ok()) return s;
+  st.parked.erase(it);
+  return map_store(st, stage, p).absorb_kv(std::move(kv));
+}
+
+Status FtJob::fill_whole_stores(const StageFns& fns, StageState& st,
+                                std::vector<mr::ExchangeRow>& rows) {
+  // Each store's wire image, by partition. Where nothing rebuilds orphans
+  // from the stores, a store hands its arena over and is gone once the
+  // rows are framed.
+  std::map<int, Bytes> images;
+  for (const auto& [p, parked] : st.parked) {
+    Bytes& image = images[p];
+    image.resize(parked.len);
+    if (auto s = fs_->segments().load(parked.run, parked.at, image); !s.ok()) {
+      return s;
+    }
+  }
+  for (auto it = st.map_output.begin(); it != st.map_output.end();) {
+    const mr::KvBuffer& whole = *it->second.in_core();
+    if (whole.empty()) {
+      ++it;
+    } else if (rebuilds_orphans()) {
+      images[it->first] = whole.serialize();  // its stash failed: a copy
+      ++it;
+    } else {
+      mr::KvBuffer kv;
+      if (auto s = it->second.drain_to(kv); !s.ok()) return s;
+      images[it->first] = std::move(kv).take_wire();
+      it = st.map_output.erase(it);
+    }
+  }
+  for (auto& [p, image] : images) {
+    if (fns.combine) {
+      // Pre-aggregate the block before the wire (see shuffle_phase).
+      mr::KvBuffer kv;
+      if (auto s = kv.adopt(std::move(image)); !s.ok()) return s;
+      mr::KvBuffer combined = combine_block(kv, fns);
+      if (kv.bytes() > combined.bytes()) {
+        times_.charge("combine_saved_bytes",
+                      static_cast<double>(kv.bytes() - combined.bytes()));
+      }
+      image = std::move(combined).take_wire();
+    }
+    const int rel = owner_rel(p);
+    if (rel < 0) return {ErrorCode::kProcFailed, "partition owner died mid-shuffle"};
+    mr::ExchangeBlock& block =
+        rows[static_cast<size_t>(rel)].emplace_back(p, std::move(image));
+    mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), block.records());
+  }
+  return Status::Ok();
+}
+
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
   auto it = st.partitions.find(p);
   if (it == st.partitions.end()) {
@@ -480,15 +578,17 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
     }
   }
   // A failure mid-exchange re-enters here with partial receives absorbed.
-  // The send side reads map_output non-destructively, so dropping the
-  // receive stores makes re-entry idempotent.
+  // The send side only reads the map stores, resident or parked (a failure
+  // ends the modes that release them in the fill), so dropping the receive
+  // stores makes re-entry idempotent.
   st.partitions.clear();
 
   // Budget-bounded rounds: each round assembles at most round_budget bytes
   // of outgoing pages from the per-partition cursors and combines them;
   // mr::exchange absorbs the receives into paged stores and lets the ranks
   // agree on whether anyone still holds unsent pages. Without a budget the
-  // single round is unbounded and skips the vote.
+  // single round is unbounded, sends each store whole (fill_whole_stores)
+  // and skips the vote; no store is parked under a budget.
   const bool bounded = opts_.memory_budget > 0;
   const size_t round_budget =
       bounded ? std::max(opts_.spill_page_bytes, opts_.memory_budget / 2)
@@ -496,20 +596,15 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   mr::ShuffleStats stats;
   {
     std::map<int, size_t> cursor;  // partition -> next unsent page
-    // The round's assembled (copied) or combined blocks. The unbounded
-    // round sends each never-spilling store's in-core buffer by view.
+    // The round's assembled (copied) or combined blocks.
     std::map<int, mr::KvBuffer> chunks;
     const auto fill = [&](std::vector<mr::ExchangeRow>& rows,
                           bool& more) -> Status {
+      if (!bounded) return fill_whole_stores(fns, st, rows);
       chunks.clear();
       std::map<int, const mr::KvBuffer*> blocks;
       size_t assembled = 0;
       for (auto& [p, store] : st.map_output) {
-        const mr::KvBuffer* whole = store.in_core();
-        if (!bounded && whole != nullptr) {
-          if (!whole->empty()) blocks[p] = whole;
-          continue;
-        }
         size_t& cur = cursor[p];
         const size_t npages = store.page_count();
         mr::KvBuffer page;
@@ -546,7 +641,6 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
         rows[static_cast<size_t>(rel)].push_back({p, kv});
         mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv->size());
       }
-      if (!bounded) return Status::Ok();  // the one round: `more` is unread
       for (auto& [p, store] : st.map_output) {
         if (cursor[p] < store.page_count()) {
           more = true;
@@ -578,10 +672,9 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   if (opts_.ckpt.enabled) charge_span("ckpt", c0);
   st.phase = kPhaseShuffleDone;
   // Sender-side stores are only needed again by the detect/resume orphan
-  // rebuild; the other modes never rebuild, so their pages free now.
-  if (opts_.mode == FtMode::kNone || opts_.mode == FtMode::kCheckpointRestart) {
-    st.map_output.clear();
-  }
+  // rebuild; the other modes never rebuild, so their pages free now (the
+  // unbounded round already released them with its framed rows).
+  if (!rebuilds_orphans()) st.map_output.clear();
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("shuffle", t0);
   return Status::Ok();
@@ -598,7 +691,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // materializing just their blocks keeps residency near the budget.
   // Each rebuilt partition replaces what this rank held (idempotent under
   // retry: it stays in partitions_missing until the rebuild completes) and
-  // restarts its reduce.
+  // restarts its reduce. A parked store is loaded back to be read.
   std::vector<int> mine;  // ascending, as `missing` is
   for (int p : missing) {
     if (!std::binary_search(owned_.begin(), owned_.end(), p)) continue;
@@ -611,6 +704,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
     const auto fill = [&](std::vector<mr::ExchangeRow>& rows, bool&) -> Status {
       for (int p : missing) {
         mr::KvBuffer& block = merged[p];
+        if (auto s = unpark_map_store(st, stage, p); !s.ok()) return s;
         auto it = st.map_output.find(p);
         if (it == st.map_output.end()) continue;
         if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
@@ -627,7 +721,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
       for (int p : missing) {
         const int rel = owner_rel(p);
         if (rel < 0) return {ErrorCode::kProcFailed, "orphan partition owner died"};
-        rows[static_cast<size_t>(rel)].push_back({p, &merged[p]});
+        rows[static_cast<size_t>(rel)].emplace_back(p, std::move(merged[p]).take_wire());
       }
       return Status::Ok();
     };
@@ -746,6 +840,11 @@ Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
   ckpt_->drain(wc_);
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   st.phase = kPhaseDone;
+  // Nothing reads a done stage's map stores again: WC adoption of a done
+  // stage takes its output checkpoints, and NWC drops every stage of a
+  // multi-stage job.
+  st.map_output.clear();
+  st.parked.clear();
   charge_span("reduce", t0);
   return Status::Ok();
 }

@@ -43,6 +43,7 @@
 #include "mr/kv.hpp"
 #include "mr/shuffle.hpp"
 #include "simmpi/comm.hpp"
+#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -232,6 +233,20 @@ class FtJob {
   /// whenever checkpoints are off (no delta is kept) and once every task
   /// and partition has flushed its tail.
   [[nodiscard]] size_t pending_delta_bytes() const noexcept;
+  /// Map stores (resident and parked) this rank holds for a stage. A
+  /// detect/resume rank keeps them, parked, from its map boundary until
+  /// the stage is done; the other modes free them in the shuffle.
+  [[nodiscard]] size_t map_stores_held(int stage) const noexcept {
+    const auto it = stages_.find(stage);
+    return it == stages_.end()
+               ? 0
+               : it->second.map_output.size() + it->second.parked.size();
+  }
+  /// The parked ones among them.
+  [[nodiscard]] size_t map_stores_parked(int stage) const noexcept {
+    const auto it = stages_.find(stage);
+    return it == stages_.end() ? 0 : it->second.parked.size();
+  }
   /// TEST-ONLY: drop a stage's retained state so the next run_stage() call
   /// re-executes it from scratch. This is the iteration-reuse mutation hook
   /// (FtJobOptions::testing_break_iteration_reuse); never call it outside
@@ -266,6 +281,18 @@ class FtJob {
     std::unique_ptr<mr::SpillableKmvBuffer> kmv;
   };
 
+  /// A sealed in-core map store parked in the segment store at the map
+  /// boundary: its KV wire image, bytes [at, at + len) of the one run the
+  /// rank's stores of the stage were parked in together. The modeled rank
+  /// still holds these bytes in RAM, so they stay booked on its residency
+  /// meter.
+  struct ParkedStore {
+    storage::SegmentStore::Extent run;
+    uint64_t at = 0;
+    uint64_t len = 0;
+    mr::MeterBooking booking;
+  };
+
   struct StageState {
     StagePhase phase = kPhaseMap;
     // Task-id space marker: file-input stages key `tasks` by input chunk,
@@ -273,8 +300,11 @@ class FtJob {
     // progress in the right space (set by run_stage on every entry).
     bool kv_input = false;
     std::map<uint64_t, TaskProgress> tasks;
-    // Completed map tasks' output, by partition.
+    // Completed map tasks' output, by partition: resident stores, and (in
+    // detect/resume, from the map boundary on) parked ones. A partition is
+    // in at most one of the two maps.
     std::map<int, mr::SpillableKvBuffer> map_output;
+    std::map<int, ParkedStore> parked;
     // Shuffle-received data, per owned partition; consumed by the convert.
     std::map<int, mr::SpillableKvBuffer> partitions;
     std::set<int> partitions_missing;  // orphans needing NWC rebuild
@@ -327,9 +357,28 @@ class FtJob {
   /// config never spills (it only carries the residency meter).
   [[nodiscard]] mr::SpillConfig spill_config(int stage,
                                              std::string_view what) const;
+  /// Detect/resume: survivors rebuild orphaned partitions from the map
+  /// stores they kept, so the stores live until the stage is done.
+  [[nodiscard]] bool rebuilds_orphans() const noexcept {
+    return opts_.mode == FtMode::kDetectResumeWC ||
+           opts_.mode == FtMode::kDetectResumeNWC;
+  }
   /// The stage's spill store for map-output partition p (created on first
   /// use, budget shared across all P0 partitions).
   mr::SpillableKvBuffer& map_store(StageState& st, int stage, int p);
+  /// Detect/resume's map boundary: park each sealed in-core map store in
+  /// the segment store (host I/O only: no virtual time, TierStats, fault
+  /// draw or MPI op). A store that cannot be parked, or pages under a
+  /// budget, stays resident.
+  void park_map_stores(StageState& st);
+  /// Load parked map store p back into map_output, record order kept; a
+  /// no-op when p is not parked.
+  Status unpark_map_store(StageState& st, int stage, int p);
+  /// The unbounded shuffle round's blocks: every map store whole, read
+  /// straight from its parked image or, where nothing rebuilds from the
+  /// stores, handed over and released with the framed rows.
+  Status fill_whole_stores(const StageFns& fns, StageState& st,
+                           std::vector<mr::ExchangeRow>& rows);
   /// The stage's spill store for owned partition p (created on first use,
   /// budget shared across this rank's owned partitions).
   mr::SpillableKvBuffer& partition_store(StageState& st, int stage, int p);

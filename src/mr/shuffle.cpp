@@ -1,5 +1,6 @@
 #include "mr/shuffle.hpp"
 
+#include <cstring>
 #include <limits>
 #include <span>
 #include <string>
@@ -38,18 +39,25 @@ std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts) {
   return parts;
 }
 
+uint64_t ExchangeBlock::records() const noexcept {
+  const std::span<const std::byte> w = wire();
+  uint64_t n = 0;
+  if (w.size() >= kCountHeaderBytes) std::memcpy(&n, w.data(), kCountHeaderBytes);
+  return n;
+}
+
 Bytes frame_row(const ExchangeRow& row) {
   size_t size = sizeof(uint32_t);
-  for (const auto& [p, kv] : row) {
-    size += sizeof(int32_t) + sizeof(uint32_t) + kv->wire_view().size();
+  for (const ExchangeBlock& b : row) {
+    size += sizeof(int32_t) + sizeof(uint32_t) + b.wire().size();
   }
   Bytes buf;
   buf.reserve(size);
   ByteWriter w(std::move(buf));
   w.put<uint32_t>(static_cast<uint32_t>(row.size()));
-  for (const auto& [p, kv] : row) {
-    w.put<int32_t>(p);
-    w.put_blob(kv->wire_view());  // the arena IS the wire image
+  for (const ExchangeBlock& b : row) {
+    w.put<int32_t>(b.partition);
+    w.put_blob(b.wire());
   }
   return std::move(w).take();
 }
@@ -89,16 +97,18 @@ Status exchange(simmpi::Comm& comm, bool bounded, const ExchangeFill& fill,
   const size_t nranks = static_cast<size_t>(comm.size());
   for (;;) {
     const double c0 = comm.now();
-    std::vector<ExchangeRow> rows(nranks);
     bool more = false;
-    if (auto s = fill(rows, more); !s.ok()) return s;
     std::vector<Bytes> send(nranks);
-    for (size_t d = 0; d < nranks; ++d) {
-      send[d] = frame_row(rows[d]);
-      for (const auto& [p, kv] : rows[d]) {
-        if (stats) stats->pairs_sent += kv->size();
+    {
+      std::vector<ExchangeRow> rows(nranks);
+      if (auto s = fill(rows, more); !s.ok()) return s;
+      for (size_t d = 0; d < nranks; ++d) {
+        send[d] = frame_row(rows[d]);
+        for (const ExchangeBlock& b : rows[d]) {
+          if (stats) stats->pairs_sent += b.records();
+        }
       }
-    }
+    }  // the blocks are framed: owned images are freed before the alltoall
     if (trace) trace->span("shuffle.census", "shuffle", c0, comm.now());
 
     const double a0 = comm.now();

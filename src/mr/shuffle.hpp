@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,29 @@ struct ShuffleStats {
 /// Partition `in` by fnv1a(key) % comm.size().
 std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts);
 
-/// One round's (partition, block) pairs for one destination rank, in
-/// delivery order. Blocks are borrowed until the round's alltoall returns.
-using ExchangeRow = std::vector<std::pair<int, const KvBuffer*>>;
+/// One block of a row: partition `partition`'s records as a KV wire image
+/// ([u64 count][records], kv.hpp). The image is either borrowed (a
+/// KvBuffer's arena, which must stay unchanged until the row is framed) or
+/// owned (handed over with the block). exchange() reads a block only while
+/// it frames the row, and frees the owned images before the alltoall.
+struct ExchangeBlock {
+  ExchangeBlock(int p, std::span<const std::byte> wire) : partition(p), borrowed(wire) {}
+  ExchangeBlock(int p, const KvBuffer* kv) : ExchangeBlock(p, kv->wire_view()) {}
+  ExchangeBlock(int p, Bytes&& wire) : partition(p), owned(std::move(wire)) {}
+
+  /// The block's wire image.
+  [[nodiscard]] std::span<const std::byte> wire() const noexcept {
+    return owned.empty() ? borrowed : std::span<const std::byte>(owned);
+  }
+  /// Records in the block: the image's count header.
+  [[nodiscard]] uint64_t records() const noexcept;
+
+  int partition;
+  std::span<const std::byte> borrowed;
+  Bytes owned;
+};
+/// One round's blocks for one destination rank, in delivery order.
+using ExchangeRow = std::vector<ExchangeBlock>;
 /// Place one round's blocks into `rows` (comm.size() empty rows) and set
 /// `more` while this rank still holds unsent data.
 using ExchangeFill =
@@ -51,8 +72,9 @@ Bytes frame_row(const ExchangeRow& row);
 Status deliver_row(int sender, const Bytes& row, const ExchangeDeliver& deliver,
                    ShuffleStats* stats = nullptr);
 
-/// The shuffle exchange, collective over `comm`. Each round fills, frames
-/// and alltoalls the rows, then delivers in sender order. Unbounded: one
+/// The shuffle exchange, collective over `comm`. Each round fills and
+/// frames the rows, releases the fill's blocks, alltoalls the frames and
+/// delivers in sender order. Unbounded: one
 /// round, no other op (`more` is ignored). Bounded: rounds run until a
 /// max-allreduce vote on `more` is 0, so unequal round counts end
 /// together. `stats` accumulates pairs placed and delivered; `trace`

@@ -30,6 +30,10 @@ Status ReplicaStore::put(int holder, std::string_view path, const Extent& blob,
   }
   auto pit = held_.find(path);
   if (pit == held_.end()) pit = held_.emplace(std::string(path), Holders{}).first;
+  if (!pit->second.contains(holder)) {
+    std::vector<std::string_view>& mine = by_holder_[holder];
+    mine.insert(std::lower_bound(mine.begin(), mine.end(), path), pit->first);
+  }
   // A torn put keeps a strict prefix of the run, for this holder only.
   previous = std::exchange(pit->second[holder], Extent{blob.run, prefix});
   stats_.bytes_written += prefix;
@@ -100,6 +104,9 @@ void ReplicaStore::remove(int holder, std::string_view path) {
   if (hit == pit->second.end()) return;
   removed = std::move(hit->second);
   pit->second.erase(hit);
+  std::vector<std::string_view>& mine = by_holder_[holder];
+  mine.erase(std::lower_bound(mine.begin(), mine.end(), path));
+  if (mine.empty()) by_holder_.erase(holder);
   if (pit->second.empty()) held_.erase(pit);
 }
 
@@ -128,11 +135,9 @@ std::vector<std::string> ReplicaStore::all_paths() const {
 
 std::vector<std::string> ReplicaStore::paths_held_by(int holder) const {
   MutexLock lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& [path, holders] : held_) {
-    if (holders.contains(holder)) out.push_back(path);
-  }
-  return out;
+  const auto it = by_holder_.find(holder);
+  if (it == by_holder_.end()) return {};
+  return {it->second.begin(), it->second.end()};
 }
 
 bool ReplicaStore::is_dead(int rank) const {
@@ -142,12 +147,14 @@ bool ReplicaStore::is_dead(int rank) const {
 
 void ReplicaStore::wipe_rank(int rank) {
   MutexLock lock(mu_);
-  for (auto pit = held_.begin(); pit != held_.end();) {
-    if (auto hit = pit->second.find(rank); hit != pit->second.end()) {
+  if (auto node = by_holder_.extract(rank)) {
+    for (std::string_view path : node.mapped()) {
+      const auto pit = held_.find(path);
+      const auto hit = pit->second.find(rank);
       released_.push_back(std::move(hit->second));
       pit->second.erase(hit);
+      if (pit->second.empty()) held_.erase(pit);
     }
-    pit = pit->second.empty() ? held_.erase(pit) : std::next(pit);
   }
   dead_.insert(rank);
 }
@@ -156,6 +163,7 @@ void ReplicaStore::wipe_all() {
   decltype(held_) held;
   Dropped dropped;
   MutexLock lock(mu_);
+  by_holder_.clear();
   held.swap(held_);
   dropped.swap(released_);
   dead_.clear();

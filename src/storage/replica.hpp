@@ -104,7 +104,7 @@ class ReplicaStore {
   /// Every distinct path held anywhere, sorted (recovery enumerates this).
   [[nodiscard]] std::vector<std::string> all_paths() const;
 
-  /// Paths `holder` currently holds, sorted (a full scan; tests only).
+  /// Paths `holder` currently holds, sorted (re-replication walks these).
   [[nodiscard]] std::vector<std::string> paths_held_by(int holder) const;
 
   [[nodiscard]] bool is_dead(int rank) const;
@@ -149,11 +149,15 @@ class ReplicaStore {
   SegmentStore& segments_;
   mutable Mutex mu_{"replica.store"};
   // path -> (holder rank -> blob); a path leaves when its last holder does.
-  // Recovery asks "who holds this path", so that is one lookup; a rank's
-  // death is the full scan. Rank threads deposit into each other's
-  // memories concurrently, so everything lives under one mutex; the blobs
-  // themselves are immutable and shared between holders.
+  // Recovery asks "who holds this path", so that is one lookup. Rank
+  // threads deposit into each other's memories concurrently, so everything
+  // lives under one mutex; the blobs themselves are immutable and shared
+  // between holders.
   std::map<std::string, Holders, std::less<>> held_ FTMR_GUARDED_BY(mu_);
+  // holder -> the paths it holds, sorted: views of held_'s keys, each
+  // dropped here before its key leaves held_. Re-replication walks a
+  // rank's own paths and a death drops them, without a scan of held_.
+  std::map<int, std::vector<std::string_view>> by_holder_ FTMR_GUARDED_BY(mu_);
   Dropped released_ FTMR_GUARDED_BY(mu_);  // wiped ranks' extents
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
   TierFaults faults_ FTMR_GUARDED_BY(mu_);

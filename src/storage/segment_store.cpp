@@ -1,7 +1,9 @@
 #include "storage/segment_store.hpp"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -68,15 +70,32 @@ uint64_t size_of(const Extents& extents) {
   return n;
 }
 
-/// The one host write: `n` bytes from `in` at `offset` of `fd`.
-bool host_write(int fd, uint64_t offset, const std::byte* in, uint64_t n) {
-  while (n > 0) {
-    const ssize_t done = ::pwrite(fd, in, n, static_cast<off_t>(offset));
+/// The one host write: `pieces`, back to back, at `offset` of `fd`, in as
+/// few gather writes as IOV_MAX allows.
+bool host_write(int fd, uint64_t offset,
+                std::span<const std::span<const std::byte>> pieces) {
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (std::span<const std::byte> p : pieces) {
+    if (!p.empty()) iov.push_back({const_cast<std::byte*>(p.data()), p.size()});
+  }
+  size_t first = 0;
+  while (first < iov.size()) {
+    const int n = static_cast<int>(std::min<size_t>(iov.size() - first, IOV_MAX));
+    const ssize_t done = ::pwritev(fd, &iov[first], n, static_cast<off_t>(offset));
     if (done < 0 && errno == EINTR) continue;
     if (done <= 0) return false;
-    in += done;
     offset += static_cast<uint64_t>(done);
-    n -= static_cast<uint64_t>(done);
+    // Skip what was written; a piece written in part resumes at its rest.
+    for (size_t left = static_cast<size_t>(done); left > 0;) {
+      if (left >= iov[first].iov_len) {
+        left -= iov[first++].iov_len;
+      } else {
+        iov[first].iov_base = static_cast<std::byte*>(iov[first].iov_base) + left;
+        iov[first].iov_len -= left;
+        left = 0;
+      }
+    }
   }
   return true;
 }
@@ -133,11 +152,13 @@ const SegmentStore::Extents* SegmentStore::find_file_locked(Tier tier, int node,
   return it == v->second.end() ? nullptr : &it->second;
 }
 
-Status SegmentStore::append_run(std::span<const std::byte> data,
+Status SegmentStore::append_run(std::span<const std::span<const std::byte>> pieces,
                                 std::shared_ptr<Run>& out) {
+  uint64_t len = 0;
+  for (std::span<const std::byte> p : pieces) len += p.size();
   out = std::allocate_shared<Run>(std::pmr::polymorphic_allocator<Run>(&pool_), *this,
-                                  end_.fetch_add(blocks(data.size())), data.size());
-  if (host_write(fd_, out->offset, data.data(), data.size())) return Status::Ok();
+                                  end_.fetch_add(blocks(len)), len);
+  if (host_write(fd_, out->offset, pieces)) return Status::Ok();
   out.reset();
   return {ErrorCode::kIo, "cannot write the segment file " + host_};
 }
@@ -147,7 +168,7 @@ Status SegmentStore::write(Tier tier, int node, std::string_view path_in,
   const std::string path = normal(path_in);
   std::shared_ptr<Run> run;
   if (!data.empty()) {
-    if (!append_run(data, run).ok()) {
+    if (!append_run({&data, 1}, run).ok()) {
       return {ErrorCode::kIo, "write_file: cannot write " + path};
     }
   }
@@ -248,16 +269,31 @@ void SegmentStore::list(Tier tier, int node, std::string_view dir_in,
 }
 
 Status SegmentStore::stash(std::span<const std::byte> data, Extent& out) {
+  return stash({&data, 1}, out);
+}
+
+Status SegmentStore::stash(std::span<const std::span<const std::byte>> pieces,
+                           Extent& out) {
   out = Extent{};
-  if (data.empty()) return Status::Ok();
-  if (auto s = append_run(data, out.run); !s.ok()) return s;
-  out.len = data.size();
+  uint64_t len = 0;
+  for (std::span<const std::byte> p : pieces) len += p.size();
+  if (len == 0) return Status::Ok();
+  if (auto s = append_run(pieces, out.run); !s.ok()) return s;
+  out.len = len;
   return Status::Ok();
 }
 
 Status SegmentStore::load(const Extent& extent, Bytes& out) const {
   out.resize(extent.len);
-  if (extent.len > 0 && !host_read(fd_, extent.run->offset, out.data(), extent.len)) {
+  return load(extent, 0, out);
+}
+
+Status SegmentStore::load(const Extent& extent, uint64_t at,
+                          std::span<std::byte> out) const {
+  if (at > extent.len || out.size() > extent.len - at) {
+    return {ErrorCode::kOutOfRange, "segment load past the extent's end"};
+  }
+  if (!out.empty() && !host_read(fd_, extent.run->offset + at, out.data(), out.size())) {
     return {ErrorCode::kIo, "cannot read the segment file " + host_};
   }
   return Status::Ok();

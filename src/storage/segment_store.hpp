@@ -97,8 +97,14 @@ class SegmentStore {
   /// Append `data` to the host file as one run that no file holds, and
   /// make `out` all of it.
   Status stash(std::span<const std::byte> data, Extent& out);
+  /// Same for `pieces` laid back to back in one run, in one host write: a
+  /// piece is then a byte range of `out` (see the ranged load).
+  Status stash(std::span<const std::span<const std::byte>> pieces, Extent& out);
   /// The bytes of `extent` into `out`.
   Status load(const Extent& extent, Bytes& out) const;
+  /// Bytes [at, at + out.size()) of `extent` into `out`; kOutOfRange when
+  /// the range passes the extent's end.
+  Status load(const Extent& extent, uint64_t at, std::span<std::byte> out) const;
   /// The file at `path` as one extent, sharing its run; false if there is
   /// no such file or it has more than one extent (it was appended to).
   bool extent_of(Tier tier, int node, std::string_view path, Extent& out) const;
@@ -117,8 +123,9 @@ class SegmentStore {
   [[nodiscard]] uint64_t blocks(uint64_t len) const noexcept {
     return (len + block_ - 1) / block_ * block_;
   }
-  /// Append `data` to the host file as a new run.
-  Status append_run(std::span<const std::byte> data, std::shared_ptr<Run>& out);
+  /// Append `pieces`, back to back, to the host file as a new run.
+  Status append_run(std::span<const std::span<const std::byte>> pieces,
+                    std::shared_ptr<Run>& out);
   /// The file at normalized `path`, created empty if there is none.
   Extents& file_locked(Tier tier, int node, const std::string& path) FTMR_REQUIRES(mu_);
   /// The file at normalized `path`, or null.

@@ -687,6 +687,55 @@ TEST(MultiStage, WcFailureInSecondStageKeepsFirstStageWork) {
   EXPECT_EQ(w.read_output(), bucket_expected(w.expected));
 }
 
+// A stage's map stores serve only its own shuffle and orphan rebuild: a
+// detect/resume rank keeps them, parked, until the stage is done and then
+// drops them, so an iterative job holds one stage's worth, not one per
+// round. The other modes free them in the shuffle.
+TEST(MultiStage, MapStoresHeldOnlyForTheUnfinishedStage) {
+  for (FtMode mode : {FtMode::kDetectResumeWC, FtMode::kDetectResumeNWC,
+                      FtMode::kCheckpointRestart, FtMode::kNone}) {
+    World w;
+    const bool keeps = mode == FtMode::kDetectResumeWC ||
+                       mode == FtMode::kDetectResumeNWC;
+    std::atomic<int> bad{0};
+    Runtime::run(4, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), base_opts(mode));
+      // Seen from inside each stage's reduce: what this rank holds of the
+      // stage being reduced and of the stage before it.
+      const auto probe = [&job, &bad, keeps](StageFns fns, int stage) {
+        fns.reduce = [&job, &bad, keeps, stage, inner = fns.reduce](
+                         std::string_view key,
+                         std::span<const std::string_view> values,
+                         mr::KvBuffer& out) {
+          const size_t held = job.map_stores_held(stage);
+          if ((keeps ? held == 0 || job.map_stores_parked(stage) != held
+                     : held != 0) ||
+              (stage > 0 && job.map_stores_held(stage - 1) != 0)) {
+            bad++;
+          }
+          return inner(key, values, out);
+        };
+        return fns;
+      };
+      Status s = job.run([&](FtJob& j) {
+        if (auto st = j.run_stage(probe(wordcount_fns(), 0), false, nullptr);
+            !st.ok()) {
+          return st;
+        }
+        if (auto st = j.run_stage(probe(bucket_fns(), 1), true, nullptr);
+            !st.ok()) {
+          return st;
+        }
+        return j.write_output();
+      });
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      EXPECT_EQ(job.map_stores_held(0) + job.map_stores_held(1), 0u);
+    });
+    EXPECT_EQ(bad.load(), 0) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(w.read_output(), bucket_expected(w.expected));
+  }
+}
+
 TEST(MultiStage, NwcFailureInSecondStageRestartsFromScratchButFinishes) {
   World w;
   simmpi::JobOptions jo;
@@ -827,6 +876,152 @@ std::map<std::pair<std::string, uint64_t>, int> delta_files(
 // Failure-free: a task (partition) writes one delta every records_per_ckpt
 // committed records (reduce entries) plus a tail for the rest; chunk
 // granularity writes the tail only.
+// ---------------------------------------------------------------------------
+// Parked map stores: every reader after the map boundary
+// ---------------------------------------------------------------------------
+
+// A detect/resume rank parks its sealed map stores in the segment store at
+// the map boundary. The shuffle reads them from there; a shuffle re-entry,
+// the patch-up re-execution and the orphan rebuild load them back. Parking
+// is host I/O only, so each run below must also book exactly the file-tier
+// traffic of the same run with the stores on the heap: the pinned counters
+// were recorded that way. One worker thread and op-indexed kills make them
+// repeat.
+
+StageFns combining(StageFns fns) {
+  fns.combine = fns.reduce;  // a sum: associative and commutative
+  return fns;
+}
+
+/// The op index at which rank `victim` records its first trace event
+/// `name` in a failure-free run: a kill after that many ops lands in the
+/// operation the event follows.
+int64_t golden_op(FtMode mode, const StageFns& fns, int victim,
+                  const std::string& name) {
+  World w;
+  simmpi::JobOptions jo;
+  jo.worker_threads = 1;
+  int64_t op = -1;
+  Runtime::run(4, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), base_opts(mode));
+    EXPECT_TRUE(job.run([&](FtJob& j) { return wordcount_driver(j, fns); }).ok());
+    if (c.global_rank() != victim) return;
+    for (const metrics::TraceEvent& e : job.trace().events()) {
+      if (e.name == name) {
+        op = e.op;
+        break;
+      }
+    }
+  }, jo);
+  EXPECT_GT(op, 0) << name;
+  return op;
+}
+
+struct TierPin {
+  storage::TierStats local, shared;
+  /// checkpoint_hash() of the run: a partition snapshot's bytes follow the
+  /// order its records arrived in, so this pins the record order too.
+  uint64_t ckpt_hash = 0;
+};
+
+/// A hash of the names and bytes of every shared-tier checkpoint file (not
+/// a CRC: each file ends in its own CRC, which a CRC over it cancels).
+uint64_t checkpoint_hash(storage::StorageSystem& fs) {
+  std::vector<std::string> names;
+  EXPECT_TRUE(fs.list_dir(storage::Tier::kShared, 0, "ck", names).ok());
+  uint64_t h = 0;
+  for (const std::string& name : names) {
+    Bytes data;
+    EXPECT_TRUE(fs.read_file(storage::Tier::kShared, 0, "ck/" + name, data).ok());
+    h = mix64(h ^ fnv1a(name));
+    h = mix64(h ^ fnv1a(data));
+  }
+  return h;
+}
+
+void expect_tiers(storage::StorageSystem& fs, const TierPin& pin,
+                  const std::string& label) {
+  const storage::TierStats lo = fs.stats(storage::Tier::kLocal);
+  const storage::TierStats sh = fs.stats(storage::Tier::kShared);
+  EXPECT_EQ(lo.bytes_written, pin.local.bytes_written) << label;
+  EXPECT_EQ(lo.bytes_read, pin.local.bytes_read) << label;
+  EXPECT_EQ(lo.write_ops, pin.local.write_ops) << label;
+  EXPECT_EQ(lo.read_ops, pin.local.read_ops) << label;
+  EXPECT_EQ(sh.bytes_written, pin.shared.bytes_written) << label;
+  EXPECT_EQ(sh.bytes_read, pin.shared.bytes_read) << label;
+  EXPECT_EQ(sh.write_ops, pin.shared.write_ops) << label;
+  EXPECT_EQ(sh.read_ops, pin.shared.read_ops) << label;
+  EXPECT_EQ(checkpoint_hash(fs), pin.ckpt_hash) << label;
+}
+
+/// Kill rank 2 when it reaches its first `event` (op-indexed, one worker
+/// thread); with `lose_partitions`, every read of its partition snapshots
+/// fails, so work-conserving recovery falls back to the orphan rebuild.
+/// Checks the output against the failure-free ground truth and the tiers
+/// and checkpoint bytes against `pin`.
+void expect_parked_recovery(FtMode mode, const StageFns& fns, const char* event,
+                            bool lose_partitions, const TierPin& pin,
+                            const std::string& label) {
+  const int64_t op = golden_op(mode, fns, 2, event);
+  World w;
+  if (lose_partitions) {
+    storage::FaultInjectorConfig fc;
+    fc.local.p_read_fail = 1.0;
+    fc.shared.p_read_fail = 1.0;
+    fc.path_filter = checkpoint_rank_dir(2) + "/part_";
+    w.fs->set_fault_injector(fc);
+  }
+  simmpi::JobOptions jo;
+  jo.worker_threads = 1;
+  jo.kills.push_back({2, /*vtime=*/-1.0, /*after_ops=*/op});
+  std::atomic<int> recoveries{0};
+  JobResult r = Runtime::run(4, [&](Comm& c) {
+    FtJob job(c, w.fs.get(), base_opts(mode));
+    Status s = job.run([&](FtJob& j) { return wordcount_driver(j, fns); });
+    if (c.global_rank() != 2) {
+      EXPECT_TRUE(s.ok()) << label << ": " << s.to_string();
+      recoveries += job.recoveries();
+    }
+  }, jo);
+  w.fs->clear_fault_injector();
+  EXPECT_EQ(r.killed_count(), 1) << label;
+  EXPECT_EQ(recoveries.load(), 3) << label;
+  EXPECT_EQ(w.read_output(), w.expected) << label;
+  if (lose_partitions) {
+    EXPECT_GT(w.fs->fault_stats().read_failures, 0) << label;
+  }
+  expect_tiers(*w.fs, pin, label);
+}
+
+TEST(ParkedMapStores, ShuffleReentryAfterAKillInTheExchange) {
+  expect_parked_recovery(FtMode::kDetectResumeWC, wordcount_fns(),
+                         "shuffle.alltoall", false,
+                         {{41124, 41124, 36, 36}, {90370, 60428, 88, 67},
+                          2889613060010584910u},
+                         "wc");
+  expect_parked_recovery(FtMode::kDetectResumeNWC, wordcount_fns(),
+                         "shuffle.alltoall", false,
+                         {{0, 0, 0, 0}, {8122, 11033, 16, 21}}, "nwc");
+}
+
+TEST(ParkedMapStores, OrphanRebuildAfterAReducePhaseKill) {
+  expect_parked_recovery(FtMode::kDetectResumeWC, wordcount_fns(), "reduce",
+                         true,
+                         {{53149, 50083, 49, 48}, {108288, 61468, 112, 70},
+                          2706660865526353074u},
+                         "wc");
+  expect_parked_recovery(FtMode::kDetectResumeWC, combining(wordcount_fns()),
+                         "reduce", true,
+                         {{36758, 35606, 49, 48}, {79334, 46991, 112, 70},
+                          7004919106802832923u},
+                         "wc+combine");
+  expect_parked_recovery(FtMode::kDetectResumeNWC, wordcount_fns(), "reduce",
+                         false, {{0, 0, 0, 0}, {8122, 11033, 16, 21}}, "nwc");
+  expect_parked_recovery(FtMode::kDetectResumeNWC, combining(wordcount_fns()),
+                         "reduce", false, {{0, 0, 0, 0}, {8122, 11033, 16, 21}},
+                         "nwc+combine");
+}
+
 TEST(CommitPoint, DeltaFilesPerTaskAndPartition) {
   constexpr int kRanks = 4;
   constexpr int kChunks = 12;

@@ -3,6 +3,8 @@
 // the end-to-end MR-MPI baseline (FtJob without fault tolerance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 
 #include "apps/wordcount.hpp"
@@ -303,6 +305,59 @@ TEST(Exchange, UnboundedIsOneRoundWithoutVote) {
     std::vector<Delivery> want;
     for (int s = 0; s < kP; ++s) {
       want.push_back({s, r, keys_of(round_block(s, 0, r))});
+    }
+    EXPECT_EQ(got[static_cast<size_t>(r)], want) << "rank " << r;
+  }
+}
+
+// A block is read only while its row is framed, before the alltoall: once
+// any rank's alltoall has returned, every rank has framed, so a borrowed
+// image may change and an owned one is gone. The pair count comes from
+// each image's count header.
+TEST(Exchange, BlocksAreBorrowedOnlyUntilTheRowsAreFramed) {
+  constexpr int kP = 3;
+  std::vector<std::vector<Bytes>> borrowed(kP);  // each rank's lent images
+  std::vector<std::vector<Delivery>> got(kP);
+  std::vector<size_t> sent(kP, 0);
+  std::atomic<bool> overwritten{false};
+  Runtime::run(kP, [&](Comm& c) {
+    const int me = c.rank();
+    std::vector<Bytes>& lent = borrowed[static_cast<size_t>(me)];
+    const auto fill = [&](std::vector<ExchangeRow>& rows, bool&) {
+      for (int d = 0; d < kP; ++d) {
+        lent.push_back(round_block(me, 0, d).serialize());
+      }
+      for (int d = 0; d < kP; ++d) {
+        ExchangeRow& row = rows[static_cast<size_t>(d)];
+        row.emplace_back(10 * d, lent[static_cast<size_t>(d)]);
+        row.emplace_back(10 * d + 1, round_block(me, 1, d).serialize());
+        row.emplace_back(10 * d + 2, KvBuffer{}.serialize());  // no records
+      }
+      return Status::Ok();
+    };
+    const auto deliver = [&](int sender, int partition, KvBuffer&& kv) {
+      if (!overwritten.exchange(true)) {
+        for (std::vector<Bytes>& images : borrowed) {
+          for (Bytes& image : images) {
+            std::fill(image.begin(), image.end(), std::byte{0xee});
+          }
+        }
+      }
+      got[static_cast<size_t>(me)].push_back({sender, partition, keys_of(kv)});
+      return Status::Ok();
+    };
+    ShuffleStats st;
+    ASSERT_TRUE(exchange(c, /*bounded=*/false, fill, deliver, &st).ok());
+    sent[static_cast<size_t>(me)] = st.pairs_sent;
+  });
+  EXPECT_TRUE(overwritten.load());
+  for (int r = 0; r < kP; ++r) {
+    // Each rank sent s+1 records in each of two blocks to every rank.
+    EXPECT_EQ(sent[static_cast<size_t>(r)], static_cast<size_t>(2 * kP * (r + 1)));
+    std::vector<Delivery> want;
+    for (int s = 0; s < kP; ++s) {
+      want.push_back({s, 10 * r, keys_of(round_block(s, 0, r))});
+      want.push_back({s, 10 * r + 1, keys_of(round_block(s, 1, r))});
     }
     EXPECT_EQ(got[static_cast<size_t>(r)], want) << "rank " << r;
   }

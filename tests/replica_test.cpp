@@ -186,6 +186,40 @@ TEST(ReplicaStoreTest, EnumerationAndRemoval) {
   EXPECT_EQ(store.get(1, "ck/r0/a", out).code(), ErrorCode::kNotFound);
 }
 
+// paths_held_by reads the per-holder index that re-replication walks; it
+// must agree with the path index after overwrites, removals and deaths.
+TEST(ReplicaStoreTest, HolderIndexFollowsPutsRemovalsAndDeaths) {
+  HostFile host;
+  ReplicaStore store(storage::TierModel{}, host.segments);
+  const auto scanned = [&store](int holder) {
+    std::vector<std::string> out;
+    for (const std::string& path : store.all_paths()) {
+      if (store.exists(holder, path)) out.push_back(path);
+    }
+    return out;
+  };
+  for (int holder : {0, 1, 2}) {
+    for (const char* path : {"ck/r1/b", "ck/r0/a", "ck/r2/c", "ck/r0/a"}) {
+      if (holder == 2 && path[4] == '2') continue;
+      ASSERT_TRUE(store.put(holder, path, blob(path)).ok());
+    }
+  }
+  store.remove(1, "ck/r1/b");
+  store.remove(1, "ck/r9/z");  // absent: no-op
+  store.wipe_rank(0);
+  ASSERT_TRUE(store.put(2, "ck/r3/d", blob("d")).ok());
+  EXPECT_EQ(store.paths_held_by(0), std::vector<std::string>{});
+  EXPECT_EQ(store.paths_held_by(1),
+            (std::vector<std::string>{"ck/r0/a", "ck/r2/c"}));
+  EXPECT_EQ(store.paths_held_by(2),
+            (std::vector<std::string>{"ck/r0/a", "ck/r1/b", "ck/r3/d"}));
+  for (int holder : {0, 1, 2, 3}) {
+    EXPECT_EQ(store.paths_held_by(holder), scanned(holder)) << holder;
+  }
+  store.wipe_all();
+  EXPECT_TRUE(store.paths_held_by(2).empty());
+}
+
 TEST(ReplicaStoreTest, DeathWipesHoldingsAndRejectsLateDeposits) {
   HostFile host;
   ReplicaStore store(storage::TierModel{}, host.segments);

@@ -437,6 +437,46 @@ TEST_F(StorageTest, StashedExtentIsOneRunPunchedByItsLastHolder) {
   EXPECT_LE(u.allocated, u.block);
 }
 
+// Pieces stashed together are one run and one host write; each is a byte
+// range of the extent, read back on its own. A range past the extent's
+// end is refused, and so is any read through a released extent, which
+// holds no run: its bytes were punched with the last holder.
+TEST_F(StorageTest, StashedPiecesShareOneRunReadBackByRange) {
+  const std::string a(5000, 'a'), b = "bb", c(7000, 'c');
+  const std::vector<std::span<const std::byte>> pieces = {
+      as_bytes_view(a), {}, as_bytes_view(b), as_bytes_view(c)};
+  SegmentStore::Extent run;
+  ASSERT_TRUE(fs_->segments().stash(pieces, run).ok());
+  EXPECT_EQ(run.len, a.size() + b.size() + c.size());
+  HostUsage u = host_usage(tmp_.path());
+  EXPECT_EQ(u.files, 1u);
+  EXPECT_LE(u.allocated, run.len + u.block);
+  Bytes out(b.size());
+  ASSERT_TRUE(fs_->segments().load(run, a.size(), out).ok());
+  EXPECT_EQ(to_string_copy(out), b);
+  out.resize(c.size());
+  ASSERT_TRUE(fs_->segments().load(run, a.size() + b.size(), out).ok());
+  EXPECT_EQ(to_string_copy(out), c);
+  ASSERT_TRUE(fs_->segments().load(run, run.len, std::span<std::byte>()).ok());
+  Bytes two(2);
+  EXPECT_EQ(fs_->segments().load(run, run.len - 1, two).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(fs_->segments().load(run, run.len + 1, std::span<std::byte>()).code(),
+            ErrorCode::kOutOfRange);
+
+  SegmentStore::Extent none;  // nothing to stash: no run
+  ASSERT_TRUE(fs_->segments().stash(std::vector<std::span<const std::byte>>(2), none).ok());
+  EXPECT_EQ(none.run, nullptr);
+  EXPECT_EQ(none.len, 0u);
+
+  run = {};
+  u = host_usage(tmp_.path());
+  EXPECT_LE(u.allocated, u.block);
+  EXPECT_EQ(fs_->segments().load(run, 0, two).code(), ErrorCode::kOutOfRange);
+  Bytes whole;
+  ASSERT_TRUE(fs_->segments().load(run, whole).ok());
+  EXPECT_TRUE(whole.empty());
+}
+
 TEST_F(StorageTest, ExtentOfSharesAWholeFileOnly) {
   const std::string body(6000, 'w');
   ASSERT_TRUE(fs_->write_file(Tier::kLocal, 1, "ck/r2/f", as_bytes_view(body)).ok());
