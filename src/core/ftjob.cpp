@@ -329,13 +329,15 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
   // stores so residency drops back to O(budget) before the next task.
   // absorb_kv keeps a page it could not spill resident (over budget, never
   // lost), so a spill error degrades instead of losing data. A task run
-  // after the map boundary (re-entry, patch-up) appends to a parked store,
-  // so that store is loaded back first.
+  // after the map boundary (re-entry, patch-up) may append to a parked
+  // store: open() loads it back first.
+  const MapStores::Make make = make_map_store(stage);
   for (int p = 0; p < p0_; ++p) {
     mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
     if (part.empty()) continue;
-    if (auto s = unpark_map_store(st, stage, p); !s.ok()) return s;
-    if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
+    mr::SpillableKvBuffer* store = nullptr;
+    if (auto s = st.map_output.open(p, make, store); !s.ok()) return s;
+    if (auto s = store->absorb_kv(std::move(part)); !s.ok()) {
       FTMR_WARN << "rank " << world_.global_rank() << " map output for "
                 << "partition " << p
                 << " spill degraded to resident: " << s.to_string();
@@ -365,12 +367,12 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
   // them. Detect/resume keeps them for the rare orphan rebuild until the
   // stage is done, parked outside the heap; the other modes release them
   // in the shuffle, so they only give back their spare capacity.
-  if (rebuilds_orphans()) {
-    park_map_stores(st);
+  if (rebuilds_orphans() && fs_ != nullptr) {
+    st.map_output.park(fs_->segments(), &meter_);
   } else {
-    for (auto& [p, store] : st.map_output) store.shrink_to_fit();
+    st.map_output.shrink_to_fit();
   }
-  if (const double io = take_spill_io(st.map_output); io > 0.0) {
+  if (const double io = st.map_output.take_io_seconds(); io > 0.0) {
     charge_cost("io_wait", io);
   }
   ckpt_->drain(wc_);
@@ -428,107 +430,37 @@ mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
   return cfg;
 }
 
-mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
-  auto it = st.map_output.find(p);
-  if (it == st.map_output.end()) {
-    it = st.map_output
-             .emplace(p, mr::SpillableKvBuffer(
-                             spill_config(stage, "map")
-                                 .share(static_cast<size_t>(p0_))
-                                 .sub("p" + std::to_string(p))))
-             .first;
-  }
-  return it->second;
-}
-
-void FtJob::park_map_stores(StageState& st) {
-  // The sealed in-core stores, back to back in one run: one host write
-  // now, and one hole punched when the last of them is released.
-  std::vector<std::span<const std::byte>> images;
-  std::vector<int> parts;
-  for (const auto& [p, store] : st.map_output) {
-    const mr::KvBuffer* whole = store.in_core();
-    if (whole == nullptr || whole->empty()) continue;  // paged, or empty
-    images.push_back(whole->wire_view());
-    parts.push_back(p);
-  }
-  storage::SegmentStore::Extent run;
-  if (!images.empty() && fs_ != nullptr && fs_->segments().stash(images, run).ok()) {
-    uint64_t at = 0;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const uint64_t len = images[i].size();
-      const auto it = st.map_output.find(parts[i]);
-      const size_t bytes = it->second.resident_bytes();
-      st.map_output.erase(it);  // unbooked before the parked image books
-      st.parked.try_emplace(parts[i], run, at, len, mr::MeterBooking(&meter_))
-          .first->second.booking.set(bytes);
-      at += len;
-    }
-  }
-  // What stays resident (paged, empty, or all of it after a failed stash)
-  // gives back its spare capacity.
-  for (auto& [p, store] : st.map_output) store.shrink_to_fit();
-}
-
-Status FtJob::unpark_map_store(StageState& st, int stage, int p) {
-  const auto it = st.parked.find(p);
-  if (it == st.parked.end()) return Status::Ok();
-  Bytes wire(it->second.len);
-  if (auto s = fs_->segments().load(it->second.run, it->second.at, wire); !s.ok()) {
-    return s;
-  }
-  mr::KvBuffer kv;
-  if (auto s = kv.adopt(std::move(wire)); !s.ok()) return s;
-  st.parked.erase(it);
-  return map_store(st, stage, p).absorb_kv(std::move(kv));
+MapStores::Make FtJob::make_map_store(int stage) const {
+  return [this, stage](int p) {
+    return mr::SpillableKvBuffer(spill_config(stage, "map")
+                                     .share(static_cast<size_t>(p0_))
+                                     .sub("p" + std::to_string(p)));
+  };
 }
 
 Status FtJob::fill_whole_stores(const StageFns& fns, StageState& st,
                                 std::vector<mr::ExchangeRow>& rows) {
-  // Each store's wire image, by partition. Where nothing rebuilds orphans
-  // from the stores, a store hands its arena over and is gone once the
-  // rows are framed.
-  std::map<int, Bytes> images;
-  for (const auto& [p, parked] : st.parked) {
-    Bytes& image = images[p];
-    image.resize(parked.len);
-    if (auto s = fs_->segments().load(parked.run, parked.at, image); !s.ok()) {
-      return s;
-    }
-  }
-  for (auto it = st.map_output.begin(); it != st.map_output.end();) {
-    const mr::KvBuffer& whole = *it->second.in_core();
-    if (whole.empty()) {
-      ++it;
-    } else if (rebuilds_orphans()) {
-      images[it->first] = whole.serialize();  // its stash failed: a copy
-      ++it;
-    } else {
-      mr::KvBuffer kv;
-      if (auto s = it->second.drain_to(kv); !s.ok()) return s;
-      images[it->first] = std::move(kv).take_wire();
-      it = st.map_output.erase(it);
-    }
-  }
-  for (auto& [p, image] : images) {
-    if (fns.combine) {
-      // Pre-aggregate the block before the wire (see shuffle_phase).
-      mr::KvBuffer kv;
-      if (auto s = kv.adopt(std::move(image)); !s.ok()) return s;
-      mr::KvBuffer combined = combine_block(kv, fns);
-      if (kv.bytes() > combined.bytes()) {
-        times_.charge("combine_saved_bytes",
-                      static_cast<double>(kv.bytes() - combined.bytes()));
-      }
-      image = std::move(combined).take_wire();
-    }
-    const int rel = owner_rel(p);
-    if (rel < 0) return {ErrorCode::kProcFailed, "partition owner died mid-shuffle"};
-    mr::ExchangeBlock& block =
-        rows[static_cast<size_t>(rel)].emplace_back(p, std::move(image));
-    mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), block.records());
-  }
-  return Status::Ok();
+  // Where nothing rebuilds orphans from the stores, each hands its arena
+  // over and is gone once the rows are framed.
+  return st.map_output.whole_blocks(
+      !rebuilds_orphans(), [&](mr::ExchangeBlock&& block) -> Status {
+        if (fns.combine) {
+          // Pre-aggregate the block before the wire (see shuffle_phase).
+          mr::KvBuffer kv;
+          if (auto s = mr::KvBuffer::deserialize(block.wire, kv); !s.ok()) return s;
+          mr::KvBuffer combined = combine_block(kv, fns);
+          if (kv.bytes() > combined.bytes()) {
+            times_.charge("combine_saved_bytes",
+                          static_cast<double>(kv.bytes() - combined.bytes()));
+          }
+          block = mr::ExchangeBlock(block.partition, std::move(combined).take_wire());
+        }
+        const int rel = owner_rel(block.partition);
+        if (rel < 0) return {ErrorCode::kProcFailed, "partition owner died mid-shuffle"};
+        mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), block.records());
+        rows[static_cast<size_t>(rel)].push_back(std::move(block));
+        return Status::Ok();
+      });
 }
 
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
@@ -598,13 +530,16 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
     std::map<int, size_t> cursor;  // partition -> next unsent page
     // The round's assembled (copied) or combined blocks.
     std::map<int, mr::KvBuffer> chunks;
+    const MapStores::Make make = make_map_store(stage);
     const auto fill = [&](std::vector<mr::ExchangeRow>& rows,
                           bool& more) -> Status {
       if (!bounded) return fill_whole_stores(fns, st, rows);
+      std::map<int, mr::SpillableKvBuffer>* stores = nullptr;
+      if (auto s = st.map_output.all(make, stores); !s.ok()) return s;
       chunks.clear();
       std::map<int, const mr::KvBuffer*> blocks;
       size_t assembled = 0;
-      for (auto& [p, store] : st.map_output) {
+      for (auto& [p, store] : *stores) {
         size_t& cur = cursor[p];
         const size_t npages = store.page_count();
         mr::KvBuffer page;
@@ -641,7 +576,7 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
         rows[static_cast<size_t>(rel)].push_back({p, kv});
         mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv->size());
       }
-      for (auto& [p, store] : st.map_output) {
+      for (auto& [p, store] : *stores) {
         if (cursor[p] < store.page_count()) {
           more = true;
           break;
@@ -657,7 +592,7 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   }
   mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(),
                   stats.pairs_received);
-  if (const double io = take_spill_io(st.partitions, take_spill_io(st.map_output));
+  if (const double io = take_spill_io(st.partitions, st.map_output.take_io_seconds());
       io > 0.0) {
     wc_.compute(io);
   }
@@ -691,7 +626,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // materializing just their blocks keeps residency near the budget.
   // Each rebuilt partition replaces what this rank held (idempotent under
   // retry: it stays in partitions_missing until the rebuild completes) and
-  // restarts its reduce. A parked store is loaded back to be read.
+  // restarts its reduce.
   std::vector<int> mine;  // ascending, as `missing` is
   for (int p : missing) {
     if (!std::binary_search(owned_.begin(), owned_.end(), p)) continue;
@@ -701,13 +636,14 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   }
   {
     std::map<int, mr::KvBuffer> merged;
+    const MapStores::Make make = make_map_store(stage);
     const auto fill = [&](std::vector<mr::ExchangeRow>& rows, bool&) -> Status {
       for (int p : missing) {
         mr::KvBuffer& block = merged[p];
-        if (auto s = unpark_map_store(st, stage, p); !s.ok()) return s;
-        auto it = st.map_output.find(p);
-        if (it == st.map_output.end()) continue;
-        if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
+        mr::SpillableKvBuffer* store = nullptr;
+        if (auto s = st.map_output.find(p, make, store); !s.ok()) return s;
+        if (store == nullptr) continue;
+        if (auto s = store->for_each_page([&](const mr::KvBuffer& page) {
               block.merge_from(page);
               return Status::Ok();
             });
@@ -732,7 +668,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
     }
   }
   if (auto s = seal_partitions(stage, st, mine); !s.ok()) return s;
-  if (const double io = take_spill_io(st.partitions, take_spill_io(st.map_output));
+  if (const double io = take_spill_io(st.partitions, st.map_output.take_io_seconds());
       io > 0.0) {
     wc_.compute(io);
   }
@@ -844,7 +780,6 @@ Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
   // stage takes its output checkpoints, and NWC drops every stage of a
   // multi-stage job.
   st.map_output.clear();
-  st.parked.clear();
   charge_span("reduce", t0);
   return Status::Ok();
 }

@@ -38,12 +38,12 @@
 #include "core/balancer.hpp"
 #include "core/checkpoint.hpp"
 #include "core/interfaces.hpp"
+#include "core/map_stores.hpp"
 #include "core/master.hpp"
 #include "mr/convert.hpp"
 #include "mr/kv.hpp"
 #include "mr/shuffle.hpp"
 #include "simmpi/comm.hpp"
-#include "storage/segment_store.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -238,14 +238,12 @@ class FtJob {
   /// the stage is done; the other modes free them in the shuffle.
   [[nodiscard]] size_t map_stores_held(int stage) const noexcept {
     const auto it = stages_.find(stage);
-    return it == stages_.end()
-               ? 0
-               : it->second.map_output.size() + it->second.parked.size();
+    return it == stages_.end() ? 0 : it->second.map_output.size();
   }
   /// The parked ones among them.
   [[nodiscard]] size_t map_stores_parked(int stage) const noexcept {
     const auto it = stages_.find(stage);
-    return it == stages_.end() ? 0 : it->second.parked.size();
+    return it == stages_.end() ? 0 : it->second.map_output.parked();
   }
   /// TEST-ONLY: drop a stage's retained state so the next run_stage() call
   /// re-executes it from scratch. This is the iteration-reuse mutation hook
@@ -281,18 +279,6 @@ class FtJob {
     std::unique_ptr<mr::SpillableKmvBuffer> kmv;
   };
 
-  /// A sealed in-core map store parked in the segment store at the map
-  /// boundary: its KV wire image, bytes [at, at + len) of the one run the
-  /// rank's stores of the stage were parked in together. The modeled rank
-  /// still holds these bytes in RAM, so they stay booked on its residency
-  /// meter.
-  struct ParkedStore {
-    storage::SegmentStore::Extent run;
-    uint64_t at = 0;
-    uint64_t len = 0;
-    mr::MeterBooking booking;
-  };
-
   struct StageState {
     StagePhase phase = kPhaseMap;
     // Task-id space marker: file-input stages key `tasks` by input chunk,
@@ -300,11 +286,9 @@ class FtJob {
     // progress in the right space (set by run_stage on every entry).
     bool kv_input = false;
     std::map<uint64_t, TaskProgress> tasks;
-    // Completed map tasks' output, by partition: resident stores, and (in
-    // detect/resume, from the map boundary on) parked ones. A partition is
-    // in at most one of the two maps.
-    std::map<int, mr::SpillableKvBuffer> map_output;
-    std::map<int, ParkedStore> parked;
+    // Completed map tasks' output, by partition (parked by detect/resume
+    // at the map boundary).
+    MapStores map_output;
     // Shuffle-received data, per owned partition; consumed by the convert.
     std::map<int, mr::SpillableKvBuffer> partitions;
     std::set<int> partitions_missing;  // orphans needing NWC rebuild
@@ -363,20 +347,12 @@ class FtJob {
     return opts_.mode == FtMode::kDetectResumeWC ||
            opts_.mode == FtMode::kDetectResumeNWC;
   }
-  /// The stage's spill store for map-output partition p (created on first
-  /// use, budget shared across all P0 partitions).
-  mr::SpillableKvBuffer& map_store(StageState& st, int stage, int p);
-  /// Detect/resume's map boundary: park each sealed in-core map store in
-  /// the segment store (host I/O only: no virtual time, TierStats, fault
-  /// draw or MPI op). A store that cannot be parked, or pages under a
-  /// budget, stays resident.
-  void park_map_stores(StageState& st);
-  /// Load parked map store p back into map_output, record order kept; a
-  /// no-op when p is not parked.
-  Status unpark_map_store(StageState& st, int stage, int p);
-  /// The unbounded shuffle round's blocks: every map store whole, read
-  /// straight from its parked image or, where nothing rebuilds from the
-  /// stores, handed over and released with the framed rows.
+  /// Makes the stage's spill store for map-output partition p (budget
+  /// shared across all P0 partitions).
+  [[nodiscard]] MapStores::Make make_map_store(int stage) const;
+  /// The unbounded shuffle round's blocks: every map store whole, parked
+  /// images read straight from their run or, where nothing rebuilds from
+  /// the stores, resident arenas handed over and released with the rows.
   Status fill_whole_stores(const StageFns& fns, StageState& st,
                            std::vector<mr::ExchangeRow>& rows);
   /// The stage's spill store for owned partition p (created on first use,

@@ -40,16 +40,15 @@ std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts) {
 }
 
 uint64_t ExchangeBlock::records() const noexcept {
-  const std::span<const std::byte> w = wire();
   uint64_t n = 0;
-  if (w.size() >= kCountHeaderBytes) std::memcpy(&n, w.data(), kCountHeaderBytes);
+  if (wire.size() >= kCountHeaderBytes) std::memcpy(&n, wire.data(), kCountHeaderBytes);
   return n;
 }
 
 Bytes frame_row(const ExchangeRow& row) {
   size_t size = sizeof(uint32_t);
   for (const ExchangeBlock& b : row) {
-    size += sizeof(int32_t) + sizeof(uint32_t) + b.wire().size();
+    size += sizeof(int32_t) + sizeof(uint32_t) + b.wire.size();
   }
   Bytes buf;
   buf.reserve(size);
@@ -57,7 +56,7 @@ Bytes frame_row(const ExchangeRow& row) {
   w.put<uint32_t>(static_cast<uint32_t>(row.size()));
   for (const ExchangeBlock& b : row) {
     w.put<int32_t>(b.partition);
-    w.put_blob(b.wire());
+    w.put_blob(b.wire);
   }
   return std::move(w).take();
 }

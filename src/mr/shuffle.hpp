@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -33,25 +34,30 @@ struct ShuffleStats {
 std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts);
 
 /// One block of a row: partition `partition`'s records as a KV wire image
-/// ([u64 count][records], kv.hpp). The image is either borrowed (a
-/// KvBuffer's arena, which must stay unchanged until the row is framed) or
-/// owned (handed over with the block). exchange() reads a block only while
-/// it frames the row, and frees the owned images before the alltoall.
+/// ([u64 count][records], kv.hpp). The image is borrowed (a KvBuffer's
+/// arena or a caller's bytes, which must stay unchanged until the row is
+/// framed), kept alive by `keep` (a buffer several blocks may share, freed
+/// with the last of them), or owned (handed over with the block: held by
+/// `keep` too). exchange() reads a block only while it frames the row, and
+/// drops the blocks, with what they keep, before the alltoall.
 struct ExchangeBlock {
-  ExchangeBlock(int p, std::span<const std::byte> wire) : partition(p), borrowed(wire) {}
+  ExchangeBlock(int p, std::span<const std::byte> image,
+                std::shared_ptr<const void> keep = nullptr)
+      : partition(p), wire(image), keep(std::move(keep)) {}
   ExchangeBlock(int p, const KvBuffer* kv) : ExchangeBlock(p, kv->wire_view()) {}
-  ExchangeBlock(int p, Bytes&& wire) : partition(p), owned(std::move(wire)) {}
+  ExchangeBlock(int p, Bytes&& image)
+      : ExchangeBlock(p, std::make_shared<const Bytes>(std::move(image))) {}
 
-  /// The block's wire image.
-  [[nodiscard]] std::span<const std::byte> wire() const noexcept {
-    return owned.empty() ? borrowed : std::span<const std::byte>(owned);
-  }
   /// Records in the block: the image's count header.
   [[nodiscard]] uint64_t records() const noexcept;
 
   int partition;
-  std::span<const std::byte> borrowed;
-  Bytes owned;
+  std::span<const std::byte> wire;
+  std::shared_ptr<const void> keep;
+
+ private:
+  ExchangeBlock(int p, std::shared_ptr<const Bytes> owned)
+      : ExchangeBlock(p, *owned, owned) {}
 };
 /// One round's blocks for one destination rank, in delivery order.
 using ExchangeRow = std::vector<ExchangeBlock>;

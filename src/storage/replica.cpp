@@ -30,10 +30,7 @@ Status ReplicaStore::put(int holder, std::string_view path, const Extent& blob,
   }
   auto pit = held_.find(path);
   if (pit == held_.end()) pit = held_.emplace(std::string(path), Holders{}).first;
-  if (!pit->second.contains(holder)) {
-    std::vector<std::string_view>& mine = by_holder_[holder];
-    mine.insert(std::lower_bound(mine.begin(), mine.end(), path), pit->first);
-  }
+  by_holder_[holder].insert(pit->first);
   // A torn put keeps a strict prefix of the run, for this holder only.
   previous = std::exchange(pit->second[holder], Extent{blob.run, prefix});
   stats_.bytes_written += prefix;
@@ -104,9 +101,9 @@ void ReplicaStore::remove(int holder, std::string_view path) {
   if (hit == pit->second.end()) return;
   removed = std::move(hit->second);
   pit->second.erase(hit);
-  std::vector<std::string_view>& mine = by_holder_[holder];
-  mine.erase(std::lower_bound(mine.begin(), mine.end(), path));
-  if (mine.empty()) by_holder_.erase(holder);
+  const auto mine = by_holder_.find(holder);
+  mine->second.erase(path);
+  if (mine->second.empty()) by_holder_.erase(mine);
   if (pit->second.empty()) held_.erase(pit);
 }
 

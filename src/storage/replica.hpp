@@ -157,7 +157,8 @@ class ReplicaStore {
   // holder -> the paths it holds, sorted: views of held_'s keys, each
   // dropped here before its key leaves held_. Re-replication walks a
   // rank's own paths and a death drops them, without a scan of held_.
-  std::map<int, std::vector<std::string_view>> by_holder_ FTMR_GUARDED_BY(mu_);
+  std::map<int, std::set<std::string_view, std::less<>>> by_holder_
+      FTMR_GUARDED_BY(mu_);
   Dropped released_ FTMR_GUARDED_BY(mu_);  // wiped ranks' extents
   std::set<int> dead_ FTMR_GUARDED_BY(mu_);
   TierFaults faults_ FTMR_GUARDED_BY(mu_);

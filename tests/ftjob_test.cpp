@@ -1022,6 +1022,77 @@ TEST(ParkedMapStores, OrphanRebuildAfterAReducePhaseKill) {
                          "nwc+combine");
 }
 
+// A store appended to after parking is loaded back and parked again in a
+// run of its own; the whole-store blocks still come in partition order,
+// each in record order, read once per run. Parked bytes stay booked.
+TEST(ParkedMapStores, WholeBlocksSpanEveryRunInPartitionOrder) {
+  World w(0);
+  mr::ResidencyMeter meter;
+  const MapStores::Make make = [&meter](int) {
+    mr::SpillConfig cfg;
+    cfg.meter = &meter;
+    return mr::SpillableKvBuffer(cfg);
+  };
+  std::map<int, std::vector<std::string>> want;
+  MapStores stores;
+  const auto add = [&](int p, int n) {
+    mr::SpillableKvBuffer* store = nullptr;
+    ASSERT_TRUE(stores.open(p, make, store).ok());
+    for (int i = 0; i < n; ++i) {
+      const std::string key = "p" + std::to_string(p) + "i" + std::to_string(want[p].size());
+      ASSERT_TRUE(store->add(key, "v").ok());
+      want[p].push_back(key);
+    }
+  };
+  for (int p : {0, 2, 3, 5}) add(p, p + 1);
+  add(4, 0);  // empty: stays resident
+  want.erase(4);
+  const size_t booked = meter.current;
+  stores.park(w.fs->segments(), &meter);
+  EXPECT_EQ(stores.parked(), 4u);
+  EXPECT_EQ(stores.size(), 5u);
+  EXPECT_EQ(meter.current, booked);
+
+  // Loaded back, appended to and parked again in a second run: the first
+  // run's remaining images no longer start at its offset 0.
+  add(0, 3);
+  EXPECT_EQ(stores.parked(), 3u);
+  stores.park(w.fs->segments(), &meter);
+  EXPECT_EQ(stores.parked(), 4u);
+
+  std::map<int, std::vector<std::string>> got;
+  std::vector<int> order;
+  ASSERT_TRUE(stores
+                  .whole_blocks(false,
+                                [&](mr::ExchangeBlock&& b) {
+                                  mr::KvBuffer kv;
+                                  if (auto s = mr::KvBuffer::deserialize(b.wire, kv);
+                                      !s.ok()) {
+                                    return s;
+                                  }
+                                  order.push_back(b.partition);
+                                  for (size_t i = 0; i < kv.size(); ++i) {
+                                    got[b.partition].emplace_back(kv.view(i).key);
+                                  }
+                                  return Status::Ok();
+                                })
+                  .ok());
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(got, want);
+
+  mr::SpillableKvBuffer* store = nullptr;
+  ASSERT_TRUE(stores.find(3, make, store).ok());
+  ASSERT_NE(store, nullptr);
+  std::vector<std::string> keys;
+  ASSERT_TRUE(store->for_each([&](mr::KvView kv) { keys.emplace_back(kv.key); }).ok());
+  EXPECT_EQ(keys, want[3]);
+  ASSERT_TRUE(stores.find(1, make, store).ok());
+  EXPECT_EQ(store, nullptr);
+  EXPECT_EQ(stores.parked(), 3u);
+  stores.clear();
+  EXPECT_EQ(meter.current, 0u);
+}
+
 TEST(CommitPoint, DeltaFilesPerTaskAndPartition) {
   constexpr int kRanks = 4;
   constexpr int kChunks = 12;

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
+#include <span>
 
 #include "apps/wordcount.hpp"
 #include "common/rng.hpp"
@@ -312,30 +314,46 @@ TEST(Exchange, UnboundedIsOneRoundWithoutVote) {
 
 // A block is read only while its row is framed, before the alltoall: once
 // any rank's alltoall has returned, every rank has framed, so a borrowed
-// image may change and an owned one is gone. The pair count comes from
-// each image's count header.
+// image may change, an owned one is gone, and so is a buffer the blocks of
+// every row kept. The pair count comes from each image's count header.
 TEST(Exchange, BlocksAreBorrowedOnlyUntilTheRowsAreFramed) {
   constexpr int kP = 3;
   std::vector<std::vector<Bytes>> borrowed(kP);  // each rank's lent images
+  std::vector<std::weak_ptr<const Bytes>> kept(kP);  // each rank's shared buffer
   std::vector<std::vector<Delivery>> got(kP);
   std::vector<size_t> sent(kP, 0);
   std::atomic<bool> overwritten{false};
+  std::atomic<int> kept_alive{0};
   Runtime::run(kP, [&](Comm& c) {
     const int me = c.rank();
     std::vector<Bytes>& lent = borrowed[static_cast<size_t>(me)];
     const auto fill = [&](std::vector<ExchangeRow>& rows, bool&) {
+      auto shared = std::make_shared<Bytes>();  // one image per row, back to back
+      std::vector<size_t> at;
       for (int d = 0; d < kP; ++d) {
         lent.push_back(round_block(me, 0, d).serialize());
+        const Bytes image = round_block(me, 3, d).serialize();
+        at.push_back(shared->size());
+        shared->insert(shared->end(), image.begin(), image.end());
       }
+      at.push_back(shared->size());
+      kept[static_cast<size_t>(me)] = shared;
       for (int d = 0; d < kP; ++d) {
-        ExchangeRow& row = rows[static_cast<size_t>(d)];
-        row.emplace_back(10 * d, lent[static_cast<size_t>(d)]);
+        const size_t i = static_cast<size_t>(d);
+        ExchangeRow& row = rows[i];
+        row.emplace_back(10 * d, lent[i]);
         row.emplace_back(10 * d + 1, round_block(me, 1, d).serialize());
         row.emplace_back(10 * d + 2, KvBuffer{}.serialize());  // no records
+        row.emplace_back(10 * d + 3,
+                         std::span<const std::byte>(*shared).subspan(at[i], at[i + 1] - at[i]),
+                         shared);
       }
       return Status::Ok();
     };
     const auto deliver = [&](int sender, int partition, KvBuffer&& kv) {
+      for (const std::weak_ptr<const Bytes>& buffer : kept) {
+        if (!buffer.expired()) kept_alive++;
+      }
       if (!overwritten.exchange(true)) {
         for (std::vector<Bytes>& images : borrowed) {
           for (Bytes& image : images) {
@@ -351,13 +369,15 @@ TEST(Exchange, BlocksAreBorrowedOnlyUntilTheRowsAreFramed) {
     sent[static_cast<size_t>(me)] = st.pairs_sent;
   });
   EXPECT_TRUE(overwritten.load());
+  EXPECT_EQ(kept_alive.load(), 0) << "a kept buffer outlived the framing";
   for (int r = 0; r < kP; ++r) {
-    // Each rank sent s+1 records in each of two blocks to every rank.
-    EXPECT_EQ(sent[static_cast<size_t>(r)], static_cast<size_t>(2 * kP * (r + 1)));
+    // Each rank sent s+1 records in each of three blocks to every rank.
+    EXPECT_EQ(sent[static_cast<size_t>(r)], static_cast<size_t>(3 * kP * (r + 1)));
     std::vector<Delivery> want;
     for (int s = 0; s < kP; ++s) {
       want.push_back({s, 10 * r, keys_of(round_block(s, 0, r))});
       want.push_back({s, 10 * r + 1, keys_of(round_block(s, 1, r))});
+      want.push_back({s, 10 * r + 3, keys_of(round_block(s, 3, r))});
     }
     EXPECT_EQ(got[static_cast<size_t>(r)], want) << "rank " << r;
   }
