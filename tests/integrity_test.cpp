@@ -983,6 +983,85 @@ TEST(DrawOrderParity, SeededWcKillPinsFaultsIntegrityAndTierStats) {
   EXPECT_EQ(sh.read_ops, 121);
 }
 
+// The same pin for a checkpoint/restart job: the first submission is
+// killed mid-map and aborts, the resubmission primes itself from its own
+// checkpoints through the restart read plan (every stage's outputs and the
+// newest stage's partition snapshots before the resume-point allreduce, the
+// map deltas after it) and finishes. Faults stay armed across both
+// submissions, so the restart's reads draw too.
+TEST(DrawOrderParity, SeededCrRestartPinsFaultsIntegrityAndTierStats) {
+  FaultyCluster cl;
+  storage::FaultInjectorConfig fc;
+  fc.seed = 0x9a11a5ULL;  // fixed, not test_seed(): the counts are pinned
+  for (storage::TierFaults* f : {&fc.local, &fc.shared}) {
+    f->p_torn_write = 0.05;
+    f->p_corrupt_read = 0.05;
+    f->p_read_fail = 0.05;
+  }
+  fc.path_filter = "ck/";
+  cl.fs->set_fault_injector(fc);
+
+  const auto submit = [&](const simmpi::JobOptions& jo, IntegrityStats* total) {
+    std::mutex mu;
+    Runtime::run(4, [&](Comm& c) {
+      FtJobOptions o;
+      o.mode = FtMode::kCheckpointRestart;
+      o.ppn = 2;
+      o.ckpt.records_per_ckpt = 16;
+      FtJob job(c, cl.fs.get(), o);
+      Status s = job.run(wc_driver);
+      if (total == nullptr) return;  // the killed submission aborts
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      EXPECT_TRUE(job.resumed_from_checkpoint());
+      const IntegrityStats st = job.ckpt().integrity();
+      std::lock_guard<std::mutex> lock(mu);
+      total->corrupt_frames += st.corrupt_frames;
+      total->io_retries += st.io_retries;
+      total->tier_fallbacks += st.tier_fallbacks;
+      total->files_quarantined += st.files_quarantined;
+      total->segments_reprocessed += st.segments_reprocessed;
+      total->ckpt_write_failures += st.ckpt_write_failures;
+      total->drain_failures += st.drain_failures;
+    }, jo);
+  };
+  simmpi::JobOptions killed;
+  killed.worker_threads = 1;
+  killed.kills.push_back({1, /*vtime=*/-1.0, /*after_ops=*/5});
+  submit(killed, nullptr);
+  simmpi::JobOptions resubmitted;
+  resubmitted.worker_threads = 1;
+  IntegrityStats total;
+  submit(resubmitted, &total);
+  cl.fs->clear_fault_injector();
+  EXPECT_EQ(cl.read_output(), cl.expected);
+
+  const storage::FaultStats f = cl.fs->fault_stats();
+  EXPECT_EQ(f.write_failures, 0);
+  EXPECT_EQ(f.torn_writes, 11);
+  EXPECT_EQ(f.read_failures, 10);
+  EXPECT_EQ(f.corrupt_reads, 10);
+  EXPECT_EQ(f.count_failures, 0);
+
+  EXPECT_EQ(total.corrupt_frames, 13);
+  EXPECT_EQ(total.io_retries, 11);
+  EXPECT_EQ(total.tier_fallbacks, 0);
+  EXPECT_EQ(total.files_quarantined, 2);
+  EXPECT_EQ(total.segments_reprocessed, 0);
+  EXPECT_EQ(total.ckpt_write_failures, 0);
+  EXPECT_EQ(total.drain_failures, 4);
+
+  const storage::TierStats lo = cl.fs->stats(storage::Tier::kLocal);
+  EXPECT_EQ(lo.bytes_written, 199089u);
+  EXPECT_EQ(lo.bytes_read, 335391u);
+  EXPECT_EQ(lo.write_ops, 90);
+  EXPECT_EQ(lo.read_ops, 135);
+  const storage::TierStats sh = cl.fs->stats(storage::Tier::kShared);
+  EXPECT_EQ(sh.bytes_written, 405883u);
+  EXPECT_EQ(sh.bytes_read, 259025u);
+  EXPECT_EQ(sh.write_ops, 195);
+  EXPECT_EQ(sh.read_ops, 123);
+}
+
 TEST(FaultyRecovery, RestartFallsBackAcrossTiersForTornLocalFiles) {
   // Checkpoint/restart (Sec. 4.1): first submission killed mid-map, then
   // the job is resubmitted. Between submissions the node-local files of
