@@ -105,18 +105,11 @@ constexpr char kPart[] = "part";
 constexpr char kRed[] = "red";
 constexpr char kOut[] = "out";
 
-/// The read plan (see LoadFilter): whether adopting a stage at `phase`
-/// consumes checkpoints of `kind`.
-bool consumed_at(const std::string& kind, StagePhase phase) {
-  switch (phase) {
-    case kPhaseDone:
-      return kind == kOut;
-    case kPhaseShuffleDone:
-      return kind == kPart || kind == kRed;
-    case kPhaseMap:
-      return kind == kMap;
-  }
-  return true;
+/// The CkptKind bit of a kind as it appears in file names.
+unsigned kind_bit(const std::string& kind) {
+  return kind == kMap ? kKindMap : kind == kPart ? kKindPart
+                                 : kind == kRed  ? kKindRed
+                                                 : kKindOut;
 }
 
 std::string base_name(const char* kind, int stage, uint64_t id, int seq) {
@@ -853,12 +846,10 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
   return {ErrorCode::kCorrupt, "no valid replica of " + path};
 }
 
-Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
-                                          int src_rank, int src_node,
-                                          bool from_shared, double horizon,
-                                          RankRecovery& out,
-                                          const LoadFilter& filter) {
-  const std::string rank_dir = checkpoint_rank_dir(src_rank);
+Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, const CkptRead& read,
+                                          int src_node, bool from_shared,
+                                          double horizon, RankRecovery& out) {
+  const std::string rank_dir = checkpoint_rank_dir(read.rank);
   const storage::Tier tier =
       from_shared ? storage::Tier::kShared : storage::Tier::kLocal;
   std::vector<std::string> names;
@@ -883,25 +874,20 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
     }
   }
 
-  // Sorted names give sequence order per (kind, id). Filter to this stage,
-  // to the kinds the resume phase consumes, to the caller's assigned
-  // tasks/partitions, and (for shared reads) to checkpoints drained before
-  // the horizon.
+  // Sorted names give sequence order per (kind, id). Filter to the read's
+  // stage, kinds and ids, and (for shared reads) to checkpoints drained
+  // before the horizon.
   std::vector<std::pair<CkptFileName, std::string>> files;
   for (const std::string& n : names) {
     CkptFileName p;
     if (!parse_checkpoint_name(n, p)) continue;
-    if (p.stage != stage) continue;
+    if (p.stage != read.stage) continue;
     if (from_shared && horizon >= 0.0 &&
         p.drained_usec > static_cast<int64_t>(horizon * 1e6)) {
       continue;  // this checkpoint had not finished draining — lost
     }
-    if (filter.phase && !consumed_at(p.kind, *filter.phase)) continue;
-    if (p.kind == kMap && filter.tasks && !filter.tasks->count(p.id)) continue;
-    if (p.kind != kMap && filter.partitions &&
-        !filter.partitions->count(static_cast<int>(p.id))) {
-      continue;
-    }
+    if (!(read.kinds & kind_bit(p.kind))) continue;
+    if (!read.every_id && !read.ids.count(p.id)) continue;
     files.emplace_back(std::move(p), n);
   }
   std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
@@ -918,7 +904,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
     std::vector<std::string> paths;
     paths.reserve(files.size());
     for (const auto& [p, n] : files) paths.push_back(rank_dir + "/" + n);
-    if (auto s = prefetch->start(paths, "prefetch/r" + std::to_string(src_rank),
+    if (auto s = prefetch->start(paths, "prefetch/r" + std::to_string(read.rank),
                                  comm.now());
         !s.ok()) {
       return s;
@@ -968,16 +954,17 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         if (!extend_chain(mt.pos, mt.kv, start, pos, delta)) {
           poisoned.insert({p.kind, p.id});
         }
-      } else if (p.kind == kPart) {
+      } else if (p.kind == kPart || p.kind == kOut) {
         int32_t part = 0;
         Bytes blob;
         if (auto s = r.get(part); !s.ok()) return s;
         if (auto s = r.get_blob(blob); !s.ok()) return s;
         mr::KvBuffer kv;
         if (auto s = kv.adopt(std::move(blob)); !s.ok()) return s;
-        out.partitions[part] = std::move(kv);  // snapshot: newest wins
-        part_seq_applied[part] = p.seq;
-      } else if (p.kind == kRed) {
+        // A snapshot: the newest wins.
+        (p.kind == kPart ? out.partitions : out.stage_outputs)[part] = std::move(kv);
+        if (p.kind == kPart) part_seq_applied[part] = p.seq;
+      } else {  // kRed
         int32_t part = 0;
         uint64_t start = 0, done = 0;
         Bytes blob;
@@ -997,14 +984,6 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         if (!extend_chain(rr.entries_done, rr.out, start, done, delta)) {
           poisoned.insert({p.kind, p.id});
         }
-      } else if (p.kind == kOut) {
-        int32_t part = 0;
-        Bytes blob;
-        if (auto s = r.get(part); !s.ok()) return s;
-        if (auto s = r.get_blob(blob); !s.ok()) return s;
-        mr::KvBuffer kv;
-        if (auto s = kv.adopt(std::move(blob)); !s.ok()) return s;
-        out.stage_outputs[part] = std::move(kv);  // snapshot: newest wins
       }
       return Status::Ok();
     };

@@ -31,7 +31,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -130,6 +129,25 @@ struct CkptOptions {
   int memory_replication_k = 0;
 };
 
+/// How far a stage got on one rank. Values are ordered; the composite
+/// (stage*8 + phase) is what checkpoint/restart ranks agree on.
+enum StagePhase : int { kPhaseMap = 0, kPhaseShuffleDone = 1, kPhaseDone = 2 };
+
+/// Checkpoint kinds as bits, so a read names the kinds it reads.
+enum CkptKind : unsigned { kKindMap = 1, kKindPart = 2, kKindRed = 4, kKindOut = 8,
+                           kEveryKind = 15 };
+
+/// The kinds adopting a stage at `phase` consumes:
+///   kPhaseDone        — out
+///   kPhaseShuffleDone — part and red (one pass: a red delta's staleness
+///                       check needs its partition snapshot's sequence)
+///   kPhaseMap         — map
+[[nodiscard]] constexpr unsigned kinds_read_at(StagePhase phase) noexcept {
+  return phase == kPhaseDone          ? kKindOut
+         : phase == kPhaseShuffleDone ? kKindPart | kKindRed
+                                      : kKindMap;
+}
+
 /// Everything recoverable about one (rank, stage) from its checkpoints.
 struct RankRecovery {
   struct MapTask {
@@ -150,25 +168,29 @@ struct RankRecovery {
   size_t corrupt_frames = 0;   // verification failures observed
   size_t tier_fallbacks = 0;   // files served from the other tier's replica
   size_t quarantined = 0;      // files with no valid replica (work lost)
+
+  /// Drop what was read of every kind outside `kinds` (CkptKind bits).
+  void keep(unsigned kinds) {
+    if (!(kinds & kKindMap)) map_tasks.clear();
+    if (!(kinds & kKindPart)) partitions.clear();
+    if (!(kinds & kKindRed)) reduce.clear();
+    if (!(kinds & kKindOut)) stage_outputs.clear();
+  }
 };
 
-/// How far a stage got on one rank. Values are ordered; the composite
-/// (stage*8 + phase) is what checkpoint/restart ranks agree on.
-enum StagePhase : int { kPhaseMap = 0, kPhaseShuffleDone = 1, kPhaseDone = 2 };
-
-/// Optional selection when loading a rank's checkpoints: a survivor only
-/// reads the files covering the tasks/partitions it was assigned, so the
-/// aggregate recovery I/O stays proportional to the dead rank's data; and a
-/// load for a stage resumed at `phase` reads only the kinds that phase
-/// consumes (the read plan):
-///   kPhaseDone        — out
-///   kPhaseShuffleDone — part and red (one pass: a red delta's staleness
-///                       check needs its partition snapshot's sequence)
-///   kPhaseMap         — map
-struct LoadFilter {
-  const std::set<uint64_t>* tasks = nullptr;  // map checkpoints
-  const std::set<int>* partitions = nullptr;  // part/red/out checkpoints
-  std::optional<StagePhase> phase = std::nullopt;  // unset: every kind
+/// One read of the read plan: rank `rank`'s checkpoints of `stage`, of the
+/// `kinds`. Unless `every_id`, only those whose id is in `ids` (the task
+/// of a map checkpoint, the partition of the others): a survivor reads
+/// only the files covering the work it inherited, so the aggregate
+/// recovery I/O stays proportional to the dead rank's data. A
+/// detect/resume survivor's reads come from core/recovery_plan.hpp; a
+/// restarted job reads every id of its own.
+struct CkptRead {
+  int stage = 0;
+  int rank = 0;
+  unsigned kinds = kEveryKind;  // CkptKind bits
+  bool every_id = true;
+  std::set<uint64_t> ids{};
 };
 
 /// Thread model: a CheckpointManager is confined to its rank's thread (one
@@ -260,7 +282,7 @@ class CheckpointManager {
   /// Stages for which rank `src_rank` has any checkpoint on the given tier.
   std::set<int> stages_present(int src_rank, int src_node, bool from_shared) const;
 
-  /// Load rank `src_rank`'s checkpoints for `stage`.
+  /// Load what `read` names of rank `read.rank`'s checkpoints.
   ///   from_shared=false — read the rank's own node-local files (restart on
   ///     the same node after a process crash);
   ///   from_shared=true  — read the drained copies (detect/resume WC reads
@@ -273,9 +295,8 @@ class CheckpointManager {
   /// quarantined — recovery loses bounded work but never aborts on bad
   /// bytes and never ingests garbage. Outcomes are counted in `out` and in
   /// integrity().
-  Status load_rank_stage(simmpi::Comm& comm, int stage, int src_rank, int src_node,
-                         bool from_shared, double horizon, RankRecovery& out,
-                         const LoadFilter& filter = LoadFilter{});
+  Status load_rank_stage(simmpi::Comm& comm, const CkptRead& read, int src_node,
+                         bool from_shared, double horizon, RankRecovery& out);
 
   [[nodiscard]] const CkptOptions& options() const noexcept { return opts_; }
   [[nodiscard]] storage::CopierAgent& copier() noexcept { return copier_; }

@@ -13,7 +13,6 @@
 namespace ftmr::core {
 
 namespace {
-constexpr int kMaxStagesScan = 64;  // prime scan bound for CR restarts
 
 /// Spill I/O time the stores accrued since the last call, added in store
 /// order onto `io` (chaining two calls keeps one left-to-right sum).
@@ -27,10 +26,10 @@ double take_spill_io(std::map<int, mr::SpillableKvBuffer>& stores,
 FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
     : world_(world), wc_(world), fs_(fs), opts_(std::move(opts)),
       p0_(world.size()) {
-  part_owner_.resize(static_cast<size_t>(p0_));
-  for (int p = 0; p < p0_; ++p) part_owner_[p] = p;  // identity group at start
+  owners_.part_owner.resize(static_cast<size_t>(p0_));
+  for (int p = 0; p < p0_; ++p) owners_.part_owner[p] = p;  // identity group at start
   const int me = world_.global_rank();
-  if (me < p0_) owned_.push_back(me);
+  if (me < p0_) owners_.owned.push_back(me);
 
   master_ = std::make_unique<DistributedMaster>(wc_);
   ckpt_ = std::make_unique<CheckpointManager>(fs_, node(), world_.global_rank(),
@@ -183,12 +182,12 @@ size_t FtJob::pending_delta_bytes() const noexcept {
 }
 
 int FtJob::owner_rel(int partition) const {
-  return wc_.rel_of_global(part_owner_[static_cast<size_t>(partition)]);
+  return wc_.rel_of_global(owners_.part_owner[static_cast<size_t>(partition)]);
 }
 
 int FtJob::task_owner(uint64_t t) const {
-  const auto it = task_reassign_.find(t);
-  return it != task_reassign_.end() ? it->second : assign_task_to_rank(t, p0_);
+  const auto it = owners_.task_reassign.find(t);
+  return it != owners_.task_reassign.end() ? it->second : assign_task_to_rank(t, p0_);
 }
 
 std::vector<uint64_t> FtJob::my_task_ids(bool kv_input) const {
@@ -629,7 +628,7 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // restarts its reduce.
   std::vector<int> mine;  // ascending, as `missing` is
   for (int p : missing) {
-    if (!std::binary_search(owned_.begin(), owned_.end(), p)) continue;
+    if (!std::binary_search(owners_.owned.begin(), owners_.owned.end(), p)) continue;
     mine.push_back(p);
     st.partitions.erase(p);
     st.reduce.erase(p);
@@ -917,7 +916,46 @@ void FtJob::recover() {
   }
   FTMR_INFO << "rank " << world_.global_rank() << " recovering; "
             << new_dead.size() << " newly dead, comm now " << wc_.size();
-  patch_state_after_shrink(new_dead);
+  if (!new_dead.empty()) {
+    // Every collective input is gathered before any state changes.
+    // Collectives fail uniformly in simmpi, so either every survivor gets
+    // past them and applies the identical plan, or none does. Nothing from
+    // the plan's loads to the known_dead_ update below can unwind (no
+    // check()), so each dead rank's checkpoints are loaded exactly once.
+    //
+    // Failure horizon: checkpoints that had not drained by the earliest
+    // detection time are treated as lost.
+    double horizon = wc_.now();
+    (void)check(wc_.allreduce_one(simmpi::ReduceOp::kMin, wc_.now(), horizon));
+    RecoveryInputs in;
+    if (opts_.load_balance) {
+      (void)check(LoadBalancer::exchange_models(wc_, master_->local_model(), in.models));
+    } else {
+      in.models.assign(static_cast<size_t>(wc_.size()), LinearModel{});
+    }
+    in.me = world_.global_rank();
+    in.work_conserving = opts_.mode != FtMode::kDetectResumeNWC;
+    in.new_dead = new_dead;
+    in.dead = union_dead;  // holds known_dead_: the world comm never shrinks
+    for (int rel = 0; rel < wc_.size(); ++rel) in.live.push_back(wc_.global_of_rel(rel));
+    in.owners = owners_;
+    // A failure before the first run_stage (e.g. during job construction)
+    // arrives here with `chunks_` still unlisted; without the listing the
+    // dead ranks' stage-0 tasks would keep their hash-default owners and
+    // silently never execute. The listing is deterministic (shared tier),
+    // so every survivor derives the identical task census.
+    if (auto s = list_chunks(); !s.ok()) {
+      FTMR_WARN << "rank " << world_.global_rank()
+                << " could not list input chunks during recovery: "
+                << s.to_string();
+    }
+    for (const std::string& c : chunks_) {
+      in.chunk_bytes.push_back(
+          fs_->file_size(storage::Tier::kShared, node(), opts_.input_dir + "/" + c));
+    }
+    for (const auto& [sid, st] : stages_) in.stages.push_back({sid, st.phase, st.kv_input});
+    apply_plan(plan_recovery(in), horizon);
+  }
   for (int d : new_dead) known_dead_.insert(d);
 
   // 5. Restore the memory tier's replication invariant before any new work
@@ -930,178 +968,50 @@ void FtJob::recover() {
   }
 }
 
-void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
-  if (new_dead.empty()) return;
+void FtJob::apply_plan(const RecoveryPlan& plan, double horizon) {
+  owners_ = plan.owners;
+  if (plan.drop_stages) stages_.clear();
+  if (plan.rebuild) {
+    StageState& st = stages_.at(0);
+    st.partitions_missing.insert(plan.missing.begin(), plan.missing.end());
+    for (uint64_t t : plan.tasks) st.tasks[t] = TaskProgress{};
+  }
+  // Work-conserving (WC): read the dead ranks' checkpoints from the shared
+  // storage, only the files covering the work this rank inherited.
+  for (const CkptRead& read : plan.reads) {
+    StageState& st = stages_.at(read.stage);
+    RankRecovery rec;
+    if (Status s = load(read, /*from_shared=*/true, horizon, "recovery_io", rec);
+        !s.ok()) {
+      FTMR_WARN << "WC recovery load failed for rank " << read.rank << " stage "
+                << read.stage << ": " << s.to_string();
+    }
+    // A kv-input stage's map tasks are partitions, so the dead rank's
+    // progress must land on the rank that inherited the *partition*. Keying
+    // by inherited file tasks would park the restored output on a rank that
+    // never runs the task — and since the shuffle merges every entry in
+    // st.tasks, the partition owner's re-execution would then be counted
+    // alongside it, duplicating the task's records. A partition checkpoint
+    // missing (not drained in time, or quarantined as corrupt) falls back
+    // to the NWC rebuild; the inherited map tasks are seeded so the
+    // patch-up re-execution covers them.
+    const std::set<uint64_t> inherited = plan.tasks_of(st.kv_input);
+    const std::vector<int> missing =
+        adopt_stage(st, read.stage, rec, inherited, plan.partitions);
+    for (int p : missing) st.partitions_missing.insert(p);
+    if (!missing.empty()) {
+      for (uint64_t t : inherited) st.tasks.try_emplace(t);
+    }
+  }
+}
 
-  // NOTE ordering invariant: every communication below happens *before*
-  // any state mutation. Collectives fail uniformly in simmpi, so either
-  // every survivor reaches the mutation section (and applies the same
-  // deterministic updates from the same gathered inputs), or none does.
-
-  // Failure horizon: checkpoints that had not drained by the earliest
-  // detection time are treated as lost.
-  double horizon = wc_.now();
-  (void)check(wc_.allreduce_one(simmpi::ReduceOp::kMin, wc_.now(), horizon));
-
-  // Load-balancer models of every survivor (identical vector everywhere).
-  std::vector<LinearModel> models;
-  if (opts_.load_balance) {
-    (void)check(LoadBalancer::exchange_models(wc_, master_->local_model(), models));
-  } else {
-    models.assign(static_cast<size_t>(wc_.size()), LinearModel{});
-  }
-  // known_dead_ is updated by the caller *after* this function succeeds;
-  // build the effective dead set here.
-  std::set<int> dead_now = known_dead_;
-  for (int d : new_dead) dead_now.insert(d);
-
-  // --- Reassign the dead ranks' partitions (deterministically). ---
-  std::vector<int> orphan_parts;
-  for (int p = 0; p < p0_; ++p) {
-    if (dead_now.count(part_owner_[static_cast<size_t>(p)])) {
-      orphan_parts.push_back(p);
-    }
-  }
-  {
-    std::vector<double> weights(orphan_parts.size(), 1.0);
-    std::vector<double> finish(static_cast<size_t>(wc_.size()), 0.0);
-    // Survivors keep their own partitions; seed their predicted finish with
-    // the number of partitions they already own.
-    for (int p = 0; p < p0_; ++p) {
-      const int rel = owner_rel(p);
-      if (rel >= 0) finish[static_cast<size_t>(rel)] += 1.0;
-    }
-    const std::vector<int> owner =
-        LoadBalancer::assign(weights, models, std::move(finish));
-    const int me = world_.global_rank();
-    const auto kept = static_cast<ptrdiff_t>(owned_.size());
-    for (size_t i = 0; i < orphan_parts.size(); ++i) {
-      const int g = wc_.global_of_rel(owner[i]);
-      part_owner_[static_cast<size_t>(orphan_parts[i])] = g;
-      if (g == me) owned_.push_back(orphan_parts[i]);
-    }
-    std::inplace_merge(owned_.begin(), owned_.begin() + kept, owned_.end());
-  }
-
-  // --- Reassign the dead ranks' file tasks. ---
-  // A failure before the first run_stage (e.g. during job construction)
-  // arrives here with `chunks_` still unlisted; without the listing the
-  // dead ranks' stage-0 tasks would keep their hash-default owners and
-  // silently never execute. The listing is deterministic (shared tier),
-  // so every survivor derives the identical task census.
-  if (auto s = list_chunks(); !s.ok()) {
-    FTMR_WARN << "rank " << world_.global_rank()
-              << " could not list input chunks during recovery: "
-              << s.to_string();
-  }
-  std::vector<uint64_t> orphan_tasks;
-  for (uint64_t t = 0; t < chunks_.size(); ++t) {
-    if (dead_now.count(task_owner(t))) orphan_tasks.push_back(t);
-  }
-  {
-    std::vector<double> weights;
-    weights.reserve(orphan_tasks.size());
-    for (uint64_t t : orphan_tasks) {
-      const int64_t sz = fs_->file_size(storage::Tier::kShared, node(),
-                                        opts_.input_dir + "/" + chunks_[t]);
-      weights.push_back(sz > 0 ? static_cast<double>(sz) : 1.0);
-    }
-    std::vector<double> finish(static_cast<size_t>(wc_.size()), 0.0);
-    const std::vector<int> owner =
-        LoadBalancer::assign(weights, models, std::move(finish));
-    for (size_t i = 0; i < orphan_tasks.size(); ++i) {
-      task_reassign_[orphan_tasks[i]] = wc_.global_of_rel(owner[i]);
-    }
-  }
-  // The work this rank inherited: dead ranks' file tasks and partitions.
-  const int me = world_.global_rank();
-  std::set<uint64_t> my_new_tasks;
-  for (uint64_t t : orphan_tasks) {
-    if (task_owner(t) == me) my_new_tasks.insert(t);
-  }
-  std::set<int> my_new_parts;
-  for (int p : orphan_parts) {
-    if (part_owner_[static_cast<size_t>(p)] == me) my_new_parts.insert(p);
-  }
-
-  // --- Per-stage state patching. ---
-  if (opts_.mode == FtMode::kDetectResumeNWC) {
-    // Non-work-conserving (Sec. 4.2.2): the lost work is re-executed. Any
-    // completed stage whose outputs lived (partly) in dead memory cannot be
-    // reconstructed without its inputs, so a multi-stage job falls all the
-    // way back to stage 0 — previously finished work is lost, exactly the
-    // behaviour Figs. 11/12 show under continuous failures.
-    int cur_stage = stage_cursor_ > 0 ? stage_cursor_ - 1 : 0;
-    for (const auto& [sid, st] : stages_) {
-      if (st.phase != kPhaseDone) {
-        cur_stage = sid;
-        break;
-      }
-      cur_stage = sid + 1;
-    }
-    const bool multi_stage = cur_stage > 0 || stages_.size() > 1;
-    if (multi_stage) {
-      stages_.clear();
-      return;
-    }
-    auto sit = stages_.find(cur_stage);
-    if (sit == stages_.end()) return;
-    StageState& st = sit->second;
-    if (st.phase == kPhaseMap) {
-      // Dead tasks simply re-run from scratch on their new owners: drop any
-      // state (there is none on this rank) — nothing else to do, the map
-      // loop will execute them because my_task_ids() now includes them.
-      return;
-    }
-    // Reduce-phase failure: the dead ranks' partitions are orphaned; their
-    // content is rebuilt from the survivors' retained map outputs plus the
-    // re-executed dead map tasks.
-    for (int p : orphan_parts) st.partitions_missing.insert(p);
-    for (uint64_t t : my_new_tasks) st.tasks[t] = TaskProgress{};
-    return;
-  }
-
-  // Work-conserving (WC): survivors read the dead ranks' checkpoints from
-  // the shared storage — only the files covering the work they inherited.
-  // A kv-input stage's map tasks are partitions, so the dead rank's
-  // progress must land on the rank that inherited the *partition*. Keying
-  // by inherited file tasks would park the restored output on a rank that
-  // never runs the task — and since the shuffle merges every entry in
-  // st.tasks, the partition owner's re-execution would then be counted
-  // alongside it, duplicating the task's records.
-  const std::set<uint64_t> my_new_part_tasks(my_new_parts.begin(),
-                                             my_new_parts.end());
-  const std::vector<int> my_new_part_list(my_new_parts.begin(), my_new_parts.end());
-  for (int d : new_dead) {
-    const int d_node = d / opts_.ppn;
-    for (auto& [sid, st] : stages_) {
-      if (!wc_loaded_.insert({d, sid}).second) continue;
-      RankRecovery rec;
-      LoadFilter filter;
-      filter.tasks = &my_new_tasks;
-      filter.partitions = &my_new_parts;
-      filter.phase = st.phase;  // only what adopt_stage consumes below
-      const double r0 = wc_.now();
-      Status s = ckpt_->load_rank_stage(wc_, sid, d, d_node, /*from_shared=*/true,
-                                        horizon, rec, filter);
-      charge_span("recovery_io", r0);
-      if (!s.ok()) {
-        FTMR_WARN << "WC recovery load failed for rank " << d << " stage " << sid
-                  << ": " << s.to_string();
-      }
-      const std::set<uint64_t>& inherited =
-          st.kv_input ? my_new_part_tasks : my_new_tasks;
-      // A partition checkpoint missing (not drained in time, or quarantined
-      // as corrupt) falls back to the NWC rebuild; the inherited map tasks
-      // are seeded so the patch-up re-execution covers them.
-      const std::vector<int> missing =
-          adopt_stage(st, sid, rec, inherited, my_new_part_list);
-      for (int p : missing) st.partitions_missing.insert(p);
-      if (!missing.empty()) {
-        for (uint64_t t : inherited) st.tasks.try_emplace(t);
-      }
-    }
-  }
+Status FtJob::load(const CkptRead& read, bool from_shared, double horizon,
+                   const char* bucket, RankRecovery& rec) {
+  const double r0 = wc_.now();
+  const Status s = ckpt_->load_rank_stage(wc_, read, read.rank / opts_.ppn,
+                                          from_shared, horizon, rec);
+  charge_span(bucket, r0);
+  return s;
 }
 
 std::vector<int> FtJob::adopt_stage(StageState& st, int stage, RankRecovery& rec,
@@ -1146,7 +1056,16 @@ std::vector<int> FtJob::adopt_stage(StageState& st, int stage, RankRecovery& rec
         const auto it = rec.partitions.find(p);
         if (it == rec.partitions.end()) {
           if (rec.quarantined > 0) ckpt_->note_segments_reprocessed(1);
-          missing.push_back(p);
+          // A partition whose snapshot is lost but whose reduce finished
+          // keeps its output snapshot (a restart reads it) as the finished
+          // reduce; reducing it again would start from an empty partition.
+          const auto oit = rec.stage_outputs.find(p);
+          if (oit == rec.stage_outputs.end()) {
+            missing.push_back(p);
+            continue;
+          }
+          st.reduce[p].done = true;
+          st.outputs[p] = std::move(oit->second);
           continue;
         }
         st.partitions.erase(p);
@@ -1175,21 +1094,19 @@ void FtJob::prime_from_own_checkpoints() {
   const bool shared = opts_.restart_read_shared;
   const int me = world_.global_rank();
   const std::set<int> present = ckpt_->stages_present(me, node(), shared);
+  const int newest = present.empty() ? -1 : *present.rbegin();
   const std::vector<int>& owned = owned_partitions();
   const auto covers_owned = [&owned](const std::map<int, mr::KvBuffer>& m) {
     return std::all_of(owned.begin(), owned.end(),
                        [&m](int p) { return m.count(p) > 0; });
   };
-  // Reads into `rec` the checkpoints of stage `sid` that resuming it at
-  // `phase` consumes (the read plan, LoadFilter::phase).
-  const auto load = [&](int sid, StagePhase phase, RankRecovery& rec) {
-    LoadFilter filter;
-    filter.phase = phase;
-    const double r0 = wc_.now();
-    Status s = ckpt_->load_rank_stage(wc_, sid, me, node(), shared,
-                                      /*horizon=*/-1.0, rec, filter);
-    charge_span("init_recover", r0);
-    return s;
+  const auto read = [&](int sid, unsigned kinds, RankRecovery& rec) {
+    return load({.stage = sid, .rank = me, .kinds = kinds}, shared, /*horizon=*/-1.0,
+                "init_recover", rec);
+  };
+  // What step 1 below reads of stage `sid`.
+  const auto step1_kinds = [&](int sid) {
+    return kKindOut | (sid == newest ? kinds_read_at(kPhaseShuffleDone) : 0u);
   };
   // Step 1, my local resume candidate: the furthest (stage, phase) my
   // checkpoints support, read from the snapshots that claim it. Every stage
@@ -1206,15 +1123,14 @@ void FtJob::prime_from_own_checkpoints() {
     StagePhase phase = kPhaseMap;
     RankRecovery rec;
   };
-  const auto scanned = present.lower_bound(kMaxStagesScan);
-  const int newest = scanned == present.begin() ? -1 : *std::prev(scanned);
   int64_t my_composite = 0;
   std::map<int, Claim> claims;
-  for (auto it = present.begin(); it != scanned; ++it) {
-    const int sid = *it;
+  for (const int sid : present) {
     Claim c;
-    if (!load(sid, kPhaseDone, c.rec).ok()) continue;
-    if (sid == newest && !load(sid, kPhaseShuffleDone, c.rec).ok()) continue;
+    if (!read(sid, kKindOut, c.rec).ok()) continue;
+    if (sid == newest && !read(sid, kinds_read_at(kPhaseShuffleDone), c.rec).ok()) {
+      continue;
+    }
     if (!c.rec.stage_outputs.empty() && covers_owned(c.rec.stage_outputs)) {
       c.phase = kPhaseDone;
     } else if (!c.rec.partitions.empty() && covers_owned(c.rec.partitions)) {
@@ -1245,29 +1161,16 @@ void FtJob::prime_from_own_checkpoints() {
     st.phase = sid < agreed_stage ? kPhaseDone : agreed_phase;
     // Step 2: read what the applied phase consumes and step 1 did not — the
     // map deltas of a stage resumed in its map phase, or the partition
-    // snapshots of an older stage another rank had not finished. What the
-    // applied phase does not consume is dropped first.
-    if (st.phase == kPhaseMap) c.rec.stage_outputs.clear();
-    if (st.phase != kPhaseShuffleDone) {
-      c.rec.partitions.clear();
-      c.rec.reduce.clear();
-    }
-    if (st.phase == kPhaseMap ||
-        (st.phase == kPhaseShuffleDone && sid != newest)) {
-      (void)load(sid, st.phase, c.rec);
+    // snapshots of an older stage another rank had not finished. What
+    // adopt_stage does not take at that phase is dropped first.
+    c.rec.keep(kinds_read_at(st.phase) |
+               (st.phase == kPhaseShuffleDone ? kKindOut : 0u));
+    if (const unsigned rest = kinds_read_at(st.phase) & ~step1_kinds(sid); rest != 0) {
+      (void)read(sid, rest, c.rec);
     }
     std::set<uint64_t> tasks;
     for (const auto& [t, m] : c.rec.map_tasks) tasks.insert(t);
-    // A partition resumed after the shuffle whose snapshot is lost, but
-    // whose reduce had finished here, keeps its output snapshot (read in
-    // step 1) as the finished reduce; reducing it again would start from
-    // an empty partition.
-    for (int p : adopt_stage(st, sid, c.rec, tasks, owned)) {
-      const auto it = c.rec.stage_outputs.find(p);
-      if (it == c.rec.stage_outputs.end()) continue;
-      st.reduce[p].done = true;
-      st.outputs[p] = std::move(it->second);
-    }
+    adopt_stage(st, sid, c.rec, tasks, owned);
   }
   primed_from_ckpt_ = !stages_.empty();
   if (primed_from_ckpt_) {

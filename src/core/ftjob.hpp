@@ -40,6 +40,7 @@
 #include "core/interfaces.hpp"
 #include "core/map_stores.hpp"
 #include "core/master.hpp"
+#include "core/recovery_plan.hpp"
 #include "mr/convert.hpp"
 #include "mr/kv.hpp"
 #include "mr/shuffle.hpp"
@@ -190,7 +191,7 @@ class FtJob {
   [[nodiscard]] int initial_size() const noexcept { return p0_; }
   [[nodiscard]] int node() const noexcept;
   [[nodiscard]] const std::vector<int>& partition_owners() const noexcept {
-    return part_owner_;
+    return owners_.part_owner;
   }
   [[nodiscard]] DistributedMaster& master() noexcept { return *master_; }
   [[nodiscard]] CheckpointManager& ckpt() noexcept { return *ckpt_; }
@@ -210,7 +211,7 @@ class FtJob {
   /// Stage-0 file tasks reassigned away from their hash-default owner
   /// (task id -> inheriting global rank), accumulated across recoveries.
   [[nodiscard]] const std::map<uint64_t, int>& task_reassignments() const noexcept {
-    return task_reassign_;
+    return owners_.task_reassign;
   }
   /// Global ranks this rank knows to be dead (post-census union).
   [[nodiscard]] const std::set<int>& known_dead() const noexcept {
@@ -365,24 +366,32 @@ class FtJob {
   /// "Out-of-core KV" for the writer choice).
   Status checkpoint_partition(StageState& st, int stage, int p);
   void recover();
-  void patch_state_after_shrink(const std::vector<int>& new_dead);
+  /// Apply a detect/resume recovery plan (core/recovery_plan.hpp): the new
+  /// owner tables, the NWC drop or rebuild, and each WC read through load()
+  /// and adopt_stage(). `horizon` bounds the drained checkpoints it reads.
+  void apply_plan(const RecoveryPlan& plan, double horizon);
   void prime_from_own_checkpoints();
+  /// The one load step of recovery and restart priming: read what `read`
+  /// names into `rec`, charging the time to `bucket`.
+  Status load(const CkptRead& read, bool from_shared, double horizon,
+              const char* bucket, RankRecovery& rec);
   /// The one adoption step of recovered checkpoint state, shared by
   /// work-conserving recovery and checkpoint/restart priming (the callers
   /// set st.phase, choose what to adopt and load `rec` with the kinds
-  /// st.phase consumes; see LoadFilter::phase). By st.phase: kPhaseDone adopts
+  /// st.phase consumes, kinds_read_at). By st.phase: kPhaseDone adopts
   /// the stage outputs of `parts`; kPhaseMap adopts each of `tasks` whose
   /// recovered cursor is newer than the one held, with its KV split into
   /// the P0 parts (testing_break_recovery keeps the cursor and drops the
   /// KV); kPhaseShuffleDone adopts the partitions of `parts` and their
-  /// reduce progress. Returns the partitions of `parts` whose shuffle-end
-  /// checkpoint `rec` lacks.
+  /// reduce progress, or a finished partition's output snapshot in place
+  /// of a lost partition snapshot. Returns the partitions of `parts` it
+  /// could adopt neither way.
   std::vector<int> adopt_stage(StageState& st, int stage, RankRecovery& rec,
                                const std::set<uint64_t>& tasks,
                                std::span<const int> parts);
   /// Partitions this rank owns, ascending.
   [[nodiscard]] const std::vector<int>& owned_partitions() const noexcept {
-    return owned_;
+    return owners_.owned;
   }
   /// Global rank that runs stage-0 file task t.
   [[nodiscard]] int task_owner(uint64_t t) const;
@@ -414,11 +423,8 @@ class FtJob {
   std::unique_ptr<CheckpointManager> ckpt_;
 
   std::vector<std::string> chunks_;        // stage-0 input chunk names
-  std::vector<int> part_owner_;            // partition -> global rank
-  std::vector<int> owned_;                 // p with part_owner_[p] == me, ascending
-  std::map<uint64_t, int> task_reassign_;  // stage-0 task -> new global rank
+  Owners owners_;
   std::set<int> known_dead_;               // global ranks
-  std::set<std::pair<int, int>> wc_loaded_;  // (dead rank, stage) already loaded
 
   std::map<int, StageState> stages_;
   int stage_cursor_ = 0;

@@ -311,6 +311,29 @@ TEST(IterGraph, CcMultiKillCrSweepClean) {
   EXPECT_TRUE(spread) << "CR multi-kill schedules must span resubmissions";
 }
 
+// Checkpoint/restart reuses every completed round, however many there are.
+// A restart once scanned only the checkpoints of stages below 64, so this
+// schedule (a 70-round SSSP, rank 0 killed in a late round) re-ran rounds
+// 64-68 in its resubmission. The graph is the ftmr_explore default.
+TEST(IterGraph, CrRestartReusesRoundsPastSixtyFour) {
+  ExplorerOptions o;
+  o.mode = "cr";
+  o.workload.app = "sssp";
+  o.workload.iterations = 70;
+  Explorer e(o);
+  FaultSchedule s;
+  s.label = "single/r0/op349";
+  s.mode = "cr";
+  s.kills.push_back({/*rank=*/0, /*after_ops=*/349, /*vtime=*/-1.0,
+                     /*submission=*/0});
+  const RunReport rep = e.run_schedule(s);
+  EXPECT_TRUE(rep.completed);
+  EXPECT_EQ(rep.submissions, 2);
+  for (const Violation& v : rep.violations) {
+    ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
+  }
+}
+
 // Triangle counting runs a 3-stage pipeline through the engine; a capped
 // sweep keeps the multi-stage (non-relaxation) shape covered under kills.
 TEST(IterGraph, TriangleCappedSweepClean) {
