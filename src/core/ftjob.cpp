@@ -929,7 +929,8 @@ void FtJob::recover() {
     (void)check(wc_.allreduce_one(simmpi::ReduceOp::kMin, wc_.now(), horizon));
     RecoveryInputs in;
     if (opts_.load_balance) {
-      (void)check(LoadBalancer::exchange_models(wc_, master_->local_model(), in.models));
+      (void)check(
+          LoadBalancer::exchange_models(wc_, master_->local_model(), in.models));
     } else {
       in.models.assign(static_cast<size_t>(wc_.size()), LinearModel{});
     }
@@ -937,7 +938,9 @@ void FtJob::recover() {
     in.work_conserving = opts_.mode != FtMode::kDetectResumeNWC;
     in.new_dead = new_dead;
     in.dead = union_dead;  // holds known_dead_: the world comm never shrinks
-    for (int rel = 0; rel < wc_.size(); ++rel) in.live.push_back(wc_.global_of_rel(rel));
+    for (int rel = 0; rel < wc_.size(); ++rel) {
+      in.live.push_back(wc_.global_of_rel(rel));
+    }
     in.owners = owners_;
     // A failure before the first run_stage (e.g. during job construction)
     // arrives here with `chunks_` still unlisted; without the listing the
@@ -953,7 +956,9 @@ void FtJob::recover() {
       in.chunk_bytes.push_back(
           fs_->file_size(storage::Tier::kShared, node(), opts_.input_dir + "/" + c));
     }
-    for (const auto& [sid, st] : stages_) in.stages.push_back({sid, st.phase, st.kv_input});
+    for (const auto& [sid, st] : stages_) {
+      in.stages.push_back({sid, st.phase, st.kv_input});
+    }
     apply_plan(plan_recovery(in), horizon);
   }
   for (int d : new_dead) known_dead_.insert(d);

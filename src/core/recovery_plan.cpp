@@ -39,8 +39,10 @@ RecoveryPlan plan_recovery(const RecoveryInputs& in) {
       held[static_cast<size_t>(g)] += 1.0;
     }
   }
-  std::vector<double> finish;
-  for (int g : in.live) finish.push_back(held[static_cast<size_t>(g)]);
+  std::vector<double> finish(in.live.size());
+  for (size_t r = 0; r < finish.size(); ++r) {
+    finish[r] = held[static_cast<size_t>(in.live[r])];
+  }
   const std::vector<int> part_to =
       reassign(in, std::vector<double>(orphan_parts.size(), 1.0), std::move(finish));
   for (size_t i = 0; i < orphan_parts.size(); ++i) {
@@ -56,8 +58,8 @@ RecoveryPlan plan_recovery(const RecoveryInputs& in) {
   std::vector<double> weights;
   for (uint64_t t = 0; t < in.chunk_bytes.size(); ++t) {
     const auto it = in.owners.task_reassign.find(t);
-    if (in.dead.count(it != in.owners.task_reassign.end() ? it->second
-                                                          : assign_task_to_rank(t, p0))) {
+    const bool reassigned = it != in.owners.task_reassign.end();
+    if (in.dead.count(reassigned ? it->second : assign_task_to_rank(t, p0))) {
       orphan_tasks.push_back(t);
       weights.push_back(in.chunk_bytes[t] > 0 ? static_cast<double>(in.chunk_bytes[t])
                                               : 1.0);

@@ -444,7 +444,8 @@ TEST_F(CkptFixture, MapCheckpointRoundTripLocal) {
     ASSERT_TRUE(cm.map_ckpt(c, 0, 5, 0, 100, kv({{"a", "1"}, {"b", "2"}})).ok());
     ASSERT_TRUE(cm.map_ckpt(c, 0, 5, 100, 200, kv({{"c", "3"}})).ok());
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, false, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   false, -1.0, rec).ok());
     ASSERT_TRUE(rec.map_tasks.count(5));
     EXPECT_EQ(rec.map_tasks[5].pos, 200u);
     ASSERT_EQ(rec.map_tasks[5].kv.size(), 3u);  // deltas concatenated in order
@@ -461,11 +462,13 @@ TEST_F(CkptFixture, CopierDrainsToSharedWithStamp) {
     ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
     // Shared copy exists (with a drain stamp past t=1.0)...
     RankRecovery late;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 7}, 0, true, /*horizon=*/1e9, late).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 7}, 0,
+                                   true, /*horizon=*/1e9, late).ok());
     ASSERT_TRUE(late.partitions.count(3));
     // ...but is invisible before its drain time.
     RankRecovery early;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 7}, 0, true, /*horizon=*/0.5, early).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 7}, 0,
+                                   true, /*horizon=*/0.5, early).ok());
     EXPECT_TRUE(early.partitions.empty());
   });
 }
@@ -477,11 +480,13 @@ TEST_F(CkptFixture, SharedDirectSkipsLocal) {
     CheckpointManager cm(fs.get(), 0, 2, o, 4);
     ASSERT_TRUE(cm.reduce_ckpt(c, 1, 9, 0, 50, kv({{"x", "y"}})).ok());
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 1, .rank = 2}, 0, true, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 1, .rank = 2}, 0,
+                                   true, -1.0, rec).ok());
     ASSERT_TRUE(rec.reduce.count(9));
     EXPECT_EQ(rec.reduce[9].entries_done, 50u);
     RankRecovery local;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 1, .rank = 2}, 0, false, -1.0, local).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 1, .rank = 2}, 0,
+                                   false, -1.0, local).ok());
     EXPECT_TRUE(local.reduce.empty());
   });
 }
@@ -493,7 +498,8 @@ TEST_F(CkptFixture, LocalOnlyNeverReachesShared) {
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
     ASSERT_TRUE(cm.map_ckpt(c, 0, 1, 0, 10, kv({{"a", "b"}})).ok());
     RankRecovery shared;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, true, -1.0, shared).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   true, -1.0, shared).ok());
     EXPECT_TRUE(shared.map_tasks.empty());
   });
 }
@@ -506,7 +512,8 @@ TEST_F(CkptFixture, DisabledManagerWritesNothing) {
     ASSERT_TRUE(cm.map_ckpt(c, 0, 1, 0, 10, kv({{"a", "b"}})).ok());
     EXPECT_EQ(cm.count(), 0);
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, false, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   false, -1.0, rec).ok());
     EXPECT_TRUE(rec.map_tasks.empty());
   });
 }

@@ -510,7 +510,8 @@ TEST_F(IntegrityCkptFixture, TornSharedCopyServedFromLocalReplica) {
     ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
     tear_file(storage::Tier::kShared, "part_");
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/true, 1e9, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   /*from_shared=*/true, 1e9, rec).ok());
     ASSERT_TRUE(rec.partitions.count(3));  // recovered via the local replica
     EXPECT_GE(rec.corrupt_frames, 1u);
     EXPECT_EQ(rec.tier_fallbacks, 1u);
@@ -526,7 +527,8 @@ TEST_F(IntegrityCkptFixture, TornLocalFileServedFromDrainedSharedCopy) {
     ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
     tear_file(storage::Tier::kLocal, "part_");
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/false, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   /*from_shared=*/false, -1.0, rec).ok());
     ASSERT_TRUE(rec.partitions.count(3));  // recovered via the stamped shared copy
     EXPECT_EQ(rec.tier_fallbacks, 1u);
     EXPECT_EQ(rec.quarantined, 0u);
@@ -543,7 +545,8 @@ TEST_F(IntegrityCkptFixture, BothReplicasTornQuarantinesAndKeepsRest) {
     tear_file(storage::Tier::kLocal, "p000000000003");
     RankRecovery rec;
     // Load still succeeds: partition 3 is lost (bounded), partition 4 intact.
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/true, 1e9, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   /*from_shared=*/true, 1e9, rec).ok());
     EXPECT_FALSE(rec.partitions.count(3));
     EXPECT_TRUE(rec.partitions.count(4));
     EXPECT_EQ(rec.quarantined, 1u);
@@ -610,7 +613,8 @@ TEST_F(IntegrityCkptFixture, PoisonedDeltaChainKeepsVerifiedPrefixOnly) {
         }
         RankRecovery rec;
         ASSERT_TRUE(
-            cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/false, -1.0, rec).ok());
+            cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                               /*from_shared=*/false, -1.0, rec).ok());
         ASSERT_EQ(map_kind ? rec.map_tasks.count(5) : rec.reduce.count(5), 1u);
         const uint64_t cursor =
             map_kind ? rec.map_tasks[5].pos : rec.reduce[5].entries_done;
@@ -638,7 +642,8 @@ TEST_F(IntegrityCkptFixture, PoisonedDeltaChainKeepsVerifiedPrefixOnly) {
     ASSERT_TRUE(cm.partition_ckpt(c, 0, 5, kv({{"p", "1"}})).ok());
     ASSERT_TRUE(cm.reduce_ckpt(c, 0, 5, 0, 4, kv({{"fresh", "1"}})).ok());
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/false, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   /*from_shared=*/false, -1.0, rec).ok());
     ASSERT_TRUE(rec.partitions.count(5));
     ASSERT_TRUE(rec.reduce.count(5));
     EXPECT_EQ(rec.reduce[5].entries_done, 4u);
@@ -719,7 +724,8 @@ TEST(CkptWriteLadder, RetriesThenDropsForEveryWriterAndPlacement) {
         EXPECT_EQ(cm.integrity().drain_failures, 0);
         const bool shared = lc.location == CkptOptions::Location::kSharedDirect;
         RankRecovery rec;
-        ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, shared, -1.0, rec).ok());
+        ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                       shared, -1.0, rec).ok());
         if (dropped) {
           EXPECT_TRUE(rec.partitions.empty());
           EXPECT_EQ(rec.files_read, 0u);
@@ -778,7 +784,8 @@ TEST(CkptReadLadder, PrefetchWithoutLocalDiskReadsSharedDirectly) {
     kv.add("beta", "2");
     ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv).ok());
     RankRecovery rec;
-    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/true, -1.0, rec).ok());
+    ASSERT_TRUE(cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                                   /*from_shared=*/true, -1.0, rec).ok());
     ASSERT_TRUE(rec.partitions.count(3));
     EXPECT_EQ(rec.partitions[3].size(), kv.size());
     EXPECT_EQ(rec.quarantined, 0u);

@@ -51,8 +51,8 @@ RecoveryInputs inputs_at(int p0, const std::set<int>& dead, int me,
 
 int task_owner(const Owners& o, uint64_t t) {
   const auto it = o.task_reassign.find(t);
-  return it != o.task_reassign.end() ? it->second
-                                     : assign_task_to_rank(t, static_cast<int>(o.part_owner.size()));
+  const int p0 = static_cast<int>(o.part_owner.size());
+  return it != o.task_reassign.end() ? it->second : assign_task_to_rank(t, p0);
 }
 
 /// The four soundness checks of one rank's plan.
@@ -121,7 +121,8 @@ void expect_sound(const RecoveryInputs& in, const RecoveryPlan& plan) {
 
 /// Plans for each rank in `ranks`, checks each, and checks that they agree
 /// on the owner tables and split the orphans between them.
-std::vector<RecoveryPlan> plan_for(const std::set<int>& dead, const std::set<int>& ranks,
+std::vector<RecoveryPlan> plan_for(const std::set<int>& dead,
+                                   const std::set<int>& ranks,
                                    const std::vector<PlanStage>& stages,
                                    bool work_conserving = true) {
   std::vector<RecoveryPlan> plans;
@@ -253,7 +254,9 @@ TEST(RecoveryPlan, MatchesAnEightRankWorkConservingKill) {
   storage::StorageSystem fs(so);
   for (int i = 0; i < 2 * kP; ++i) {
     std::string text;
-    for (int j = 0; j < 20 + 7 * i; ++j) text += "w" + std::to_string((i + j) % 11) + "\n";
+    for (int j = 0; j < 20 + 7 * i; ++j) {
+      text += "w" + std::to_string((i + j) % 11) + "\n";
+    }
     char name[32];
     std::snprintf(name, sizeof(name), "chunk_%04d", i);
     ASSERT_TRUE(fs.write_file(storage::Tier::kShared, 0, std::string("input/") + name,

@@ -507,7 +507,8 @@ TEST_F(ReplicaCkptFixture, CheckpointWriteReplicatesAndRecoveryHitsMemory) {
     if (c.rank() == 0) {
       RankRecovery rec;
       ASSERT_TRUE(
-          cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/true, 1e9, rec).ok());
+          cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                             /*from_shared=*/true, 1e9, rec).ok());
       ASSERT_TRUE(rec.partitions.count(3));
       EXPECT_GE(cm.integrity().replica_hits, 1);
       EXPECT_EQ(cm.integrity().replica_misses, 0);
@@ -622,7 +623,8 @@ TEST_F(ReplicaCkptFixture, CorruptedReplicasFallBackToFileTiers) {
     if (c.rank() == 0) {
       RankRecovery rec;
       ASSERT_TRUE(
-          cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0, /*from_shared=*/true, 1e9, rec).ok());
+          cm.load_rank_stage(c, {.stage = 0, .rank = 0}, 0,
+                             /*from_shared=*/true, 1e9, rec).ok());
       ASSERT_TRUE(rec.partitions.count(3));  // served from files after all
       EXPECT_GE(cm.integrity().replica_misses, 1);
       EXPECT_GE(cm.integrity().corrupt_frames, 2);  // both bad copies seen
