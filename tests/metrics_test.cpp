@@ -7,14 +7,18 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 
+#include "apps/graph.hpp"
 #include "apps/textgen.hpp"
 #include "apps/wordcount.hpp"
+#include "common/hash.hpp"
 #include "common/metrics.hpp"
 #include "core/ftjob.hpp"
+#include "core/iterjob.hpp"
 #include "mr/shuffle.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
@@ -267,6 +271,159 @@ TEST(JobTrace, PhaseSpansMatchTimeBucketsUnderFailure) {
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_GT(ss.str().size(), 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned trace streams: seeded jobs on one worker thread record the same
+// events run after run, so a hash of the sorted export and the exact
+// per-phase span sums pin the stream. A change to how events are stored
+// must leave both unchanged.
+// ---------------------------------------------------------------------------
+
+/// Per-rank recorders merged in rank order after the job, so the merged
+/// stream does not depend on the order in which rank bodies finish.
+struct RankTraces {
+  explicit RankTraces(int n) : ranks(static_cast<size_t>(n)) {
+    for (auto& r : ranks) r = std::make_unique<TraceRecorder>();
+  }
+  void merge_into(TraceRecorder& out) const {
+    for (const auto& r : ranks) out.merge(*r);
+  }
+  std::vector<std::unique_ptr<TraceRecorder>> ranks;
+};
+
+/// Keeps a rank's trace when the rank body leaves scope, also when an
+/// aborted submission unwinds it.
+class KeepTrace {
+ public:
+  KeepTrace(RankTraces& t, Comm& c, core::FtJob& job)
+      : slot_(*t.ranks[static_cast<size_t>(c.rank())]), job_(job) {}
+  KeepTrace(const KeepTrace&) = delete;
+  KeepTrace& operator=(const KeepTrace&) = delete;
+  ~KeepTrace() { slot_.merge(job_.trace()); }
+
+ private:
+  TraceRecorder& slot_;
+  core::FtJob& job_;
+};
+
+struct StreamPin {
+  uint64_t json_hash = 0;
+  size_t events = 0;
+  std::map<std::string, double> phase;
+};
+
+StreamPin pin_of(const TraceRecorder& rec) {
+  return {fnv1a(trace_json(rec)), rec.size(), rec.span_seconds_by_name("phase")};
+}
+
+void expect_pinned(const StreamPin& got, const StreamPin& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.json_hash, want.json_hash) << std::hex << "0x" << got.json_hash;
+  EXPECT_EQ(got.phase, want.phase);
+  if (got.phase == want.phase) return;
+  for (const auto& [name, s] : got.phase) {
+    std::printf("  {\"%s\", %a},\n", name.c_str(), s);  // to re-pin
+  }
+}
+
+// An 8-rank work-conserving wordcount with record checkpoints and k=2
+// memory replicas, failure-free.
+TEST(TraceStreamPin, WorkConservingWordcountWithReplicas) {
+  storage::TempDir tmp("ftmr-trace-pin-wc");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  apps::TextGenOptions tg;
+  tg.nchunks = 16;
+  tg.lines_per_chunk = 24;
+  tg.seed = 0x7ace;
+  ASSERT_TRUE(apps::generate_text(fs, tg).ok());
+
+  core::FtJobOptions opts;
+  opts.mode = core::FtMode::kDetectResumeWC;
+  opts.ppn = 2;
+  opts.ckpt.records_per_ckpt = 25;
+  opts.ckpt.memory_replication_k = 2;
+  simmpi::JobOptions sim;
+  sim.worker_threads = 1;
+  RankTraces traces(8);
+  const simmpi::JobResult r = Runtime::run(8, [&](Comm& c) {
+    core::FtJob job(c, &fs, opts);
+    KeepTrace keep(traces, c, job);
+    EXPECT_TRUE(job.run([](core::FtJob& job) -> Status {
+      if (auto st = job.run_stage(apps::wordcount_stage(), false, nullptr);
+          !st.ok()) {
+        return st;
+      }
+      return job.write_output();
+    }).ok());
+  }, sim);
+  ASSERT_FALSE(r.aborted);
+  TraceRecorder trace;
+  traces.merge_into(trace);
+  expect_pinned(pin_of(trace), {0x4ad0de3ef673564aULL,
+                                412,
+                                {{"ckpt", 0x1.a9ad7e27f9186p-5},
+                                 {"io_wait", 0x1.89d8c6d612c6bp-5},
+                                 {"map", 0x1.4d1fbb5c370d1p-4},
+                                 {"merge", 0x1.421db1c1ae8bap-7},
+                                 {"reduce", 0x1.db7adabca48b9p-4},
+                                 {"shuffle", 0x1.ab69a306d5b22p-6}}});
+}
+
+// A 4-rank SSSP on the iterative engine under checkpoint/restart: the
+// first submission loses rank 1 at a fixed op and aborts, the second
+// primes itself from its checkpoints and finishes. Its "iter.*/<r>"
+// instants carry names built at run time.
+TEST(TraceStreamPin, CheckpointRestartSsspWithKill) {
+  storage::TempDir tmp("ftmr-trace-pin-sssp");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  apps::GraphGenOptions gg;
+  gg.nodes = 24;
+  gg.nchunks = 4;
+  gg.seed = 0x55e9;
+  apps::WAdjacency adj;
+  ASSERT_TRUE(apps::generate_weighted_graph(fs, gg, 3, &adj).ok());
+
+  core::FtJobOptions opts;
+  opts.mode = core::FtMode::kCheckpointRestart;
+  opts.ppn = 2;
+  opts.ckpt.records_per_ckpt = 8;
+  TraceRecorder trace;
+  for (int submission = 0; submission < 2; ++submission) {
+    simmpi::JobOptions sim;
+    sim.worker_threads = 1;
+    if (submission == 0) sim.kills.push_back({1, /*vtime=*/-1.0, /*after_ops=*/15});
+    RankTraces traces(4);
+    const simmpi::JobResult r = Runtime::run(4, [&](Comm& c) {
+      core::FtJob job(c, &fs, opts);
+      KeepTrace keep(traces, c, job);
+      core::IterSpec spec = apps::sssp_spec(/*source=*/0, /*rounds=*/4);
+      spec.submission = submission;
+      auto drv = std::make_shared<core::IterDriver>(std::move(spec));
+      const Status s = job.run(core::IterDriver::as_driver(drv));
+      if (submission == 1) {
+        EXPECT_TRUE(s.ok()) << s.to_string();
+      }
+    }, sim);
+    EXPECT_EQ(r.aborted, submission == 0);
+    traces.merge_into(trace);
+  }
+  size_t dynamic = 0;
+  for (const TraceEvent& e : trace.events()) dynamic += e.cat == "iter";
+  EXPECT_GT(dynamic, 0u);
+  expect_pinned(pin_of(trace), {0x348867fe83617ebeULL,
+                                648,
+                                {{"ckpt", 0x1.71c4651f3e89dp-4},
+                                 {"init_recover", 0x1.8b03ff93f4692p-8},
+                                 {"io_wait", 0x1.0630b93062c95p-6},
+                                 {"map", 0x1.40b10296de282p-4},
+                                 {"merge", 0x1.4af775170351cp-6},
+                                 {"reduce", 0x1.0b55c17d8e4b2p-3},
+                                 {"shuffle", 0x1.eed2b91ff1b7cp-5}}});
 }
 
 }  // namespace
