@@ -16,6 +16,7 @@ inline constexpr const char* kLockNames[] = {
     "log.sink",
     "metrics.registry",
     "metrics.trace",
+    "metrics.intern",
     "storage.stats",
     "storage.segments",
     "replica.store",

@@ -18,6 +18,15 @@
 // TimeBuckets bucket name ("map", "shuffle", ...) under category "phase" so
 // per-bucket span sums can be checked against TimeBuckets::all().
 //
+// Storage (see DESIGN.md "Span lifecycle"): names and categories are
+// interned once, in process-wide string tables that only grow, so an event
+// is a 32-byte TraceRecord of ids, kept in fixed-size chunks that are never
+// copied. A lookup of a string already in the table takes no lock, and a
+// call site may intern its literals up front (TraceName, TraceCat). Ids are
+// stable across recorders, so merge() appends records. Strings appear only
+// when something reads the trace: events() builds the TraceEvents, and the
+// JSON export and span_seconds_by_name() read the records directly.
+//
 // Thread model: a TraceRecorder is lock-serialized internally, so rank
 // threads and the virtual-time agents they drive (copier, prefetcher) may
 // record into one recorder concurrently. Each rank owns one recorder
@@ -29,8 +38,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,9 +52,10 @@
 
 namespace ftmr::metrics {
 
-/// One trace event. `dur < 0` marks an instant event (Chrome phase "i");
-/// otherwise a complete span (Chrome phase "X"). Zero-duration spans are
-/// valid — several instrumented operations are free in virtual time.
+/// One trace event, as a reader sees it. `dur < 0` marks an instant event
+/// (Chrome phase "i"); otherwise a complete span (Chrome phase "X").
+/// Zero-duration spans are valid — several instrumented operations are free
+/// in virtual time.
 struct TraceEvent {
   std::string name;
   std::string cat;
@@ -56,8 +69,49 @@ struct TraceEvent {
   int64_t op = -1;
 };
 
+/// An event name, interned in the process-wide name table. Construct one
+/// once from a literal and pass it to span()/instant() to skip the lookup.
+class TraceName {
+ public:
+  explicit TraceName(std::string_view s);
+  [[nodiscard]] uint32_t id() const noexcept { return id_; }
+  /// The string of an id this table handed out.
+  [[nodiscard]] static std::string_view str(uint32_t id);
+
+ private:
+  uint32_t id_;
+};
+
+/// An event category, interned in the process-wide category table (at most
+/// 65536 categories; interning one more throws std::length_error).
+class TraceCat {
+ public:
+  explicit TraceCat(std::string_view s);
+  [[nodiscard]] uint16_t id() const noexcept { return id_; }
+  [[nodiscard]] static std::string_view str(uint16_t id);
+  /// The id of `s` if some event was ever recorded under it; never interns.
+  [[nodiscard]] static std::optional<uint16_t> find(std::string_view s);
+
+ private:
+  uint16_t id_;
+};
+
+/// One event as a recorder stores it: TraceEvent with the two strings
+/// replaced by table ids. `op` keeps 48 bits (op indices below 2^47).
+struct TraceRecord {
+  double ts;
+  double dur;
+  int64_t op : 48;
+  uint64_t cat : 16;  // TraceCat id
+  uint32_t name;      // TraceName id
+  int32_t tid;
+};
+static_assert(sizeof(TraceRecord) <= 32, "a trace record is at most 32 bytes");
+static_assert(std::is_trivial_v<TraceRecord>, "records are copied as plain bytes");
+
 /// Lock-serialized span/instant recorder. See the file comment for the
-/// thread model; every method is safe to call from any thread.
+/// thread model; every method is safe to call from any thread, except
+/// set_op_probe (before the recorder is shared).
 class TraceRecorder {
  public:
   TraceRecorder() = default;
@@ -73,46 +127,40 @@ class TraceRecorder {
 
   /// Install a callback sampling the owning rank's MPI op counter; every
   /// subsequently recorded event is stamped with its value (TraceEvent::op).
-  /// The probe runs outside this recorder's lock, so it may itself lock
-  /// (Comm::ops_issued takes the simmpi job mutex).
-  void set_op_probe(std::function<int64_t()> probe) {
-    MutexLock lock(mu_);
-    op_probe_ = std::move(probe);
-  }
+  /// Set it once, before the recorder is shared: span() and instant() call
+  /// it without a lock. The probe runs outside this recorder's lock, so it
+  /// may itself lock (Comm::ops_issued takes the simmpi job mutex).
+  void set_op_probe(std::function<int64_t()> probe) { op_probe_ = std::move(probe); }
 
   /// Record a complete span [t0, t1] (clamped to non-negative duration).
-  void span(std::string name, std::string cat, double t0, double t1) {
-    const int64_t op = probe_op();
-    MutexLock lock(mu_);
-    ev_.push_back({std::move(name), std::move(cat), tid_, t0,
-                   t1 > t0 ? t1 - t0 : 0.0, op});
+  void span(TraceName name, TraceCat cat, double t0, double t1) {
+    record(name, cat, t0, t1 > t0 ? t1 - t0 : 0.0);
+  }
+  void span(std::string_view name, std::string_view cat, double t0, double t1) {
+    span(TraceName(name), TraceCat(cat), t0, t1);
   }
 
   /// Record an instant event at time `ts`.
-  void instant(std::string name, std::string cat, double ts) {
-    const int64_t op = probe_op();
-    MutexLock lock(mu_);
-    ev_.push_back({std::move(name), std::move(cat), tid_, ts, -1.0, op});
+  void instant(TraceName name, TraceCat cat, double ts) { record(name, cat, ts, -1.0); }
+  void instant(std::string_view name, std::string_view cat, double ts) {
+    instant(TraceName(name), TraceCat(cat), ts);
   }
 
-  /// Append a copy of `other`'s events (source tids preserved). Lock
+  /// Append a copy of `other`'s records (source tids preserved). Lock
   /// discipline: copies out under the source's lock, appends under this
   /// recorder's lock — the two locks are never held together.
-  void merge(const TraceRecorder& other) {
-    std::vector<TraceEvent> theirs = other.events();
-    MutexLock lock(mu_);
-    ev_.insert(ev_.end(), std::make_move_iterator(theirs.begin()),
-               std::make_move_iterator(theirs.end()));
-  }
+  void merge(const TraceRecorder& other);
 
-  [[nodiscard]] std::vector<TraceEvent> events() const {
-    MutexLock lock(mu_);
-    return ev_;
-  }
+  /// The records in recording order.
+  [[nodiscard]] std::vector<TraceRecord> records() const;
+
+  /// The events in recording order, with their strings. The one place that
+  /// builds strings; call it only to read the trace.
+  [[nodiscard]] std::vector<TraceEvent> events() const;
 
   [[nodiscard]] size_t size() const {
     MutexLock lock(mu_);
-    return ev_.size();
+    return n_;
   }
 
   /// Sum of span durations grouped by event name, restricted to category
@@ -123,34 +171,58 @@ class TraceRecorder {
 
   void clear() {
     MutexLock lock(mu_);
-    ev_.clear();
+    chunks_.clear();
+    n_ = 0;
+    last_used_ = 0;
   }
 
  private:
-  /// Sample the op probe without holding mu_ across the call (the probe
-  /// locks the simmpi job mutex; keeping the two locks disjoint avoids any
-  /// ordering constraint between them).
-  [[nodiscard]] int64_t probe_op() const {
-    std::function<int64_t()> probe;
-    {
-      MutexLock lock(mu_);
-      probe = op_probe_;
+  // Chunks of 8, 16, 32 and then 64 records (2 KiB): a rank with a few
+  // events holds a few hundred bytes, a long trace wastes under one chunk,
+  // and a chunk is never copied or moved once allocated.
+  static constexpr size_t kFirstChunk = 8;
+  static constexpr size_t kMaxChunk = 64;
+  static constexpr size_t chunk_capacity(size_t i) {
+    return i >= 3 ? kMaxChunk : kFirstChunk << i;
+  }
+
+  void record(TraceName name, TraceCat cat, double ts, double dur) {
+    TraceRecord r;
+    r.ts = ts;
+    r.dur = dur;
+    r.op = op_probe_ ? op_probe_() : -1;
+    r.cat = cat.id();
+    r.name = name.id();
+    MutexLock lock(mu_);
+    r.tid = tid_;
+    append_locked(r);
+  }
+
+  void append_locked(const TraceRecord& r) FTMR_REQUIRES(mu_) {
+    if (chunks_.empty() || last_used_ == chunk_capacity(chunks_.size() - 1)) {
+      chunks_.push_back(
+          std::make_unique_for_overwrite<TraceRecord[]>(chunk_capacity(chunks_.size())));
+      last_used_ = 0;
     }
-    return probe ? probe() : -1;
+    chunks_.back()[last_used_++] = r;
+    ++n_;
   }
 
   mutable Mutex mu_{"metrics.trace"};
   int tid_ FTMR_GUARDED_BY(mu_) = 0;
-  std::function<int64_t()> op_probe_ FTMR_GUARDED_BY(mu_);
-  std::vector<TraceEvent> ev_ FTMR_GUARDED_BY(mu_);
+  std::function<int64_t()> op_probe_;  // set before sharing, then read-only
+  std::vector<std::unique_ptr<TraceRecord[]>> chunks_ FTMR_GUARDED_BY(mu_);
+  size_t last_used_ FTMR_GUARDED_BY(mu_) = 0;  // records in chunks_.back()
+  size_t n_ FTMR_GUARDED_BY(mu_) = 0;          // records in all chunks
 };
 
 /// Deterministic order for merged multi-rank event sets: by (ts, tid, cat,
-/// name, dur). Export sorts a copy, so byte-identical runs produce
-/// byte-identical trace files regardless of merge order.
+/// name, dur). Export sorts the records by the same key, so byte-identical
+/// runs produce byte-identical trace files regardless of merge order.
 void sort_events(std::vector<TraceEvent>& ev);
 
-/// Render events as Chrome trace_event JSON ({"traceEvents":[...]}).
+/// Render the recorder's events as Chrome trace_event JSON
+/// ({"traceEvents":[...]}), sorted as sort_events() sorts.
 [[nodiscard]] std::string trace_json(const TraceRecorder& rec);
 
 /// Write trace_json(rec) to `path` (host filesystem, not the simulated

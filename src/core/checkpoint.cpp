@@ -17,6 +17,23 @@ namespace ftmr::core {
 
 namespace {
 
+// Trace names and categories, interned once (metrics::TraceName).
+const metrics::TraceCat kCatCkpt{"ckpt"};
+const metrics::TraceCat kCatCopier{"copier"};
+const metrics::TraceName kCkptCorrupt{"ckpt.corrupt"};
+const metrics::TraceName kCkptCrc{"ckpt.crc"};
+const metrics::TraceName kCkptFrame{"ckpt.frame"};
+const metrics::TraceName kCkptQuarantine{"ckpt.quarantine"};
+const metrics::TraceName kCkptRead{"ckpt.read"};
+const metrics::TraceName kCkptReplicaFetch{"ckpt.replica_fetch"};
+const metrics::TraceName kCkptReplicaPush{"ckpt.replica_push"};
+const metrics::TraceName kCkptRereplicate{"ckpt.rereplicate"};
+const metrics::TraceName kCkptRetry{"ckpt.retry"};
+const metrics::TraceName kCkptTierFallback{"ckpt.tier_fallback"};
+const metrics::TraceName kCkptWrite{"ckpt.write"};
+const metrics::TraceName kCopierDrainWait{"copier.drain_wait"};
+
+
 constexpr size_t kFrameHeaderBytes = kCkptFrameOverhead - sizeof(uint32_t);
 
 /// The one place the frame header is written: a writer holding the header
@@ -233,7 +250,7 @@ void CheckpointManager::charge_write(simmpi::Comm& comm, double seconds) {
 
 void CheckpointManager::book_retry(simmpi::Comm& comm) {
   integ_.io_retries++;
-  if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
+  if (trace_) trace_->instant(kCkptRetry, kCatCkpt, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
 }
 
@@ -244,7 +261,7 @@ Status CheckpointManager::write_ladder(simmpi::Comm& comm, const std::string& na
   const double t0 = comm.now();
   // Framing + CRC are free in virtual time (CPU is not modeled for them);
   // a zero-duration span still marks every frame event on the timeline.
-  if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
+  if (trace_) trace_->span(kCkptFrame, kCatCkpt, t0, comm.now());
   count_++;
   bytes_written_ += framed_size;
 
@@ -297,7 +314,7 @@ Status CheckpointManager::write_ladder(simmpi::Comm& comm, const std::string& na
   // Spill I/O incurred re-loading pages for a paged stream elapses on the
   // writer's clock here, at the checkpoint boundary.
   if (paged_source) comm.compute(paged_source->take_io_seconds());
-  if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
+  if (trace_) trace_->span(kCkptWrite, kCatCkpt, t0, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
   metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
                                          static_cast<double>(framed_size));
@@ -375,7 +392,7 @@ void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
   }
   // The span's op stamp marks the replication window on the timeline, so
   // the fault explorer harvests kill candidates inside it.
-  if (trace_) trace_->span("ckpt.replica_push", "ckpt", t0, comm.now());
+  if (trace_) trace_->span(kCkptReplicaPush, kCatCkpt, t0, comm.now());
 }
 
 Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
@@ -535,7 +552,7 @@ void CheckpointManager::drain(simmpi::Comm& comm) {
     metrics::MetricsRegistry::global().observe("copier.drain_wait_seconds", rank_,
                                                wait);
   }
-  if (trace_) trace_->span("copier.drain_wait", "copier", t0, comm.now());
+  if (trace_) trace_->span(kCopierDrainWait, kCatCopier, t0, comm.now());
 }
 
 namespace {
@@ -670,7 +687,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     metrics::MetricsRegistry::global().add("ckpt.rereplications", rank_,
                                            static_cast<double>(healed));
   }
-  if (trace_) trace_->span("ckpt.rereplicate", "ckpt", t0, comm.now());
+  if (trace_) trace_->span(kCkptRereplicate, kCatCkpt, t0, comm.now());
   return Status::Ok();
 }
 
@@ -694,7 +711,7 @@ Status CheckpointManager::verify_copy(simmpi::Comm& comm,
                                       Bytes& payload, RankRecovery& out) {
   const double v0 = comm.now();
   Status v = unframe_checkpoint(raw, payload);
-  if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
+  if (trace_) trace_->span(kCkptCrc, kCatCkpt, v0, comm.now());
   if (v.ok()) {
     out.files_read++;
     out.bytes_read += raw.size();
@@ -702,7 +719,7 @@ Status CheckpointManager::verify_copy(simmpi::Comm& comm,
   }
   integ_.corrupt_frames++;
   out.corrupt_frames++;
-  if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
+  if (trace_) trace_->instant(kCkptCorrupt, kCatCkpt, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
   return v;
 }
@@ -744,8 +761,8 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
       if (verify_copy(comm, raw, payload, out).ok()) {
         integ_.replica_hits++;
         if (trace_) {
-          trace_->span("ckpt.replica_fetch", "ckpt", t0, comm.now());
-          trace_->span("ckpt.read", "ckpt", t0, comm.now());
+          trace_->span(kCkptReplicaFetch, kCatCkpt, t0, comm.now());
+          trace_->span(kCkptRead, kCatCkpt, t0, comm.now());
         }
         metrics::MetricsRegistry::global().add("ckpt.replica_hits", rank_);
         metrics::MetricsRegistry::global().add(
@@ -787,7 +804,7 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
         book_retry(comm);
       });
   if (last.ok()) {
-    if (trace_) trace_->span("ckpt.read", "ckpt", t0, comm.now());
+    if (trace_) trace_->span(kCkptRead, kCatCkpt, t0, comm.now());
     return last;
   }
 
@@ -821,8 +838,8 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
       integ_.tier_fallbacks++;
       out.tier_fallbacks++;
       if (trace_) {
-        trace_->instant("ckpt.tier_fallback", "ckpt", comm.now());
-        trace_->span("ckpt.read", "ckpt", t0, comm.now());
+        trace_->instant(kCkptTierFallback, kCatCkpt, comm.now());
+        trace_->span(kCkptRead, kCatCkpt, t0, comm.now());
       }
       metrics::MetricsRegistry::global().add("ckpt.tier_fallbacks", rank_);
       return fb;
@@ -837,8 +854,8 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
   integ_.files_quarantined++;
   out.quarantined++;
   if (trace_) {
-    trace_->instant("ckpt.quarantine", "ckpt", comm.now());
-    trace_->span("ckpt.read", "ckpt", t0, comm.now());
+    trace_->instant(kCkptQuarantine, kCatCkpt, comm.now());
+    trace_->span(kCkptRead, kCatCkpt, t0, comm.now());
   }
   metrics::MetricsRegistry::global().add("ckpt.files_quarantined", rank_);
   FTMR_WARN << "rank " << rank_ << " quarantined checkpoint " << path << ": "

@@ -14,6 +14,9 @@ namespace ftmr::core {
 
 namespace {
 
+// Phase spans' category, interned once (metrics::TraceCat).
+const metrics::TraceCat kCatPhase{"phase"};
+
 /// Spill I/O time the stores accrued since the last call, added in store
 /// order onto `io` (chaining two calls keeps one left-to-right sum).
 double take_spill_io(std::map<int, mr::SpillableKvBuffer>& stores,
@@ -46,14 +49,14 @@ FtJob::FtJob(simmpi::Comm& world, storage::StorageSystem* fs, FtJobOptions opts)
 void FtJob::charge_span(const char* bucket, double t0) {
   const double t1 = wc_.now();
   times_.charge(bucket, t1 - t0);
-  trace_.span(bucket, "phase", t0, t1);
+  trace_.span(metrics::TraceName(bucket), kCatPhase, t0, t1);
 }
 
 void FtJob::charge_cost(const char* bucket, double cost) {
   wc_.compute(cost);
   times_.charge(bucket, cost);
   const double t1 = wc_.now();
-  trace_.span(bucket, "phase", t1 - cost, t1);
+  trace_.span(metrics::TraceName(bucket), kCatPhase, t1 - cost, t1);
 }
 
 int FtJob::node() const noexcept { return world_.global_rank() / opts_.ppn; }

@@ -184,6 +184,8 @@ class FtJob {
   /// This rank's trace recorder. Phase spans (cat "phase") mirror every
   /// seconds-valued TimeBuckets charge 1:1; component spans/instants
   /// (cats "ckpt", "copier", "prefetch", "master", "shuffle") ride along.
+  /// Recording is always on and stores 32-byte records of interned ids;
+  /// events() builds the strings only when something reads the trace.
   /// Merge into a collector after the rank threads join (the recorder is
   /// internally locked, but the convention keeps exports deterministic).
   [[nodiscard]] metrics::TraceRecorder& trace() noexcept { return trace_; }

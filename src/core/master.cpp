@@ -4,6 +4,14 @@
 
 namespace ftmr::core {
 
+namespace {
+
+// Trace names and categories, interned once (metrics::TraceName).
+const metrics::TraceCat kCatMaster{"master"};
+const metrics::TraceName kMasterBroadcast{"master.broadcast"};
+
+}  // namespace
+
 DistributedMaster::DistributedMaster(simmpi::Comm& comm) : comm_(comm) {}
 
 std::vector<uint64_t> DistributedMaster::assign_tasks(size_t ntasks, int nranks,
@@ -46,7 +54,7 @@ Status DistributedMaster::exchange_now() {
     if (auto s = TaskTable::decode(blob, t); !s.ok()) return s;
     global_.merge(t);
   }
-  if (trace_) trace_->span("master.broadcast", "master", t0, comm_.now());
+  if (trace_) trace_->span(kMasterBroadcast, kCatMaster, t0, comm_.now());
   return Status::Ok();
 }
 

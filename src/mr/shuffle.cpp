@@ -10,6 +10,16 @@
 
 namespace ftmr::mr {
 
+namespace {
+
+// Trace names and categories, interned once (metrics::TraceName).
+const metrics::TraceCat kCatShuffle{"shuffle"};
+const metrics::TraceName kShuffleAdopt{"shuffle.adopt"};
+const metrics::TraceName kShuffleAlltoall{"shuffle.alltoall"};
+const metrics::TraceName kShuffleCensus{"shuffle.census"};
+
+}  // namespace
+
 std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts) {
   std::vector<KvBuffer> parts(static_cast<size_t>(nparts));
   // Census sweep: hash every key once, remember the destination, and size
@@ -108,12 +118,12 @@ Status exchange(simmpi::Comm& comm, bool bounded, const ExchangeFill& fill,
         }
       }
     }  // the blocks are framed: owned images are freed before the alltoall
-    if (trace) trace->span("shuffle.census", "shuffle", c0, comm.now());
+    if (trace) trace->span(kShuffleCensus, kCatShuffle, c0, comm.now());
 
     const double a0 = comm.now();
     std::vector<Bytes> recv;
     if (auto s = comm.alltoall(std::move(send), recv); !s.ok()) return s;
-    if (trace) trace->span("shuffle.alltoall", "shuffle", a0, comm.now());
+    if (trace) trace->span(kShuffleAlltoall, kCatShuffle, a0, comm.now());
     const double d0 = comm.now();
     for (size_t j = 0; j < recv.size(); ++j) {
       const Bytes row = std::move(recv[j]);  // freed once delivered
@@ -122,7 +132,7 @@ Status exchange(simmpi::Comm& comm, bool bounded, const ExchangeFill& fill,
         return s;
       }
     }
-    if (trace) trace->span("shuffle.adopt", "shuffle", d0, comm.now());
+    if (trace) trace->span(kShuffleAdopt, kCatShuffle, d0, comm.now());
     if (!bounded) return Status::Ok();
 
     // Collective termination: rounds continue while any rank holds data.

@@ -7,6 +7,17 @@ namespace ftmr::storage {
 
 namespace {
 
+// Trace names and categories, interned once (metrics::TraceName).
+const metrics::TraceCat kCatCopier{"copier"};
+const metrics::TraceCat kCatPrefetch{"prefetch"};
+const metrics::TraceName kCopierCopy{"copier.copy"};
+const metrics::TraceName kCopierDrainFailed{"copier.drain_failed"};
+const metrics::TraceName kCopierRetry{"copier.retry"};
+const metrics::TraceName kPrefetchRead{"prefetch.read"};
+const metrics::TraceName kPrefetchRetry{"prefetch.retry"};
+const metrics::TraceName kPrefetchStage{"prefetch.stage"};
+
+
 // Per-copy CPU cost of the copier (it shares a core with the main thread —
 // Fig. 7 shows ~3% CPU): a memcpy-speed pass over the payload plus a small
 // per-file dispatch cost.
@@ -31,7 +42,7 @@ Status CopierAgent::enqueue(std::string_view local_path, std::string_view shared
           retries_++;
         }
         // Leaf-lock discipline: the recorder is emitted into outside mu_.
-        if (trace_) trace_->instant("copier.retry", "copier", now);
+        if (trace_) trace_->instant(kCopierRetry, kCatCopier, now);
         metrics::MetricsRegistry::global().add("copier.retries", node_);
       });
   if (!last.ok()) {
@@ -40,7 +51,7 @@ Status CopierAgent::enqueue(std::string_view local_path, std::string_view shared
       busy_until_ = std::max(busy_until_, now) + backoff_total;
       failed_.push_back({std::string(local_path), std::string(shared_path), last});
     }
-    if (trace_) trace_->instant("copier.drain_failed", "copier", now);
+    if (trace_) trace_->instant(kCopierDrainFailed, kCatCopier, now);
     metrics::MetricsRegistry::global().add("copier.drain_failures", node_);
     return last;
   }
@@ -62,7 +73,7 @@ Status CopierAgent::enqueue(std::string_view local_path, std::string_view shared
     span_start = start;
     span_end = busy_until_;
   }
-  if (trace_) trace_->span("copier.copy", "copier", span_start, span_end);
+  if (trace_) trace_->span(kCopierCopy, kCatCopier, span_start, span_end);
   return Status::Ok();
 }
 
@@ -125,11 +136,11 @@ Status Prefetcher::start(std::span<const std::string> shared_paths,
         [&](double backoff) {
           t += backoff;
           retries_++;
-          if (trace_) trace_->instant("prefetch.retry", "prefetch", t);
+          if (trace_) trace_->instant(kPrefetchRetry, kCatPrefetch, t);
           metrics::MetricsRegistry::global().add("prefetch.retries", node_);
         });
     if (last.ok()) t += io_cost;
-    if (trace_) trace_->span("prefetch.stage", "prefetch", stage_start, t);
+    if (trace_) trace_->span(kPrefetchStage, kCatPrefetch, stage_start, t);
     available_at_.push_back(t);
     local_paths_.push_back(lp);
     staged_error_.push_back(last);  // a failed stage is reported, not fatal
@@ -149,7 +160,7 @@ Status Prefetcher::read(size_t i, double now, Bytes& out, double* sim_cost) {
     return s;
   }
   const double stall = std::max(0.0, available_at_[i] - now);
-  if (trace_) trace_->span("prefetch.read", "prefetch", now, now + stall + local_cost);
+  if (trace_) trace_->span(kPrefetchRead, kCatPrefetch, now, now + stall + local_cost);
   if (sim_cost) *sim_cost = stall + local_cost;
   return Status::Ok();
 }

@@ -4,13 +4,16 @@
 // the TimeBuckets decomposition (the trace IS the decomposition, exported).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "apps/graph.hpp"
 #include "apps/textgen.hpp"
@@ -50,6 +53,35 @@ TEST(TraceRecorder, SpansAndInstants) {
   EXPECT_EQ(rec.size(), 3u);
   rec.clear();
   EXPECT_EQ(rec.size(), 0u);
+}
+
+// Records live in chunks of growing size; every one comes back in
+// recording order, across chunk boundaries, merges and a clear().
+TEST(TraceRecorder, RecordsKeepOrderAcrossChunks) {
+  TraceRecorder rec(7), sink;
+  for (int round = 0; round < 2; ++round) {
+    rec.clear();
+    for (int i = 0; i < 300; ++i) {
+      rec.span(i % 2 ? "odd" : "even", "phase", i, i + 0.5);
+    }
+    const std::vector<TraceEvent> ev = rec.events();
+    ASSERT_EQ(ev.size(), 300u);
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_EQ(ev[static_cast<size_t>(i)].name, i % 2 ? "odd" : "even");
+      EXPECT_EQ(ev[static_cast<size_t>(i)].ts, i);
+      EXPECT_EQ(ev[static_cast<size_t>(i)].tid, 7);
+    }
+  }
+  sink.instant("first", "ckpt", 0.0);
+  sink.merge(rec);
+  sink.merge(sink);  // a recorder may merge itself
+  const std::vector<TraceEvent> all = sink.events();
+  ASSERT_EQ(all.size(), 602u);
+  EXPECT_EQ(all[0].name, "first");
+  EXPECT_EQ(all[301].name, "first");
+  EXPECT_EQ(all[601].ts, 299.0);
+  EXPECT_DOUBLE_EQ(sink.span_seconds_by_name("phase").at("odd"), 2 * 150 * 0.5);
+  EXPECT_TRUE(sink.span_seconds_by_name("no-such-category").empty());
 }
 
 TEST(TraceRecorder, MergePreservesSourceTids) {
@@ -122,6 +154,67 @@ TEST(TraceJson, WriteToFileAndFailurePath) {
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), trace_json(rec));
   EXPECT_FALSE(write_trace_json((tmp.path() / "no/such/dir/t.json").string(), rec).ok());
+}
+
+// Threads intern fresh names and record at the same time. Each name gets
+// one id, the same in every thread, and every record comes back, through
+// events() and through merges that run while other threads still record.
+TEST(TraceRecorder, ConcurrentInterningKeepsIdsStableAndEventsComplete) {
+  static_assert(sizeof(TraceRecord) <= 32);
+  constexpr int kThreads = 4;
+  constexpr int kNames = 300;  // past the table's first growth
+  constexpr int kRounds = 3;
+  static std::atomic<int> run{0};  // fresh names on every --gtest_repeat
+  const std::string prefix = "concurrent/" + std::to_string(run++) + "/";
+  const auto name_of = [&](int i) { return prefix + std::to_string(i); };
+
+  TraceRecorder shared, merged;
+  std::vector<std::vector<uint32_t>> ids(kThreads, std::vector<uint32_t>(kNames));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      TraceRecorder own(t);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int k = 0; k < kNames; ++k) {
+          const int i = (k + 37 * t) % kNames;  // threads race on each insert
+          const TraceName name(name_of(i));
+          if (round == 0) ids[static_cast<size_t>(t)][static_cast<size_t>(i)] = name.id();
+          EXPECT_EQ(name.id(), ids[static_cast<size_t>(t)][static_cast<size_t>(i)]);
+          shared.instant(name_of(i), "concurrent", static_cast<double>(k));
+          own.span(name, TraceCat("concurrent"), 0.0, 1.0);
+        }
+        merged.merge(own);
+        own.clear();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::set<uint32_t> distinct;
+  for (int i = 0; i < kNames; ++i) {
+    const uint32_t id = ids[0][static_cast<size_t>(i)];
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(ids[static_cast<size_t>(t)][static_cast<size_t>(i)], id) << name_of(i);
+    }
+    EXPECT_EQ(TraceName::str(id), name_of(i));
+    distinct.insert(id);
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kNames));
+
+  for (const TraceRecorder* rec : {&shared, &merged}) {
+    const std::vector<TraceEvent> ev = rec->events();
+    ASSERT_EQ(ev.size(), static_cast<size_t>(kThreads * kRounds * kNames));
+    std::map<std::string, int> per_name;
+    for (const TraceEvent& e : ev) {
+      EXPECT_EQ(e.cat, "concurrent");
+      per_name[e.name]++;
+    }
+    ASSERT_EQ(per_name.size(), static_cast<size_t>(kNames));
+    for (const auto& [name, n] : per_name) EXPECT_EQ(n, kThreads * kRounds) << name;
+  }
+  std::map<int, int> per_tid;
+  for (const TraceEvent& e : merged.events()) per_tid[e.tid]++;
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_tid[t], kRounds * kNames);
 }
 
 // ---------------------------------------------------------------------------
