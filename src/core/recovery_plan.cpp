@@ -74,11 +74,13 @@ RecoveryPlan plan_recovery(const RecoveryInputs& in) {
 
   if (in.work_conserving) {
     // Past the map phase a read covers the inherited partitions; in it, the
-    // inherited map tasks, which on a kv-input stage are partitions too.
+    // inherited map tasks, which on a kv-input stage are partitions too. A
+    // survivor that inherited none of a stage's work reads nothing of it.
     for (int d : in.new_dead) {
       for (const PlanStage& s : in.stages) {
-        plan.reads.push_back({s.stage, d, kinds_read_at(s.phase), false,
-                              plan.tasks_of(s.kv_input || s.phase != kPhaseMap)});
+        std::set<uint64_t> ids = plan.tasks_of(s.kv_input || s.phase != kPhaseMap);
+        if (ids.empty()) continue;
+        plan.reads.push_back({s.stage, d, kinds_read_at(s.phase), false, std::move(ids)});
       }
     }
     return plan;

@@ -50,6 +50,7 @@ struct RecoveryPlan {
   std::vector<int> partitions;  // inherited partitions, ascending
   // WC: one read per (newly dead rank, stage), in that order, of the kinds
   // the survivor's phase of the stage consumes, covering the inherited work.
+  // A stage of which this rank inherited nothing has no read.
   std::vector<CkptRead> reads;
   // NWC: a job past its first stage drops every stage. In stage 0 after
   // the map phase, `rebuild` marks every orphaned partition (`missing`) for

@@ -4,7 +4,8 @@
 // at 8192 ranks without starting a job. Each checks the plan's soundness:
 // every orphaned partition and task gets exactly one live owner, survivors
 // keep their own work, this rank's partitions stay ascending, and the
-// checkpoint reads cover exactly the inherited work. One 8-rank job checks
+// checkpoint reads cover exactly the inherited work, with no read of a
+// stage the rank inherited nothing of. One 8-rank job checks
 // that a real work-conserving kill ends with the owner tables the planner
 // computes from the same inputs.
 #include <gtest/gtest.h>
@@ -96,27 +97,30 @@ void expect_sound(const RecoveryInputs& in, const RecoveryPlan& plan) {
   EXPECT_EQ(after.owned, mine);
   EXPECT_TRUE(std::is_sorted(after.owned.begin(), after.owned.end()));
 
-  // The reads: one per (newly dead rank, stage) under WC, none under NWC,
-  // each of its phase's kinds and exactly the inherited work.
+  // The reads: under WC one per (newly dead rank, stage) of which this rank
+  // inherited work, none under NWC, each of its phase's kinds and exactly
+  // the inherited work.
   if (!in.work_conserving) {
     EXPECT_TRUE(plan.reads.empty());
     return;
   }
-  ASSERT_EQ(plan.reads.size(), in.new_dead.size() * in.stages.size());
   const std::set<uint64_t> part_ids(inherited_parts.begin(), inherited_parts.end());
   size_t i = 0;
   for (int d : in.new_dead) {
     for (const PlanStage& s : in.stages) {
+      const bool by_task = s.phase == kPhaseMap && !s.kv_input;
+      const std::set<uint64_t>& ids = by_task ? inherited_tasks : part_ids;
+      if (ids.empty()) continue;  // nothing of this stage inherited
+      ASSERT_LT(i, plan.reads.size()) << "no read of stage " << s.stage;
       const CkptRead& r = plan.reads[i++];
       EXPECT_EQ(r.rank, d);
       EXPECT_EQ(r.stage, s.stage);
       EXPECT_EQ(r.kinds, kinds_read_at(s.phase));
       EXPECT_FALSE(r.every_id);
-      const bool by_task = s.phase == kPhaseMap && !s.kv_input;
-      EXPECT_EQ(r.ids, by_task ? inherited_tasks : part_ids)
-          << "stage " << s.stage << " of dead rank " << d;
+      EXPECT_EQ(r.ids, ids) << "stage " << s.stage << " of dead rank " << d;
     }
   }
+  EXPECT_EQ(plan.reads.size(), i);
 }
 
 /// Plans for each rank in `ranks`, checks each, and checks that they agree
@@ -171,13 +175,19 @@ TEST(RecoveryPlan, OneDeadRankAtScale) {
   const std::vector<PlanStage> stages{{0, kPhaseMap, false}};
   const std::set<int> ranks = heirs(dead, stages);
   ASSERT_GE(ranks.size(), 2u);
-  size_t parts = 0, tasks = 0;
+  size_t parts = 0, tasks = 0, readers = 0;
   for (const RecoveryPlan& p : plan_for(dead, ranks, stages)) {
     parts += p.partitions.size();
     tasks += p.tasks.size();
+    // In the map phase a survivor reads the dead rank's map checkpoints
+    // only if it inherited one of its tasks: exactly one read, else none.
+    EXPECT_EQ(p.reads.size(), p.tasks.empty() ? 0u : 1u);
+    readers += !p.reads.empty();
   }
   EXPECT_EQ(parts, 1u);  // the dead rank's one partition, inherited once
   EXPECT_EQ(tasks, chunks_of(dead));  // and each of its chunks, once
+  EXPECT_GE(readers, 1u);
+  EXPECT_LT(readers, ranks.size());  // heirs() adds a rank that inherits nothing
 }
 
 TEST(RecoveryPlan, TwoDeadRanksAtScale) {
@@ -209,7 +219,10 @@ TEST(RecoveryPlan, TwoDeadRanksAtScale) {
     second.owners.owned = owned_by(plans.front().owners, me);
     const RecoveryPlan plan = plan_recovery(second);
     expect_sound(second, plan);
-    EXPECT_EQ(plan.reads.size(), 1u);
+    if (me == next) {
+      EXPECT_FALSE(plan.partitions.empty());
+    }
+    EXPECT_EQ(plan.reads.size(), plan.partitions.empty() ? 0u : 1u);
   }
 }
 
@@ -218,11 +231,18 @@ TEST(RecoveryPlan, KvInputStageReadsByPartition) {
   // Stage 0 read files and is done; stage 1 maps the previous stage's
   // partitions, so its map deltas are keyed, read and adopted by partition.
   const std::vector<PlanStage> stages{{0, kPhaseDone, false}, {1, kPhaseMap, true}};
+  size_t readers = 0;
   for (const RecoveryPlan& plan : plan_for(dead, heirs(dead, stages), stages)) {
+    if (plan.partitions.empty()) {
+      EXPECT_TRUE(plan.reads.empty());  // inherited file tasks only
+      continue;
+    }
+    ++readers;
     ASSERT_EQ(plan.reads.size(), 2u);
     EXPECT_EQ(plan.reads[1].kinds, static_cast<unsigned>(kKindMap));
     EXPECT_EQ(plan.reads[1].ids, plan.tasks_of(/*kv_input=*/true));
   }
+  EXPECT_EQ(readers, 1u);  // the dead rank's one partition has one heir
 }
 
 TEST(RecoveryPlan, NonWorkConservingMultiStageDropsEveryStage) {
