@@ -20,12 +20,12 @@
 //
 // Storage (see DESIGN.md "Span lifecycle"): names and categories are
 // interned once, in process-wide string tables that only grow, so an event
-// is a 32-byte TraceRecord of ids, kept in fixed-size chunks that are never
-// copied. A lookup of a string already in the table takes no lock, and a
-// call site may intern its literals up front (TraceName, TraceCat). Ids are
-// stable across recorders, so merge() appends records. Strings appear only
-// when something reads the trace: events() builds the TraceEvents, and the
-// JSON export and span_seconds_by_name() read the records directly.
+// is a 32-byte TraceRecord of ids, kept in chunks that are never copied. A
+// lookup of a string already in a table takes no lock, and a call site may
+// intern its literals up front (TraceName, TraceCat). Ids are stable across
+// recorders, so merge() appends records. Strings appear only when something
+// reads the trace: events() builds the TraceEvents, and the JSON export and
+// span_seconds_by_name() read the records directly.
 //
 // Thread model: a TraceRecorder is lock-serialized internally, so rank
 // threads and the virtual-time agents they drive (copier, prefetcher) may
@@ -187,12 +187,12 @@ class TraceRecorder {
   }
 
   void record(TraceName name, TraceCat cat, double ts, double dur) {
-    TraceRecord r;
-    r.ts = ts;
-    r.dur = dur;
-    r.op = op_probe_ ? op_probe_() : -1;
-    r.cat = cat.id();
-    r.name = name.id();
+    TraceRecord r{.ts = ts,
+                  .dur = dur,
+                  .op = op_probe_ ? op_probe_() : -1,
+                  .cat = cat.id(),
+                  .name = name.id(),
+                  .tid = 0};
     MutexLock lock(mu_);
     r.tid = tid_;
     append_locked(r);

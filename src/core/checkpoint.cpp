@@ -33,7 +33,6 @@ const metrics::TraceName kCkptTierFallback{"ckpt.tier_fallback"};
 const metrics::TraceName kCkptWrite{"ckpt.write"};
 const metrics::TraceName kCopierDrainWait{"copier.drain_wait"};
 
-
 constexpr size_t kFrameHeaderBytes = kCkptFrameOverhead - sizeof(uint32_t);
 
 /// The one place the frame header is written: a writer holding the header

@@ -17,7 +17,6 @@ const metrics::TraceName kPrefetchRead{"prefetch.read"};
 const metrics::TraceName kPrefetchRetry{"prefetch.retry"};
 const metrics::TraceName kPrefetchStage{"prefetch.stage"};
 
-
 // Per-copy CPU cost of the copier (it shares a core with the main thread —
 // Fig. 7 shows ~3% CPU): a memcpy-speed pass over the payload plus a small
 // per-file dispatch cost.
