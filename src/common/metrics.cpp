@@ -209,9 +209,9 @@ std::vector<TraceRecord> TraceRecorder::records() const {
   MutexLock lock(mu_);
   std::vector<TraceRecord> out;
   out.reserve(n_);
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    const size_t used = i + 1 == chunks_.size() ? last_used_ : chunk_capacity(i);
-    out.insert(out.end(), chunks_[i].get(), chunks_[i].get() + used);
+  for (size_t done = 0; done < n_; done += kChunkRecords) {
+    const TraceRecord* c = chunks_[done / kChunkRecords].get();
+    out.insert(out.end(), c, c + std::min(kChunkRecords, n_ - done));
   }
   return out;
 }

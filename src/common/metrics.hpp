@@ -173,18 +173,12 @@ class TraceRecorder {
     MutexLock lock(mu_);
     chunks_.clear();
     n_ = 0;
-    last_used_ = 0;
   }
 
  private:
-  // Chunks of 8, 16, 32 and then 64 records (2 KiB): a rank with a few
-  // events holds a few hundred bytes, a long trace wastes under one chunk,
-  // and a chunk is never copied or moved once allocated.
-  static constexpr size_t kFirstChunk = 8;
-  static constexpr size_t kMaxChunk = 64;
-  static constexpr size_t chunk_capacity(size_t i) {
-    return i >= 3 ? kMaxChunk : kFirstChunk << i;
-  }
+  // Fixed chunks of 64 records (2 KiB): a long trace wastes under one
+  // chunk, and a chunk is never copied or moved once allocated.
+  static constexpr size_t kChunkRecords = 64;
 
   void record(TraceName name, TraceCat cat, double ts, double dur) {
     TraceRecord r{.ts = ts,
@@ -199,12 +193,10 @@ class TraceRecorder {
   }
 
   void append_locked(const TraceRecord& r) FTMR_REQUIRES(mu_) {
-    if (chunks_.empty() || last_used_ == chunk_capacity(chunks_.size() - 1)) {
-      chunks_.push_back(
-          std::make_unique_for_overwrite<TraceRecord[]>(chunk_capacity(chunks_.size())));
-      last_used_ = 0;
+    if (n_ % kChunkRecords == 0) {
+      chunks_.push_back(std::make_unique_for_overwrite<TraceRecord[]>(kChunkRecords));
     }
-    chunks_.back()[last_used_++] = r;
+    chunks_.back()[n_ % kChunkRecords] = r;
     ++n_;
   }
 
@@ -212,8 +204,7 @@ class TraceRecorder {
   int tid_ FTMR_GUARDED_BY(mu_) = 0;
   std::function<int64_t()> op_probe_;  // set before sharing, then read-only
   std::vector<std::unique_ptr<TraceRecord[]>> chunks_ FTMR_GUARDED_BY(mu_);
-  size_t last_used_ FTMR_GUARDED_BY(mu_) = 0;  // records in chunks_.back()
-  size_t n_ FTMR_GUARDED_BY(mu_) = 0;          // records in all chunks
+  size_t n_ FTMR_GUARDED_BY(mu_) = 0;  // records in chunks_
 };
 
 /// Deterministic order for merged multi-rank event sets: by (ts, tid, cat,

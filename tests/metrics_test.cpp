@@ -55,7 +55,7 @@ TEST(TraceRecorder, SpansAndInstants) {
   EXPECT_EQ(rec.size(), 0u);
 }
 
-// Records live in chunks of growing size; every one comes back in
+// Records live in fixed-size chunks; every one comes back in
 // recording order, across chunk boundaries, merges and a clear().
 TEST(TraceRecorder, RecordsKeepOrderAcrossChunks) {
   TraceRecorder rec(7), sink;
