@@ -506,7 +506,9 @@ TEST(TraceStreamPin, CheckpointRestartSsspWithKill) {
     traces.merge_into(trace);
   }
   size_t dynamic = 0;
-  for (const TraceEvent& e : trace.events()) dynamic += e.cat == "iter";
+  for (const TraceEvent& e : trace.events()) {
+    if (e.cat == "iter") ++dynamic;
+  }
   EXPECT_GT(dynamic, 0u);
   expect_pinned(pin_of(trace), {0x348867fe83617ebeULL,
                                 648,

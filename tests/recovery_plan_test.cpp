@@ -182,7 +182,7 @@ TEST(RecoveryPlan, OneDeadRankAtScale) {
     // In the map phase a survivor reads the dead rank's map checkpoints
     // only if it inherited one of its tasks: exactly one read, else none.
     EXPECT_EQ(p.reads.size(), p.tasks.empty() ? 0u : 1u);
-    readers += !p.reads.empty();
+    if (!p.reads.empty()) ++readers;
   }
   EXPECT_EQ(parts, 1u);  // the dead rank's one partition, inherited once
   EXPECT_EQ(tasks, chunks_of(dead));  // and each of its chunks, once
